@@ -156,8 +156,7 @@ def test_ablation_energy(benchmark, harness):
             from repro.accelerator import GNNerator
             accelerator = GNNerator(config)
             program = accelerator.compile(
-                harness.graph(dataset), harness.model(spec),
-                params=harness.params(spec))
+                harness.graph(dataset), harness.model(spec))
             result = accelerator.simulate(program)
             report = estimate_energy(program, result)
             gpu_j = gpu_energy_joules(harness.gpu_seconds(spec))

@@ -18,10 +18,8 @@ def test_compile_throughput(benchmark):
     """Compiling cora-gcn (blocked): the full lowering pipeline."""
     graph = load_dataset("cora")
     model = build_network("gcn", graph.feature_dim, 7)
-    params = init_parameters(model)
     config = gnnerator_config()
-    program = benchmark(compile_workload, graph, model, config,
-                        params=params)
+    program = benchmark(compile_workload, graph, model, config)
     assert program.num_operations > 0
 
 
@@ -58,6 +56,6 @@ def test_functional_runtime_throughput(benchmark):
     model = build_network("gcn", graph.feature_dim, 7)
     config = gnnerator_config()
     params = init_parameters(model)
-    program = compile_workload(graph, model, config, params=params)
-    out = benchmark(run_functional, program, graph)
+    program = compile_workload(graph, model, config)
+    out = benchmark(run_functional, program, graph, params)
     assert out.shape == (graph.num_nodes, 7)

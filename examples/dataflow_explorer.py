@@ -25,7 +25,6 @@ def explore(dataset: str, network: str) -> None:
     spec = WorkloadSpec(dataset=dataset, network=network)
     graph = harness.graph(dataset)
     model = harness.model(spec)
-    params = harness.params(spec)
     config = gnnerator_config()
 
     print(f"=== {dataset} x {network} ===")
@@ -34,8 +33,7 @@ def explore(dataset: str, network: str) -> None:
         accelerator = GNNerator(config.with_feature_block(block))
         grid = plan_shards(graph, config.graph,
                            block=block or graph.feature_dim)
-        result = accelerator.run(graph, model, params=params,
-                                 feature_block=block)
+        result = accelerator.run(graph, model, feature_block=block)
         traffic = result.dram_bytes_by_purpose
         rows.append({
             "B": str(block or f"D={graph.feature_dim}"),
@@ -58,8 +56,8 @@ def explore(dataset: str, network: str) -> None:
         analytic = traversal_cost(order, grid.grid_side,
                                   grid.interval_size)
         accelerator = GNNerator(config.with_feature_block(None))
-        result = accelerator.run(graph, model, params=params,
-                                 traversal=order, feature_block=None)
+        result = accelerator.run(graph, model, traversal=order,
+                                 feature_block=None)
         rows.append({
             "order": order,
             "analytic reads (rows)": str(analytic.read_rows),

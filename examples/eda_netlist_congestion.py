@@ -16,7 +16,7 @@ Run:  python examples/eda_netlist_congestion.py
 
 import numpy as np
 
-from repro import GNNerator, GpuModel, build_network, init_parameters
+from repro import GNNerator, GpuModel, build_network
 from repro.engines.graph.gpe import gpe_utilization, max_gpe_edges
 from repro.graph.graph import Graph
 
@@ -88,10 +88,9 @@ def main() -> None:
     # Congestion predictor: 2-hop GraphSAGE, 3 congestion classes.
     model = build_network("graphsage", graph.feature_dim, num_classes=3,
                           hidden_dim=32)
-    params = init_parameters(model, seed=1)
 
     accelerator = GNNerator()
-    program = accelerator.compile(graph, model, params=params)
+    program = accelerator.compile(graph, model)
     result = accelerator.simulate(program)
     print(f"GNNerator: {result.describe()}")
 

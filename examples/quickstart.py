@@ -36,11 +36,11 @@ def main() -> None:
     # 3. Compile for the accelerator and verify functional correctness:
     #    the sharded, dimension-blocked program must match plain numpy.
     accelerator = GNNerator()
-    program = accelerator.compile(graph, model, params=params)
+    program = accelerator.compile(graph, model)
     print(f"compiled: {program.describe()}")
 
     expected = reference_forward(model, graph, params)
-    actual = run_functional(program, graph)
+    actual = run_functional(program, graph, params)
     np.testing.assert_allclose(actual, expected, rtol=1e-3, atol=1e-3)
     print("functional check: compiled execution matches the reference")
 

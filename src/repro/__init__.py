@@ -21,11 +21,7 @@ paper-vs-measured record of every table and figure.
 
 from repro.accelerator import ExecutionResult, GNNerator
 from repro.baselines import GpuModel, HyGCNModel, gpu_latency, hygcn_latency
-from repro.compiler import (
-    compile_workload,
-    run_functional,
-    validate_program,
-)
+from repro.compiler import compile_workload, run_functional
 from repro.config import (
     GNNeratorConfig,
     WorkloadSpec,
@@ -42,6 +38,17 @@ from repro.models import (
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str) -> object:
+    # validate_program lives with the verifier passes; importing it on
+    # first use keeps `import repro` from loading repro.analysis.
+    if name == "validate_program":
+        from repro.analysis.passes.validation import validate_program
+
+        return validate_program
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
 
 __all__ = [
     "ExecutionResult",

@@ -21,7 +21,6 @@ from repro.engines.dense.engine import DenseEngine
 from repro.engines.executor import DeadlockError
 from repro.engines.graph.engine import GraphEngine
 from repro.graph.graph import Graph
-from repro.models.layers import Parameters
 from repro.models.stages import GNNModel
 from repro.obs.spans import span
 from repro.sim.coalesce import DeadlockSuspension, run_plan
@@ -76,10 +75,9 @@ class GNNerator:
         self.config = config if config is not None else GNNeratorConfig()
 
     def compile(self, graph: Graph, model: GNNModel,
-                params: Parameters | None = None,
                 traversal: str = DST_STATIONARY,
                 feature_block: int | None | str = "config") -> Program:
-        return compile_workload(graph, model, self.config, params=params,
+        return compile_workload(graph, model, self.config,
                                 traversal=traversal,
                                 feature_block=feature_block)
 
@@ -179,11 +177,9 @@ class GNNerator:
         )
 
     def run(self, graph: Graph, model: GNNModel,
-            params: Parameters | None = None,
             traversal: str = DST_STATIONARY,
             feature_block: int | None | str = "config") -> ExecutionResult:
         """Compile + simulate in one call."""
-        program = self.compile(graph, model, params=params,
-                               traversal=traversal,
+        program = self.compile(graph, model, traversal=traversal,
                                feature_block=feature_block)
         return self.simulate(program)

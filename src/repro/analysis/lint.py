@@ -47,10 +47,7 @@ _CACHE_FILES = (
 #: ``__init__`` bodies and module level are exempt (construction
 #: precedes sharing).
 _LOCKED_MEMOS: dict[str, tuple[tuple[str, ...], str]] = {
-    "compiler/lowering.py": (
-        ("_STATIC_WEIGHTS_MEMO", "_ATTENTION_WEIGHTS_MEMO",
-         "_FULL_LOWERINGS"),
-        "_MEMO_LOCK"),
+    "compiler/lowering.py": (("_FULL_LOWERINGS",), "_MEMO_LOCK"),
     "graph/partition.py": (("_GRID_LOCKS",), "_GRID_LOCKS_GUARD"),
     "eval/harness.py": (
         ("self._params", "self._programs", "self._fingerprints",
@@ -86,9 +83,12 @@ _LAYERS: dict[str, frozenset[str]] = {
                       "engines.controller"}),
     "engines": frozenset({"engines", "sim", "config", "graph", "obs",
                           "compiler.ir"}),
+    # Model shapes for the lowering and layer math for the functional
+    # runtime, never the reference executor: a compile computes no
+    # values.
     "compiler": frozenset({"compiler", "config", "obs", "graph",
-                           "models", "dataflow", "engines.controller",
-                           "engines.dense.systolic",
+                           "models.stages", "models.layers", "dataflow",
+                           "engines.controller", "engines.dense.systolic",
                            "engines.graph.gpe"}),
     "analysis": frozenset({"analysis", "compiler", "config", "obs",
                            "graph", "models", "dataflow", "sim",

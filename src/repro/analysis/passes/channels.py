@@ -3,13 +3,11 @@
 The double-buffer protocol (DESIGN.md §4, ir.py docstring) is rigid:
 per channel, one producer unit alternates Acquire -> Push and one
 consumer unit alternates Pop -> Release, with
-:data:`~repro.compiler.validation.CREDITS_PER_CHANNEL` credits in
+:data:`~repro.engines.controller.DOUBLE_BUFFER_CREDITS` credits in
 flight at most. This pass proves the protocol holds on *every*
 abstract interleaving by checking per-unit alternation (a unit's queue
 is its serial order on any schedule), global pairing counts, and the
-emission-order credit balance — plus that the compiler's credit
-constant agrees with the simulators'
-:data:`~repro.engines.controller.DOUBLE_BUFFER_CREDITS`.
+emission-order credit balance.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from repro.compiler.ir import (
     ReleaseOp,
 )
 from repro.compiler.program import Program
-from repro.compiler.validation import CREDITS_PER_CHANNEL
 from repro.config.accelerator import GNNeratorConfig
 from repro.engines.controller import DOUBLE_BUFFER_CREDITS
 
@@ -31,11 +28,6 @@ from repro.engines.controller import DOUBLE_BUFFER_CREDITS
 def check_channel_protocol(program: Program,
                            config: GNNeratorConfig) -> PassResult:
     result = PassResult("channel-protocol")
-    if CREDITS_PER_CHANNEL != DOUBLE_BUFFER_CREDITS:
-        result.fail(f"validation CREDITS_PER_CHANNEL "
-                    f"({CREDITS_PER_CHANNEL}) != controller "
-                    f"DOUBLE_BUFFER_CREDITS ({DOUBLE_BUFFER_CREDITS})")
-
     counts = {channel: {"acquire": 0, "release": 0, "push": 0, "pop": 0}
               for channel in CHANNELS}
     producers: dict[str, set[str]] = {channel: set()
@@ -115,11 +107,11 @@ def check_channel_protocol(program: Program,
     for position, op in enumerate(program.order):
         if isinstance(op, AcquireOp):
             balance[op.channel] += 1
-            if balance[op.channel] > CREDITS_PER_CHANNEL:
+            if balance[op.channel] > DOUBLE_BUFFER_CREDITS:
                 result.fail(
                     f"order[{position}]: {balance[op.channel]} credits "
                     f"in flight on {op.channel!r} exceeds "
-                    f"CREDITS_PER_CHANNEL={CREDITS_PER_CHANNEL}")
+                    f"DOUBLE_BUFFER_CREDITS={DOUBLE_BUFFER_CREDITS}")
         elif isinstance(op, ReleaseOp):
             balance[op.channel] -= 1
             if balance[op.channel] < 0:

@@ -4,7 +4,7 @@ Tokens are one-shot: each may be signalled by exactly one op, and a
 wait on a token nothing signals can never clear. ``token-liveness``
 proves both properties structurally; ``schedulability`` then runs the
 Kahn-style abstract scheduler from
-:mod:`repro.compiler.validation` to prove every wait is actually
+:mod:`repro.analysis.passes.validation` to prove every wait is actually
 *reachable* — signalled before (or concurrently with) the op that
 blocks on it — and that no credit/descriptor cycle deadlocks the
 units.
@@ -14,13 +14,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.analysis.passes.validation import validate_program
 from repro.analysis.report import PassResult
 from repro.compiler.program import Program
-from repro.compiler.validation import (
-    CREDITS_PER_CHANNEL,
-    validate_program,
-)
 from repro.config.accelerator import GNNeratorConfig
+from repro.engines.controller import DOUBLE_BUFFER_CREDITS
 
 
 def check_token_liveness(program: Program,
@@ -63,10 +61,10 @@ def check_schedulability(program: Program,
     report = validate_program(program, raise_on_failure=False)
     result.failures.extend(report.failures)
     for channel, depth in sorted(report.max_channel_depth.items()):
-        if depth > CREDITS_PER_CHANNEL:
+        if depth > DOUBLE_BUFFER_CREDITS:
             result.fail(f"channel {channel!r} reaches queue depth "
-                        f"{depth} > CREDITS_PER_CHANNEL="
-                        f"{CREDITS_PER_CHANNEL}")
+                        f"{depth} > DOUBLE_BUFFER_CREDITS="
+                        f"{DOUBLE_BUFFER_CREDITS}")
     result.counts = {"retired_ops": report.retired_ops}
     for channel, depth in sorted(report.max_channel_depth.items()):
         result.counts[f"{channel}_max_depth"] = depth

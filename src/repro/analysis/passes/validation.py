@@ -8,8 +8,9 @@ channel has a pending descriptor (Pop). If no head can retire and work
 remains, the program is unschedulable and the offending heads are
 reported.
 
-Used by tests (every compiled program must validate) and available to
-users via :func:`validate_program`.
+The body of the ``schedulability`` verifier pass
+(:mod:`repro.analysis.passes.tokens`); tests and users call
+:func:`validate_program` directly.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from repro.compiler.ir import (
     ReleaseOp,
 )
 from repro.compiler.program import Program
-
-#: Double-buffer depth per channel (two halves).
-CREDITS_PER_CHANNEL = 2
+from repro.engines.controller import DOUBLE_BUFFER_CREDITS
 
 
 class ValidationError(CompileError):
@@ -77,7 +76,7 @@ def validate_program(program: Program, *,
         return report
 
     heads = {unit: 0 for unit in program.queues}
-    credits = {channel: CREDITS_PER_CHANNEL for channel in CHANNELS}
+    credits = {channel: DOUBLE_BUFFER_CREDITS for channel in CHANNELS}
     pending = {channel: 0 for channel in CHANNELS}
     report.max_channel_depth = {channel: 0 for channel in CHANNELS}
 

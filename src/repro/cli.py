@@ -168,7 +168,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
         with tracing(host_spans):
             program = accelerator.compile(harness.graph(spec.dataset),
                                           harness.model(spec),
-                                          params=harness.params(spec),
                                           feature_block=args.block)
             result = accelerator.simulate(program, probe=probe)
         trace_path = write_perfetto(args.trace_out, spans=host_spans,
@@ -178,7 +177,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
     else:
         result = accelerator.run(harness.graph(spec.dataset),
                                  harness.model(spec),
-                                 params=harness.params(spec),
                                  feature_block=args.block)
     lines = [f"workload: {spec.label} (B={args.block})",
              f"result:   {result.describe()}"]
@@ -455,11 +453,9 @@ def _cmd_dse(args: argparse.Namespace) -> str:
         args.strategy, samples=args.samples, population=args.population,
         generations=args.generations, seed=args.seed,
         max_candidates=args.max_candidates)
-    networks = tuple(args.networks or ("gcn",))
-    datasets = tuple(args.datasets or ("tiny",))
     workloads = [WorkloadSpec(dataset=dataset, network=network,
                               hidden_dim=args.hidden_dim)
-                 for dataset in datasets for network in networks]
+                 for dataset in args.datasets for network in args.networks]
     cache = NullCache() if args.no_cache else ResultCache(args.cache_dir)
     # jobs=0 is the external-fleet coordinator: the filequeue
     # scheduler spawns no local workers, and SweepRunner's own jobs
@@ -599,8 +595,7 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         host_spans = SpanTracer()
         with tracing(host_spans):
             program = accelerator.compile(harness.graph(spec.dataset),
-                                          harness.model(spec),
-                                          params=harness.params(spec))
+                                          harness.model(spec))
             result = accelerator.simulate(program, tracer=tracer,
                                           probe=probe)
         sim_ops = [(e.unit, e.label, e.issue, e.complete)
@@ -613,8 +608,7 @@ def _cmd_trace(args: argparse.Namespace) -> str:
                  f"https://ui.perfetto.dev)")
     else:
         program = accelerator.compile(harness.graph(spec.dataset),
-                                      harness.model(spec),
-                                      params=harness.params(spec))
+                                      harness.model(spec))
         result = accelerator.simulate(program, tracer=tracer)
     return (f"{spec.label}: {result.describe()}\n\n"
             f"{render_gantt(tracer)}{extra}")
@@ -641,8 +635,7 @@ def _cmd_bottleneck(args: argparse.Namespace) -> str:
         config = gnnerator_config()
         accelerator = GNNerator(config)
         program = accelerator.compile(harness.graph(spec.dataset),
-                                      harness.model(spec),
-                                      params=harness.params(spec))
+                                      harness.model(spec))
         result = accelerator.simulate(program)
         report = analyze_bottleneck(program, result, config)
         lines.append(f"hidden {hidden:>4}: {report.describe()}")
@@ -808,12 +801,16 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--strategy",
                      choices=("grid", "random", "evolutionary"),
                      default="random", help="search strategy")
-    dse.add_argument("--networks", action="append",
-                     choices=NETWORK_NAMES, metavar="NETWORK",
-                     help="workload networks (repeatable; default gcn)")
-    dse.add_argument("--datasets", action="append",
-                     choices=DATASET_NAMES, metavar="DATASET",
-                     help="workload datasets (repeatable; default tiny)")
+    dse.add_argument("--networks",
+                     type=_name_list("network", NETWORK_NAMES),
+                     default=("gcn",), metavar="A,B,...",
+                     help="comma-separated workload networks "
+                          "(default gcn)")
+    dse.add_argument("--datasets",
+                     type=_name_list("dataset", DATASET_NAMES),
+                     default=("tiny",), metavar="A,B,...",
+                     help="comma-separated workload datasets "
+                          "(default tiny)")
     dse.add_argument("--hidden-dim", type=_positive_int, default=16)
     dse.add_argument("--space", choices=("default", "small"),
                      default="default", help="design-space preset")

@@ -28,11 +28,6 @@ from repro.compiler.runtime import (
     run_functional,
     run_functional_with_state,
 )
-from repro.compiler.validation import (
-    ValidationError,
-    ValidationReport,
-    validate_program,
-)
 
 __all__ = [
     "CHANNELS",
@@ -61,7 +56,4 @@ __all__ = [
     "FunctionalState",
     "run_functional",
     "run_functional_with_state",
-    "ValidationError",
-    "ValidationReport",
-    "validate_program",
 ]

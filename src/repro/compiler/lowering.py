@@ -29,10 +29,6 @@ module may read an input its product's cache key omits:
   feature block)``, resolving to ``(graph, interval size)``; memoized
   on the graph by :func:`repro.graph.partition.plan_shards`. GPE
   count, SIMD width, and everything dense/DRAM are *not* inputs.
-* **baked aggregation weights** — static forms depend on
-  ``(graph, stage)`` only; attention forms on ``(graph, params,
-  model)`` via the shadow execution. No config input at all, so every
-  DSE candidate shares them (module-level weak-keyed memos below).
 * **operation queues / cycles** — the full compile-relevant config
   projection (:func:`repro.config.overrides.compile_relevant_config`):
   dense shape/dataflow/buffers, GPE count, SIMD width, pipeline
@@ -41,6 +37,11 @@ module may read an input its product's cache key omits:
   which is what lets ``Harness._compiled`` and the persistent program
   store (:mod:`repro.compiler.store`) serve DRAM-only DSE variants
   from one compiled program.
+
+No product depends on feature values or parameters: the compiler
+never computes a value. Aggregation weights, attention coefficients
+included, are the functional runtime's business
+(:mod:`repro.compiler.runtime`).
 
 :func:`full_lowering_count` counts complete :meth:`Lowering.compile`
 runs in this process — the observable CI and the cache tests use to
@@ -53,9 +54,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
-
-import numpy as np
 
 from repro.compiler.ir import (
     AccumWritebackOp,
@@ -96,8 +94,6 @@ from repro.engines.graph.gpe import (
 from repro.graph.graph import Graph
 from repro.graph.partition import Shard, ShardGrid, plan_shards
 from repro.obs.spans import span
-from repro.models.layers import Parameters, dense_forward, init_parameters
-from repro.models.reference import apply_aggregate
 from repro.models.stages import (
     AggregateStage,
     ExtractStage,
@@ -107,15 +103,13 @@ from repro.models.stages import (
 
 
 #: Process-wide count of full :meth:`Lowering.compile` executions.
-#: Program-store hits, harness memo hits, and weight-memo hits all
-#: avoid incrementing it — tests and the CI warm-run check read it to
-#: verify a cached path really compiled nothing.
+#: Program-store hits and harness memo hits avoid incrementing it —
+#: tests and the CI warm-run check read it to verify a cached path
+#: really compiled nothing.
 _FULL_LOWERINGS = 0
 
-#: Guards the lowering counter and both weight memos below. Compiles
-#: from concurrent threads (the serve daemon) read and publish memo
-#: entries under it; the weight *computations* themselves run outside
-#: the lock, so unrelated compiles never serialize here.
+#: Guards the lowering counter against concurrent compiles (the serve
+#: daemon's request threads).
 _MEMO_LOCK = threading.Lock()
 
 
@@ -124,22 +118,6 @@ def full_lowering_count() -> int:
     with _MEMO_LOCK:
         return _FULL_LOWERINGS
 
-
-#: Static aggregation weights per graph: ``graph -> {stage: (edge_w,
-#: self_w)}``. An :class:`AggregateStage` is a frozen dataclass, so
-#: equal stages (e.g. both GCN layers' sum/symmetric-norm stage) share
-#: one entry; weak-keyed so dropping a graph drops its weights. Sound
-#: to share across compiles: consumers only gather from these arrays,
-#: never write into them.
-_STATIC_WEIGHTS_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
-
-#: Baked attention coefficients per (graph, params): ``graph ->
-#: params -> {model: {(layer, stage): (edge_w, self_w)}}``. Attention
-#: weights are computed from the shadow reference execution, a pure
-#: function of (graph, params, model) — independent of every config
-#: knob — so a complete per-model entry lets a recompile skip the
-#: shadow entirely (the dominant cost of GAT compiles).
-_ATTENTION_WEIGHTS_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
 
 #: Below this many grid edges the thread-pool prewarm of per-shard
 #: statistics costs more than it saves.
@@ -187,7 +165,7 @@ def _row_subchunks(rows: tuple[int, int],
 class Lowering:
     """Single-use compiler instance; see :func:`compile_workload`."""
 
-    def __init__(self, graph: Graph, model: GNNModel, params: Parameters,
+    def __init__(self, graph: Graph, model: GNNModel,
                  config: GNNeratorConfig, traversal: str,
                  feature_block: int | None) -> None:
         if graph.num_nodes == 0:
@@ -202,34 +180,9 @@ class Lowering:
         self.traversal = traversal
         self.feature_block = feature_block
         self.program = Program(
-            graph_name=graph.name, model=model, params=params,
-            traversal=traversal, feature_block=feature_block,
-            num_nodes=graph.num_nodes)
+            graph_name=graph.name, model=model, traversal=traversal,
+            feature_block=feature_block, num_nodes=graph.num_nodes)
         self._token_seq = 0
-        # Attention stages need the *values* flowing into them at compile
-        # time (their edge weights are computed, not structural), so the
-        # compiler shadows the reference execution — but only when some
-        # stage actually consumes features.
-        self._needs_shadow = any(
-            isinstance(stage, AggregateStage) and stage.needs_features
-            for layer in model.layers for stage in layer.stages)
-        # A complete set of previously baked attention coefficients for
-        # this (graph, params, model) makes the shadow unnecessary: the
-        # coefficients are its only output the compiler consumes.
-        self._baked_attention: dict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray | None]] | None = None
-        self._fresh_attention: dict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = {}
-        if self._needs_shadow:
-            with _MEMO_LOCK:
-                per_params = _ATTENTION_WEIGHTS_MEMO.get(graph)
-                baked = (per_params.get(params, {}).get(model)
-                         if per_params is not None else None)
-            if baked is not None:
-                self._baked_attention = baked
-                self._needs_shadow = False
-        self._shadow_h = graph.features if self._needs_shadow else None
-        self._shadow_layer_input = self._shadow_h
 
     # ------------------------------------------------------------------
     # Small helpers
@@ -287,7 +240,6 @@ class Lowering:
         current = ValueRef(program.input_array, Coverage())
         for layer_index, layer in enumerate(self.model.layers):
             layer_input = current
-            self._shadow_layer_input = self._shadow_h
             # Pre-plan every aggregate stage of the layer: extracts that
             # precede an aggregation chunk their rows by its intervals.
             for stage_index, stage in enumerate(layer.stages):
@@ -312,14 +264,6 @@ class Lowering:
                         layer_index, stage_index, stage, current,
                         layer_input, layer, completions)
         program.output_array = current.array
-        if self._fresh_attention:
-            with _MEMO_LOCK:
-                per_params = _ATTENTION_WEIGHTS_MEMO.get(self.graph)
-                if per_params is None:
-                    per_params = WeakKeyDictionary()
-                    _ATTENTION_WEIGHTS_MEMO[self.graph] = per_params
-                per_params.setdefault(program.params, {})[self.model] = (
-                    dict(self._fresh_attention))
         return program
 
     def _prewarm_shards(self, grid: ShardGrid) -> None:
@@ -378,9 +322,6 @@ class Lowering:
         plan = program.plans[(layer, stage_index, "main")]
         side = grid.grid_side
 
-        edge_w, self_w = self._aggregate_weights(layer, stage_index, stage)
-        program.edge_weights[(layer, stage_index)] = edge_w
-        program.self_weights[(layer, stage_index)] = self_w
         acc_array = program.declare_array(
             f"l{layer}s{stage_index}.agg", stage.dim)
 
@@ -429,7 +370,7 @@ class Lowering:
                     cycles=interval_touch_cycles(dst_rowcount, width,
                                                  config)))
 
-            apply_self = row == col and self_w is not None
+            apply_self = row == col and stage.include_self
             if self.config.sparsity_elimination:
                 # HyGCN-style elimination (Sec VI-A): gather only the
                 # rows this shard touches. No interval residency — each
@@ -519,54 +460,8 @@ class Lowering:
         leftover = dst_state.unfinished()
         if leftover:
             raise CompileError(f"columns left unfinished: {leftover}")
-        if self._needs_shadow:
-            self._shadow_h = apply_aggregate(
-                self.graph, self._shadow_h, stage.reduce, edge_w, self_w)
         return (ValueRef(acc_array, Coverage(tuple(cover_entries))),
                 completion)
-
-    def _aggregate_weights(self, layer: int, stage_index: int,
-                           stage: AggregateStage
-                           ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Resolve the stage's Apply weights at compile time.
-
-        Static stages derive them from graph structure; attention stages
-        compute softmax coefficients from the shadow features flowing
-        into the stage plus the learned (a_src, a_dst) vectors — the
-        compiler then distributes them as ordinary per-shard edge data.
-
-        Both kinds are memoized across compiles (§ "Compile-product
-        dependency keys" above): static weights per (graph, stage),
-        attention coefficients per (graph, params, model, position) — a
-        recompile of the same workload under a different compute config
-        skips the entire shadow execution. The memoized arrays are the
-        bit-identical objects a fresh computation would produce, and the
-        runtime only ever gathers from them, so sharing is cycle-neutral.
-        """
-        if not stage.needs_features:
-            with _MEMO_LOCK:
-                memo = _STATIC_WEIGHTS_MEMO.get(self.graph)
-                if memo is None:
-                    memo = {}
-                    _STATIC_WEIGHTS_MEMO[self.graph] = memo
-                pair = memo.get(stage)
-            if pair is None:
-                computed = (stage.edge_weights(self.graph),
-                            stage.self_weights(self.graph))
-                with _MEMO_LOCK:
-                    # A racing compile may have published first — every
-                    # caller must hand out the winner so downstream
-                    # identity-keyed caches see one object.
-                    pair = memo.setdefault(stage, computed)
-            return pair
-        if self._baked_attention is not None:
-            return self._baked_attention[(layer, stage_index)]
-        attention = self.program.params.attention(layer, stage_index)
-        pair = stage.compute_weights(self.graph,
-                                     features=self._shadow_h,
-                                     attention=attention)
-        self._fresh_attention[(layer, stage_index)] = pair
-        return pair
 
     def _emit_partial_spill(self, layer: int, stage_index: int,
                             grid: ShardGrid, plan: BlockPlan,
@@ -624,16 +519,8 @@ class Lowering:
             intervals = _row_subchunks((0, self.graph.num_nodes), rows_per)
             completion = None
 
-        value = self._emit_extract(layer, stage_index, stage, incoming,
-                                   layer_input, intervals, completion)
-        if self._needs_shadow:
-            x = self._shadow_h
-            if stage.concat_self:
-                x = np.concatenate([x, self._shadow_layer_input], axis=1)
-            self._shadow_h = dense_forward(
-                stage, x, self.program.params.weight(layer, stage_index),
-                self.program.params.bias(layer, stage_index))
-        return value
+        return self._emit_extract(layer, stage_index, stage, incoming,
+                                  layer_input, intervals, completion)
 
     def _emit_extract(self, layer: int, stage_index: int,
                       stage: ExtractStage, incoming: ValueRef,
@@ -817,22 +704,17 @@ class Lowering:
 
 def compile_workload(graph: Graph, model: GNNModel,
                      config: GNNeratorConfig,
-                     params: Parameters | None = None,
                      traversal: str = DST_STATIONARY,
-                     feature_block: int | None | str = "config",
-                     seed: int = 0) -> Program:
+                     feature_block: int | None | str = "config") -> Program:
     """Compile one workload; the public compiler entry point.
 
     ``feature_block="config"`` (default) takes the block size from the
     platform configuration; pass an int or ``None`` to override
     (``None`` = conventional unblocked dataflow).
     """
-    if params is None:
-        params = init_parameters(model, seed=seed)
     if feature_block == "config":
         feature_block = config.feature_block
-    lowering = Lowering(graph, model, params, config, traversal,
-                        feature_block)
+    lowering = Lowering(graph, model, config, traversal, feature_block)
     program = lowering.compile()
     # Precompute the coalesced simulator's per-unit serial chains for
     # the config this program was compiled against (and the static

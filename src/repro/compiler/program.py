@@ -2,11 +2,13 @@
 
 A :class:`Program` is also the unit the persistent compiled-program
 store (:mod:`repro.compiler.store`) serializes: it is a pure function
-of ``(graph content, network, params seed, traversal, feature block,
+of ``(graph content, network, traversal, feature block,
 compile-relevant config)`` — see
 :func:`repro.config.overrides.compile_relevant_config` — and nothing
-else, which is exactly the store's content-address. Two fields get
-special treatment when persisted:
+else, which is exactly the store's content-address. It holds no
+values: parameters and aggregation weights are inputs of the
+functional runtime, never of the program. Two fields get special
+treatment when persisted:
 
 * every :class:`~repro.graph.graph.Graph` reference (held by the shard
   grids in ``grids``) is pickled *by dataset identity*, never by value,
@@ -23,8 +25,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.compiler.ir import (
     UNITS,
     AccumWritebackOp,
@@ -40,7 +40,6 @@ if TYPE_CHECKING:
     from repro.sim.coalesce import CoalescedPlan
 from repro.dataflow.blocking import BlockPlan
 from repro.graph.partition import ShardGrid
-from repro.models.layers import Parameters
 from repro.models.stages import GNNModel
 
 
@@ -48,8 +47,8 @@ from repro.models.stages import GNNModel
 class Program:
     """Everything needed to execute a workload on the simulated machine.
 
-    The same program is interpreted twice: functionally
-    (:mod:`repro.compiler.runtime`) and temporally
+    The same program is interpreted twice: functionally, given the
+    parameters (:mod:`repro.compiler.runtime`), and temporally
     (:mod:`repro.accelerator`). ``order`` preserves global emission
     order, which respects data dependencies by construction and is what
     the functional interpreter walks.
@@ -57,7 +56,6 @@ class Program:
 
     graph_name: str
     model: GNNModel
-    params: Parameters
     traversal: str
     feature_block: int | None
     num_nodes: int
@@ -71,13 +69,6 @@ class Program:
         default_factory=dict)
     #: Logical array dimensionalities (rows are always ``num_nodes``).
     arrays: dict[str, int] = field(default_factory=dict)
-    #: Per-edge Apply weights, keyed by (layer, stage), aligned with the
-    #: parent graph's edge order.
-    edge_weights: dict[tuple[int, int], np.ndarray] = field(
-        default_factory=dict)
-    #: Per-node self-term weights, keyed by (layer, stage).
-    self_weights: dict[tuple[int, int], np.ndarray | None] = field(
-        default_factory=dict)
     input_array: str = "h.in"
     output_array: str = ""
     #: Coalesced-simulation plans keyed by DramConfig; built lazily by

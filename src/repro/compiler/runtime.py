@@ -6,6 +6,13 @@ credit and handoff operations are timing-only and skipped. The result
 must match :func:`repro.models.reference.reference_forward` to float
 tolerance — the repository's central correctness invariant, exercised by
 the integration and property tests.
+
+A program holds no values, so the caller supplies the parameters, and
+each aggregate stage's Apply weights ``(edge_w, self_w)`` are computed
+here on the stage's first op, from the stage's own input array. That
+array is complete by then: the lowering emits every op of a stage's
+producer before the stage's first op, so attention coefficients see
+exactly the features the stage aggregates.
 """
 
 from __future__ import annotations
@@ -23,23 +30,29 @@ from repro.compiler.ir import (
 )
 from repro.compiler.program import Program
 from repro.graph.graph import Graph
-from repro.models.layers import apply_activation
+from repro.models.layers import Parameters, apply_activation
+from repro.models.stages import AggregateStage
 
 
 class FunctionalState:
     """Logical feature arrays (the simulated shared feature memory)."""
 
-    def __init__(self, program: Program, graph: Graph) -> None:
+    def __init__(self, program: Program, graph: Graph,
+                 params: Parameters) -> None:
         if graph.num_nodes != program.num_nodes:
             raise CompileError(
                 "program was compiled for a different graph size")
         self.program = program
         self.graph = graph
+        self.params = params
         self.arrays: dict[str, np.ndarray] = {}
         for name, dim in program.arrays.items():
             self.arrays[name] = np.zeros((graph.num_nodes, dim),
                                          dtype=np.float32)
         self.arrays[program.input_array][:] = graph.features
+        #: Per-(layer, stage) Apply weights, computed on first use.
+        self._weights: dict[tuple[int, int],
+                            tuple[np.ndarray, np.ndarray | None]] = {}
         #: Per-(layer, stage, shard) edge-weight gathers, shared by every
         #: feature block that revisits the same shard.
         self._shard_weights: dict[tuple[int, ...], np.ndarray] = {}
@@ -48,6 +61,24 @@ class FunctionalState:
              dims: tuple[int, int]) -> np.ndarray:
         return self.arrays[name][rows[0]:rows[1], dims[0]:dims[1]]
 
+    def weights(self, layer: int, stage_index: int, src_array: str
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The stage's ``(edge_w, self_w)``, computed over ``src_array``
+        (the stage's input, complete by its first op) on first use."""
+        key = (layer, stage_index)
+        pair = self._weights.get(key)
+        if pair is None:
+            stage = self.program.model.layers[layer].stages[stage_index]
+            if not isinstance(stage, AggregateStage):
+                raise CompileError(
+                    f"aggregate op on l{layer}s{stage_index}, which is "
+                    f"not an aggregate stage")
+            pair = self._weights[key] = stage.compute_weights(
+                self.graph, features=self.arrays[src_array],
+                attention=(self.params.attention(layer, stage_index)
+                           if stage.needs_features else None))
+        return pair
+
 
 def _exec_init(state: FunctionalState, op: InitAccumulatorOp) -> None:
     view = state.view(op.acc_array, op.rows, op.dims)
@@ -55,7 +86,7 @@ def _exec_init(state: FunctionalState, op: InitAccumulatorOp) -> None:
 
 
 def _exec_self_apply(state: FunctionalState, op: SelfApplyOp) -> None:
-    weights = state.program.self_weights[(op.layer, op.stage)]
+    _, weights = state.weights(op.layer, op.stage, op.src_array)
     if weights is None:
         raise CompileError("SelfApplyOp without self weights")
     acc = state.view(op.acc_array, op.rows, op.dims)
@@ -75,7 +106,7 @@ def _exec_aggregate(state: FunctionalState, op: ShardAggregateOp) -> None:
     key = (op.layer, op.stage) + op.shard
     edge_w = state._shard_weights.get(key)
     if edge_w is None:
-        weights = state.program.edge_weights[(op.layer, op.stage)]
+        weights, _ = state.weights(op.layer, op.stage, op.src_array)
         edge_w = state._shard_weights[key] = weights[shard.edge_ids]
     src_vals = state.arrays[op.src_array][shard.src, op.dims[0]:op.dims[1]]
     values = src_vals * edge_w[:, None]
@@ -104,7 +135,7 @@ def _exec_writeback(state: FunctionalState, op: AccumWritebackOp) -> None:
 
 def _exec_gemm(state: FunctionalState, op: GemmOp) -> None:
     x = state.view(op.src_array, op.rows, op.src_dims)
-    weight = state.program.params.weight(op.layer, op.stage)
+    weight = state.params.weight(op.layer, op.stage)
     w = weight[op.weight_rows[0]:op.weight_rows[1], :]
     out = state.arrays[op.out_array][op.rows[0]:op.rows[1], :]
     product = x @ w
@@ -117,7 +148,7 @@ def _exec_gemm(state: FunctionalState, op: GemmOp) -> None:
 def _exec_activation(state: FunctionalState, op: ActivationOp) -> None:
     out = state.arrays[op.out_array][op.rows[0]:op.rows[1], :]
     if op.has_bias:
-        bias = state.program.params.bias(op.layer, op.stage)
+        bias = state.params.bias(op.layer, op.stage)
         if bias is not None:
             out += bias
     out[:] = apply_activation(op.activation, out)
@@ -133,22 +164,19 @@ _HANDLERS = {
 }
 
 
-def run_functional(program: Program, graph: Graph) -> np.ndarray:
+def run_functional(program: Program, graph: Graph,
+                   params: Parameters) -> np.ndarray:
     """Execute the program's compute semantics; returns the output array."""
-    state = FunctionalState(program, graph)
-    for op in program.order:
-        handler = _HANDLERS.get(type(op))
-        if handler is not None:
-            handler(state, op)
+    state = run_functional_with_state(program, graph, params)
     if not program.output_array:
         raise CompileError("program has no output array")
     return state.arrays[program.output_array].copy()
 
 
-def run_functional_with_state(program: Program,
-                              graph: Graph) -> FunctionalState:
+def run_functional_with_state(program: Program, graph: Graph,
+                              params: Parameters) -> FunctionalState:
     """As :func:`run_functional` but returns all intermediate arrays."""
-    state = FunctionalState(program, graph)
+    state = FunctionalState(program, graph, params)
     for op in program.order:
         handler = _HANDLERS.get(type(op))
         if handler is not None:

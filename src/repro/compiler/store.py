@@ -3,8 +3,9 @@
 Compilation is now ~99% of host wall time (BENCH_host.json), yet a
 compiled :class:`~repro.compiler.program.Program` is a deterministic
 function of inputs that rarely change: the graph, the network, the
-parameter seed, the traversal, the feature block, and the
-compile-relevant slice of the platform config. This module memoizes
+traversal, the feature block, and the compile-relevant slice of the
+platform config. Parameters are not among them — a program holds no
+values — so one entry serves every parameter seed. This module memoizes
 that function *on disk*, modeled on the dataset cache
 (:mod:`repro.graph.datasets`) and the sweep result cache
 (:mod:`repro.sweep.cache`):
@@ -59,7 +60,7 @@ if TYPE_CHECKING:
 
 #: Bump when the pickled layout (or anything about how entries are
 #: produced) changes incompatibly; old entries become misses.
-PROGRAM_SCHEMA = 1
+PROGRAM_SCHEMA = 2
 
 #: Environment variable pointing at the store; ``0``/``off``/``none``/
 #: empty disables it (mirrors the dataset cache's contract).
@@ -85,7 +86,6 @@ def default_program_store() -> "ProgramStore | None":
 def program_key_payload(*, dataset_fingerprint: str, network: str,
                         hidden_dim: int, traversal: str,
                         feature_block: int | None,
-                        params_seed: int,
                         config_projection: tuple[tuple[str, object], ...],
                         ) -> dict[str, object]:
     """The canonical JSON-able key payload for one compiled program.
@@ -96,8 +96,6 @@ def program_key_payload(*, dataset_fingerprint: str, network: str,
       source hash (:func:`repro.graph.datasets.dataset_fingerprint`);
     * the workload: network name, hidden dim, traversal, resolved
       feature block (an int or None — never the ``"config"`` sentinel);
-    * ``params_seed`` — parameters are ``init_parameters(model, seed)``,
-      so the seed stands in for the weight values;
     * ``config_projection`` — the compile-relevant config slice
       (:func:`repro.config.overrides.compile_relevant_config`).
 
@@ -110,7 +108,6 @@ def program_key_payload(*, dataset_fingerprint: str, network: str,
         "hidden_dim": hidden_dim,
         "traversal": traversal,
         "feature_block": feature_block,
-        "params_seed": params_seed,
         "config": [list(pair) for pair in config_projection],
     }
 

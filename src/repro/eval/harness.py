@@ -126,11 +126,8 @@ class Harness:
 
     def params(self, spec: WorkloadSpec) -> Parameters:
         key = (spec.dataset, spec.network, spec.hidden_dim)
-        # Held across init_parameters deliberately: two threads must
-        # not each build a Parameters object for the same key — the
-        # compiler's baked-attention memo is keyed by params *identity*
-        # (WeakKeyDictionary), so a duplicate object would silently
-        # duplicate GAT shadow executions.
+        # Held across init_parameters so concurrent callers of one key
+        # all receive the same Parameters object.
         with self._lock:
             if key not in self._params:
                 self._params[key] = init_parameters(self.model(spec),
@@ -165,8 +162,8 @@ class Harness:
                   feature_block: int | None | str) -> Program:
         """The memoized compiled program for one (workload, config).
 
-        Compilation is deterministic given (graph, model, params,
-        config, traversal, block) and simulation never mutates the
+        Compilation is deterministic given (graph, model, config,
+        traversal, block) and simulation never mutates the
         program, so sweep points and DSE candidates sharing a software
         shape skip recompilation entirely. Keyed by the *compile-
         relevant* config projection rather than the full config, so DSE
@@ -216,7 +213,6 @@ class Harness:
                             hidden_dim=spec.hidden_dim,
                             traversal=spec.traversal,
                             feature_block=feature_block,
-                            params_seed=self.seed,
                             config_projection=projection))
                         program = store.get(store_key, graph)
                         if program is not None:
@@ -240,7 +236,6 @@ class Harness:
                     accelerator = GNNerator(config)
                     program = accelerator.compile(
                         graph, self.model(spec),
-                        params=self.params(spec),
                         traversal=spec.traversal,
                         feature_block=feature_block)
                     if store_key is not None:

@@ -26,7 +26,6 @@ from repro.models.layers import (
 )
 from repro.models.reference import (
     aggregate_reference,
-    layer_intermediates,
     reference_forward,
 )
 from repro.models.stages import (
@@ -65,7 +64,6 @@ __all__ = [
     "relu",
     "sigmoid",
     "aggregate_reference",
-    "layer_intermediates",
     "reference_forward",
     "AggregateStage",
     "ExtractStage",

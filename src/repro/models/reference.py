@@ -37,19 +37,7 @@ def aggregate_reference(stage: AggregateStage, graph: Graph,
             f"{tuple(h.shape)}")
     weights, self_weights = stage.compute_weights(graph, features=h,
                                                   attention=attention)
-    return apply_aggregate(graph, h, stage.reduce, weights, self_weights)
-
-
-def apply_aggregate(graph: Graph, h: np.ndarray, reduce: str,
-                    weights: np.ndarray,
-                    self_weights: np.ndarray | None) -> np.ndarray:
-    """Aggregate ``h`` with explicit per-edge / per-node weights.
-
-    Shared by :func:`aggregate_reference` and the compiler's
-    shadow-feature pass, so attention weights baked at compile time are
-    bit-identical to the ones the reference computes.
-    """
-    if reduce == "sum":
+    if stage.reduce == "sum":
         return _weighted_sum(graph, h, weights, self_weights)
     return _segment_max(graph, h, weights, self_weights)
 
@@ -117,27 +105,3 @@ def reference_forward(model: GNNModel, graph: Graph, params: Parameters,
             else:  # pragma: no cover - the Stage union is closed
                 raise ModelError(f"unknown stage kind {stage!r}")
     return h
-
-
-def layer_intermediates(model: GNNModel, graph: Graph,
-                        params: Parameters) -> list[np.ndarray]:
-    """Per-layer outputs (useful for debugging blocked execution)."""
-    outputs = []
-    h = graph.features
-    for layer_index, layer in enumerate(model.layers):
-        layer_input = h
-        for stage_index, stage in enumerate(layer.stages):
-            if isinstance(stage, AggregateStage):
-                h = aggregate_reference(
-                    stage, graph, h,
-                    attention=(params.attention(layer_index, stage_index)
-                               if stage.needs_features else None))
-            else:
-                x = h
-                if stage.concat_self:
-                    x = np.concatenate([h, layer_input], axis=1)
-                h = dense_forward(stage, x,
-                                  params.weight(layer_index, stage_index),
-                                  params.bias(layer_index, stage_index))
-        outputs.append(h)
-    return outputs

@@ -194,6 +194,18 @@ from repro.compiler.lowering import compile_workload
 """)))
         assert rules_of(findings) == ["layering"]
 
+    def test_compiler_may_see_model_shapes_but_not_reference(self):
+        """A compile computes no values: the reference executor is out
+        of the compiler's reach."""
+        assert not list(rule_layering(src("compiler/runtime.py", """
+from repro.models.layers import Parameters
+from repro.models.stages import AggregateStage
+""")))
+        findings = list(rule_layering(src("compiler/lowering.py", """
+from repro.models.reference import reference_forward
+""")))
+        assert rules_of(findings) == ["layering"]
+
     def test_function_level_and_type_checking_exempt(self):
         assert not list(rule_layering(src("compiler/lowering.py", """
 from typing import TYPE_CHECKING

@@ -8,6 +8,7 @@ class it claims to".
 
 import pytest
 
+from repro.analysis.passes.validation import validate_program
 from repro.analysis.verify import (
     VerificationError,
     verify_enabled,
@@ -23,7 +24,6 @@ from repro.compiler.ir import (
 )
 from repro.compiler.lowering import compile_workload
 from repro.compiler.program import Program
-from repro.compiler.validation import validate_program
 from repro.graph.generators import erdos_renyi
 from repro.models.zoo import build_network
 from tests.conftest import make_tiny_config
@@ -206,9 +206,8 @@ class TestSchedulability:
         assert report.retired_ops == 0
 
     def test_pop_before_push_deadlocks(self):
-        program = Program(graph_name="hand", model=None, params=None,
-                          traversal="dst", feature_block=None,
-                          num_nodes=0)
+        program = Program(graph_name="hand", model=None, traversal="dst",
+                          feature_block=None, num_nodes=0)
         program.emit(PopOp(unit="graph.compute", channel="graph"))
         program.emit(AcquireOp(unit="graph.fetch", channel="graph"))
         program.emit(PushOp(unit="graph.fetch", channel="graph"))

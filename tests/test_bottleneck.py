@@ -14,8 +14,7 @@ def run_and_analyze(spec: WorkloadSpec):
     config = gnnerator_config()
     accelerator = GNNerator(config)
     program = accelerator.compile(harness.graph(spec.dataset),
-                                  harness.model(spec),
-                                  params=harness.params(spec))
+                                  harness.model(spec))
     result = accelerator.simulate(program)
     return analyze_bottleneck(program, result, config)
 

@@ -37,6 +37,13 @@ class TestParser:
         assert args.dataset == "cora"
         assert args.block == 32 and args.hidden_dim == 8
 
+    def test_dse_takes_comma_lists(self):
+        args = build_parser().parse_args(
+            ["dse", "--networks", "gcn,gat", "--datasets", "tiny"])
+        assert args.networks == ("gcn", "gat")
+        assert args.datasets == ("tiny",)
+        assert build_parser().parse_args(["dse"]).networks == ("gcn",)
+
     def test_run_rejects_unknown_dataset(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "reddit", "gcn"])
@@ -83,11 +90,11 @@ class TestArgumentValidation:
 
     def test_dse_unknown_dataset_names_choices(self, capsys):
         _expect_usage_error(capsys, ["dse", "--datasets", "reddit"],
-                            "invalid choice: 'reddit'", "tiny")
+                            "unknown dataset 'reddit'", "tiny")
 
     def test_dse_unknown_network_names_choices(self, capsys):
-        _expect_usage_error(capsys, ["dse", "--networks", "mlp"],
-                            "invalid choice: 'mlp'", "gin")
+        _expect_usage_error(capsys, ["dse", "--networks", "gcn,mlp"],
+                            "unknown network 'mlp'", "gin")
 
     def test_perf_unknown_dataset_names_choices(self, capsys):
         _expect_usage_error(capsys, ["perf", "--datasets", "tiny,reddit"],

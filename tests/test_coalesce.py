@@ -13,7 +13,6 @@ import pytest
 
 from repro.accelerator import GNNerator
 from repro.config.workload import DST_STATIONARY, SRC_STATIONARY
-from repro.models.layers import init_parameters
 from repro.models.zoo import NETWORK_NAMES, build_network
 from repro.sim.coalesce import DeadlockSuspension, build_plan, run_plan
 from repro.sim.kernel import SimulationError
@@ -23,10 +22,8 @@ from tests.test_differential import FEATURE_DIM, GRAPH_CASES, NUM_CLASSES
 
 def _both_kernels(network: str, graph, feature_block, traversal):
     model = build_network(network, FEATURE_DIM, NUM_CLASSES, hidden_dim=8)
-    params = init_parameters(model, seed=7)
     accelerator = GNNerator(make_tiny_config(feature_block))
-    program = accelerator.compile(graph, model, params=params,
-                                  traversal=traversal,
+    program = accelerator.compile(graph, model, traversal=traversal,
                                   feature_block=feature_block)
     return (accelerator.simulate(program),
             accelerator.simulate(program, coalesce=False))
@@ -55,8 +52,7 @@ class TestPlan:
                               hidden_dim=8)
         config = config or make_tiny_config(4)
         return config, GNNerator(config).compile(
-            graph, model, params=init_parameters(model, seed=7),
-            feature_block=4)
+            graph, model, feature_block=4)
 
     def test_plan_is_cached_per_dram_config(self):
         config, program = self._program()

@@ -180,9 +180,7 @@ class TestOutBuffer:
 class TestProgram:
     def make_program(self) -> Program:
         model = build_network("gcn", 8, 2)
-        from repro.models.layers import init_parameters
         return Program(graph_name="g", model=model,
-                       params=init_parameters(model),
                        traversal=DST_STATIONARY, feature_block=4,
                        num_nodes=10)
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.accelerator import GNNerator
+from repro.analysis.passes.validation import validate_program
 from repro.compiler.runtime import run_functional
-from repro.compiler.validation import validate_program
 from repro.config.platforms import gnnerator_config
 from repro.config.workload import DST_STATIONARY, SRC_STATIONARY
 from repro.graph.generators import erdos_renyi, path_graph, star_graph
@@ -65,11 +65,10 @@ def test_corner_configurations(graphs, graph_name, network, traversal):
                 gnnerator_config(feature_block=block),
                 sparsity_elimination=elimination)
             accelerator = GNNerator(config)
-            program = accelerator.compile(graph, model, params=params,
-                                          traversal=traversal,
+            program = accelerator.compile(graph, model, traversal=traversal,
                                           feature_block=block)
             validate_program(program)
-            out = run_functional(program, graph)
+            out = run_functional(program, graph, params)
             np.testing.assert_allclose(out, reference, rtol=2e-3,
                                        atol=1e-3)
             result = accelerator.simulate(program)

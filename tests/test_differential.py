@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from repro.accelerator import GNNerator
+from repro.analysis.passes.validation import validate_program
 from repro.compiler.lowering import compile_workload
 from repro.compiler.runtime import run_functional
-from repro.compiler.validation import validate_program
 from repro.config.workload import DST_STATIONARY, SRC_STATIONARY
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
@@ -115,18 +115,19 @@ class TestDifferential:
     """Every network x every graph shape, blocked + sharded."""
 
     def _check(self, network: str, graph: Graph, feature_block: int | None,
-               traversal: str, seed: int = 7) -> None:
+               traversal: str, seeds: tuple[int, ...] = (7,)) -> None:
         model = build_network(network, FEATURE_DIM, NUM_CLASSES,
                               hidden_dim=8)
-        params = init_parameters(model, seed=seed)
         program = compile_workload(
-            graph, model, make_tiny_config(feature_block), params=params,
+            graph, model, make_tiny_config(feature_block),
             traversal=traversal, feature_block=feature_block)
         validate_program(program)
-        expected = reference_forward(model, graph, params)
-        actual = run_functional(program, graph)
-        assert actual.shape == expected.shape
-        np.testing.assert_allclose(actual, expected, **TOLERANCE)
+        for seed in seeds:
+            params = init_parameters(model, seed=seed)
+            expected = reference_forward(model, graph, params)
+            actual = run_functional(program, graph, params)
+            assert actual.shape == expected.shape
+            np.testing.assert_allclose(actual, expected, **TOLERANCE)
 
     def test_blocked_dst_stationary(self, network, graph_case):
         self._check(network, GRAPH_CASES[graph_case](), feature_block=4,
@@ -139,6 +140,12 @@ class TestDifferential:
     def test_unblocked(self, network, graph_case):
         self._check(network, GRAPH_CASES[graph_case](), feature_block=None,
                     traversal=DST_STATIONARY)
+
+    def test_one_program_serves_two_seeds(self, network, graph_case):
+        """A program holds no values: one compile runs under the
+        parameters of any seed, GAT's attention coefficients included."""
+        self._check(network, GRAPH_CASES[graph_case](), feature_block=4,
+                    traversal=DST_STATIONARY, seeds=(7, 8))
 
 
 # ---------------------------------------------------------------------
@@ -168,24 +175,22 @@ class TestLargeGraphDifferential:
                               hidden_dim=8)
         params = init_parameters(model, seed=7)
         program = compile_workload(
-            graph, model, make_tiny_config(4), params=params,
-            traversal=DST_STATIONARY, feature_block=4)
+            graph, model, make_tiny_config(4), traversal=DST_STATIONARY,
+            feature_block=4)
         validate_program(program)
         # The tiny config must actually shard this graph — otherwise
         # the case exercises nothing the small graphs don't.
         assert max(grid.grid_side for grid in program.grids.values()) > 1
         expected = reference_forward(model, graph, params)
-        actual = run_functional(program, graph)
+        actual = run_functional(program, graph, params)
         np.testing.assert_allclose(actual, expected, **TOLERANCE)
 
     def test_kernels_agree_on_large_structure(self, network):
         graph = self._graph()
         model = build_network(network, FEATURE_DIM, NUM_CLASSES,
                               hidden_dim=8)
-        params = init_parameters(model, seed=7)
         accelerator = GNNerator(make_tiny_config(4))
-        program = accelerator.compile(graph, model, params=params,
-                                      feature_block=4)
+        program = accelerator.compile(graph, model, feature_block=4)
         assert accelerator.simulate(program).cycles == \
             accelerator.simulate(program, coalesce=False).cycles
 
@@ -204,14 +209,13 @@ def _compute_cycles() -> dict:
     for network in NETWORK_NAMES:
         model = build_network(network, FEATURE_DIM, NUM_CLASSES,
                               hidden_dim=8)
-        params = init_parameters(model, seed=7)
         payload[network] = {}
         for case in sorted(GRAPH_CASES):
             graph = GRAPH_CASES[case]()
             entry = {}
             for mode, block in (("blocked", 4), ("unblocked", None)):
                 accelerator = GNNerator(make_tiny_config(block))
-                program = accelerator.compile(graph, model, params=params,
+                program = accelerator.compile(graph, model,
                                               feature_block=block)
                 entry[mode] = accelerator.simulate(program).cycles
             payload[network][case] = entry

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from repro.accelerator import GNNerator
+from repro.analysis.passes.validation import validate_program
 from repro.compiler.ir import DmaOp
 from repro.compiler.lowering import compile_workload
 from repro.compiler.runtime import run_functional
-from repro.compiler.validation import validate_program
 from repro.config.platforms import gnnerator_config
 from repro.eval.energy import (
     EnergyReport,
@@ -41,9 +41,9 @@ class TestSparsityElimination:
         params = init_parameters(model, seed=1)
         expected = reference_forward(model, graph, params)
         program = compile_workload(graph, model, self.elim_config(None),
-                                   params=params, feature_block=None)
+                                   feature_block=None)
         validate_program(program)
-        actual = run_functional(program, graph)
+        actual = run_functional(program, graph, params)
         np.testing.assert_allclose(actual, expected, rtol=1e-3, atol=1e-3)
 
     def test_reduces_unblocked_source_traffic(self, graph):

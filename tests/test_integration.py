@@ -12,8 +12,8 @@ import pytest
 from repro.accelerator import GNNerator
 from repro.baselines.gpu import GpuModel
 from repro.baselines.hygcn import HyGCNModel
+from repro.analysis.passes.validation import validate_program
 from repro.compiler.runtime import run_functional
-from repro.compiler.validation import validate_program
 from repro.config.platforms import gnnerator_config
 from repro.config.workload import WorkloadSpec
 from repro.eval.harness import Harness
@@ -36,10 +36,10 @@ class TestFullStackOnCora:
         model = build_network("gcn", cora.feature_dim, 7)
         params = init_parameters(model, seed=0)
         accelerator = GNNerator(gnnerator_config(feature_block=64))
-        program = accelerator.compile(cora, model, params=params)
+        program = accelerator.compile(cora, model)
         validate_program(program)
         expected = reference_forward(model, cora, params)
-        actual = run_functional(program, cora)
+        actual = run_functional(program, cora, params)
         np.testing.assert_allclose(actual, expected, rtol=1e-3, atol=1e-3)
 
     def test_timing_on_real_dataset(self, cora):
@@ -69,11 +69,10 @@ class TestFullScaleFunctional:
         graph = load_dataset(dataset)
         model = build_network(network, graph.feature_dim, classes)
         params = init_parameters(model, seed=0)
-        program = GNNerator(gnnerator_config()).compile(graph, model,
-                                                        params=params)
+        program = GNNerator(gnnerator_config()).compile(graph, model)
         validate_program(program)
         expected = reference_forward(model, graph, params)
-        actual = run_functional(program, graph)
+        actual = run_functional(program, graph, params)
         np.testing.assert_allclose(actual, expected, rtol=1e-3,
                                    atol=1e-3)
 

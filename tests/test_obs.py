@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.accelerator import GNNerator
-from repro.models.layers import init_parameters
 from repro.models.zoo import NETWORK_NAMES, build_network
 from repro.obs import (
     HwProbe,
@@ -271,10 +270,8 @@ def _simulated_probe(network="gcn", case="random-0", block=4):
     graph = GRAPH_CASES[case]()
     model = build_network(network, FEATURE_DIM, NUM_CLASSES,
                           hidden_dim=8)
-    params = init_parameters(model, seed=7)
     accelerator = GNNerator(make_tiny_config(block))
-    program = accelerator.compile(graph, model, params=params,
-                                  feature_block=block)
+    program = accelerator.compile(graph, model, feature_block=block)
     probe = HwProbe()
     result = accelerator.simulate(program, probe=probe)
     return accelerator, program, probe, result
@@ -340,10 +337,9 @@ class TestTelemetryNeutrality:
         graph = GRAPH_CASES[case]()
         model = build_network(network, FEATURE_DIM, NUM_CLASSES,
                               hidden_dim=8)
-        params = init_parameters(model, seed=7)
         accelerator = GNNerator(make_tiny_config(4))
         return accelerator, accelerator.compile(
-            graph, model, params=params, feature_block=4)
+            graph, model, feature_block=4)
 
     def test_probe_never_changes_cycles(self, network):
         goldens = json.loads(CYCLE_GOLDEN_PATH.read_text())

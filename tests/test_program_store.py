@@ -36,6 +36,7 @@ from repro.sweep import NullCache, SweepRunner
 from repro.sweep.plan import METRIC_DSE, SweepPlan, SweepPoint
 
 TINY_GCN = WorkloadSpec(dataset="tiny", network="gcn", hidden_dim=16)
+TINY_GAT = WorkloadSpec(dataset="tiny", network="gat", hidden_dim=16)
 
 
 def fresh_harness(store) -> Harness:
@@ -53,7 +54,6 @@ def store_key(store: ProgramStore, harness: Harness,
         dataset_fingerprint=dataset_fingerprint(spec.dataset),
         network=spec.network, hidden_dim=spec.hidden_dim,
         traversal=spec.traversal, feature_block=block,
-        params_seed=harness.seed,
         config_projection=compile_relevant_config(config)))
 
 
@@ -72,6 +72,21 @@ class TestProgramStore:
         assert store.stats == {"hits": 1, "misses": 1}
         assert result_warm.cycles == result_cold.cycles
         assert result_warm.seconds == result_cold.seconds
+
+    def test_one_entry_serves_every_seed(self, tmp_path):
+        """A program holds no values, so its key has no parameter seed:
+        a harness under another seed reads the first one's entry."""
+        store = ProgramStore(tmp_path, code_version="v1")
+        dataset_registry._synthesize.cache_clear()
+        first = Harness(seed=0, program_store=store).gnnerator_result(
+            TINY_GAT)
+        lowerings = full_lowering_count()
+        dataset_registry._synthesize.cache_clear()
+        second = Harness(seed=1, program_store=store).gnnerator_result(
+            TINY_GAT)
+        assert full_lowering_count() == lowerings  # zero recompiles
+        assert store.stats == {"hits": 1, "misses": 1}
+        assert second.cycles == first.cycles
 
     def test_truncated_entry_is_miss_that_heals(self, tmp_path):
         store = ProgramStore(tmp_path, code_version="v1")
@@ -161,7 +176,7 @@ class TestProgramStore:
         assert first.code_version != second.code_version
         payload = program_key_payload(
             dataset_fingerprint="fp", network="gcn", hidden_dim=16,
-            traversal="dst", feature_block=64, params_seed=0,
+            traversal="dst", feature_block=64,
             config_projection=compile_relevant_config(gnnerator_config()))
         assert first.key(payload) != second.key(payload)
 
@@ -178,7 +193,7 @@ class TestProgramStore:
         def key_for(config):
             return store.key(program_key_payload(
                 dataset_fingerprint="fp", network="gcn", hidden_dim=16,
-                traversal="dst", feature_block=64, params_seed=0,
+                traversal="dst", feature_block=64,
                 config_projection=compile_relevant_config(config)))
 
         assert key_for(base) == key_for(dram_only)

@@ -10,9 +10,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.passes.validation import validate_program
 from repro.compiler.lowering import compile_workload
 from repro.compiler.runtime import run_functional
-from repro.compiler.validation import validate_program
 from repro.config.workload import DST_STATIONARY, SRC_STATIONARY
 from repro.dataflow.blocking import BlockPlan
 from repro.dataflow.costs import dst_stationary_cost, src_stationary_cost
@@ -223,12 +223,11 @@ class TestFunctionalEquivalenceProperty:
         model = build_network(network, graph.feature_dim, 3, hidden_dim=8)
         params = init_parameters(model, seed=seed)
         config = make_tiny_config(block)
-        program = compile_workload(graph, model, config, params=params,
-                                   traversal=traversal,
-                                   feature_block=block)
+        program = compile_workload(graph, model, config,
+                                   traversal=traversal, feature_block=block)
         validate_program(program)
         expected = reference_forward(model, graph, params)
-        actual = run_functional(program, graph)
+        actual = run_functional(program, graph, params)
         np.testing.assert_allclose(actual, expected, rtol=2e-3, atol=1e-3)
 
 
@@ -252,26 +251,17 @@ class TestRandomModelProperties:
                 (graph.num_nodes, model.in_dim)).astype(np.float32)
         params = init_parameters(model, seed=model_seed % 100)
         program = compile_workload(graph, model, make_tiny_config(block),
-                                   params=params, traversal=traversal,
+                                   traversal=traversal,
                                    feature_block=block)
         validate_program(program)
-        # Round-trip: the program carries the model and per-stage
-        # weights of the right shapes.
+        # Round-trip: the program carries the model.
         assert program.model is model
-        for (layer, stage), weights in program.edge_weights.items():
-            assert weights.shape == (graph.num_edges,)
-            stage_obj = model.layers[layer].stages[stage]
-            self_w = program.self_weights[(layer, stage)]
-            if stage_obj.include_self:
-                assert self_w.shape == (graph.num_nodes,)
-            else:
-                assert self_w is None
         # Shape invariants: every declared array is (N, dim>0) and the
         # output matches the model's out_dim.
         assert all(dim > 0 for dim in program.arrays.values())
         assert program.arrays[program.output_array] == model.out_dim
         expected = reference_forward(model, graph, params)
-        actual = run_functional(program, graph)
+        actual = run_functional(program, graph, params)
         assert actual.shape == (graph.num_nodes, model.out_dim)
         np.testing.assert_allclose(actual, expected, rtol=2e-3, atol=1e-3)
 

@@ -7,7 +7,6 @@ from repro.graph.graph import Graph
 from repro.models.layers import Parameters, init_parameters
 from repro.models.reference import (
     aggregate_reference,
-    layer_intermediates,
     reference_forward,
 )
 from repro.models.stages import (
@@ -170,16 +169,6 @@ class TestReferenceForward:
             (small_graph.num_nodes, 8)).astype(np.float32)
         out = reference_forward(model, small_graph, params, features=feats)
         assert out.shape == (small_graph.num_nodes, 4)
-
-    def test_layer_intermediates(self, small_graph):
-        model = build_network("gcn", small_graph.feature_dim, 4)
-        params = init_parameters(model)
-        outs = layer_intermediates(model, small_graph, params)
-        assert len(outs) == 2
-        assert outs[0].shape == (small_graph.num_nodes, 16)
-        np.testing.assert_allclose(
-            outs[-1], reference_forward(model, small_graph, params),
-            rtol=1e-5)
 
     def test_deterministic(self, small_graph):
         model = build_network("graphsage", small_graph.feature_dim, 4)

@@ -153,9 +153,9 @@ class TestDeepNetworks:
                               num_hidden_layers=3)
         params = init_parameters(model, seed=4)
         program = compile_workload(graph, model, make_tiny_config(4),
-                                   params=params, feature_block=4)
+                                   feature_block=4)
         expected = reference_forward(model, graph, params)
-        actual = run_functional(program, graph)
+        actual = run_functional(program, graph, params)
         np.testing.assert_allclose(actual, expected, rtol=2e-3, atol=1e-3)
 
     def test_pool_with_custom_pool_dim(self):
@@ -173,9 +173,9 @@ class TestDeepNetworks:
         model = GNNModel(name="pool7", layers=(layer,))
         params = init_parameters(model, seed=6)
         program = compile_workload(graph, model, make_tiny_config(3),
-                                   params=params, feature_block=3)
+                                   feature_block=3)
         expected = reference_forward(model, graph, params)
-        actual = run_functional(program, graph)
+        actual = run_functional(program, graph, params)
         np.testing.assert_allclose(actual, expected, rtol=2e-3, atol=1e-3)
 
     def test_wide_hidden_functional(self):
@@ -192,7 +192,7 @@ class TestDeepNetworks:
         model = build_network("gcn", 5, 2, hidden_dim=64)
         params = init_parameters(model, seed=8)
         program = compile_workload(graph, model, make_tiny_config(8),
-                                   params=params, feature_block=8)
+                                   feature_block=8)
         expected = reference_forward(model, graph, params)
-        actual = run_functional(program, graph)
+        actual = run_functional(program, graph, params)
         np.testing.assert_allclose(actual, expected, rtol=2e-3, atol=1e-3)

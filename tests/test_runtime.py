@@ -9,13 +9,13 @@ order, and block size.
 import numpy as np
 import pytest
 
+from repro.analysis.passes.validation import validate_program
 from repro.compiler.lowering import compile_workload
 from repro.compiler.runtime import (
     FunctionalState,
     run_functional,
     run_functional_with_state,
 )
-from repro.compiler.validation import validate_program
 from repro.config.workload import DST_STATIONARY, SRC_STATIONARY
 from repro.graph.generators import erdos_renyi, star_graph
 from repro.models.layers import init_parameters
@@ -42,10 +42,10 @@ def assert_equivalent(graph, model, config, traversal, block,
                       atol=2e-4):
     params = init_parameters(model, seed=2)
     expected = reference_forward(model, graph, params)
-    program = compile_workload(graph, model, config, params=params,
-                               traversal=traversal, feature_block=block)
+    program = compile_workload(graph, model, config, traversal=traversal,
+                               feature_block=block)
     validate_program(program)
-    actual = run_functional(program, graph)
+    actual = run_functional(program, graph, params)
     np.testing.assert_allclose(actual, expected, rtol=1e-3, atol=atol)
 
 
@@ -96,7 +96,7 @@ class TestFunctionalState:
     def test_arrays_initialised(self, graph, default_config):
         model = build_network("gcn", 20, 5)
         program = compile_workload(graph, model, default_config)
-        state = FunctionalState(program, graph)
+        state = FunctionalState(program, graph, init_parameters(model))
         assert np.array_equal(state.arrays["h.in"], graph.features)
         assert (state.arrays["l0s0.agg"] == 0).all()
 
@@ -106,15 +106,14 @@ class TestFunctionalState:
         other = erdos_renyi(10, 20, feature_dim=20, seed=1)
         from repro.compiler.ir import CompileError
         with pytest.raises(CompileError):
-            FunctionalState(program, other)
+            FunctionalState(program, other, init_parameters(model))
 
     def test_with_state_exposes_intermediates(self, graph, default_config):
         model = build_network("gcn", 20, 5)
         params = init_parameters(model, seed=2)
-        program = compile_workload(graph, model, default_config,
-                                   params=params)
-        state = run_functional_with_state(program, graph)
-        from repro.models.reference import layer_intermediates
-        expected = layer_intermediates(model, graph, params)
-        np.testing.assert_allclose(state.arrays["l0s1.out"], expected[0],
+        program = compile_workload(graph, model, default_config)
+        state = run_functional_with_state(program, graph, params)
+        first_layer = GNNModel(name="gcn-l0", layers=model.layers[:1])
+        expected = reference_forward(first_layer, graph, params)
+        np.testing.assert_allclose(state.arrays["l0s1.out"], expected,
                                    rtol=1e-3, atol=2e-4)

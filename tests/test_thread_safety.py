@@ -1,16 +1,15 @@
 """Hammer tests for the memos the serve daemon shares across request
 threads: the Harness compiled-program memo, the per-harness dataset
-cache, the per-graph shard-grid memo and the lowering weight memos.
+cache and the per-graph shard-grid memo.
 
 The invariants under concurrency:
 
 * N identical requests → exactly ONE full lowering (the per-key
   compile lock), and everyone gets the *same* Program object.
 * N distinct requests → one lowering each, all running in parallel.
-* Graph/params objects stay unique per key — the compiler's weight
-  memos are WeakKeyDictionaries keyed by *identity*, so a duplicate
-  object would silently duplicate work (and, for GAT, the whole
-  shadow execution).
+* Graph/params objects stay unique per key — the shard-grid memo
+  hangs off the Graph object, so a duplicate graph would silently
+  duplicate shard planning.
 * Cycles are bit-identical to a serial run: locking is a host-side
   change and must never move modeled time.
 """
@@ -91,9 +90,8 @@ class TestHarnessCompileHammer:
         assert {r.cycles for r in results} == {serial.cycles}
 
     def test_gat_params_identity_preserved(self):
-        """params() must hand every thread the same Parameters object:
-        the baked-attention memo keys on params identity, so duplicates
-        would re-run the GAT shadow execution on a recompile."""
+        """params() must hand every thread the same Parameters object,
+        so every caller of one workload sees the same weights."""
         harness = Harness(program_store=None)
         spec = WorkloadSpec(dataset="tiny", network="gat")
         params = _hammer(lambda _: harness.params(spec))
@@ -150,8 +148,9 @@ class TestLoweringMemoHammer:
     def test_independent_harnesses_share_weight_memos_safely(
             self, network):
         """Two harnesses compiling the same dataset concurrently stress
-        the module-level weight memos (shared via the common Graph from
-        the dataset loader's own cache); cycles must stay identical."""
+        the per-graph memos the lowering reads (shard grids and their
+        per-shard statistics, shared via the common Graph from the
+        dataset loader's own cache); cycles must stay identical."""
         spec = WorkloadSpec(dataset="tiny", network=network)
         serial = Harness(program_store=None).gnnerator_result(spec)
         harnesses = [Harness(program_store=None) for _ in range(4)]

@@ -7,7 +7,7 @@ import pytest
 from repro.accelerator import GNNerator
 from repro.compiler.ir import ReleaseOp
 from repro.compiler.lowering import compile_workload
-from repro.compiler.validation import (
+from repro.analysis.passes.validation import (
     ValidationError,
     validate_program,
 )
