@@ -26,11 +26,12 @@ that function *on disk*, modeled on the dataset cache
   dropped and healed by the next store. Two workers racing on the
   same key write identical bytes; last writer wins.
 
-The graph itself is **never** serialized: the pickler persists every
-:class:`~repro.graph.graph.Graph` reference as its dataset name, and
-the unpickler reattaches the loading process's graph object (the
-shard grids then rebuild their sorted edge views with one O(|E|)
-gather — see ``ShardGrid.__getstate__``). Entries therefore stay
+The graph itself is **never** serialized: since schema 3 the pickler
+reduces the keyed :class:`~repro.graph.graph.Graph` to a
+``_graph_ref(name)`` call (refusing any other graph object), and the
+unpickler resolves ``_graph_ref`` to the loading process's graph
+object (the shard grids then rebuild their sorted edge views with one
+O(|E|) gather — see ``ShardGrid.__getstate__``). Entries therefore stay
 orders of magnitude smaller than the feature matrices they index, and
 a memory-mapped million-edge feature matrix is never pulled through
 pickle. Workloads whose graph cannot be fingerprinted (real Planetoid
@@ -43,6 +44,7 @@ Disabled by pointing :data:`PROGRAM_CACHE_ENV` at ``0``/``off``/
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -54,13 +56,15 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING
 
 from repro.graph.graph import Graph
+from repro.graph.partition import memoize_grid
+from repro.obs.spans import span
 
 if TYPE_CHECKING:
     from repro.compiler.program import Program
 
 #: Bump when the pickled layout (or anything about how entries are
 #: produced) changes incompatibly; old entries become misses.
-PROGRAM_SCHEMA = 2
+PROGRAM_SCHEMA = 3
 
 #: Environment variable pointing at the store; ``0``/``off``/``none``/
 #: empty disables it (mirrors the dataset cache's contract).
@@ -112,40 +116,61 @@ def program_key_payload(*, dataset_fingerprint: str, network: str,
     }
 
 
+def _graph_ref(name: str, graph: Graph | None = None) -> Graph:
+    """What a pickled program calls to get its graph back.
+
+    :class:`_GraphPickler` reduces the keyed graph to
+    ``_graph_ref(name)``; :class:`_GraphUnpickler` binds ``graph`` to
+    the caller's graph, and the name must still match it. Anywhere
+    else — a plain ``pickle.load`` — there is no graph to return.
+    """
+    if graph is None or name != graph.name:
+        raise pickle.UnpicklingError(
+            f"program references graph {name!r}, but the caller's graph "
+            f"is {None if graph is None else graph.name!r}")
+    return graph
+
+
 class _GraphPickler(pickle.Pickler):
-    """Persists ``Graph`` references as dataset ids instead of bytes."""
+    """Pickles the keyed ``Graph`` as a reference to its dataset name.
+
+    ``reducer_override`` rather than ``persistent_id``: pickle calls it
+    for no builtin-typed object (ints, strings, tuples, lists, dicts),
+    so a program's thousands of scalars cost no Python call.
+    """
 
     def __init__(self, handle: IO[bytes], graph: Graph) -> None:
         super().__init__(handle, protocol=5)
         self._graph = graph
 
-    def persistent_id(self, obj: object) -> tuple[str, str] | None:
-        if obj is self._graph:
-            return ("repro-graph", self._graph.name)
+    def reducer_override(self, obj: object) -> object:
         if isinstance(obj, Graph):
-            # A foreign graph object inside a program would deserialize
-            # against the wrong dataset; refuse to cache it.
-            raise pickle.PicklingError(
-                f"program references a graph ({obj.name!r}) other than "
-                f"the one it was keyed under ({self._graph.name!r})")
-        return None
+            if obj is not self._graph:
+                # A foreign graph object inside a program (even an
+                # equal-named copy or a subclass instance) would
+                # deserialize against the wrong dataset; refuse it.
+                raise pickle.PicklingError(
+                    f"program references a graph ({obj.name!r}) other "
+                    f"than the one it was keyed under "
+                    f"({self._graph.name!r})")
+            return _graph_ref, (obj.name,)
+        return NotImplemented
 
 
 class _GraphUnpickler(pickle.Unpickler):
-    """Resolves persisted dataset ids back to the caller's graph."""
+    """Resolves graph references back to the caller's graph."""
 
     def __init__(self, handle: IO[bytes], graph: Graph) -> None:
         super().__init__(handle)
         self._graph = graph
 
-    def persistent_load(self, pid: object) -> Graph:
-        if (not isinstance(pid, tuple) or len(pid) != 2
-                or pid[0] != "repro-graph"
-                or pid[1] != self._graph.name):
-            raise pickle.UnpicklingError(
-                f"unexpected persistent id {pid!r} for graph "
-                f"{self._graph.name!r}")
-        return self._graph
+    def find_class(self, module: str, name: str) -> object:
+        if module == __name__ and name == _graph_ref.__name__:
+            # A partial over the graph, never a bound method: the
+            # unpickler memoizes what this returns, and a method bound
+            # to it would make the unpickler a reference cycle.
+            return functools.partial(_graph_ref, graph=self._graph)
+        return super().find_class(module, name)
 
 
 class ProgramStore:
@@ -187,36 +212,30 @@ class ProgramStore:
         missing file, a truncated write from a crashed worker, a
         corrupt or incompatible pickle — is a miss, and the broken
         entry is best-effort removed so the next compile heals it.
-        Loaded shard grids are registered in the graph's grid memo, so
-        a later cold compile against a different compute config still
-        reuses the scatter.
+        Loaded shard grids are registered in the graph's grid memo
+        (through :func:`~repro.graph.partition.memoize_grid`, under its
+        lock and size bound), so a later cold compile against a
+        different compute config still reuses the scatter.
         """
         path = self._path(key)
-        try:
-            with open(path, "rb") as handle:
-                program = _GraphUnpickler(handle, graph).load()
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception:
+        with span("store-get", graph=graph.name):
             try:
-                os.remove(path)
-            except OSError:
-                pass  # a sibling worker already removed it — fine
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._seed_grid_cache(program, graph)
-        return program
-
-    @staticmethod
-    def _seed_grid_cache(program: "Program", graph: Graph) -> None:
-        """Register loaded grids under the graph's plan_shards memo."""
-        cache = getattr(graph, "_shard_grid_cache", None)
-        if cache is None:
-            cache = graph._shard_grid_cache = {}
-        for grid in program.grids.values():
-            cache.setdefault(("interval", grid.interval_size), grid)
+                with open(path, "rb") as handle:
+                    program = _GraphUnpickler(handle, graph).load()
+            except FileNotFoundError:
+                self.misses += 1
+                return None
+            except Exception:
+                try:
+                    os.remove(path)
+                except OSError:
+                    pass  # a sibling worker already removed it — fine
+                self.misses += 1
+                return None
+            self.hits += 1
+            for grid in program.grids.values():
+                memoize_grid(grid)
+            return program
 
     def put(self, key: str, program: "Program", graph: Graph) -> bool:
         """Atomically persist ``program`` under ``key`` (best-effort).
@@ -229,21 +248,22 @@ class ProgramStore:
         path = self._path(key)
         tmp = path.parent / (f".{key}.{os.getpid()}"
                              f".{next(_PUT_SEQUENCE)}.tmp")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            buffer = io.BytesIO()
-            _GraphPickler(buffer, graph).dump(program)
-            with open(tmp, "wb") as handle:
-                handle.write(buffer.getvalue())
-            os.replace(tmp, path)
-            return True
-        except Exception:
-            return False
-        finally:
+        with span("store-put", graph=graph.name):
             try:
-                os.remove(tmp)
-            except OSError:
-                pass  # already replaced into place (or never created)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                buffer = io.BytesIO()
+                _GraphPickler(buffer, graph).dump(program)
+                with open(tmp, "wb") as handle:
+                    handle.write(buffer.getvalue())
+                os.replace(tmp, path)
+                return True
+            except Exception:
+                return False
+            finally:
+                try:
+                    os.remove(tmp)
+                except OSError:
+                    pass  # already replaced into place (or never created)
 
     def clear(self) -> int:
         """Delete every cached entry; returns how many were removed."""

@@ -28,6 +28,7 @@ from repro.config.accelerator import (
     GraphEngineConfig,
 )
 from repro.graph.graph import Graph, GraphError, segment_starts
+from repro.obs.spans import span
 
 
 @dataclass(frozen=True)
@@ -124,16 +125,37 @@ def shard_sort_order(src: np.ndarray, dst: np.ndarray,
     """The stable permutation sorting edges by (row, col, dst).
 
     Semantically this is ``np.lexsort((dst, dst // n, src // n))`` — the
-    order every shard golden depends on — but for graphs where the
-    composite key fits an int64 it is computed as a single stable
-    argsort over ``(row * S + col) * N + dst``, which is substantially
-    faster on multi-million-edge lists. Both forms are stable sorts over
-    the same key equivalence classes, so the permutations are identical.
+    order every shard golden depends on. When it fits an int64, the sort
+    runs instead over the *unique* key ``cell_key * |E| + edge_index``,
+    where ``cell_key = (row * S + col) * N + dst``: edges with equal
+    ``cell_key`` are ordered by their index, which is exactly how a
+    stable sort breaks ties. No two keys are equal, so any sort of them
+    is that stable order, and one plain in-place ``ndarray.sort`` —
+    several times faster than a stable argsort on multi-million-edge
+    lists — yields the permutation as ``key % |E|``. Composite keys too
+    wide for that fall back to a stable argsort of ``cell_key``, and
+    wider still to ``lexsort``; all three permutations are identical.
     """
+    num_edges = int(src.size)
+    num_intervals = int(num_intervals)
+    num_nodes_bound = max(int(dst.max()) + 1 if dst.size else 1, 1)
+    cell_keys = num_intervals * num_intervals * num_nodes_bound
+    if cell_keys * num_edges < 2 ** 62:
+        # Built in place: no more |E|-sized temporaries live at once
+        # than ``key`` plus one operand.
+        key = np.floor_divide(src, interval_size, dtype=np.int64)
+        key *= num_intervals
+        key += dst // interval_size
+        key *= num_nodes_bound
+        key += dst
+        key *= num_edges
+        key += np.arange(num_edges, dtype=np.int64)
+        key.sort()
+        key %= max(num_edges, 1)
+        return key
     src_bin = src // interval_size
     dst_bin = dst // interval_size
-    num_nodes_bound = max(int(dst.max()) + 1 if dst.size else 1, 1)
-    if (num_intervals * num_intervals * num_nodes_bound) < 2 ** 62:
+    if cell_keys < 2 ** 62:
         key = (src_bin * num_intervals + dst_bin) * num_nodes_bound + dst
         return np.argsort(key, kind="stable")
     return np.lexsort((dst, dst_bin, src_bin))
@@ -195,8 +217,9 @@ class ShardGrid:
     # outputs — the permutation and the per-cell offsets — and
     # recomputes everything derivable by a cheap O(|E|) gather on load.
     # The parent graph rides along *by reference*: the program store's
-    # pickler persists it as a dataset id (never its feature matrix),
-    # and the unpickler reattaches the loading process's graph object.
+    # pickler reduces it to a ``_graph_ref(name)`` call (never its
+    # feature matrix), and the unpickler resolves that call to the
+    # loading process's graph object.
     def __getstate__(self) -> dict:
         return {"graph": self.graph,
                 "interval_size": self.interval_size,
@@ -354,20 +377,52 @@ _GRID_CACHE_MAX_ENTRIES = 16
 #: Guards lazy creation of each graph's grid lock — the only
 #: cross-graph state here; the per-graph lock itself serializes grid
 #: building so concurrent compiles of one graph (the serve daemon's
-#: request threads) build each grid once. Locks live in a side table
-#: (not on the graph): graphs ride inside pickled grids, and a
-#: ``threading.Lock`` attribute would make them unpicklable.
+#: request threads) build each grid once. The lock is reentrant so
+#: :func:`memoize_grid` can take it inside :func:`plan_shards`. Locks
+#: live in a side table (not on the graph): graphs ride inside pickled
+#: grids, and a lock attribute would make them unpicklable.
 _GRID_LOCKS_GUARD = threading.Lock()
-_GRID_LOCKS: "weakref.WeakKeyDictionary[Graph, threading.Lock]" = (
+_GRID_LOCKS: "weakref.WeakKeyDictionary[Graph, threading.RLock]" = (
     weakref.WeakKeyDictionary())
 
 
-def _graph_grid_lock(graph: Graph) -> threading.Lock:
+def _graph_grid_lock(graph: Graph) -> threading.RLock:
     lock = _GRID_LOCKS.get(graph)
     if lock is None:
         with _GRID_LOCKS_GUARD:
-            lock = _GRID_LOCKS.setdefault(graph, threading.Lock())
+            lock = _GRID_LOCKS.setdefault(graph, threading.RLock())
     return lock
+
+
+def _grid_memo(graph: Graph) -> dict:
+    """``graph``'s grid memo (the caller holds its grid lock)."""
+    cache: dict | None = getattr(graph, "_shard_grid_cache", None)
+    if cache is None:
+        cache = graph._shard_grid_cache = {}
+    return cache
+
+
+def memoize_grid(grid: ShardGrid, key: tuple | None = None) -> ShardGrid:
+    """Enter ``grid`` in its graph's grid memo and return the memo's
+    entry for ``key`` (default: the grid's interval key).
+
+    The one way into the memo, for grids :func:`plan_shards` builds and
+    grids a stored program brings along: it holds the graph's grid lock
+    and evicts the oldest entry once :data:`_GRID_CACHE_MAX_ENTRIES` are
+    held. An entry already under ``key`` wins, so the memo never swaps
+    a grid out from under compiles that share it.
+    """
+    if key is None:
+        key = ("interval", grid.interval_size)
+    with _graph_grid_lock(grid.graph):
+        cache = _grid_memo(grid.graph)
+        existing = cache.get(key)
+        if existing is not None:
+            return existing
+        if len(cache) >= _GRID_CACHE_MAX_ENTRIES:
+            cache.pop(next(iter(cache)))
+        cache[key] = grid
+        return grid
 
 
 def plan_shards(graph: Graph, config: GraphEngineConfig,
@@ -392,55 +447,52 @@ def plan_shards(graph: Graph, config: GraphEngineConfig,
     grids would defeat every identity-keyed per-shard cache downstream.
     """
     with _graph_grid_lock(graph):
-        cache: dict = getattr(graph, "_shard_grid_cache", None)
-        if cache is None:
-            cache = {}
-            graph._shard_grid_cache = cache
         key = (config.usable_src_bytes, config.usable_dst_bytes,
                config.usable_edge_bytes, block)
-        cached = cache.get(key)
+        cached = _grid_memo(graph).get(key)
         if cached is not None:
             return cached
-        interval = min(plan_interval_size(config, block),
-                       max(graph.num_nodes, 1))
-        edge_capacity = config.usable_edge_bytes // EDGE_BYTES
-        # Probe candidate interval sizes with an O(|E|) per-cell edge
-        # count instead of building (and sorting) a full grid per
-        # candidate — the accepted interval is exactly the one the old
-        # build-and-check loop chose, the grid is just constructed
-        # once, at the end. Probe results are memoized per graph: a
-        # multi-layer model (or a DSE sweep walking buffer budgets)
-        # re-asks about the same candidate intervals, and the answer
-        # is a pure function of (graph, interval).
-        probes: dict = getattr(graph, "_cell_edge_cache", None)
-        if probes is None:
-            probes = {}
-            graph._cell_edge_cache = probes
-        while interval > 1:
-            cells = probes.get(interval)
-            if cells is None:
-                cells = probes[interval] = _max_cell_edges(graph,
-                                                           interval)
-            if cells <= edge_capacity:
-                break
-            interval = max(interval // 2, 1)
-        # A grid depends only on (graph, interval): different feature
-        # blocks that resolve to the same interval — e.g. a wide input
-        # layer halved down to the interval a narrow hidden layer gets
-        # from capacity alone — share one scatter. The per-shard
-        # caches (segment boundaries, GPE loads) are block-independent,
-        # so the sharing is sound.
-        interval_key = ("interval", interval)
-        grid = cache.get(interval_key)
-        if grid is None:
-            grid = ShardGrid(graph, interval)
-            if len(cache) >= _GRID_CACHE_MAX_ENTRIES:
-                cache.pop(next(iter(cache)))
-            cache[interval_key] = grid
-        if len(cache) >= _GRID_CACHE_MAX_ENTRIES:
-            cache.pop(next(iter(cache)))
-        cache[key] = grid
-        return grid
+        with span("plan-shards", graph=graph.name, block=block):
+            interval = _fitting_interval(graph, config, block)
+            # A grid depends only on (graph, interval): different
+            # feature blocks that resolve to the same interval — e.g. a
+            # wide input layer halved down to the interval a narrow
+            # hidden layer gets from capacity alone — share one
+            # scatter. The per-shard caches (segment boundaries, GPE
+            # loads) are block-independent, so the sharing is sound.
+            grid = _grid_memo(graph).get(("interval", interval))
+            if grid is None:
+                grid = memoize_grid(ShardGrid(graph, interval))
+            return memoize_grid(grid, key)
+
+
+def _fitting_interval(graph: Graph, config: GraphEngineConfig,
+                      block: int) -> int:
+    """The largest candidate interval whose fullest cell fits the edge
+    buffer, halving down from the scratchpad capacity.
+
+    Candidates are probed with an O(|E|) per-cell edge count instead of
+    building (and sorting) a full grid per candidate — the accepted
+    interval is exactly the one the old build-and-check loop chose, the
+    grid is just constructed once, at the end. Probe results are
+    memoized per graph: a multi-layer model (or a DSE sweep walking
+    buffer budgets) re-asks about the same candidate intervals, and the
+    answer is a pure function of (graph, interval).
+    """
+    interval = min(plan_interval_size(config, block),
+                   max(graph.num_nodes, 1))
+    edge_capacity = config.usable_edge_bytes // EDGE_BYTES
+    probes: dict | None = getattr(graph, "_cell_edge_cache", None)
+    if probes is None:
+        probes = graph._cell_edge_cache = {}
+    while interval > 1:
+        cells = probes.get(interval)
+        if cells is None:
+            cells = probes[interval] = _max_cell_edges(graph, interval)
+        if cells <= edge_capacity:
+            break
+        interval = max(interval // 2, 1)
+    return interval
 
 
 def _max_cell_edges(graph: Graph, interval: int) -> int:

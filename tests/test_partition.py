@@ -1,7 +1,11 @@
 """Unit tests for 2-D grid sharding."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config.accelerator import EDGE_BYTES, GraphEngineConfig
 from repro.graph.generators import erdos_renyi, powerlaw_graph, star_graph
@@ -11,6 +15,7 @@ from repro.graph.partition import (
     ShardGrid,
     plan_interval_size,
     plan_shards,
+    shard_sort_order,
 )
 
 
@@ -83,6 +88,59 @@ class TestStreamedScatterEquivalence:
         keys = [(s.row, s.col) for s in grid.iter_shards()]
         assert keys == sorted(keys)
         assert sum(s.num_edges for s in grid.iter_shards()) == 800
+
+
+@st.composite
+def edge_lists(draw):
+    """A random multigraph's COO lists and an interval width. Node
+    ranges are small, so duplicate edges and self-loops are common."""
+    num_nodes = draw(st.integers(1, 40))
+    node = st.integers(0, num_nodes - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=150))
+    interval = draw(st.integers(1, num_nodes + 2))
+    src = np.array([s for s, _ in pairs], dtype=np.int64)
+    dst = np.array([d for _, d in pairs], dtype=np.int64)
+    return num_nodes, src, dst, interval
+
+
+def _edges(*pairs):
+    return (np.array([s for s, _ in pairs], dtype=np.int64),
+            np.array([d for _, d in pairs], dtype=np.int64))
+
+
+class TestShardSortOrder:
+    """``shard_sort_order`` equals the lexsort it stands for on each of
+    its three branches. An oversized ``num_intervals`` (the sort only
+    needs it as an upper bound on the row bin) pushes the composite key
+    past the int64 budget of the faster branches."""
+
+    @staticmethod
+    def num_intervals_for(branch: str, num_nodes: int, interval: int,
+                          dst: np.ndarray) -> int:
+        if branch == "unique-key":
+            return -(-num_nodes // interval)
+        bound = int(dst.max()) + 1 if dst.size else 1
+        if branch == "stable-argsort":
+            # S^2 * N < 2**62: the cell key fits, but times |E| >= 2
+            # the unique key does not.
+            return math.isqrt((2 ** 62 - 1) // bound)
+        return 2 ** 31  # S^2 * N >= 2**62: only lexsort is safe
+
+    @pytest.mark.parametrize("branch",
+                             ["unique-key", "stable-argsort", "lexsort"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=edge_lists())
+    @example(case=(5, *_edges(), 2))
+    @example(case=(5, *_edges((3, 1)), 2))
+    @example(case=(6, *_edges((2, 2), (0, 5), (2, 2), (4, 4), (0, 5),
+                              (2, 2)), 3))
+    def test_equals_lexsort(self, branch, case):
+        num_nodes, src, dst, interval = case
+        num_intervals = self.num_intervals_for(branch, num_nodes,
+                                               interval, dst)
+        order = shard_sort_order(src, dst, interval, num_intervals)
+        reference = np.lexsort((dst, dst // interval, src // interval))
+        assert np.array_equal(order, reference)
 
 
 class TestNodeInterval:

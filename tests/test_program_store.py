@@ -11,17 +11,23 @@ compiles only once per compile-relevant config projection.
 
 from __future__ import annotations
 
+import gc
+import io
 import os
 import pickle
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.accelerator import GNNerator
 from repro.compiler.lowering import full_lowering_count
 from repro.compiler.store import (
     PROGRAM_CACHE_ENV,
     ProgramStore,
+    _GraphPickler,
+    _GraphUnpickler,
     default_program_store,
     program_key_payload,
 )
@@ -31,12 +37,18 @@ from repro.config.workload import WorkloadSpec
 from repro.eval.harness import Harness
 from repro.graph import datasets as dataset_registry
 from repro.graph.datasets import dataset_fingerprint
-from repro.graph.partition import plan_shards
+from repro.graph.graph import Graph
+from repro.graph.partition import _GRID_CACHE_MAX_ENTRIES, plan_shards
+from repro.obs.spans import tracing
 from repro.sweep import NullCache, SweepRunner
 from repro.sweep.plan import METRIC_DSE, SweepPlan, SweepPoint
 
 TINY_GCN = WorkloadSpec(dataset="tiny", network="gcn", hidden_dim=16)
 TINY_GAT = WorkloadSpec(dataset="tiny", network="gat", hidden_dim=16)
+
+
+class SubclassedGraph(Graph):
+    """A Graph subclass (module-level, so pickle could take it by value)."""
 
 
 def fresh_harness(store) -> Harness:
@@ -213,15 +225,34 @@ class TestProgramStore:
         assert len(store) == 0
         assert not list(tmp_path.rglob("*.tmp"))
 
-    def test_refuses_to_cache_foreign_graph(self, tmp_path):
-        """A program keyed under the wrong dataset must never be
-        persisted — it would deserialize against the wrong graph."""
+    @pytest.mark.parametrize("foreign", ["other-dataset", "same-named-copy",
+                                         "subclass-instance"])
+    def test_refuses_to_cache_foreign_graph(self, tmp_path, foreign):
+        """A program whose graph is not the very object it is keyed
+        under must never be persisted — it would deserialize against
+        the wrong graph. Neither an equal-named copy nor an instance of
+        a Graph subclass passes for the keyed graph."""
         store = ProgramStore(tmp_path, code_version="v1")
         harness = fresh_harness(None)
+        graph = harness.graph("tiny")
         program = harness.gnnerator_program(TINY_GCN)
-        wrong_graph = harness.graph("cora")
-        assert store.put("cd" * 32, program, wrong_graph) is False
+        if foreign == "other-dataset":
+            keyed = harness.graph("cora")
+        elif foreign == "same-named-copy":
+            keyed = Graph(graph.num_nodes, graph.src, graph.dst,
+                          name=graph.name)
+        else:
+            keyed = graph
+            subgraph = SubclassedGraph(graph.num_nodes, graph.src,
+                                       graph.dst, features=graph.features,
+                                       name=graph.name)
+            config = gnnerator_config(
+                feature_block=TINY_GCN.feature_block)
+            program = GNNerator(config).compile(
+                subgraph, harness.model(TINY_GCN))
+        assert store.put("cd" * 32, program, keyed) is False
         assert len(store) == 0
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_env_var_controls_default_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv(PROGRAM_CACHE_ENV, str(tmp_path / "ps"))
@@ -254,6 +285,90 @@ class TestShardGridPickle:
                 assert a.num_edges == b.num_edges
                 np.testing.assert_array_equal(a.src, b.src)
                 np.testing.assert_array_equal(a.dst, b.dst)
+
+
+class TestStorePicklers:
+    def test_pickler_and_unpickler_leave_no_reference_cycles(self):
+        """With the cycle collector off, a store pickler and unpickler
+        die with their last reference. A cycle through either (a
+        dispatch entry bound to the pickler, a bound method the
+        unpickler memoizes) keeps every array it touched alive until
+        the collector runs."""
+        harness = fresh_harness(None)
+        graph = harness.graph("tiny")
+        program = harness.gnnerator_program(TINY_GAT)
+        buffer = io.BytesIO()
+        gc.collect()
+        gc.disable()
+        try:
+            pickler = _GraphPickler(buffer, graph)
+            pickler.dump(program)
+            pickler_ref = weakref.ref(pickler)
+            del pickler
+            assert pickler_ref() is None
+            buffer.seek(0)
+            unpickler = _GraphUnpickler(buffer, graph)
+            loaded = unpickler.load()
+            unpickler_ref = weakref.ref(unpickler)
+            del unpickler
+            assert unpickler_ref() is None
+        finally:
+            gc.enable()
+        assert loaded.grids
+        assert all(grid.graph is graph for grid in loaded.grids.values())
+
+    def test_entry_needs_the_callers_graph(self, tmp_path):
+        """An entry names its graph: plain pickle cannot load it, and
+        the store refuses to load it against a differently named
+        graph (a miss, never a program over the wrong dataset)."""
+        store = ProgramStore(tmp_path, code_version="v1")
+        harness = fresh_harness(None)
+        graph = harness.graph("tiny")
+        key = "ef" * 32
+        assert store.put(key, harness.gnnerator_program(TINY_GCN), graph)
+        with open(store._path(key), "rb") as handle:
+            with pytest.raises(pickle.UnpicklingError):
+                pickle.load(handle)
+        renamed = Graph(graph.num_nodes, graph.src, graph.dst,
+                        name="not-tiny")
+        assert store.get(key, renamed) is None
+        assert store.stats == {"hits": 0, "misses": 1}
+
+    def test_store_loads_respect_grid_memo_bound(self, tmp_path):
+        """Grids that come with stored programs enter the graph's grid
+        memo through plan_shards' own locked, FIFO-bounded insert: many
+        distinct-interval programs never pin more than the bound."""
+        store = ProgramStore(tmp_path, code_version="v1")
+        base = gnnerator_config(feature_block=TINY_GCN.feature_block)
+        # Scratchpads of 1 KiB + 256 B steps: each buffer size gives
+        # the 32- and 16-wide aggregate stages their own intervals.
+        configs = [apply_overrides(base, {
+            "graph.src_feature_buffer_bytes": 1024 + 256 * step,
+            "graph.dst_feature_buffer_bytes": 1024 + 256 * step})
+            for step in range(12)]
+        writer = fresh_harness(store)
+        for config in configs:
+            writer.gnnerator_program(TINY_GCN, config)
+        reader = fresh_harness(store)
+        intervals = set()
+        for config in configs:
+            program = reader.gnnerator_program(TINY_GCN, config)
+            intervals |= {grid.interval_size
+                          for grid in program.grids.values()}
+        assert store.stats["hits"] == len(configs)
+        assert len(intervals) > _GRID_CACHE_MAX_ENTRIES
+        memo = reader.graph("tiny")._shard_grid_cache
+        assert len(memo) <= _GRID_CACHE_MAX_ENTRIES
+
+    def test_get_and_put_are_spans(self, tmp_path):
+        store = ProgramStore(tmp_path, code_version="v1")
+        with tracing() as tracer:
+            fresh_harness(store).gnnerator_program(TINY_GCN)
+            fresh_harness(store).gnnerator_program(TINY_GCN)
+        names = [record.name for record in tracer.spans]
+        assert names.count("store-put") == 1
+        assert names.count("store-get") == 2  # the miss, then the hit
+        assert "plan-shards" in names
 
 
 class TestHarnessIncrementalKeying:

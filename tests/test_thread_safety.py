@@ -16,6 +16,7 @@ The invariants under concurrency:
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -141,6 +142,51 @@ class TestShardGridHammer:
                                               tiny_config.graph,
                                               block=8))
         assert all(g is grids[0] for g in grids)
+
+    def test_store_loads_race_plans_within_the_memo_bound(self,
+                                                          tmp_path):
+        """Program-store loads on request threads enter grids into the
+        graph's memo while the same threads plan over the graph: the
+        memo never outgrows its bound and holds only this graph's
+        grids. (Loads evict the plan's own entry, so plans may rebuild:
+        one grid per key is promised only while the entry lives.)"""
+        from repro.compiler.store import ProgramStore
+        from repro.config.overrides import apply_overrides
+        from repro.config.platforms import gnnerator_config
+        from repro.graph import datasets
+        from repro.graph.partition import (
+            _GRID_CACHE_MAX_ENTRIES,
+            plan_shards,
+        )
+
+        spec = WorkloadSpec(dataset="tiny", network="gcn",
+                            hidden_dim=16)
+        base = gnnerator_config(feature_block=spec.feature_block)
+        configs = [apply_overrides(base, {
+            "graph.src_feature_buffer_bytes": 1024 + 256 * step,
+            "graph.dst_feature_buffer_bytes": 1024 + 256 * step})
+            for step in range(HAMMER_THREADS)]
+        store = ProgramStore(tmp_path, code_version="v1")
+        writer = Harness(program_store=store)
+        for config in configs:
+            writer.gnnerator_program(spec, config)
+        datasets._synthesize.cache_clear()  # the reader's own graph
+        reader = Harness(program_store=store)
+        graph = reader.graph("tiny")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _hammer(lambda i: (
+                reader.gnnerator_program(spec, configs[i]),
+                plan_shards(graph, base.graph, block=8)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.stats["hits"] == HAMMER_THREADS
+        memo = graph._shard_grid_cache
+        assert len(memo) <= _GRID_CACHE_MAX_ENTRIES
+        assert all(grid.graph is graph for grid in memo.values())
+        assert {grid.interval_size for _, grid in results} == {
+            results[0][1].interval_size}
 
 
 class TestLoweringMemoHammer:
