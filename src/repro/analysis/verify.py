@@ -17,6 +17,7 @@ from repro.analysis.report import VerifyReport
 from repro.compiler.ir import CompileError
 from repro.compiler.program import Program
 from repro.config.accelerator import GNNeratorConfig
+from repro.obs.spans import span
 
 
 class VerificationError(CompileError):
@@ -45,8 +46,9 @@ def verify_program(program: Program, config: GNNeratorConfig, *,
     from repro.analysis.passes import PASSES
 
     report = VerifyReport(workload=workload or "<program>")
-    for _name, pass_fn in PASSES:
-        report.passes.append(pass_fn(program, config))
+    with span("verify", workload=report.workload):
+        for _name, pass_fn in PASSES:
+            report.passes.append(pass_fn(program, config))
     if raise_on_failure and not report.ok:
         raise VerificationError(report)
     return report

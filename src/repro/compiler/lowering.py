@@ -256,13 +256,17 @@ class Lowering:
             completions: dict[int, list[tuple[int, int]]] = {}
             for stage_index, stage in enumerate(layer.stages):
                 if isinstance(stage, AggregateStage):
-                    current, done = self._lower_aggregate(
-                        layer_index, stage_index, stage, current)
+                    with span("lower-aggregate", layer=layer_index,
+                              stage=stage_index):
+                        current, done = self._lower_aggregate(
+                            layer_index, stage_index, stage, current)
                     completions[stage_index] = done
                 else:
-                    current = self._lower_extract(
-                        layer_index, stage_index, stage, current,
-                        layer_input, layer, completions)
+                    with span("lower-extract", layer=layer_index,
+                              stage=stage_index):
+                        current = self._lower_extract(
+                            layer_index, stage_index, stage, current,
+                            layer_input, layer, completions)
         program.output_array = current.array
         return program
 

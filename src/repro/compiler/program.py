@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 from repro.dataflow.blocking import BlockPlan
 from repro.graph.partition import ShardGrid
 from repro.models.stages import GNNModel
+from repro.obs.spans import span
 
 
 @dataclass
@@ -80,6 +81,12 @@ class Program:
     #: Memoized dram_bytes_by_purpose breakdown (static once compiled).
     _dram_by_purpose: dict[str, int] | None = field(default=None, repr=False,
                                                     compare=False)
+    #: The energy model's program-static sums (compute pJ, op SRAM pJ,
+    #: per-kind breakdown pairs), filled lazily by
+    #: :mod:`repro.eval.energy` — the compiler never reads it. Never
+    #: part of equality or any cache key.
+    _energy_terms: (tuple[float, float, tuple[tuple[str, float], ...]]
+                    | None) = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction helpers (used by the lowering pass)
@@ -114,8 +121,9 @@ class Program:
         if plan is None:
             from repro.sim.coalesce import build_plan
 
-            plan = self._coalesced_plans[dram] = build_plan(
-                self.queues, dram)
+            with span("build-plan", graph=self.graph_name):
+                plan = self._coalesced_plans[dram] = build_plan(
+                    self.queues, dram)
         return plan
 
     # ------------------------------------------------------------------

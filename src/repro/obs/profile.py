@@ -5,8 +5,8 @@ for a single workload without setting up tracing by hand: it runs the
 full pipeline (load → compile → simulate) under a span tracer and a
 hardware probe, then reports
 
-* per-phase host wall time (the span aggregate — load, compile, lower,
-  shard-batch, simulate);
+* per-phase host wall time (the span aggregate — load, compile, lower
+  and its per-stage children, shard-batch, build-plan, simulate);
 * per-engine simulated busy cycles and utilization;
 * the top-k hottest shards by GPE compute cycles (straight off the
   compiled program's :class:`~repro.compiler.ir.ShardAggregateOp`

@@ -32,6 +32,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 from repro.config.overrides import apply_overrides
@@ -310,11 +311,20 @@ class SweepResult:
     def ok(self) -> bool:
         return self.errors == 0
 
-    def result_for(self, point: SweepPoint) -> PointResult:
+    @cached_property
+    def _by_point(self) -> dict[SweepPoint, PointResult]:
+        """Each point's first result, indexed once: a DSE generation
+        looks up every one of its points."""
+        index: dict[SweepPoint, PointResult] = {}
         for result in self.results:
-            if result.point == point:
-                return result
-        raise KeyError(f"no result for point {point.label}")
+            index.setdefault(result.point, result)
+        return index
+
+    def result_for(self, point: SweepPoint) -> PointResult:
+        result = self._by_point.get(point)
+        if result is None:
+            raise KeyError(f"no result for point {point.label}")
+        return result
 
     def metrics_for(self, point: SweepPoint) -> dict:
         result = self.result_for(point)

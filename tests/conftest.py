@@ -99,6 +99,28 @@ def default_config():
     return GNNeratorConfig()
 
 
+def energy_oracle(program, result):
+    """The energy model as one walk over ``program.order`` per call —
+    the loop :func:`repro.eval.energy.estimate_energy` memoizes per
+    program, kept here as the reference it must equal bit for bit."""
+    from repro.eval import energy
+
+    report = energy.EnergyReport()
+    for op in program.order:
+        macs = energy._op_macs(op)
+        sram = energy._op_sram_bytes(op)
+        if macs or sram:
+            kind = type(op).__name__
+            pj = macs * energy.MAC_PJ + sram * energy.SRAM_PJ_PER_BYTE
+            report.compute_pj += macs * energy.MAC_PJ
+            report.sram_pj += sram * energy.SRAM_PJ_PER_BYTE
+            report.breakdown[kind] = report.breakdown.get(kind, 0.0) + pj
+    report.dram_pj = result.total_dram_bytes * energy.DRAM_PJ_PER_BYTE
+    report.sram_pj += result.total_dram_bytes * energy.SRAM_PJ_PER_BYTE
+    report.idle_pj = result.cycles * energy.IDLE_PJ_PER_CYCLE
+    return report
+
+
 def replace(obj, **kwargs):
     """Terse dataclasses.replace re-export for test readability."""
     return dataclasses.replace(obj, **kwargs)

@@ -11,19 +11,23 @@ from repro.analysis.passes.validation import validate_program
 from repro.compiler.ir import DmaOp
 from repro.compiler.lowering import compile_workload
 from repro.compiler.runtime import run_functional
+from repro.compiler.store import ProgramStore
 from repro.config.platforms import gnnerator_config
+from repro.config.workload import WorkloadSpec
+from repro.eval import energy
 from repro.eval.energy import (
     EnergyReport,
     estimate_energy,
     gpu_energy_joules,
     hygcn_energy_joules,
 )
+from repro.eval.harness import Harness
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import erdos_renyi
 from repro.models.layers import init_parameters
 from repro.models.reference import reference_forward
-from repro.models.zoo import build_network
-from tests.conftest import make_tiny_config
+from repro.models.zoo import NETWORK_NAMES, build_network
+from tests.conftest import energy_oracle, make_tiny_config
 
 
 class TestSparsityElimination:
@@ -144,3 +148,57 @@ class TestEnergyModel:
         program, result = run
         text = estimate_energy(program, result).describe()
         assert "uJ" in text and "dram" in text
+
+
+class TestEnergyMemo:
+    """The program-static energy terms are summed once per program; a
+    report must still equal the per-op loop (``energy_oracle``) bit for
+    bit — the DSE frontier pins ``energy_pj``."""
+
+    @staticmethod
+    def simulated(dataset: str, network: str):
+        harness = Harness(program_store=None)
+        spec = WorkloadSpec(dataset=dataset, network=network)
+        return (harness.graph(dataset), harness.gnnerator_program(spec),
+                harness.gnnerator_result(spec))
+
+    @staticmethod
+    def assert_exact(report, oracle):
+        assert report == oracle
+        assert list(report.breakdown.items()) == list(
+            oracle.breakdown.items())
+        assert report.total_pj == oracle.total_pj
+
+    @pytest.mark.parametrize("dataset", ["tiny", "cora"])
+    @pytest.mark.parametrize("network", NETWORK_NAMES)
+    def test_equals_the_per_op_loop(self, dataset, network, tmp_path):
+        graph, program, result = self.simulated(dataset, network)
+        oracle = energy_oracle(program, result)
+        store = ProgramStore(tmp_path, code_version="v1")
+        unfilled = store.key({"memo": "unfilled"})
+        assert store.put(unfilled, program, graph)
+        self.assert_exact(estimate_energy(program, result), oracle)
+        self.assert_exact(estimate_energy(program, result), oracle)
+        filled = store.key({"memo": "filled"})
+        assert store.put(filled, program, graph)
+        for key in (unfilled, filled):
+            loaded = store.get(key, graph)
+            assert loaded is not None
+            self.assert_exact(estimate_energy(loaded, result), oracle)
+
+    def test_second_call_does_not_walk_the_ops(self, monkeypatch):
+        _, program, result = self.simulated("cora", "gcn")
+        first = estimate_energy(program, result)
+
+        def walked(op):
+            raise AssertionError("estimate_energy walked program.order")
+
+        monkeypatch.setattr(energy, "_op_macs", walked)
+        assert estimate_energy(program, result) == first
+
+    def test_reports_do_not_share_a_breakdown(self):
+        _, program, result = self.simulated("cora", "gat")
+        first = estimate_energy(program, result)
+        expected = dict(first.breakdown)
+        first.breakdown.clear()
+        assert estimate_energy(program, result).breakdown == expected

@@ -13,6 +13,11 @@ from pathlib import Path
 import pytest
 
 from repro.accelerator import GNNerator
+from repro.compiler.store import ProgramStore
+from repro.config.platforms import gnnerator_config
+from repro.config.workload import WorkloadSpec
+from repro.eval.harness import Harness
+from repro.models.stages import AggregateStage
 from repro.models.zoo import NETWORK_NAMES, build_network
 from repro.obs import (
     HwProbe,
@@ -133,6 +138,62 @@ class TestSpans:
             assert [r.name for r in tracer.spans] == ["x"]
         finally:
             set_tracer(NULL_TRACER)
+
+
+class TestCompileSpans:
+    """A cold compile's phases are spans: each lowering stage under
+    ``lower``; plan build and verification under ``compile``. Cached
+    paths skip the work, so they record none of them."""
+
+    SPEC = WorkloadSpec(dataset="tiny", network="gcn")
+    PHASES = {"lower", "lower-aggregate", "lower-extract", "build-plan",
+              "verify"}
+
+    @staticmethod
+    def parent_names(tracer) -> dict[str, set[str]]:
+        by_uid = {record.uid: record.name for record in tracer.spans}
+        parents: dict[str, set[str]] = {}
+        for record in tracer.spans:
+            parents.setdefault(record.name, set()).add(
+                by_uid.get(record.parent, "<root>"))
+        return parents
+
+    def test_cold_compile_records_every_phase(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        harness = Harness(program_store=None)
+        with tracing() as tracer:
+            program = harness.gnnerator_program(self.SPEC)
+        names = [record.name for record in tracer.spans]
+        stages = [stage for layer in program.model.layers
+                  for stage in layer.stages]
+        aggregates = sum(isinstance(stage, AggregateStage)
+                         for stage in stages)
+        assert names.count("lower-aggregate") == aggregates > 0
+        assert names.count("lower-extract") == len(stages) - aggregates > 0
+        assert names.count("build-plan") == names.count("verify") == 1
+        parents = self.parent_names(tracer)
+        assert parents["lower-aggregate"] == {"lower"}
+        assert parents["lower-extract"] == {"lower"}
+        assert parents["lower"] == {"compile"}
+        assert parents["build-plan"] == {"compile"}
+        assert parents["verify"] == {"compile"}
+
+        dram = gnnerator_config(feature_block=self.SPEC.feature_block).dram
+        with tracing() as cached:
+            assert harness.gnnerator_program(self.SPEC) is program
+            program.coalesced_plan(dram)
+        assert not self.PHASES & {record.name for record in cached.spans}
+
+    def test_store_hit_records_only_verify(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        store = ProgramStore(tmp_path, code_version="v1")
+        Harness(program_store=store).gnnerator_program(self.SPEC)
+        with tracing() as tracer:
+            Harness(program_store=store).gnnerator_program(self.SPEC)
+        assert store.stats["hits"] == 1
+        names = {record.name for record in tracer.spans}
+        assert self.PHASES & names == {"verify"}
+        assert self.parent_names(tracer)["verify"] == {"compile"}
 
 
 # ---------------------------------------------------------------------

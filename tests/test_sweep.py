@@ -1,6 +1,7 @@
 """Tests for the parallel sweep engine: plans, cache, scheduler,
 runner, and the ``sweep`` CLI subcommand."""
 
+import dataclasses
 import json
 import os
 
@@ -13,11 +14,13 @@ from repro.eval.harness import Harness
 from repro.sweep import (
     DatasetCache,
     NullCache,
+    PointResult,
     ResultCache,
     SweepError,
     SweepPlan,
     SweepPlanError,
     SweepPoint,
+    SweepResult,
     SweepRunner,
     build_plan,
     cache_key,
@@ -358,6 +361,37 @@ class TestSweepResult:
         with pytest.raises(KeyError):
             smoke_result.result_for(point_for(
                 WorkloadSpec(dataset="pubmed", network="gcn")))
+
+    def test_lookups_compare_each_point_at_most_once(self, monkeypatch):
+        """A DSE generation looks up every one of its points: N lookups
+        must cost O(N) point comparisons, not a scan each."""
+        points = [SweepPoint(dataset="cora", network="gcn", seed=seed)
+                  for seed in range(60)]
+        sweep = SweepResult(
+            plan="many", results=[PointResult(p, metrics={"seconds": i})
+                                  for i, p in enumerate(points)],
+            jobs=1, hits=0, misses=len(points), elapsed_s=0.0)
+        compared = []
+        equal = SweepPoint.__eq__
+
+        def counting_eq(self, other):
+            compared.append(self)
+            return equal(self, other)
+
+        monkeypatch.setattr(SweepPoint, "__eq__", counting_eq)
+        # Equal but distinct objects, as a DSE candidate's points are.
+        seconds = [sweep.seconds_for(dataclasses.replace(p))
+                   for p in points]
+        assert seconds == list(range(len(points)))
+        assert len(compared) <= len(points)
+
+    def test_duplicate_points_resolve_to_the_first_result(self):
+        point = SweepPoint(dataset="cora", network="gcn")
+        first = PointResult(point, metrics={"seconds": 1.0})
+        sweep = SweepResult(
+            plan="dup", results=[first, PointResult(point, status="error")],
+            jobs=1, hits=0, misses=2, elapsed_s=0.0)
+        assert sweep.result_for(point) is first
 
 
 # ---------------------------------------------------------------------

@@ -204,3 +204,29 @@ class TestLoweringMemoHammer:
             lambda i: harnesses[i % len(harnesses)]
             .gnnerator_result(spec), n=8)
         assert {r.cycles for r in results} == {serial.cycles}
+
+
+class TestEnergyMemoHammer:
+    def test_threads_filling_one_memo_get_exact_values(self):
+        """Threads racing to fill a fresh program's energy memo each
+        get the per-op loop's exact values (no lock: every racer
+        computes the same tuple)."""
+        from repro.eval.energy import estimate_energy
+        from tests.conftest import energy_oracle
+
+        harness = Harness(program_store=None)
+        spec = WorkloadSpec(dataset="cora", network="graphsage")
+        program = harness.gnnerator_program(spec)
+        result = harness.gnnerator_result(spec)
+        oracle = energy_oracle(program, result)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = _hammer(lambda _: estimate_energy(program, result),
+                              n=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for report in reports:
+            assert report == oracle
+            assert list(report.breakdown.items()) == list(
+                oracle.breakdown.items())
