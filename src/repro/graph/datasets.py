@@ -99,13 +99,6 @@ DATASETS: dict[str, DatasetStats] = {
 _DATASET_SEEDS = {"cora": 11, "citeseer": 23, "pubmed": 37, "tiny": 53,
                   "flickr": 71, "reddit-s": 89}
 
-#: Datasets large enough that loads should never hold two copies of the
-#: feature matrix: their cached features are memory-mapped on load, so
-#: pages fault in only when (and if) a consumer actually reads them —
-#: a cycle-accurate compile+simulate of a non-attention network never
-#: touches feature *values* at all.
-LARGE_DATASETS = ("flickr", "reddit-s")
-
 
 def dataset_stats(name: str) -> DatasetStats:
     """Published statistics for ``name`` (KeyError lists known names)."""
@@ -245,12 +238,20 @@ def _dataset_cache_load(path: Path | None, stats: DatasetStats) -> Graph | None:
     """A cached graph, or None; any read or validation error — missing
     sidecar, truncated zip, short-mapped ``.npy``, stat mismatch — is
     treated as a miss and the entry is rewritten by the next store
-    (mirroring ``ResultCache.get``'s race-tolerant contract)."""
+    (mirroring ``ResultCache.get``'s race-tolerant contract).
+
+    The feature matrix is always a read-only memory map, so its pages
+    fault in only when (and if) a consumer reads them. A compile or a
+    simulation never does: a compiled program holds no values, so a
+    DSE point, a sweep point or a cycle-accurate run reads structure
+    only. That keeps a loaded graph small in every process that holds
+    one, and keeps a forked sweep worker, whose RSS starts at its
+    parent's, small with it. A write to the mapped features raises.
+    """
     if path is None:
         return None
-    mmap_mode = "r" if stats.name in LARGE_DATASETS else None
     try:
-        features = np.load(_features_path(path), mmap_mode=mmap_mode)
+        features = np.load(_features_path(path), mmap_mode="r")
         if features.shape != (stats.num_nodes, stats.feature_dim):
             return None
         with np.load(path) as data:
@@ -337,7 +338,9 @@ def load_dataset(name: str, data_dir: str | None = None) -> Graph:
     Prefers real Planetoid files under ``data_dir`` (or ``$REPRO_DATA_DIR``
     or ``./data``); falls back to the deterministic synthetic equivalent.
     The synthetic graphs are cached, so repeated loads are cheap — callers
-    must not mutate the returned object (copy features first).
+    must not mutate the returned object (copy features first). A graph
+    read from the disk cache carries its features as a read-only memory
+    map, so writing to them raises.
     """
     stats = dataset_stats(name)
     candidates = [data_dir, os.environ.get("REPRO_DATA_DIR"), "data"]

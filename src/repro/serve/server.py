@@ -9,8 +9,9 @@ work themselves: they validate, submit to the bounded
 :class:`~repro.serve.workqueue.WorkQueue`, and block on the job's
 completion event. The queue's worker threads run the executors against
 the shared harness; ``sweep``/``dse`` requests with ``jobs > 1``
-additionally fan out to spawn-based worker *processes* through the
-existing :class:`~repro.sweep.runner.ProcessPoolScheduler`.
+additionally fan out to worker *processes* through the existing
+:class:`~repro.sweep.runner.ProcessPoolScheduler`, which spawns them
+here: the daemon's threads rule out fork.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ ever reach a worker.
 
 from __future__ import annotations
 
-import multiprocessing
 import shutil
 import tempfile
 import time
@@ -33,15 +32,15 @@ from repro.sweep.runner import (
     PointResult,
     SweepError,
     _preload_datasets,
-    _spawn_context,
+    _worker_context,
 )
 
 #: Scheduler backends selectable via ``repro sweep/dse --scheduler``.
 SCHEDULER_NAMES = ("pool", "filequeue")
 
 
-def _spawned_worker(queue_dir: str, worker_id: str) -> None:
-    """Module-level target for the spawn context (must be picklable)."""
+def _fleet_worker(queue_dir: str, worker_id: str) -> None:
+    """Module-level process target (spawn must be able to pickle it)."""
     run_worker(queue_dir, worker_id=worker_id)
 
 
@@ -60,10 +59,12 @@ class FleetStats:
 class FileQueueScheduler:
     """Run sweep points through a shared-directory work queue.
 
-    ``jobs`` local workers are spawned per ``run`` call (``jobs=0``
-    coordinates an external fleet only). ``queue_dir=None`` uses a
-    private temporary queue torn down afterwards; pass a real path to
-    make the campaign resumable and joinable by other hosts.
+    ``jobs`` local workers are started per ``run`` call (``jobs=0``
+    coordinates an external fleet only), forked or spawned by the
+    process pool's rule (:func:`~repro.sweep.runner._worker_context`).
+    ``queue_dir=None`` uses a private temporary queue torn down
+    afterwards; pass a real path to make the campaign resumable and
+    joinable by other hosts.
     """
 
     name = "filequeue"
@@ -139,10 +140,9 @@ class FileQueueScheduler:
 
     # -- fleet management ---------------------------------------------
     def _start(self, queue_dir: str, worker_id: str):
-        context = _spawn_context() or multiprocessing
-        process = context.Process(target=_spawned_worker,
-                                  args=(queue_dir, worker_id),
-                                  daemon=False)
+        process = _worker_context().Process(target=_fleet_worker,
+                                            args=(queue_dir, worker_id),
+                                            daemon=False)
         process.start()
         self.stats.spawned += 1
         self.stats.worker_ids.append(worker_id)

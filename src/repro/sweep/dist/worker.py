@@ -182,8 +182,9 @@ def run_worker(queue_dir: str, *,
     """Process entry point (CLI and scheduler-spawned workers): attach
     to an existing queue, install the SIGTERM drain handler, and serve.
 
-    Must stay module-level and picklable — the multiprocessing
-    ``spawn`` context re-imports it in each child.
+    Must stay module-level and picklable: a spawned child re-imports
+    it (a forked one inherits it; see
+    :func:`repro.sweep.runner._worker_context`).
     """
     stop = threading.Event()
     if install_sigterm:

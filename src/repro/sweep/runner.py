@@ -9,6 +9,8 @@ Three layers:
   processes. Each worker keeps one :class:`~repro.eval.harness.Harness`
   per seed, every point carries its own seed, and results come back in
   plan order, so ``--jobs 4`` is byte-identical to ``--jobs 1``.
+  Workers are forked when that is safe and spawned otherwise (see
+  :func:`_worker_context`); either way they exit when the batch ends.
 * :class:`SweepRunner` — probe the :class:`ResultCache` first, compute
   only the misses (inline or through a :class:`Scheduler`), persist
   the fresh results, and return a :class:`SweepResult` with per-run
@@ -28,6 +30,8 @@ import dataclasses
 import io
 import json
 import multiprocessing
+import sys
+import threading
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -177,35 +181,48 @@ def _run_chunk(worker_fn, chunk: list) -> list:
     return [worker_fn(point) for point in chunk]
 
 
-def _spawn_context():
-    """The ``spawn`` multiprocessing context, or None where unavailable
-    (then the platform default start method is used).
+def _worker_context():
+    """The multiprocessing context sweep workers start from: ``fork``
+    when it is safe, ``spawn`` otherwise.
 
-    ``spawn`` is chosen over ``fork`` deliberately: forked workers
-    inherit the parent's memoized Harness caches — graphs, compiled
-    programs, shard grids — as copy-on-write pages that the worker
-    never reads but whose refcount updates steadily dirty, a pure waste
-    at million-edge scale where one cached graph is hundreds of MB.
-    Spawned workers start clean and load datasets from the persistent
-    on-disk cache (~tens of ms), which :func:`_preload_datasets` warms
-    in the parent first.
+    Fork if and only if this is Linux and the caller runs no other
+    Python thread. A forked worker starts in milliseconds with the
+    parent's imports and loaded graphs already in memory, where a
+    spawned one re-imports ``repro`` (~0.3 s) and reloads every
+    dataset. Both conditions guard against inheriting broken state:
+
+    * repro's memos are guarded by Python locks (the per-graph grid
+      lock, the harness compile locks, the cache locks). A child forked
+      while another thread holds one inherits it held and deadlocks at
+      its first compile. The serve daemon runs ``"jobs" > 1`` sweeps
+      from its request threads, so it spawns.
+    * on macOS, system frameworks (numpy's Accelerate) are not
+      fork-safe, and CPython defaults to spawn there.
+
+    Native BLAS pool threads are not Python threads and do not count:
+    fork with numpy loaded was CPython's Linux default until 3.14.
+    ``ProcessPoolExecutor`` forks all of its workers before its manager
+    thread starts (CPython gh-90622), so the check holds for the whole
+    pool. Forking stays cheap in memory because cached feature matrices
+    are read-only memory maps (:mod:`repro.graph.datasets`): the parent
+    holds graph structure, not features, and no worker reads them.
     """
-    try:
-        return multiprocessing.get_context("spawn")
-    except ValueError:
-        return None
+    method = ("fork" if sys.platform == "linux"
+              and threading.active_count() == 1 else "spawn")
+    return multiprocessing.get_context(method)
 
 
 def _preload_datasets(points) -> None:
-    """Synthesize every swept dataset once, in the parent.
+    """Load every swept dataset once, in the parent.
 
-    Spawned workers share nothing in memory, but the first load of a
-    dataset writes the persistent on-disk cache (``.dataset-cache/``),
-    so warming it here means N workers each pay a ~tens-of-ms cache
-    read instead of racing N full syntheses (a cold Pubmed costs
-    ~2.4s, a cold reddit-s ~10s). Unknown datasets are skipped: the
-    owning point must fail *in its worker* so the error stays isolated
-    to that point.
+    Forked workers inherit the loaded graphs, so none of them reads a
+    dataset again. Spawned workers share nothing in memory, but the
+    first load of a dataset writes the persistent on-disk cache
+    (``.dataset-cache/``), so warming it here means N workers each pay
+    a ~tens-of-ms cache read instead of racing N full syntheses (a
+    cold Pubmed costs ~2.4s, a cold reddit-s ~10s). Unknown datasets
+    are skipped: the owning point must fail *in its worker* so the
+    error stays isolated to that point.
     """
     from repro.graph.datasets import load_dataset
 
@@ -224,7 +241,14 @@ class ProcessPoolScheduler:
     pool interleaves work. Failures come back as error results, not
     exceptions.
 
-    Interrupts: a Ctrl-C used to leave spawned workers running to
+    Start method: each ``run`` starts a fresh pool from
+    :func:`_worker_context` — forked from a single-threaded parent on
+    Linux, so workers inherit the parent's imports and the graphs
+    :func:`_preload_datasets` loaded; spawned otherwise (the serve
+    daemon's request threads, macOS, Windows). The pool shuts down
+    before ``run`` returns, so no worker outlives its batch.
+
+    Interrupts: a Ctrl-C used to leave workers running to
     completion — ``pool.map`` consumed results inside a ``with`` block
     whose ``__exit__`` is ``shutdown(wait=True)``, so the parent
     *blocked in teardown* until every queued point finished (a
@@ -235,9 +259,9 @@ class ProcessPoolScheduler:
     interrupt propagates so the CLI can exit 130.
 
     ``worker_fn`` is a test seam: it must be a picklable module-level
-    callable taking one point (spawned workers re-import it). The
-    interrupt regression test injects a blocking function to prove
-    workers actually die.
+    callable taking one point (a spawned worker re-imports it; a forked
+    one inherits it). The interrupt regression test injects a blocking
+    function to prove workers actually die.
     """
 
     name = "pool"
@@ -257,16 +281,15 @@ class ProcessPoolScheduler:
             return [run_point(p, _harness_for(p.seed, store))
                     for p in points]
         workers = min(self.jobs, len(points))
-        # Tuned for spawn-cost amortisation: ~4 chunks per worker keeps
-        # the tail balanced while each (expensive-to-start) worker gets
-        # enough points per IPC round trip; ceil-div so a short plan
-        # never degenerates to chunksize 0.
+        # ~4 chunks per worker keeps the tail balanced while each
+        # worker gets enough points per IPC round trip; ceil-div so a
+        # short plan never degenerates to chunksize 0.
         chunksize = max(1, -(-len(points) // (workers * 4)))
         chunks = [points[i:i + chunksize]
                   for i in range(0, len(points), chunksize)]
         _preload_datasets(points)
         pool = ProcessPoolExecutor(max_workers=workers,
-                                   mp_context=_spawn_context())
+                                   mp_context=_worker_context())
         futures = []
         try:
             futures = [pool.submit(_run_chunk, self.worker_fn, chunk)

@@ -1,8 +1,13 @@
 """Unit tests for the dataset registry (Table II)."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.config.workload import WorkloadSpec
+from repro.eval.harness import Harness
 from repro.graph import datasets as datasets_module
 from repro.graph.datasets import (
     DATASET_CACHE_ENV,
@@ -15,6 +20,8 @@ from repro.graph.datasets import (
     load_dataset,
 )
 from repro.graph.graph import GraphError
+from repro.models.zoo import NETWORK_NAMES
+from repro.sweep.cache import DatasetCache
 
 TABLE2 = {
     "cora": (2708, 10556, 1433),
@@ -27,6 +34,19 @@ TABLE2 = {
     "flickr": (89250, 899756, 500),
     "reddit-s": (232965, 11606920, 602),
 }
+
+
+def _smaps_rss_kb(path: str) -> list[int]:
+    """Resident kB of each mapping of ``path`` in this process."""
+    rss: list[int] = []
+    mapping = None
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        fields = line.split()
+        if "-" in fields[0] and not fields[0].endswith(":"):
+            mapping = fields[5] if len(fields) > 5 else None
+        elif fields[0] == "Rss:" and mapping == path:
+            rss.append(int(fields[1]))
+    return rss
 
 
 class TestRegistry:
@@ -139,12 +159,10 @@ class TestLoading:
 
     def test_disk_cache_truncated_features_sidecar_is_a_miss(
             self, tmp_path, monkeypatch):
-        """Same for the features ``.npy`` sidecar — including the
-        memory-mapped load path, where a short file must never reach
-        the point of faulting past EOF."""
+        """Same for the features ``.npy`` sidecar, which is loaded as a
+        memory map: a short file must never reach the point of faulting
+        past EOF."""
         monkeypatch.setenv(DATASET_CACHE_ENV, str(tmp_path))
-        monkeypatch.setattr(datasets_module, "LARGE_DATASETS",
-                            ("tiny",))  # force the mmap path
         stats = dataset_stats("tiny")
         datasets_module._synthesize.__wrapped__("tiny")
         path = _dataset_cache_path(stats, 53)
@@ -155,14 +173,12 @@ class TestLoading:
         sidecar.unlink()  # missing sidecar entirely is a miss too
         assert _dataset_cache_load(path, stats) is None
 
-    def test_large_dataset_features_are_memory_mapped(self, tmp_path,
-                                                      monkeypatch):
-        """Datasets in LARGE_DATASETS load their features as read-only
-        memmaps: no second in-memory copy, and accidental mutation of
+    def test_cached_features_are_memory_mapped(self, tmp_path,
+                                               monkeypatch):
+        """Every cached dataset loads its features as a read-only
+        memmap: no second in-memory copy, and accidental mutation of
         the shared cache graph raises instead of corrupting."""
         monkeypatch.setenv(DATASET_CACHE_ENV, str(tmp_path))
-        monkeypatch.setattr(datasets_module, "LARGE_DATASETS",
-                            ("tiny",))
         fresh = datasets_module._synthesize.__wrapped__("tiny")
         stats = dataset_stats("tiny")
         path = _dataset_cache_path(stats, 53)
@@ -174,6 +190,31 @@ class TestLoading:
         assert np.array_equal(cached.features, fresh.features)
         with pytest.raises((ValueError, OSError)):
             cached.features[0, 0] = 99.0
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads /proc/self/smaps")
+    def test_dse_evaluation_reads_no_feature_value(self, tmp_path,
+                                                   monkeypatch):
+        """A DSE evaluation reads graph structure only: after every zoo
+        network is compiled and simulated on a disk-cached cora, no
+        page of its mapped feature matrix is resident. This is why a
+        forked sweep worker inherits a parent that holds no features."""
+        monkeypatch.setenv(DATASET_CACHE_ENV, str(tmp_path))
+        stats = dataset_stats("cora")
+        datasets_module._synthesize.__wrapped__("cora")
+        path = _dataset_cache_path(stats, 11)
+        graph = _dataset_cache_load(path, stats)
+        assert graph is not None
+        harness = Harness(program_store=None)
+        harness._datasets = DatasetCache(loader=lambda name: graph)
+        for network in NETWORK_NAMES:
+            metrics = harness.gnnerator_dse_metrics(
+                WorkloadSpec(dataset="cora", network=network))
+            assert metrics["cycles"] > 0
+        mapped = str(datasets_module._features_path(path).resolve())
+        rss = _smaps_rss_kb(mapped)
+        assert rss, f"{mapped} is not mapped"
+        assert rss == [0] * len(rss), rss
 
     def test_disk_cache_disabled_by_env(self, monkeypatch):
         monkeypatch.setenv(DATASET_CACHE_ENV, "off")

@@ -9,14 +9,17 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Runs a pool whose workers block near-forever; spawn re-imports this
-#: script as ``__mp_main__``, so the worker fn must live at module
-#: level of the script itself.
+#: Runs a pool whose workers block near-forever. A spawned worker
+#: re-imports this script as ``__mp_main__`` (a forked one inherits
+#: it), so the worker fn must live at module level of the script.
 DRIVER = """\
 import os
 import sys
@@ -80,7 +83,7 @@ def test_sigint_kills_workers_and_exits_130(tmp_path):
                                cwd=tmp_path, stdout=subprocess.PIPE,
                                stderr=subprocess.STDOUT, text=True)
     try:
-        # Wait until at least one spawned worker is provably inside the
+        # Wait until at least one worker is provably inside the
         # blocking call, then interrupt the parent.
         _wait_for(lambda: any(tokens.iterdir()), timeout=60.0,
                   message="no worker ever started")
@@ -101,15 +104,28 @@ def test_sigint_kills_workers_and_exits_130(tmp_path):
             process.communicate()
 
 
-def test_scheduler_still_returns_results_normally():
+@pytest.mark.parametrize("extra_thread", [False, True],
+                         ids=["main-thread-only", "extra-thread-alive"])
+def test_scheduler_still_returns_results_normally(extra_thread):
     """The cancellable-futures rewrite must keep plan-order results
-    byte-identical to the old pool.map path."""
+    byte-identical to the old pool.map path, with forked workers (only
+    the main thread alive) and with spawned ones (an extra thread, as
+    in the serve daemon)."""
     from repro.sweep.plan import build_plan
     from repro.sweep.runner import ProcessPoolScheduler
 
     points = build_plan("smoke").points
     serial = ProcessPoolScheduler(jobs=1).run(points)
-    pooled = ProcessPoolScheduler(jobs=2).run(points)
+    release = threading.Event()
+    parked = threading.Thread(target=release.wait, daemon=True)
+    if extra_thread:
+        parked.start()
+    try:
+        pooled = ProcessPoolScheduler(jobs=2).run(points)
+    finally:
+        release.set()
+    if extra_thread:
+        parked.join()
     assert [r.point for r in pooled] == [r.point for r in serial]
     assert [r.metrics for r in pooled] == [r.metrics for r in serial]
     assert all(r.ok for r in pooled)

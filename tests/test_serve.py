@@ -363,6 +363,20 @@ def _log_lines(state) -> list[dict]:
             for line in state.logger._stream.getvalue().splitlines()]
 
 
+def _settle(ready, timeout: float = 10.0) -> None:
+    """Wait until ``ready()``: a handler sends its response before it
+    counts and logs the request, so that bookkeeping can lag the reply
+    the test has already read."""
+    deadline = time.monotonic() + timeout
+    while not ready() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def _logged(state, **fields) -> bool:
+    return any(all(line.get(key) == value for key, value in fields.items())
+               for line in _log_lines(state))
+
+
 class TestObservability:
     def test_metrics_is_valid_prometheus_with_core_series(self, daemon):
         from repro.obs.metrics import parse_prometheus, series_sum
@@ -370,6 +384,7 @@ class TestObservability:
         state, base = daemon
         assert _post(f"{base}/run", {"dataset": "tiny",
                                      "network": "gcn"})[0] == 200
+        _settle(lambda: _logged(state, event="request", endpoint="run"))
         status, text, headers = _get_text(f"{base}/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
@@ -432,6 +447,7 @@ class TestObservability:
         status, payload, _ = _post(f"{base}/run", {"dataset": "tiny",
                                                    "network": "gcn"})
         assert status == 200
+        _settle(lambda: _logged(state, request_id=payload["request_id"]))
         lines = _log_lines(state)
         (entry,) = [line for line in lines
                     if line.get("event") == "request"
@@ -455,6 +471,7 @@ class TestObservability:
                                                    "network": "gcn"})
         assert status == 500
         assert payload["request_id"].startswith("req-")
+        _settle(lambda: _logged(state, request_id=payload["request_id"]))
         (entry,) = [line for line in _log_lines(state)
                     if line.get("request_id") == payload["request_id"]]
         assert entry["level"] == "error"
@@ -504,6 +521,7 @@ class TestObservability:
             gate.set()
             t1.join(30.0)
             t2.join(30.0)
+            _settle(lambda: _logged(state, status=429))
             (entry,) = [line for line in _log_lines(state)
                         if line.get("status") == 429]
             assert entry["request_id"] == payload["request_id"]

@@ -4,6 +4,9 @@ runner, and the ``sweep`` CLI subcommand."""
 import dataclasses
 import json
 import os
+import sys
+import threading
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -33,8 +36,33 @@ from repro.sweep import (
     table1_plan,
     table5_plan,
 )
+from repro.sweep.dist import FileQueueScheduler
+from repro.sweep.runner import ProcessPoolScheduler, _worker_context
 
 CORA_GCN = WorkloadSpec(dataset="cora", network="gcn")
+
+#: What a pool worker reports (:func:`_report_start_probe`). A forked
+#: worker sees whatever the parent set at run time; a spawned one
+#: re-imports this module and sees this value.
+_START_PROBE = "imported"
+
+
+def _report_start_probe(point):
+    return _START_PROBE
+
+
+@contextmanager
+def _extra_thread():
+    """Keep one parked extra Python thread alive, like the serve
+    daemon's request threads."""
+    release = threading.Event()
+    parked = threading.Thread(target=release.wait, daemon=True)
+    parked.start()
+    try:
+        yield
+    finally:
+        release.set()
+        parked.join()
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +362,60 @@ class TestScheduling:
         warm = SweepRunner(
             cache=ResultCache(tmp_path, code_version="v1")).run(plan)
         assert warm.ok and warm.hits == len(plan) and warm.misses == 0
+
+
+class TestStartMethod:
+    """Workers fork from a single-threaded parent on Linux and spawn
+    otherwise; either way results match ``jobs=1``."""
+
+    POINTS = tuple(SweepPoint(dataset="tiny", network=network)
+                   for network in ("gcn", "gat", "gin", "graphsage"))
+
+    def probe(self, monkeypatch):
+        monkeypatch.setattr(sys.modules[__name__], "_START_PROBE",
+                            "set-at-run-time")
+        return ProcessPoolScheduler(
+            jobs=2, worker_fn=_report_start_probe).run(self.POINTS)
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="workers fork only on Linux")
+    def test_forks_when_only_the_main_thread_runs(self, monkeypatch):
+        assert threading.active_count() == 1, threading.enumerate()
+        assert _worker_context().get_start_method() == "fork"
+        assert self.probe(monkeypatch) == ["set-at-run-time"] * 4
+
+    def test_spawns_while_another_thread_runs(self, monkeypatch):
+        with _extra_thread():
+            assert _worker_context().get_start_method() == "spawn"
+            results = self.probe(monkeypatch)
+        assert results == ["imported"] * 4
+
+    def test_spawns_off_linux(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert _worker_context().get_start_method() == "spawn"
+
+    @pytest.mark.parametrize("extra_thread", [False, True],
+                             ids=["main-thread-only",
+                                  "extra-thread-alive"])
+    def test_filequeue_workers_follow_the_same_rule(
+            self, extra_thread, monkeypatch):
+        started = []
+        start = FileQueueScheduler._start
+
+        def recording_start(scheduler, queue_dir, worker_id):
+            process = start(scheduler, queue_dir, worker_id)
+            started.append(process._start_method)
+            return process
+
+        monkeypatch.setattr(FileQueueScheduler, "_start", recording_start)
+        points = self.POINTS[:2]
+        with _extra_thread() if extra_thread else nullcontext():
+            results = FileQueueScheduler(jobs=1, poll_s=0.01).run(points)
+        forks = sys.platform == "linux" and not extra_thread
+        assert started == ["fork" if forks else "spawn"]
+        serial = ProcessPoolScheduler(jobs=1).run(points)
+        assert [r.metrics for r in results] == [r.metrics
+                                                for r in serial]
 
 
 # ---------------------------------------------------------------------
