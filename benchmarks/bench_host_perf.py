@@ -43,21 +43,20 @@ def test_host_perf_flickr_gcn(benchmark):
 
 
 def test_simulate_kernels_flickr(benchmark):
-    """Coalesced vs per-operation kernel on the same million-edge
-    program — the before/after pair the ISSUE-5 speedup claim cites
-    (``repro perf --no-coalesce`` reproduces it from the CLI)."""
+    """The coalesced replay of a million-edge program, cross-checked
+    cycle for cycle against the event-driven oracle
+    (``tests/oracle/``) on the same program."""
     from repro.accelerator import GNNerator
     from repro.config.workload import WorkloadSpec
     from repro.eval.harness import Harness
+    from tests.oracle import simulate_event
 
     harness = Harness()
     spec = WorkloadSpec(dataset="flickr", network="gcn", hidden_dim=16)
     config, block = harness._resolve_config(spec, None)
     program = harness._compiled(spec, config, block)
-    accelerator = GNNerator(config)
-    fast = benchmark(accelerator.simulate, program)
-    slow = accelerator.simulate(program, coalesce=False)
-    assert fast.cycles == slow.cycles
+    fast = benchmark(GNNerator(config).simulate, program)
+    assert fast.cycles == simulate_event(program, config).cycles
 
 
 def main(argv: list[str] | None = None) -> int:

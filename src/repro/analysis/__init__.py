@@ -4,7 +4,7 @@ Two halves (DESIGN.md §9):
 
 * :mod:`repro.analysis.verify` — IR verifier passes over a compiled
   :class:`~repro.compiler.program.Program` and its coalesced plan.
-  Every invariant the simulators rely on dynamically (edge coverage,
+  Every invariant the simulator relies on dynamically (edge coverage,
   DMA byte conservation, channel protocol, token liveness,
   plan/program agreement) is checked statically, without simulating.
 * :mod:`repro.analysis.lint` — an AST linter over the repository

@@ -79,23 +79,21 @@ _LAYERS: dict[str, frozenset[str]] = {
     "graph": frozenset({"graph", "config", "obs"}),
     "models": frozenset({"models", "graph", "config"}),
     "dataflow": frozenset({"dataflow", "graph", "config"}),
-    "sim": frozenset({"sim", "config", "obs", "compiler.ir",
-                      "engines.controller"}),
-    "engines": frozenset({"engines", "sim", "config", "graph", "obs",
-                          "compiler.ir"}),
+    "sim": frozenset({"sim", "config", "obs", "compiler.ir"}),
+    # Analytic cost models only: the compiler calls them, they call
+    # nothing that simulates.
+    "engines": frozenset({"engines", "config", "graph"}),
     # Model shapes for the lowering and layer math for the functional
     # runtime, never the reference executor: a compile computes no
     # values.
     "compiler": frozenset({"compiler", "config", "obs", "graph",
                            "models.stages", "models.layers", "dataflow",
-                           "engines.controller", "engines.dense.systolic",
-                           "engines.graph.gpe"}),
+                           "engines.dense.systolic", "engines.graph.gpe"}),
     "analysis": frozenset({"analysis", "compiler", "config", "obs",
-                           "graph", "models", "dataflow", "sim",
-                           "engines.controller"}),
+                           "graph", "models", "dataflow", "sim"}),
     "accelerator": frozenset({"accelerator", "compiler", "config",
-                              "engines", "graph", "models", "obs",
-                              "sim", "dataflow", "analysis"}),
+                              "graph", "models", "obs", "sim",
+                              "dataflow", "analysis"}),
     "baselines": frozenset({"baselines", "config", "graph", "models",
                             "dataflow"}),
     "sweep": frozenset({"sweep", "config", "graph", "models", "obs"}),
@@ -458,7 +456,7 @@ def _package_key(rel: str) -> str:
 
 def _import_targets(node: ast.stmt) -> list[str]:
     """``repro``-internal dotted targets named by an import statement,
-    relative to the package (``repro.sim.kernel`` -> ``sim.kernel``)."""
+    relative to the package (``repro.sim.coalesce`` -> ``sim.coalesce``)."""
     targets: list[str] = []
     if isinstance(node, ast.Import):
         targets = [alias.name for alias in node.names]

@@ -3,7 +3,7 @@
 The double-buffer protocol (DESIGN.md §4, ir.py docstring) is rigid:
 per channel, one producer unit alternates Acquire -> Push and one
 consumer unit alternates Pop -> Release, with
-:data:`~repro.engines.controller.DOUBLE_BUFFER_CREDITS` credits in
+:data:`~repro.compiler.ir.DOUBLE_BUFFER_CREDITS` credits in
 flight at most. This pass proves the protocol holds on *every*
 abstract interleaving by checking per-unit alternation (a unit's queue
 is its serial order on any schedule), global pairing counts, and the
@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.analysis.report import PassResult
 from repro.compiler.ir import (
     CHANNELS,
+    DOUBLE_BUFFER_CREDITS,
     AcquireOp,
     PopOp,
     PushOp,
@@ -22,7 +23,6 @@ from repro.compiler.ir import (
 )
 from repro.compiler.program import Program
 from repro.config.accelerator import GNNeratorConfig
-from repro.engines.controller import DOUBLE_BUFFER_CREDITS
 
 
 def check_channel_protocol(program: Program,

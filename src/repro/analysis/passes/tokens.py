@@ -16,9 +16,9 @@ from collections import defaultdict
 
 from repro.analysis.passes.validation import validate_program
 from repro.analysis.report import PassResult
+from repro.compiler.ir import DOUBLE_BUFFER_CREDITS
 from repro.compiler.program import Program
 from repro.config.accelerator import GNNeratorConfig
-from repro.engines.controller import DOUBLE_BUFFER_CREDITS
 
 
 def check_token_liveness(program: Program,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.compiler.ir import (
     CHANNELS,
+    DOUBLE_BUFFER_CREDITS,
     AcquireOp,
     CompileError,
     Operation,
@@ -27,7 +28,6 @@ from repro.compiler.ir import (
     ReleaseOp,
 )
 from repro.compiler.program import Program
-from repro.engines.controller import DOUBLE_BUFFER_CREDITS
 
 
 class ValidationError(CompileError):

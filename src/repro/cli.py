@@ -15,8 +15,8 @@ Usage::
     gnnerator perf --datasets tiny,cora  # host wall-clock trajectory
     gnnerator serve --workers 2     # persistent simulation daemon
     gnnerator loadtest --requests 50 --rate 50  # Poisson burst vs daemon
-    gnnerator profile cora gcn      # phase wall time + hottest shards
-    gnnerator trace tiny gcn --perfetto trace.json  # Perfetto export
+    gnnerator profile cora gcn      # bottleneck, phases, engines, Gantt
+    gnnerator run tiny gcn --trace-out trace.json  # Perfetto export
 
 (or ``python -m repro ...``)
 """
@@ -158,8 +158,8 @@ def _cmd_run(args: argparse.Namespace) -> str:
     accelerator = GNNerator(gnnerator_config(feature_block=args.block))
     trace_path = None
     if args.trace_out:
-        # Telemetry run: same coalesced kernel, same cycle count — the
-        # probe and span tracer only observe (DESIGN.md §8).
+        # Telemetry run: same replay, same cycle count — the probe and
+        # span tracer only observe (DESIGN.md §8).
         from repro.obs import HwProbe, write_perfetto
         from repro.obs.spans import SpanTracer, tracing
 
@@ -350,7 +350,6 @@ def _cmd_perf(args: argparse.Namespace) -> str:
                                  networks=networks,
                                  hidden_dim=args.hidden_dim,
                                  repeat=args.repeat,
-                                 coalesce=not args.no_coalesce,
                                  program_store=store)
     caches = {
         "full_lowerings": full_lowering_count() - lowerings_before,
@@ -374,12 +373,10 @@ def _cmd_perf(args: argparse.Namespace) -> str:
     output = args.output
     if output is None:
         # The default target is the committed baseline; only write it
-        # for the full default grid measured with the default kernel,
-        # so a restricted (or deliberately slow) run can never silently
-        # replace the full trajectory with a partial payload.
+        # for the full default grid, so a restricted run can never
+        # silently replace the full trajectory with a partial payload.
         full_grid = (datasets == DEFAULT_DATASETS
-                     and networks == DEFAULT_NETWORKS
-                     and not args.no_coalesce)
+                     and networks == DEFAULT_NETWORKS)
         output = "BENCH_host.json" if full_grid else ""
         if not full_grid:
             lines.append("not writing BENCH_host.json for a restricted "
@@ -575,45 +572,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_trace(args: argparse.Namespace) -> str:
-    from repro.sim.trace import Tracer, render_gantt
-
-    spec = WorkloadSpec(dataset=args.dataset, network=args.network)
-    harness = Harness()
-    accelerator = GNNerator(gnnerator_config())
-    tracer = Tracer()
-    extra = ""
-    if args.perfetto:
-        # Per-op tracing needs the event kernel; collect host spans and
-        # the hardware probe alongside so one file carries all three
-        # signal families (load/compile/simulate spans, labelled op
-        # slices, DRAM counter tracks).
-        from repro.obs import HwProbe, write_perfetto
-        from repro.obs.spans import SpanTracer, tracing
-
-        probe = HwProbe()
-        host_spans = SpanTracer()
-        with tracing(host_spans):
-            program = accelerator.compile(harness.graph(spec.dataset),
-                                          harness.model(spec))
-            result = accelerator.simulate(program, tracer=tracer,
-                                          probe=probe)
-        sim_ops = [(e.unit, e.label, e.issue, e.complete)
-                   for e in tracer.events]
-        path = write_perfetto(args.perfetto, spans=host_spans,
-                              probe=probe, sim_ops=sim_ops,
-                              frequency_ghz=result.frequency_ghz,
-                              total_cycles=result.cycles)
-        extra = (f"\n\nwrote {path} (load in "
-                 f"https://ui.perfetto.dev)")
-    else:
-        program = accelerator.compile(harness.graph(spec.dataset),
-                                      harness.model(spec))
-        result = accelerator.simulate(program, tracer=tracer)
-    return (f"{spec.label}: {result.describe()}\n\n"
-            f"{render_gantt(tracer)}{extra}")
-
-
 def _cmd_profile(args: argparse.Namespace) -> str:
     from repro.obs import profile_workload, render_profile
 
@@ -622,24 +580,6 @@ def _cmd_profile(args: argparse.Namespace) -> str:
                                feature_block=args.block,
                                seed=args.seed, top_k=args.top_k)
     return render_profile(payload)
-
-
-def _cmd_bottleneck(args: argparse.Namespace) -> str:
-    from repro.eval.bottleneck import analyze_bottleneck
-
-    harness = Harness()
-    lines = []
-    for hidden in (16, 128, 1024):
-        spec = WorkloadSpec(dataset=args.dataset, network=args.network,
-                            hidden_dim=hidden)
-        config = gnnerator_config()
-        accelerator = GNNerator(config)
-        program = accelerator.compile(harness.graph(spec.dataset),
-                                      harness.model(spec))
-        result = accelerator.simulate(program)
-        report = analyze_bottleneck(program, result, config)
-        lines.append(f"hidden {hidden:>4}: {report.describe()}")
-    return "\n".join(lines)
 
 
 def _cmd_verify(args: argparse.Namespace) -> str:
@@ -765,18 +705,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parameter-initialisation seed (default 0)")
     _add_scheduler_args(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
-    trace = sub.add_parser("trace",
-                           help="render a pipeline Gantt chart")
-    trace.add_argument("dataset", choices=DATASET_NAMES)
-    trace.add_argument("network", choices=NETWORK_NAMES)
-    trace.add_argument("--perfetto", default=None, metavar="OUT.json",
-                       help="also write a Chrome/Perfetto trace with "
-                            "per-operation slices (event kernel)")
-    trace.set_defaults(handler=_cmd_trace)
     profile = sub.add_parser(
         "profile",
-        help="profile one workload: per-phase host wall time, engine "
-             "utilization, hottest shards, DRAM roll-up")
+        help="profile one workload: binding resource, per-phase host "
+             "wall time, per-unit cycles, DRAM roll-up, hottest "
+             "shards, pipeline Gantt chart")
     profile.add_argument("dataset", choices=DATASET_NAMES)
     profile.add_argument("network", choices=NETWORK_NAMES)
     profile.add_argument("--hidden-dim", type=_positive_int, default=16)
@@ -787,13 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=0,
                          help="parameter-initialisation seed (default 0)")
     profile.set_defaults(handler=_cmd_profile)
-    bottleneck = sub.add_parser(
-        "bottleneck",
-        help="which resource binds, across hidden dimensions (Fig 5's "
-             "reasoning)")
-    bottleneck.add_argument("dataset", choices=DATASET_NAMES)
-    bottleneck.add_argument("network", choices=NETWORK_NAMES)
-    bottleneck.set_defaults(handler=_cmd_bottleneck)
     dse = sub.add_parser(
         "dse",
         help="search the accelerator design space, report the Pareto "
@@ -917,10 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--repeat", type=_positive_int, default=1,
                       help="repetitions per workload; each component "
                            "reports its minimum (default 1)")
-    perf.add_argument("--no-coalesce", action="store_true",
-                      help="time the per-operation event kernel instead "
-                           "of the coalesced replay (identical cycles; "
-                           "the before/after lever for simulate_s)")
     perf.add_argument("--no-program-cache", action="store_true",
                       help="bypass the persistent compiled-program "
                            "store so compile_s measures pure cold "

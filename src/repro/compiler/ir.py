@@ -50,6 +50,10 @@ UNITS = (
 #: Double-buffer credit channels (producer unit -> consumer unit).
 CHANNELS = ("graph", "dense")
 
+#: Buffer halves per double-buffered channel: the credits each channel
+#: starts with, and the capacity of its fetch-to-compute handoff.
+DOUBLE_BUFFER_CREDITS = 2
+
 
 class CompileError(ValueError):
     """Raised when a workload cannot be lowered onto the platform."""

@@ -28,7 +28,7 @@ SECTIONS = ("dense", "graph", "dram")
 #: every op's cycle cost from structural config (array shape, GPE
 #: count, SIMD width, pipeline depth, buffer budgets) but clock
 #: frequencies enter only when cycles are converted to seconds, and
-#: the whole DRAM section enters only through the event kernel /
+#: the whole DRAM section enters only through the simulator's
 #: coalesced chains (see ``Program.coalesced_plan``). Anything listed
 #: here can change without invalidating a compiled program.
 _SIMULATE_ONLY_FIELDS = ("frequency_ghz",)

@@ -1,12 +1,3 @@
-"""Hardware engine models: Dense Engine, Graph Engine, Controller."""
-
-from repro.engines.controller import DOUBLE_BUFFER_CREDITS, Controller
-from repro.engines.executor import DeadlockError, execute_op, unit_process
-
-__all__ = [
-    "DOUBLE_BUFFER_CREDITS",
-    "Controller",
-    "DeadlockError",
-    "execute_op",
-    "unit_process",
-]
+"""Analytic cost models of the two engines: GPE lane slots
+(:mod:`repro.engines.graph.gpe`) and systolic GEMM timing
+(:mod:`repro.engines.dense.systolic`)."""

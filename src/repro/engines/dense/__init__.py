@@ -1,6 +1,5 @@
-"""Dense Engine: systolic GEMM timing model and DES component."""
+"""Dense Engine: systolic GEMM timing model."""
 
-from repro.engines.dense.engine import DenseEngine
 from repro.engines.dense.systolic import (
     GemmShape,
     GemmTiming,
@@ -11,7 +10,6 @@ from repro.engines.dense.systolic import (
 )
 
 __all__ = [
-    "DenseEngine",
     "GemmShape",
     "GemmTiming",
     "activation_cycles",

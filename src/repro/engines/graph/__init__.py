@@ -1,6 +1,5 @@
-"""Graph Engine: GPE cycle model and DES component."""
+"""Graph Engine: GPE cycle model."""
 
-from repro.engines.graph.engine import GraphEngine
 from repro.engines.graph.gpe import (
     gpe_edge_distribution,
     gpe_utilization,
@@ -11,7 +10,6 @@ from repro.engines.graph.gpe import (
 )
 
 __all__ = [
-    "GraphEngine",
     "gpe_edge_distribution",
     "gpe_utilization",
     "interval_touch_cycles",

@@ -101,14 +101,9 @@ def _timed(fn):
 
 
 def measure_workload(dataset: str, network: str, hidden_dim: int = 16,
-                     repeat: int = 1, coalesce: bool = True,
+                     repeat: int = 1,
                      program_store="default") -> dict:
     """Time one workload's load / compile / simulate on a fresh harness.
-
-    ``coalesce=False`` times the per-operation event kernel instead of
-    the coalesced replay (identical cycles; see
-    :mod:`repro.sim.coalesce`) — the before/after lever for the
-    simulate-path trajectory.
 
     ``program_store`` is forwarded to each repeat's
     :class:`~repro.eval.harness.Harness` — like the dataset disk
@@ -136,8 +131,7 @@ def measure_workload(dataset: str, network: str, hidden_dim: int = 16,
             compile_s, program = _timed(
                 lambda: harness._compiled(spec, config, feature_block))
             simulate_s, result = _timed(
-                lambda: GNNerator(config).simulate(program,
-                                                   coalesce=coalesce))
+                lambda: GNNerator(config).simulate(program))
         if cycles is not None and result.cycles != cycles:
             raise RuntimeError(
                 f"{spec.label}: cycles changed between repeats "
@@ -155,7 +149,6 @@ def measure_workload(dataset: str, network: str, hidden_dim: int = 16,
 
 def measure(datasets=DEFAULT_DATASETS, networks=DEFAULT_NETWORKS,
             hidden_dim: int = 16, repeat: int = 1,
-            coalesce: bool = True,
             program_store="default") -> dict[str, dict]:
     """The per-workload rows, one entry per dataset x network.
 
@@ -173,7 +166,7 @@ def measure(datasets=DEFAULT_DATASETS, networks=DEFAULT_NETWORKS,
             label = f"{dataset}-{network}"
             workloads[label] = measure_workload(
                 dataset, network, hidden_dim=hidden_dim, repeat=repeat,
-                coalesce=coalesce, program_store=program_store)
+                program_store=program_store)
     return workloads
 
 

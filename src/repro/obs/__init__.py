@@ -14,9 +14,10 @@ Three signal families share this package (DESIGN.md §8):
   and queue counters through callback instruments.
 * **Simulated-hardware telemetry** (:mod:`repro.obs.hwtel`) — raw
   per-engine busy windows, DRAM bursts and port-queue depth samples
-  recorded by *both* simulation kernels behind an optional probe, then
-  binned into cycle-time windows after the run. Recording never feeds
-  back into scheduling, so enabling it cannot move a cycle count.
+  recorded by the simulator behind an optional probe, labelled per op
+  and binned into cycle-time windows after the run. Recording never
+  feeds back into scheduling, so enabling it cannot move a cycle
+  count.
 
 :mod:`repro.obs.perfetto` serialises spans + telemetry as Chrome
 trace-event JSON for ``chrome://tracing`` / https://ui.perfetto.dev.

@@ -1,40 +1,46 @@
-"""Simulated-hardware telemetry: raw probe events + derived windows.
+"""Simulated-hardware telemetry: raw probe events + derived views.
 
-The probe is the *only* thing the simulation kernels know about
-telemetry: an :class:`HwProbe` is three append-only lists that both
-kernels fill behind a ``probe is not None`` branch —
+The probe is the *only* thing the simulator knows about telemetry: an
+:class:`HwProbe` is four append-only lists. The replay
+(:func:`repro.sim.coalesce.run_plan`) fills the first three behind a
+``probe is not None`` branch, and ``GNNerator.simulate`` derives the
+fourth from them after the run —
 
 * ``busy``  — ``(unit, start, end)`` compute-occupancy windows,
 * ``dram``  — ``(unit, direction, grant_cycle, occupancy_cycles,
   num_bytes)`` per burst, recorded when the channel port is granted,
-* ``queue`` — ``(cycle, depth)`` DRAM-port queue depth (holders +
-  waiters) sampled at each request's arrival.
+* ``queue`` — ``(unit, cycle, depth)`` per DRAM request: the
+  requesting unit and the port-queue depth (holders + waiters) at its
+  arrival,
+* ``ops``   — ``(unit, label, start, end)`` for every operation that
+  occupied its unit (:func:`repro.sim.coalesce.op_slices`): compute
+  ops for their cycles, DMAs from request to data delivered.
 
 Everything an operator actually wants — per-engine utilization over
-time, DRAM bandwidth per window, queue-occupancy peaks — is **derived
-here, after the run**, by binning those raw events into cycle-time
-windows (:func:`bin_windows`). Deriving instead of sampling inside
-the kernels is a correctness posture, not a convenience: recording
-appends to a list and never reads scheduler state, so enabling a
-probe cannot reorder events or move a cycle count (the §4 obligation;
-``tests/test_obs.py`` pins probe-on == probe-off == golden). It also
-keeps the two kernels honest with each other — both emit the *same*
-raw event stream for the same program, which the cross-kernel
-equality test checks directly.
+time, DRAM bandwidth per window, queue-occupancy peaks, the pipeline
+Gantt chart — is **derived here, after the run**, from those raw
+events (:func:`bin_windows`, :func:`render_gantt`). Deriving instead
+of sampling inside the replay is a correctness posture, not a
+convenience: recording appends to a list and never reads scheduler
+state, so enabling a probe cannot reorder events or move a cycle count
+(the §4 obligation; ``tests/test_obs.py`` pins probe-on == probe-off
+== golden, and the event-driven oracle under ``tests/oracle/`` emits
+the same four streams for the same program).
 """
 
 from __future__ import annotations
 
 
 class HwProbe:
-    """Raw event sink both simulation kernels append into."""
+    """Raw event sink of one simulated run."""
 
-    __slots__ = ("busy", "dram", "queue")
+    __slots__ = ("busy", "dram", "queue", "ops")
 
     def __init__(self) -> None:
         self.busy: list[tuple[str, int, int]] = []
         self.dram: list[tuple[str, str, int, int, int]] = []
-        self.queue: list[tuple[int, int]] = []
+        self.queue: list[tuple[str, int, int]] = []
+        self.ops: list[tuple[str, str, int, int]] = []
 
     def units(self) -> list[str]:
         return sorted({unit for unit, _, _ in self.busy}
@@ -93,7 +99,7 @@ def bin_windows(probe: HwProbe, total_cycles: int,
         for w, overlap in overlapping(start, end):
             w["dram_busy_cycles"] += overlap
             w[key] += num_bytes * (overlap / max(occupancy, 1))
-    for cycle, depth in probe.queue:
+    for _unit, cycle, depth in probe.queue:
         index = min(int(cycle / width), num_windows - 1)
         w = windows[index]
         w["queue_peak"] = max(w["queue_peak"], depth)
@@ -121,5 +127,51 @@ def summarize_probe(probe: HwProbe, total_cycles: int) -> dict:
         "dram_write_bytes": write,
         "dram_busy_cycles": dram_busy,
         "dram_bytes_per_cycle": (read + write) / span,
-        "queue_peak": max((d for _, d in probe.queue), default=0),
+        "queue_peak": max((d for _, _, d in probe.queue), default=0),
     }
+
+
+def busy_intervals(ops: list[tuple[str, str, int, int]],
+                   unit: str) -> list[tuple[int, int]]:
+    """Merged ``[start, end)`` windows in which ``unit`` ran an op."""
+    merged: list[tuple[int, int]] = []
+    for start, end in sorted((start, end) for who, _, start, end in ops
+                             if who == unit and end > start):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
+
+
+def overlap_cycles(ops: list[tuple[str, str, int, int]], unit_a: str,
+                   unit_b: str) -> int:
+    """Cycles during which both units were running an op."""
+    intervals_b = busy_intervals(ops, unit_b)
+    return sum(max(0, min(end_a, end_b) - max(start_a, start_b))
+               for start_a, end_a in busy_intervals(ops, unit_a)
+               for start_b, end_b in intervals_b)
+
+
+def render_gantt(ops: list[tuple[str, str, int, int]],
+                 width: int = 72) -> str:
+    """ASCII Gantt chart of op slices: one row per unit, '#' where
+    the unit was running an op."""
+    units = sorted({unit for unit, _, _, _ in ops})
+    if not units:
+        return "(empty trace)"
+    horizon = max(end for _, _, _, end in ops)
+    if horizon == 0:
+        return "(zero-length trace)"
+    scale = horizon / width
+    name_width = max(len(u) for u in units)
+    lines = [f"{'cycles'.rjust(name_width)} 0{'-' * (width - 8)}{horizon}"]
+    for unit in units:
+        row = [" "] * width
+        for start, end in busy_intervals(ops, unit):
+            lo = min(int(start / scale), width - 1)
+            hi = min(max(int(end / scale), lo + 1), width)
+            for i in range(lo, hi):
+                row[i] = "#"
+        lines.append(f"{unit.rjust(name_width)} {''.join(row)}")
+    return "\n".join(lines)

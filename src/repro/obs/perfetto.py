@@ -1,17 +1,17 @@
 """Chrome/Perfetto trace-event JSON export.
 
 Serialises one run's telemetry — host spans from a
-:class:`~repro.obs.spans.SpanTracer`, the simulated-hardware timeline
-from a :class:`~repro.obs.hwtel.HwProbe` (or labelled per-op slices
-from a :class:`~repro.sim.trace.Tracer`) — into the trace-event JSON
-format that ``chrome://tracing`` and https://ui.perfetto.dev load
-directly.
+:class:`~repro.obs.spans.SpanTracer` and the simulated-hardware
+timeline from a :class:`~repro.obs.hwtel.HwProbe` — into the
+trace-event JSON format that ``chrome://tracing`` and
+https://ui.perfetto.dev load directly.
 
 Layout: pid 1 is the **host** process (one tid per Python thread,
 complete events with microsecond timestamps); pid 2 is the
-**simulated hardware** (one tid per unit, cycle timestamps converted
-at the model's clock so both processes share the microsecond axis),
-plus counter tracks for DRAM bandwidth and port-queue depth.
+**simulated hardware** (one tid per unit carrying the probe's
+labelled op slices, cycle timestamps converted at the model's clock
+so both processes share the microsecond axis), plus counter tracks
+for DRAM bandwidth and port-queue depth.
 
 :func:`validate_trace_events` is the schema check the trace-smoke CI
 step and the unit tests run over every emitted file: required fields
@@ -39,16 +39,13 @@ def _meta(pid: int, tid: int, what: str, name: str) -> dict:
 
 def build_trace(spans: SpanTracer | None = None,
                 probe: HwProbe | None = None,
-                sim_ops: list[tuple[str, str, int, int]] | None = None,
                 frequency_ghz: float = 1.0,
                 total_cycles: int | None = None,
                 num_windows: int = 48) -> dict:
     """Assemble the trace-event payload.
 
-    ``sim_ops`` takes labelled ``(unit, label, start, end)`` slices
-    (the event kernel's :class:`~repro.sim.trace.Tracer` events) and
-    wins over ``probe.busy`` for the slice tracks; the probe still
-    contributes DRAM bursts and the counter tracks. Cycle ``c``
+    The slice tracks are the probe's labelled ``ops``; its DRAM
+    bursts and queue samples feed the counter tracks. Cycle ``c``
     renders at ``c / frequency_ghz`` nanoseconds = ``c * 1e-3 /
     frequency_ghz`` microseconds.
     """
@@ -72,26 +69,15 @@ def build_trace(spans: SpanTracer | None = None,
                 "args": {k: str(v) for k, v in record.attrs.items()},
             })
 
-    slices: list[tuple[str, str, int, int]] = []
-    if sim_ops:
-        slices = list(sim_ops)
-    elif probe is not None:
-        slices = [(unit, "busy", start, end)
-                  for unit, start, end in probe.busy]
-        slices.extend((unit, f"dram-{direction}", start,
-                       start + occupancy)
-                      for unit, direction, start, occupancy, _
-                      in probe.dram)
-    if slices or probe is not None:
+    if probe is not None:
         events.append(_meta(SIM_PID, 0, "process_name",
                             "simulated-hw"))
-    if slices:
         unit_tids = {unit: i + 1 for i, unit in enumerate(
-            sorted({unit for unit, _, _, _ in slices}))}
+            sorted({unit for unit, _, _, _ in probe.ops}))}
         for unit, tid in unit_tids.items():
             events.append(_meta(SIM_PID, tid, "thread_name", unit))
         for unit, label, start, end in sorted(
-                slices, key=lambda s: (unit_tids[s[0]], s[2], s[3])):
+                probe.ops, key=lambda s: (unit_tids[s[0]], s[2], s[3])):
             events.append({
                 "name": label, "ph": "X", "cat": "sim",
                 "pid": SIM_PID, "tid": unit_tids[unit],
@@ -170,11 +156,11 @@ def validate_trace_events(payload: dict) -> list[str]:
     return problems
 
 
-def write_perfetto(path, spans=None, probe=None, sim_ops=None,
+def write_perfetto(path, spans=None, probe=None,
                    frequency_ghz: float = 1.0,
                    total_cycles: int | None = None) -> Path:
     """Build, validate and write one trace file; returns the path."""
-    payload = build_trace(spans=spans, probe=probe, sim_ops=sim_ops,
+    payload = build_trace(spans=spans, probe=probe,
                           frequency_ghz=frequency_ghz,
                           total_cycles=total_cycles)
     problems = validate_trace_events(payload)

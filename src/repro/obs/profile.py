@@ -1,18 +1,24 @@
-"""One-shot workload profile: host phases + simulated-hardware summary.
+"""One-shot workload profile: host phases + simulated-hardware report.
 
 ``repro profile <dataset> <network>`` answers "where did the time go?"
 for a single workload without setting up tracing by hand: it runs the
 full pipeline (load → compile → simulate) under a span tracer and a
 hardware probe, then reports
 
+* the binding resource: each resource's lower bound (DRAM bandwidth,
+  Graph Engine aggregation, Dense Engine combination) against the
+  achieved cycles (:mod:`repro.eval.bottleneck`);
 * per-phase host wall time (the span aggregate — load, compile, lower
   and its per-stage children, shard-batch, build-plan, simulate);
-* per-engine simulated busy cycles and utilization;
+* per-unit simulated cycles from the probe's op slices: compute
+  cycles for the compute units, DMA cycles in flight (request to data
+  delivered) for the fetch and writeback units;
+* the DRAM roll-up from the probe (bytes each way, achieved
+  bytes/cycle, peak port-queue depth);
 * the top-k hottest shards by GPE compute cycles (straight off the
   compiled program's :class:`~repro.compiler.ir.ShardAggregateOp`
   queue entries — a static property of the program, no extra runs);
-* the DRAM roll-up from the probe (bytes each way, achieved
-  bytes/cycle, peak port-queue depth).
+* the pipeline Gantt chart of the op slices.
 
 Everything here is read-only over existing machinery; profiling runs
 the same simulation as ``repro run`` and reports the same cycle count.
@@ -20,7 +26,7 @@ the same simulation as ``repro run`` and reports the same cycle count.
 
 from __future__ import annotations
 
-from repro.obs.hwtel import HwProbe, summarize_probe
+from repro.obs.hwtel import HwProbe, render_gantt, summarize_probe
 from repro.obs.spans import SpanTracer, tracing
 
 # The pipeline imports (accelerator, harness) happen inside the
@@ -29,20 +35,42 @@ from repro.obs.spans import SpanTracer, tracing
 
 
 def hottest_shards(program, top_k: int = 5) -> list[dict]:
-    """The ``top_k`` shard-aggregate ops by compute cycles."""
+    """The ``top_k`` shard-aggregate ops by compute cycles; one row per
+    (shard, feature block) visit."""
     from repro.compiler.ir import ShardAggregateOp
 
     ops = [op for queue in program.queues.values() for op in queue
            if isinstance(op, ShardAggregateOp)]
-    ops.sort(key=lambda op: (-op.cycles, op.layer, op.stage, op.shard))
+    ops.sort(key=lambda op: (-op.cycles, op.layer, op.stage, op.shard,
+                             op.dims))
     return [{
         "layer": op.layer,
         "stage": op.stage,
         "shard": list(op.shard),
+        "block": list(op.dims),
         "cycles": op.cycles,
         "num_edges": op.num_edges,
         "max_gpe_edges": op.max_gpe_edges,
     } for op in ops[:top_k]]
+
+
+def unit_cycles(probe: HwProbe, result) -> dict[str, dict]:
+    """Per-unit totals of the probe's op slices.
+
+    A unit with compute ops counts compute cycles (equal to
+    ``result.unit_busy_cycles``); the fetch and writeback units count
+    DMA cycles in flight, from each request to its data delivered.
+    """
+    totals: dict[str, int] = {}
+    for unit, _label, start, end in probe.ops:
+        totals[unit] = totals.get(unit, 0) + end - start
+    span = max(result.cycles, 1)
+    return {unit: {
+        "cycles": cycles,
+        "kind": ("compute" if result.unit_busy_cycles.get(unit)
+                 else "DMA in flight"),
+        "utilization": min(cycles / span, 1.0),
+    } for unit, cycles in sorted(totals.items())}
 
 
 def profile_workload(dataset: str, network: str, *,
@@ -54,6 +82,7 @@ def profile_workload(dataset: str, network: str, *,
     from repro.accelerator import GNNerator
     from repro.config.platforms import gnnerator_config
     from repro.config.workload import WorkloadSpec
+    from repro.eval.bottleneck import analyze_bottleneck
     from repro.eval.harness import Harness
 
     if harness is None:
@@ -67,6 +96,7 @@ def profile_workload(dataset: str, network: str, *,
         program = harness.gnnerator_program(spec)
         config = gnnerator_config(feature_block=spec.feature_block)
         result = GNNerator(config).simulate(program, probe=probe)
+    bottleneck = analyze_bottleneck(program, result, config)
     phases = tracer.by_name()
     wall_s = sum(info["total_s"] for info in phases.values()
                  if info["depth"] == 0)
@@ -80,16 +110,15 @@ def profile_workload(dataset: str, network: str, *,
         "seconds": result.seconds,
         "wall_s": wall_s,
         "compile_tier": harness.last_compile_tier(),
+        "bottleneck": bottleneck.describe(),
         "phases": {
             name: {"total_s": info["total_s"], "count": info["count"]}
             for name, info in sorted(phases.items(),
                                      key=lambda kv: -kv[1]["total_s"])},
-        "engines": {
-            unit: {"busy_cycles": busy,
-                   "utilization": result.utilization(unit)}
-            for unit, busy in sorted(result.unit_busy_cycles.items())},
+        "engines": unit_cycles(probe, result),
         "hottest_shards": hottest_shards(program, top_k),
         "dram": summarize_probe(probe, result.cycles),
+        "gantt": render_gantt(probe.ops),
     }
 
 
@@ -103,6 +132,7 @@ def render_profile(payload: dict) -> str:
         f"({payload['seconds'] * 1e6:.1f} us), "
         f"host wall {payload['wall_s'] * 1e3:.1f} ms, "
         f"compile tier: {payload['compile_tier']}",
+        f"  {payload['bottleneck']}",
         "  host phases:",
     ]
     for name, info in payload["phases"].items():
@@ -110,8 +140,8 @@ def render_profile(payload: dict) -> str:
                      f"  x{info['count']}")
     lines.append("  engines:")
     for unit, info in payload["engines"].items():
-        lines.append(f"    {unit:<16} {info['busy_cycles']:>10} cycles"
-                     f"  {info['utilization']:6.1%}")
+        lines.append(f"    {unit:<16} {info['cycles']:>10} cycles"
+                     f"  {info['utilization']:6.1%}  {info['kind']}")
     dram = payload["dram"]
     lines.append(
         f"  dram: {dram['dram_read_bytes']} B read, "
@@ -120,9 +150,13 @@ def render_profile(payload: dict) -> str:
         f"queue peak {dram['queue_peak']}")
     lines.append("  hottest shards (by GPE cycles):")
     for entry in payload["hottest_shards"]:
-        shard = tuple(entry["shard"])
+        where = (f"l{entry['layer']}s{entry['stage']} "
+                 f"shard{tuple(entry['shard'])} "
+                 f"block{tuple(entry['block'])}")
         lines.append(
-            f"    l{entry['layer']}s{entry['stage']} shard{shard}"
-            f"  {entry['cycles']:>8} cycles  {entry['num_edges']} edges"
+            f"    {where:<36} {entry['cycles']:>8} cycles"
+            f"  {entry['num_edges']} edges"
             f"  (worst GPE {entry['max_gpe_edges']})")
+    lines.append("  pipeline (# = unit running an op):")
+    lines.extend(f"    {row}" for row in payload["gantt"].splitlines())
     return "\n".join(lines)

@@ -1,36 +1,2 @@
-"""Discrete-event simulation substrate (kernel, queues, memory models)."""
-
-from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from repro.sim.memory import (
-    BusyTracker,
-    DramChannel,
-    Scratchpad,
-    TrafficCounter,
-)
-from repro.sim.queues import Resource, Semaphore, Store, TokenTable
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Environment",
-    "Event",
-    "Process",
-    "SimulationError",
-    "Timeout",
-    "BusyTracker",
-    "DramChannel",
-    "Scratchpad",
-    "TrafficCounter",
-    "Resource",
-    "Semaphore",
-    "Store",
-    "TokenTable",
-]
+"""The simulator: a coalesced replay of compiled unit queues
+(:mod:`repro.sim.coalesce`)."""

@@ -1,12 +1,13 @@
-"""Coalesced-event simulation: the DES without the generator ping-pong.
+"""The simulator: a coalesced replay of the compiled unit queues.
 
-The process-based kernel (:mod:`repro.sim.kernel`) resumes a Python
-generator for every operation of every unit — creating an ``Event``,
-bouncing through the zero-delay deque, and re-entering ``execute_op``
-several times per op. All of that machinery exists to compute exactly
-one dynamic quantity: the end-to-end cycle count (every other field of
-an ``ExecutionResult`` — busy cycles, DRAM bytes, op counts — is a
-static function of the program, because every operation executes
+The reference semantics is a process-based discrete-event kernel that
+resumes a Python generator for every operation of every unit —
+creating an ``Event``, bouncing through a zero-delay deque, and
+re-entering ``execute_op`` several times per op. It lives on only as
+the test oracle (``tests/oracle/``). All of that machinery computes
+exactly one dynamic quantity: the end-to-end cycle count (every other
+field of an ``ExecutionResult`` — busy cycles, DRAM bytes, op counts —
+is a static function of the program, because every operation executes
 exactly once). This module therefore splits simulation into:
 
 * :func:`build_plan` — a one-time pass over the compiled queues that
@@ -19,13 +20,16 @@ exactly once). This module therefore splits simulation into:
 * :func:`run_plan` — a bespoke scheduler that replays the six chains,
   entering its event structures only at cross-unit synchronisation
   points: buffer handoffs (credits / handoff stores), DRAM-channel
-  arbitration, controller tokens, and time advances.
+  arbitration, controller tokens, and time advances;
+* :func:`op_slices` — after a probed replay, labels the probe's raw
+  windows with the operations that made them (the per-op timeline).
 
 Order-equivalence argument (the §4 cycle-neutrality obligation)
 ---------------------------------------------------------------
 
 Cycle counts out of :func:`run_plan` are identical to the process-based
-kernel's because the scheduler is an *operational mirror* of it —
+kernel's (``tests/oracle/``) because the scheduler is an *operational
+mirror* of it —
 every kernel interaction the generators would perform appears in the
 precompiled chains, in the same per-unit order — plus one provably
 order-preserving reduction, applied in two places:
@@ -82,8 +86,8 @@ waiter); handoffs mirror ``Store`` including the wake order of a
 blocked putter vs. the getter that unblocked it; the DRAM port mirrors
 ``Resource`` FIFO arbitration with the release happening after the
 occupancy and before the latency sleep. ``tests/test_coalesce.py``
-locks the equivalence by running both kernels over the differential
-suite and asserting exact cycle equality.
+locks the equivalence by running the replay and the oracle over the
+differential suite and asserting exact cycle equality.
 
 Compile-product dependency key
 ------------------------------
@@ -108,6 +112,7 @@ from typing import TYPE_CHECKING
 
 from repro.compiler.ir import (
     CHANNELS,
+    DOUBLE_BUFFER_CREDITS,
     UNITS,
     AccumWritebackOp,
     AcquireOp,
@@ -119,11 +124,25 @@ from repro.compiler.ir import (
     op_cycles,
 )
 from repro.config.accelerator import DramConfig
-from repro.engines.controller import DOUBLE_BUFFER_CREDITS
-from repro.sim.kernel import SimulationError
 
 if TYPE_CHECKING:
     from repro.obs.hwtel import HwProbe
+
+
+class SimulationError(RuntimeError):
+    """Raised when a program cannot be simulated."""
+
+
+class DeadlockError(SimulationError):
+    """Raised when simulation drains with unit queues unfinished;
+    carries the stuck unit names and the cycle the machine stopped."""
+
+    def __init__(self, stuck: list[str], cycles: int) -> None:
+        super().__init__(f"simulation deadlocked; unfinished units: "
+                         f"{stuck}")
+        self.stuck = stuck
+        self.cycles = cycles
+
 
 # Action opcodes, numbered roughly by execution frequency (the
 # scheduler dispatches through an if-chain in this order). Each chain
@@ -196,8 +215,8 @@ def build_plan(queues: dict[str, list[Operation]],
                dram: DramConfig) -> CoalescedPlan:
     """Lower per-unit operation queues into primitive action chains.
 
-    Emits, for each operation, exactly the kernel interactions
-    ``repro.engines.executor.execute_op`` performs, in the same order.
+    Emits, for each operation, exactly the kernel interactions the
+    oracle's ``execute_op`` performs, in the same order.
     All once-per-run accounting (busy cycles, DRAM byte counters,
     channel busy time) is summed here instead of at run time — every
     action executes exactly once, so it is a static property of the
@@ -282,17 +301,17 @@ def run_plan(plan: CoalescedPlan, probe: HwProbe | None = None) -> int:
 
     Operationally mirrors ``Environment.run`` driving six
     ``unit_process`` generators (see the module docstring for the
-    order-equivalence argument). Raises :class:`DeadlockSuspension`
-    when the event structures drain with chains unfinished.
+    order-equivalence argument). Raises :class:`DeadlockError` when
+    the event structures drain with chains unfinished.
 
     ``probe`` (an :class:`repro.obs.hwtel.HwProbe`) records the raw
     hardware-telemetry event stream: compute-occupancy windows, DRAM
     bursts (direction/bytes resolved through the plan's static
-    ``dma_meta``, consumed in per-unit chain order), and port-queue
-    depth at each request's arrival. Recording is append-only and
-    reads no scheduler state, so a probed replay is cycle-identical
-    to an unprobed one by construction; an unprobed replay pays one
-    predictable branch per action.
+    ``dma_meta``, consumed in per-unit chain order), and the
+    requesting unit and port-queue depth at each request's arrival.
+    Recording is append-only and reads no scheduler state, so a probed
+    replay is cycle-identical to an unprobed one by construction; an
+    unprobed replay pays one predictable branch per action.
 
     The branch structure below is deliberately flat and local-heavy:
     this loop *is* the simulator, and on a million-edge program it
@@ -317,8 +336,8 @@ def run_plan(plan: CoalescedPlan, probe: HwProbe | None = None) -> int:
     #: Maturity of the earliest pending timer (the hoisted ``heap[0]``
     #: deadline); ``_NEVER`` when the heap is empty.
     next_wake = _NEVER
-    # Zero-delay ready lane; seeded in launch order exactly as
-    # ``GNNerator.simulate`` spawns the unit processes.
+    # Zero-delay ready lane; seeded in launch order exactly as the
+    # oracle spawns the unit processes.
     fast: deque[int] = deque(range(num_units))
     fast_append = fast.append
     fast_popleft = fast.popleft
@@ -401,9 +420,9 @@ def run_plan(plan: CoalescedPlan, probe: HwProbe | None = None) -> int:
             if kind == DRAM_REQ:
                 if rec:
                     # Queue depth at arrival: holders + waiters, the
-                    # event kernel's in_use + queue_length.
+                    # oracle's in_use + queue_length.
                     probe_queue.append(
-                        (now, (0 if dram_free else 1)
+                        (UNITS[unit], now, (0 if dram_free else 1)
                          + len(dram_waiters)))
                 if dram_free:
                     if not fast and next_wake > now:
@@ -565,17 +584,56 @@ def run_plan(plan: CoalescedPlan, probe: HwProbe | None = None) -> int:
         pcs[unit] = pc
 
     if not all(done):
-        stuck = [UNITS[i] for i in range(num_units) if not done[i]]
-        raise DeadlockSuspension(stuck, now)
+        raise DeadlockError(
+            [UNITS[i] for i in range(num_units) if not done[i]], now)
     return now
 
 
-class DeadlockSuspension(SimulationError):
-    """Raised by :func:`run_plan` when chains remain unfinished; carries
-    the stuck unit names so callers can re-raise their usual error."""
+def op_slices(queues: dict[str, list[Operation]], probe: HwProbe,
+              dram: DramConfig) -> list[tuple[str, str, int, int]]:
+    """Label a probed replay's windows with the ops that made them.
 
-    def __init__(self, stuck: list[str], cycles: int) -> None:
-        super().__init__(f"coalesced simulation deadlocked; unfinished "
-                         f"units: {stuck}")
-        self.stuck = stuck
-        self.cycles = cycles
+    Returns ``(unit, label, start, end)`` for every operation that
+    occupied its unit for a non-zero time, by inverting
+    :func:`build_plan`'s op-to-action mapping over the probe's streams
+    (each unit appends them in queue order):
+
+    * the k-th compute op with cycles is the unit's k-th ``busy``
+      window;
+    * the k-th DMA or writeback moving bytes is the unit's k-th
+      ``dram`` burst, and occupies the unit from its request (the
+      unit's k-th ``queue`` sample) to grant + occupancy + burst
+      latency.
+
+    Token waits, credits and buffer handoffs take no time of their
+    own. The probe must have recorded exactly one run of ``queues``.
+    """
+    busy: dict[str, list[tuple[int, int]]] = {unit: [] for unit in UNITS}
+    for unit, start, end in probe.busy:
+        busy[unit].append((start, end))
+    requests: dict[str, list[int]] = {unit: [] for unit in UNITS}
+    for unit, cycle, _depth in probe.queue:
+        requests[unit].append(cycle)
+    latency = dram.burst_latency_cycles
+    done: dict[str, list[int]] = {unit: [] for unit in UNITS}
+    for unit, _direction, grant, occupancy, _bytes in probe.dram:
+        done[unit].append(grant + occupancy + latency)
+
+    slices: list[tuple[str, str, int, int]] = []
+    for unit in UNITS:
+        windows = iter(busy[unit])
+        bursts = zip(requests[unit], done[unit])
+        for op in queues.get(unit, []):
+            if isinstance(op, (AcquireOp, PopOp, ReleaseOp, PushOp)):
+                continue
+            if isinstance(op, (DmaOp, AccumWritebackOp)):
+                if not op.num_bytes:
+                    continue
+                start, end = next(bursts)
+            elif op_cycles(op):
+                start, end = next(windows)
+            else:
+                continue
+            slices.append((unit, op.label or type(op).__name__,
+                           start, end))
+    return slices

@@ -16,12 +16,10 @@ respective computing engines"), credits count buffer halves.
 
 from __future__ import annotations
 
-from repro.compiler.ir import CHANNELS
-from repro.sim.kernel import Environment, SimulationError
-from repro.sim.queues import Semaphore, Store, TokenTable
+from repro.compiler.ir import CHANNELS, DOUBLE_BUFFER_CREDITS
 
-#: Two buffer halves per double-buffered pipeline.
-DOUBLE_BUFFER_CREDITS = 2
+from .kernel import Environment, SimulationError
+from .queues import Semaphore, Store, TokenTable
 
 
 class Controller:

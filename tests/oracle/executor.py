@@ -6,9 +6,10 @@ tokens (and credits/handoffs), perform it (a DRAM burst or a compute
 occupancy), then signal its tokens. The per-op semantics differ only in
 *where the time goes*, which is what this module encodes.
 
-An optional :class:`~repro.sim.trace.Tracer` records each operation's
-busy window (after stalls, i.e. actual execution) for pipeline-overlap
-analysis and Gantt rendering.
+An optional :class:`~repro.obs.hwtel.HwProbe` records each compute
+window in ``probe.busy`` and each operation that took time in
+``probe.ops`` (its window after the stalls, i.e. actual execution) —
+the streams the replay derives with ``op_slices``.
 """
 
 from __future__ import annotations
@@ -23,22 +24,21 @@ from repro.compiler.ir import (
     ReleaseOp,
     op_cycles,
 )
-from repro.engines.controller import Controller
-from repro.sim.kernel import Environment, SimulationError
-from repro.sim.memory import BusyTracker, DramChannel
-from repro.sim.trace import Tracer
+
+from .controller import Controller
+from .kernel import Environment
+from .memory import BusyTracker, DramChannel
 
 
 def execute_op(env: Environment, unit: str, op: Operation,
                controller: Controller, dram: DramChannel,
-               tracker: BusyTracker, tracer: Tracer | None = None,
-               probe=None):
+               tracker: BusyTracker, probe=None):
     """Generator performing one operation's timing behaviour.
 
     ``probe`` (:class:`repro.obs.hwtel.HwProbe`) records compute
-    occupancy windows; DRAM bursts are recorded by the channel itself
-    (:class:`~repro.sim.memory.DramChannel`). Append-only — a probed
-    run is cycle-identical to an unprobed one.
+    occupancy windows and op slices; DRAM bursts and requests are
+    recorded by the channel itself (:class:`.memory.DramChannel`).
+    Append-only — a probed run is cycle-identical to an unprobed one.
     """
     for token in op.wait:
         yield controller.wait(token)
@@ -64,21 +64,17 @@ def execute_op(env: Environment, unit: str, op: Operation,
             if probe is not None:
                 probe.busy.append((unit, env.now, env.now + cycles))
             yield env.timeout(cycles)
-    if tracer is not None:
-        tracer.record(unit, op.label or type(op).__name__, start, env.now)
+    if probe is not None and env.now > start:
+        probe.ops.append((unit, op.label or type(op).__name__, start,
+                          env.now))
     for token in op.signal:
         controller.signal(token)
 
 
 def unit_process(env: Environment, unit: str, ops: list[Operation],
                  controller: Controller, dram: DramChannel,
-                 tracker: BusyTracker, tracer: Tracer | None = None,
-                 probe=None):
+                 tracker: BusyTracker, probe=None):
     """Process body running a whole unit queue to completion."""
     for op in ops:
         yield from execute_op(env, unit, op, controller, dram, tracker,
-                              tracer, probe)
-
-
-class DeadlockError(SimulationError):
-    """Raised when the event queue drains with unit queues unfinished."""
+                              probe)

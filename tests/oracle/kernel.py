@@ -2,9 +2,9 @@
 
 A lightweight, dependency-free process-based DES in the style of SimPy:
 processes are generators that ``yield`` events; the environment advances
-simulated time (integer cycles) from event to event. This replaces the
-PyMTL3 framework the paper used — see DESIGN.md §3 for why transaction-
-level cycle accounting preserves the behaviour the evaluation measures.
+simulated time (integer cycles) from event to event. It defines the
+timing semantics the coalesced replay (``repro.sim.coalesce``) mirrors
+— see DESIGN.md §3 and §5.
 
 Example
 -------
@@ -26,9 +26,9 @@ import heapq
 from collections import deque
 from typing import Any, Generator, Iterable
 
-
-class SimulationError(RuntimeError):
-    """Raised for kernel misuse (negative delays, double triggers, ...)."""
+# Kernel misuse (negative delays, double triggers, ...) raises the
+# simulator's own error type, so callers catch one class for both.
+from repro.sim.coalesce import SimulationError
 
 
 class Event:

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.config.accelerator import DramConfig
-from repro.sim.kernel import Environment, Event, SimulationError
-from repro.sim.queues import Resource
+
+from .kernel import Environment, Event, SimulationError
+from .queues import Resource
 
 if TYPE_CHECKING:
     from repro.obs.hwtel import HwProbe
@@ -62,10 +63,11 @@ class DramChannel:
         self._port = Resource(env, capacity=1)
         self.counters: dict[str, TrafficCounter] = {}
         self.busy_cycles = 0
-        #: Optional :class:`repro.obs.hwtel.HwProbe`: records queue
-        #: depth at each request's arrival and the burst (grant cycle,
-        #: occupancy, bytes) — appends only, never read here, so a
-        #: probed run is cycle-identical to an unprobed one.
+        #: Optional :class:`repro.obs.hwtel.HwProbe`: records the
+        #: requester and queue depth at each request's arrival and the
+        #: burst (grant cycle, occupancy, bytes) — appends only, never
+        #: read here, so a probed run is cycle-identical to an
+        #: unprobed one.
         self.probe = probe
 
     def counter(self, requester: str) -> TrafficCounter:
@@ -92,7 +94,7 @@ class DramChannel:
         probe = self.probe
         if probe is not None:
             probe.queue.append(
-                (self.env.now,
+                (requester, self.env.now,
                  self._port.in_use + self._port.queue_length))
         yield self._port.request()
         if probe is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.sim.kernel import Environment, Event, SimulationError
+from .kernel import Environment, Event, SimulationError
 
 
 class Resource:

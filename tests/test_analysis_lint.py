@@ -186,13 +186,25 @@ from repro.eval.harness import Harness
 
     def test_sim_may_see_ir_but_not_compiler(self):
         assert not list(rule_layering(src("sim/coalesce.py", """
-from repro.compiler.ir import UNITS
-from repro.engines.controller import DOUBLE_BUFFER_CREDITS
+from repro.compiler.ir import DOUBLE_BUFFER_CREDITS, UNITS
 """)))
-        findings = list(rule_layering(src("sim/coalesce.py", """
-from repro.compiler.lowering import compile_workload
+        for line in ("from repro.compiler.lowering import compile_workload",
+                     "from repro.engines.controller import Controller"):
+            findings = list(rule_layering(src("sim/coalesce.py",
+                                              line + "\n")))
+            assert rules_of(findings) == ["layering"], line
+
+    def test_engines_are_cost_models_only(self):
+        assert not list(rule_layering(src("engines/graph/gpe.py", """
+from repro.config.accelerator import GraphEngineConfig
+from repro.graph.partition import Shard
 """)))
-        assert rules_of(findings) == ["layering"]
+        for line in ("from repro.sim.coalesce import run_plan",
+                     "from repro.compiler.ir import Operation",
+                     "from repro.obs.spans import span"):
+            findings = list(rule_layering(src("engines/graph/gpe.py",
+                                              line + "\n")))
+            assert rules_of(findings) == ["layering"], line
 
     def test_compiler_may_see_model_shapes_but_not_reference(self):
         """A compile computes no values: the reference executor is out

@@ -223,20 +223,6 @@ class TestPerfCommand:
         out = capsys.readouterr().out
         assert "different host" in out and "cpu_count" in out
 
-    def test_perf_no_coalesce_measures_same_cycles(self, tmp_path,
-                                                   capsys):
-        """The per-operation kernel is still reachable for before/after
-        comparisons and must report identical cycles."""
-        fast = tmp_path / "fast.json"
-        slow = tmp_path / "slow.json"
-        assert main(["perf", "--datasets", "tiny", "--networks", "gcn",
-                     "--output", str(fast)]) == 0
-        assert main(["perf", "--datasets", "tiny", "--networks", "gcn",
-                     "--no-coalesce", "--output", str(slow)]) == 0
-        fast_row = json.loads(fast.read_text())["workloads"]["tiny-gcn"]
-        slow_row = json.loads(slow.read_text())["workloads"]["tiny-gcn"]
-        assert fast_row["cycles"] == slow_row["cycles"]
-
     def test_perf_check_missing_baseline_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["perf", "--datasets", "tiny", "--networks", "gcn",
@@ -267,15 +253,26 @@ class TestCommands:
         assert "HyGCN" in capsys.readouterr().out
 
     def test_trace_command(self, capsys):
-        assert main(["trace", "cora", "gcn"]) == 0
+        """The Gantt chart ``repro trace`` printed is part of
+        ``repro profile``; the old command is unknown."""
+        assert main(["profile", "cora", "gcn"]) == 0
         out = capsys.readouterr().out
+        assert "pipeline" in out
         assert "graph.compute" in out and "#" in out
+        _expect_usage_error(capsys, ["trace", "cora", "gcn"],
+                            "invalid choice: 'trace'")
 
     def test_bottleneck_command(self, capsys):
-        assert main(["bottleneck", "cora", "gcn"]) == 0
+        """The binding-resource line ``repro bottleneck`` printed per
+        hidden size is part of ``repro profile --hidden-dim``; the old
+        command is unknown."""
+        assert main(["profile", "cora", "gcn", "--hidden-dim",
+                     "1024"]) == 0
         out = capsys.readouterr().out
-        assert "bound by" in out
-        assert "hidden 1024" in out
+        assert "profile cora-gcn (hidden=1024" in out
+        assert "bound by dense-engine-compute" in out
+        _expect_usage_error(capsys, ["bottleneck", "cora", "gcn"],
+                            "invalid choice: 'bottleneck'")
 
 
 class TestTelemetryCommands:
@@ -296,20 +293,19 @@ class TestTelemetryCommands:
 
     def test_trace_perfetto_writes_labelled_slices(self, tmp_path,
                                                    capsys):
+        """``run --trace-out`` is the one Perfetto export, and its
+        simulated-hardware tracks carry per-op labels."""
         from repro.obs import validate_trace_events
 
         out = tmp_path / "trace.json"
-        assert main(["trace", "tiny", "gcn", "--perfetto",
+        assert main(["run", "tiny", "gcn", "--trace-out",
                      str(out)]) == 0
-        output = capsys.readouterr().out
-        assert "#" in output  # the gantt still renders
+        capsys.readouterr()
         payload = json.loads(out.read_text())
         assert validate_trace_events(payload) == []
         sim_labels = {e["name"] for e in payload["traceEvents"]
                       if e["ph"] == "X" and e["pid"] == 2}
-        # The event kernel's per-op labels survive into the export.
-        assert "ShardAggregateOp" in sim_labels or any(
-            label.startswith("edges:") for label in sim_labels)
+        assert {"ShardAggregateOp", "GemmOp"} <= sim_labels
 
     def test_profile_command_renders_report(self, capsys):
         assert main(["profile", "tiny", "gat", "--top-k", "2"]) == 0
@@ -319,6 +315,8 @@ class TestTelemetryCommands:
         assert "engines" in out
         assert "hottest shards" in out
         assert "queue peak" in out
+        assert "bound by" in out
+        assert "cycles 0---" in out  # the Gantt chart's header
 
     def test_profile_arguments(self):
         args = build_parser().parse_args(

@@ -1,10 +1,11 @@
-"""Coalesced kernel == process kernel, cycle for cycle.
+"""The coalesced replay == the event-driven oracle, cycle for cycle.
 
 The coalesced replay (:mod:`repro.sim.coalesce`) carries a docstring
-proof of order-equivalence; these tests are the empirical lock. Every
-zoo network over every differential graph shape — blocked and
-unblocked, both traversals — must produce *exactly* the same cycle
-count, busy-cycle accounting, and DRAM traffic through both kernels.
+proof of order-equivalence with the process-based kernel kept under
+``tests/oracle/``; these tests are the empirical lock. Every zoo
+network over every differential graph shape — blocked and unblocked,
+both traversals — must produce *exactly* the same cycle count,
+busy-cycle accounting, DRAM traffic and telemetry through both.
 """
 
 from __future__ import annotations
@@ -14,19 +15,14 @@ import pytest
 from repro.accelerator import GNNerator
 from repro.config.workload import DST_STATIONARY, SRC_STATIONARY
 from repro.models.zoo import NETWORK_NAMES, build_network
-from repro.sim.coalesce import DeadlockSuspension, build_plan, run_plan
-from repro.sim.kernel import SimulationError
+from repro.obs.hwtel import HwProbe
+from repro.sim.coalesce import DeadlockError, build_plan, run_plan
 from tests.conftest import make_tiny_config
+from tests.oracle import simulate_event
 from tests.test_differential import FEATURE_DIM, GRAPH_CASES, NUM_CLASSES
 
-
-def _both_kernels(network: str, graph, feature_block, traversal):
-    model = build_network(network, FEATURE_DIM, NUM_CLASSES, hidden_dim=8)
-    accelerator = GNNerator(make_tiny_config(feature_block))
-    program = accelerator.compile(graph, model, traversal=traversal,
-                                  feature_block=feature_block)
-    return (accelerator.simulate(program),
-            accelerator.simulate(program, coalesce=False))
+#: The four telemetry streams every probed run fills.
+PROBE_STREAMS = ("busy", "dram", "queue", "ops")
 
 
 @pytest.mark.parametrize("network", NETWORK_NAMES)
@@ -35,14 +31,25 @@ def _both_kernels(network: str, graph, feature_block, traversal):
     (4, DST_STATIONARY), (4, SRC_STATIONARY), (None, DST_STATIONARY)])
 def test_kernels_agree_exactly(network, graph_case, feature_block,
                                traversal):
-    fast, slow = _both_kernels(network, GRAPH_CASES[graph_case](),
-                               feature_block, traversal)
+    model = build_network(network, FEATURE_DIM, NUM_CLASSES, hidden_dim=8)
+    config = make_tiny_config(feature_block)
+    accelerator = GNNerator(config)
+    program = accelerator.compile(GRAPH_CASES[graph_case](), model,
+                                  traversal=traversal,
+                                  feature_block=feature_block)
+    fast = accelerator.simulate(program)
+    fast_probe, slow_probe = HwProbe(), HwProbe()
+    assert accelerator.simulate(program, probe=fast_probe) == fast
+    slow = simulate_event(program, config, probe=slow_probe)
     assert fast.cycles == slow.cycles
     assert fast.unit_busy_cycles == slow.unit_busy_cycles
     assert fast.dram_bytes_by_unit == slow.dram_bytes_by_unit
     assert fast.dram_bytes_by_purpose == slow.dram_bytes_by_purpose
     assert fast.dram_busy_cycles == slow.dram_busy_cycles
     assert fast.num_operations == slow.num_operations
+    for stream in PROBE_STREAMS:
+        assert sorted(getattr(fast_probe, stream)) == \
+            sorted(getattr(slow_probe, stream)), stream
 
 
 class TestPlan:
@@ -86,9 +93,10 @@ class TestPlan:
         config, program = self._program()
         program.queues["dense.fetch"][0].add_wait("never")
         plan = build_plan(program.queues, config.dram)
-        with pytest.raises(DeadlockSuspension) as excinfo:
+        with pytest.raises(DeadlockError) as excinfo:
             run_plan(plan)
         assert "dense.fetch" in excinfo.value.stuck
+        assert "dense.fetch" in str(excinfo.value)
 
     def test_unit_stuck_on_its_final_action_is_reported(self):
         """A unit blocked on the last action before its END sentinel
@@ -100,17 +108,7 @@ class TestPlan:
         queues = {"graph.fetch": [Operation(unit="graph.fetch",
                                             wait=("never",))]}
         plan = build_plan(queues, config.dram)
-        with pytest.raises(DeadlockSuspension) as excinfo:
+        with pytest.raises(DeadlockError) as excinfo:
             run_plan(plan)
         assert excinfo.value.stuck == ["graph.fetch"]
-
-    def test_tracer_forces_process_kernel(self):
-        from repro.sim.trace import Tracer
-
-        config, program = self._program()
-        accelerator = GNNerator(config)
-        traced = accelerator.simulate(program, tracer=Tracer())
-        assert traced.cycles == accelerator.simulate(program).cycles
-        with pytest.raises(SimulationError, match="coalesce=False"):
-            accelerator.simulate(program, tracer=Tracer(),
-                                 coalesce=True)
+        assert excinfo.value.cycles == 0

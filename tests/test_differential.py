@@ -31,6 +31,7 @@ from repro.models.layers import init_parameters
 from repro.models.reference import reference_forward
 from repro.models.zoo import NETWORK_NAMES, build_network
 from tests.conftest import make_tiny_config
+from tests.oracle import simulate_event
 
 #: runtime == reference tolerance (float32 reassociation only).
 TOLERANCE = dict(rtol=1e-5, atol=1e-5)
@@ -189,10 +190,11 @@ class TestLargeGraphDifferential:
         graph = self._graph()
         model = build_network(network, FEATURE_DIM, NUM_CLASSES,
                               hidden_dim=8)
-        accelerator = GNNerator(make_tiny_config(4))
+        config = make_tiny_config(4)
+        accelerator = GNNerator(config)
         program = accelerator.compile(graph, model, feature_block=4)
         assert accelerator.simulate(program).cycles == \
-            accelerator.simulate(program, coalesce=False).cycles
+            simulate_event(program, config).cycles
 
 
 # ---------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Direct tests for the controller, unit executor, engine wrappers,
-and the area model."""
+"""Direct tests for the oracle's controller, unit executor and engine
+wrappers (``tests/oracle/``), and the area model."""
 
 import pytest
 
@@ -18,13 +18,12 @@ from repro.config.accelerator import (
     GNNeratorConfig,
     GraphEngineConfig,
 )
-from repro.engines.controller import Controller
-from repro.engines.dense.engine import DenseEngine
-from repro.engines.executor import unit_process
-from repro.engines.graph.engine import GraphEngine
 from repro.eval.area import gnnerator_area, hygcn_area
-from repro.sim.kernel import Environment, SimulationError
-from repro.sim.memory import BusyTracker, DramChannel
+from tests.oracle.controller import Controller
+from tests.oracle.engines import DenseEngine, GraphEngine
+from tests.oracle.executor import unit_process
+from tests.oracle.kernel import Environment, SimulationError
+from tests.oracle.memory import BusyTracker, DramChannel
 
 
 def make_rig():

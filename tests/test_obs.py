@@ -1,8 +1,8 @@
 """Tests for the telemetry spine (``repro.obs``): spans, the metric
 registry + Prometheus round-trip, hardware-probe derivation, Perfetto
 export, and — the load-bearing property — that enabling telemetry
-never moves a cycle count and that both kernels emit identical probe
-streams."""
+never moves a cycle count and that the replay and the event-driven
+oracle emit identical probe streams."""
 
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ from repro.obs import (
 from repro.obs.metrics import MetricError
 from repro.obs.spans import NULL_TRACER, get_tracer
 from tests.conftest import make_tiny_config
+from tests.oracle import simulate_event
 from tests.test_differential import (
     CYCLE_GOLDEN_PATH,
     FEATURE_DIM,
@@ -409,8 +410,8 @@ class TestTelemetryNeutrality:
             bare = accelerator.simulate(program).cycles
             probed = accelerator.simulate(program,
                                           probe=HwProbe()).cycles
-            probed_event = accelerator.simulate(
-                program, coalesce=False, probe=HwProbe()).cycles
+            probed_event = simulate_event(program, accelerator.config,
+                                          probe=HwProbe()).cycles
             golden = goldens[network][case]["blocked"]
             assert bare == probed == probed_event == golden, (
                 f"{network}/{case}: telemetry moved the cycle count")
@@ -420,13 +421,11 @@ class TestTelemetryNeutrality:
             accelerator, program = self._program(network, case)
             coalesced, event = HwProbe(), HwProbe()
             accelerator.simulate(program, probe=coalesced)
-            accelerator.simulate(program, coalesce=False, probe=event)
-            assert sorted(coalesced.busy) == sorted(event.busy), (
-                f"{network}/{case}: busy streams differ")
-            assert sorted(coalesced.dram) == sorted(event.dram), (
-                f"{network}/{case}: dram streams differ")
-            assert sorted(coalesced.queue) == sorted(event.queue), (
-                f"{network}/{case}: queue streams differ")
+            simulate_event(program, accelerator.config, probe=event)
+            for stream in ("busy", "dram", "queue", "ops"):
+                assert sorted(getattr(coalesced, stream)) == \
+                    sorted(getattr(event, stream)), (
+                        f"{network}/{case}: {stream} streams differ")
 
     def test_span_tracing_never_changes_cycles(self, network):
         accelerator, program = self._program(network, "random-1")
@@ -510,11 +509,12 @@ class TestPerfetto:
             perfetto.write_perfetto(tmp_path / "bad.json")
 
     def test_sim_ops_win_over_probe_busy(self):
+        """The slice tracks carry the labelled op slices; the raw busy
+        windows behind them are not drawn a second time."""
         probe = HwProbe()
         probe.busy.append(("graph.compute", 0, 10))
-        payload = build_trace(
-            probe=probe,
-            sim_ops=[("graph.compute", "agg shard(0,0)", 0, 10)])
+        probe.ops.append(("graph.compute", "agg shard(0,0)", 0, 10))
+        payload = build_trace(probe=probe)
         names = [e["name"] for e in payload["traceEvents"]
                  if e["ph"] == "X"]
         assert names == ["agg shard(0,0)"]
@@ -546,6 +546,37 @@ class TestProfile:
                 harness.gnnerator_program(spec)).cycles
         assert payload["cycles"] == bare
 
+    def test_hottest_shards_are_distinct(self):
+        """One row per (shard, feature block) visit: cora-gcn's top
+        shard is visited once per block, and each visit is its own
+        row rather than five identical ones."""
+        payload = profile_workload("cora", "gcn", seed=7)
+        rows = [(e["layer"], e["stage"], tuple(e["shard"]),
+                 tuple(e["block"])) for e in payload["hottest_shards"]]
+        assert len(rows) == 5 and len(set(rows)) == 5
+
+    def test_engine_rows_count_op_slices(self):
+        """Every unit reports the cycles its op slices took — compute
+        cycles for the compute units (equal to the result's busy
+        accounting), DMA cycles in flight for the others — so no unit
+        that moved data reads 0."""
+        from repro.compiler.ir import UNITS
+
+        payload = profile_workload("tiny", "gcn", seed=7)
+        rows = payload["engines"]
+        assert set(rows) == set(UNITS)
+        assert all(row["cycles"] > 0 for row in rows.values())
+        assert {unit for unit, row in rows.items()
+                if row["kind"] == "compute"} == {"graph.compute",
+                                                 "dense.compute"}
+        harness = Harness(seed=7, program_store=None)
+        spec = WorkloadSpec(dataset="tiny", network="gcn")
+        result = GNNerator(gnnerator_config(
+            feature_block=spec.feature_block)).simulate(
+                harness.gnnerator_program(spec))
+        for unit in ("graph.compute", "dense.compute"):
+            assert rows[unit]["cycles"] == result.unit_busy_cycles[unit]
+
     def test_render_profile_mentions_phases_and_shards(self):
         payload = profile_workload("tiny", "gat", seed=7, top_k=2)
         text = render_profile(payload)
@@ -553,3 +584,6 @@ class TestProfile:
         assert "hottest shards" in text
         assert "compile" in text
         assert len(payload["hottest_shards"]) <= 2
+        assert payload["bottleneck"].startswith("bound by ")
+        assert payload["bottleneck"] in text
+        assert payload["gantt"].splitlines()[0] in text

