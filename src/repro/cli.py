@@ -128,8 +128,8 @@ def _cache_hierarchy_table() -> list[dict[str, str]]:
          "env var": "(always on)",
          "default": "per process",
          "entries": "-",
-         "keyed by": "harness program/dataset keys, per-graph grids "
-                     "+ weights"},
+         "keyed by": "harness program/structure/dataset keys, "
+                     "per-graph grids"},
     ]
 
 

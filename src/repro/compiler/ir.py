@@ -30,8 +30,11 @@ Controller at simulation time:
 
 Every operation carries its timing payload (DMA bytes or compute
 cycles), computed at lowering time from the platform configuration. The
-functional runtime interprets the same operations over numpy arrays and
-ignores timing.
+compute ops' *cost fields* (``cycles``, and ``max_gpe_edges`` on
+:class:`ShardAggregateOp`) default to zero: the structure pass emits
+them unset and the cost pass (:func:`repro.compiler.lowering.fill_costs`)
+fills them. The functional runtime interprets the same operations over
+numpy arrays and ignores timing.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ class InitAccumulatorOp(Operation):
     acc_array: str
     src_array: str
     mode: str
-    cycles: int
+    cycles: int = 0  # cost field
 
     def __post_init__(self) -> None:
         if self.mode not in ("self", "zero", "neginf"):
@@ -163,8 +166,8 @@ class ShardAggregateOp(Operation):
     acc_array: str
     src_array: str
     num_edges: int
-    max_gpe_edges: int
-    cycles: int
+    max_gpe_edges: int = 0  # cost field
+    cycles: int = 0  # cost field
 
 
 @dataclass(kw_only=True)
@@ -183,7 +186,7 @@ class SelfApplyOp(Operation):
     acc_array: str
     src_array: str
     reduce: str
-    cycles: int
+    cycles: int = 0  # cost field
 
 
 @dataclass(kw_only=True)
@@ -227,7 +230,7 @@ class GemmOp(Operation):
     m: int
     k: int
     n: int
-    cycles: int
+    cycles: int = 0  # cost field
 
 
 @dataclass(kw_only=True)
@@ -241,7 +244,7 @@ class ActivationOp(Operation):
     out_array: str
     activation: str
     has_bias: bool
-    cycles: int
+    cycles: int = 0  # cost field
 
 
 #: Operations whose ``cycles`` occupy a compute unit.

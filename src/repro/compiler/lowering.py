@@ -23,29 +23,48 @@ Compile-product dependency keys
 
 Incremental recompilation (DESIGN.md §6) rests on each compile product
 being keyed by exactly the inputs it depends on — nothing in this
-module may read an input its product's cache key omits:
+module may read an input its product's cache key omits. A full
+lowering is two passes, staged like ZigZag's workload → mapping → cost
+pipeline:
 
-* **shard grids** — ``(graph, usable src/dst/edge buffer bytes,
-  feature block)``, resolving to ``(graph, interval size)``; memoized
-  on the graph by :func:`repro.graph.partition.plan_shards`. GPE
-  count, SIMD width, and everything dense/DRAM are *not* inputs.
-* **operation queues / cycles** — the full compile-relevant config
-  projection (:func:`repro.config.overrides.compile_relevant_config`):
-  dense shape/dataflow/buffers, GPE count, SIMD width, pipeline
-  depth, buffer budgets, sparsity elimination, feature block. Clock
-  frequencies and the DRAM section are simulate-only and excluded —
-  which is what lets ``Harness._compiled`` and the persistent program
-  store (:mod:`repro.compiler.store`) serve DRAM-only DSE variants
-  from one compiled program.
+* **structure pass** (:class:`Lowering`) — every op, token, DMA and
+  shard reference. It reads the platform only through a frozen,
+  hashable :class:`Geometry` (:func:`resolve_geometry`):
+  traversal, the resolved feature block and sparsity elimination; per
+  aggregate stage the interval size (from the memoized interval probes
+  of :func:`repro.graph.partition.fitting_interval` — resolving never
+  builds a grid) and the edge-buffer half; per extract stage the
+  weight-buffer half (which fixes the contraction sub-slice), the
+  input rows per contraction width, a standalone stage's row chunk,
+  and whether the output working set spills the output-buffer half.
+  Each budget is clamped to what the workload can use — a weight
+  buffer larger than the stage's weights behaves like one exactly
+  their size — so equal structures get equal geometries. Shard grids
+  are keyed ``(graph, interval size)`` and memoized on the graph.
+* **cost pass** (:func:`fill_costs`) — the cost fields: every compute
+  op's ``cycles`` and :class:`ShardAggregateOp`'s ``max_gpe_edges``,
+  from :mod:`repro.engines.graph.gpe` and
+  :mod:`repro.engines.dense.systolic`. It reads ``graph.num_gpes``,
+  ``simd_width`` and ``pipeline_depth`` and ``dense.rows``, ``cols``
+  and ``dataflow``; neither pass reads any other field.
+
+So two configs of one geometry compile to programs that differ only in
+the cost fields, and :func:`recost` derives one from the other without
+lowering — ``Harness._compiled``'s structure memo. The program memo and
+the persistent program store (:mod:`repro.compiler.store`) key the full
+compile-relevant projection
+(:func:`repro.config.overrides.compile_relevant_config`); clock
+frequencies and the DRAM section are simulate-only and in no key,
+which lets one compiled program serve DRAM-only DSE variants.
 
 No product depends on feature values or parameters: the compiler
 never computes a value. Aggregation weights, attention coefficients
 included, are the functional runtime's business
 (:mod:`repro.compiler.runtime`).
 
-:func:`full_lowering_count` counts complete :meth:`Lowering.compile`
-runs in this process — the observable CI and the cache tests use to
-assert "recompiled nothing".
+:func:`full_lowering_count` counts full lowerings (both passes) in this
+process — the observable CI and the cache tests use to assert
+"recompiled nothing". A re-cost is not one.
 """
 
 from __future__ import annotations
@@ -54,6 +73,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.compiler.ir import (
     AccumWritebackOp,
@@ -78,21 +98,35 @@ from repro.compiler.residency import (
     OutBufferState,
     SrcBufferState,
 )
-from repro.config.accelerator import ELEM_BYTES, GNNeratorConfig
+from repro.config.accelerator import (
+    EDGE_BYTES,
+    ELEM_BYTES,
+    DenseEngineConfig,
+    GNNeratorConfig,
+)
 from repro.config.workload import DST_STATIONARY
 from repro.dataflow.blocking import (
     BlockPlan,
     dimension_blocked_walk,
     plan_blocks,
 )
-from repro.engines.dense.systolic import GemmShape, gemm_timing
+from repro.engines.dense.systolic import (
+    GemmShape,
+    activation_cycles,
+    gemm_timing,
+)
 from repro.engines.graph.gpe import (
     interval_touch_cycles,
     max_gpe_edges,
     shard_compute_cycles,
 )
 from repro.graph.graph import Graph
-from repro.graph.partition import Shard, ShardGrid, plan_shards
+from repro.graph.partition import (
+    Shard,
+    ShardGrid,
+    fitting_interval,
+    shard_grid,
+)
 from repro.obs.spans import span
 from repro.models.stages import (
     AggregateStage,
@@ -102,10 +136,10 @@ from repro.models.stages import (
 )
 
 
-#: Process-wide count of full :meth:`Lowering.compile` executions.
-#: Program-store hits and harness memo hits avoid incrementing it —
-#: tests and the CI warm-run check read it to verify a cached path
-#: really compiled nothing.
+#: Process-wide count of full lowerings (structure plus cost pass).
+#: Program-store hits, harness memo hits and re-costs avoid
+#: incrementing it — tests and the CI warm-run check read it to verify
+#: a cached path really compiled nothing.
 _FULL_LOWERINGS = 0
 
 #: Guards the lowering counter against concurrent compiles (the serve
@@ -162,26 +196,202 @@ def _row_subchunks(rows: tuple[int, int],
             for lo in range(start, stop, max_rows)]
 
 
+# ----------------------------------------------------------------------
+# Geometry: what the structure pass reads of the platform
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class AggregateGeometry:
+    """The platform as one aggregate stage's structure sees it."""
+
+    interval_size: int
+    #: Usable edge-buffer half, clamped to the graph's edge bytes.
+    edge_buffer_bytes: int
+
+
+@dataclass(frozen=True)
+class ExtractGeometry:
+    """The platform as one extract stage's structure sees it."""
+
+    #: Usable weight-buffer half, clamped to the stage's weight bytes;
+    #: it also fixes the contraction sub-slice ``max_k``.
+    weight_buffer_bytes: int
+    #: ``(contraction width, input rows per chunk)`` for every width
+    #: the stage's GEMMs contract over: the input-buffer half aligned
+    #: down to ``dense.rows``, clamped to the stage's longest interval.
+    input_rows: tuple[tuple[int, int], ...]
+    #: A standalone stage's row chunk, clamped to ``num_nodes``; None
+    #: when an adjacent aggregate stage's intervals set the rows.
+    row_chunk: int | None
+    #: Whether the output working set spills the output-buffer half.
+    spills: bool
+
+    def max_k(self, out_dim: int) -> int:
+        """Weight rows per contraction sub-slice."""
+        return self.weight_buffer_bytes // (out_dim * ELEM_BYTES)
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """Everything the structure pass reads of the platform config.
+
+    Two configs with equal geometries lower a workload to the same ops,
+    tokens and DMAs; only the cost fields (:func:`fill_costs`) differ.
+    Frozen and hashable: ``(workload, Geometry)`` keys the harness's
+    structure memo.
+    """
+
+    traversal: str
+    feature_block: int | None
+    sparsity_elimination: bool
+    #: Per layer, one entry per stage in stage order.
+    stages: tuple[tuple[AggregateGeometry | ExtractGeometry, ...], ...]
+
+
+def _block_for(feature_block: int | None, dim: int) -> int:
+    return dim if feature_block is None else min(feature_block, dim)
+
+
+def _input_rows(dense: DenseEngineConfig, width: int) -> int:
+    """Row-chunk size bounded by the input-buffer half, aligned down to
+    the array height so systolic folds never straddle chunks."""
+    rows = max((dense.input_buffer_bytes // 2)
+               // max(width * ELEM_BYTES, 1), 1)
+    if rows >= dense.rows:
+        rows -= rows % dense.rows
+    return rows
+
+
+def _contraction_widths(dim: int, feature_block: int | None,
+                        max_k: int) -> set[int]:
+    """Widths of the K sub-slices a ``dim``-wide input contracts in."""
+    plan = plan_blocks(dim, feature_block)
+    widths: set[int] = set()
+    for width in {plan.block, dim % plan.block or plan.block}:
+        widths.update(hi - lo for lo, hi in _row_subchunks((0, width),
+                                                            max_k))
+    return widths
+
+
+def _check_workload(graph: Graph, model: GNNModel) -> None:
+    if graph.num_nodes == 0:
+        raise CompileError("cannot compile an empty graph")
+    if graph.features.shape[1] != model.in_dim:
+        raise CompileError(
+            f"graph features are {graph.features.shape[1]}-dim but "
+            f"model {model.name!r} expects {model.in_dim}")
+
+
+def resolve_geometry(graph: Graph, model: GNNModel,
+                     config: GNNeratorConfig,
+                     traversal: str = DST_STATIONARY,
+                     feature_block: int | None | str = "config"
+                     ) -> Geometry:
+    """The geometry ``config`` gives this workload.
+
+    Interval sizes come from the graph's memoized interval probes;
+    resolving never builds a grid. Raises :class:`CompileError` for
+    workloads no lowering could place (an empty graph, a weight row
+    wider than the weight-buffer half).
+    """
+    if feature_block == "config":
+        feature_block = config.feature_block
+    _check_workload(graph, model)
+    intervals = {
+        (li, si): fitting_interval(graph, config.graph,
+                                   _block_for(feature_block, stage.dim))
+        for li, layer in enumerate(model.layers)
+        for si, stage in enumerate(layer.stages)
+        if isinstance(stage, AggregateStage)}
+    return _geometry(graph, model, config, traversal, feature_block,
+                     intervals)
+
+
+def program_geometry(program: Program, graph: Graph,
+                     config: GNNeratorConfig) -> Geometry:
+    """The geometry of a compiled ``program`` under ``config``, with
+    interval sizes read off its grids — no probe runs, so a program
+    store hit resolves its geometry for the price of a few divisions."""
+    intervals = {key: grid.interval_size
+                 for key, grid in program.grids.items()}
+    return _geometry(graph, program.model, config, program.traversal,
+                     program.feature_block, intervals)
+
+
+def _geometry(graph: Graph, model: GNNModel, config: GNNeratorConfig,
+              traversal: str, feature_block: int | None,
+              intervals: dict[tuple[int, int], int]) -> Geometry:
+    dense = config.dense
+    num_nodes = graph.num_nodes
+    edge_bytes = min(config.graph.usable_edge_bytes,
+                     max(graph.num_edges * EDGE_BYTES, EDGE_BYTES))
+    layers = []
+    for li, layer in enumerate(model.layers):
+        stages = layer.stages
+        entries: list[AggregateGeometry | ExtractGeometry] = []
+        for si, stage in enumerate(stages):
+            if isinstance(stage, AggregateStage):
+                entries.append(AggregateGeometry(intervals[(li, si)],
+                                                 edge_bytes))
+                continue
+            n = stage.out_dim
+            weight_bytes = min(dense.weight_buffer_bytes // 2,
+                               stage.weight_in_dim * n * ELEM_BYTES)
+            max_k = weight_bytes // (n * ELEM_BYTES)
+            if max_k < 1:
+                raise CompileError(
+                    f"one weight row ({n * ELEM_BYTES} B) does not fit "
+                    f"the weight buffer of stage l{li}s{si}")
+            row_chunk = None
+            if si > 0 and isinstance(stages[si - 1], AggregateStage):
+                longest = intervals[(li, si - 1)]
+            elif (si + 1 < len(stages)
+                  and isinstance(stages[si + 1], AggregateStage)):
+                longest = intervals[(li, si + 1)]
+            else:
+                longest = row_chunk = min(max(
+                    (dense.input_buffer_bytes // 2)
+                    // max(stage.weight_in_dim * ELEM_BYTES, 1), 1),
+                    num_nodes)
+            longest = min(longest, num_nodes)
+            widths = _contraction_widths(stage.in_dim, feature_block,
+                                         max_k)
+            if stage.concat_self:
+                widths |= _contraction_widths(stage.self_dim,
+                                              feature_block, max_k)
+            entries.append(ExtractGeometry(
+                weight_buffer_bytes=weight_bytes,
+                input_rows=tuple((width,
+                                  min(_input_rows(dense, width), longest))
+                                 for width in sorted(widths)),
+                row_chunk=row_chunk,
+                spills=(num_nodes * n * ELEM_BYTES
+                        > dense.output_buffer_bytes // 2)))
+        layers.append(tuple(entries))
+    return Geometry(traversal=traversal, feature_block=feature_block,
+                    sparsity_elimination=config.sparsity_elimination,
+                    stages=tuple(layers))
+
+
+# ----------------------------------------------------------------------
+# Structure pass
+# ----------------------------------------------------------------------
 class Lowering:
-    """Single-use compiler instance; see :func:`compile_workload`."""
+    """Single-use structure pass; see :func:`compile_workload`.
+
+    Emits every op with zero cost fields; :func:`fill_costs` sets them.
+    """
 
     def __init__(self, graph: Graph, model: GNNModel,
-                 config: GNNeratorConfig, traversal: str,
-                 feature_block: int | None) -> None:
-        if graph.num_nodes == 0:
-            raise CompileError("cannot compile an empty graph")
-        if graph.features.shape[1] != model.in_dim:
-            raise CompileError(
-                f"graph features are {graph.features.shape[1]}-dim but "
-                f"model {model.name!r} expects {model.in_dim}")
+                 geometry: Geometry) -> None:
         self.graph = graph
         self.model = model
-        self.config = config
-        self.traversal = traversal
-        self.feature_block = feature_block
+        self.geometry = geometry
+        self.feature_block = geometry.feature_block
         self.program = Program(
-            graph_name=graph.name, model=model, traversal=traversal,
-            feature_block=feature_block, num_nodes=graph.num_nodes)
+            graph_name=graph.name, model=model,
+            traversal=geometry.traversal,
+            feature_block=geometry.feature_block,
+            num_nodes=graph.num_nodes)
         self._token_seq = 0
 
     # ------------------------------------------------------------------
@@ -207,34 +417,10 @@ class Lowering:
             program.emit(op)
         program.emit(ReleaseOp(unit=compute_unit, channel=channel))
 
-    def _gpe_imbalance(self, layer: int, stage: int, grid: ShardGrid,
-                       shard_key: tuple[int, int]) -> int:
-        """Max edges landing on one GPE when distributing by destination.
-
-        Cached on the shard itself (see :func:`max_gpe_edges`), so the
-        value survives across stages, compiles, and sweep points that
-        share the memoized grid."""
-        return max_gpe_edges(grid.shard(*shard_key),
-                             self.config.graph.num_gpes)
-
-    def _distinct_sources(self, layer: int, stage: int, grid: ShardGrid,
-                          shard_key: tuple[int, int]) -> int:
-        """Distinct source rows a shard references (sparsity
-        elimination's gather size); cached on the shard."""
-        return grid.shard(*shard_key).distinct_sources()
-
     # ------------------------------------------------------------------
     # Top level
     # ------------------------------------------------------------------
     def compile(self) -> Program:
-        global _FULL_LOWERINGS
-        with _MEMO_LOCK:
-            _FULL_LOWERINGS += 1
-        with span("lower", graph=self.graph.name,
-                  layers=len(self.model.layers)):
-            return self._compile_locked()
-
-    def _compile_locked(self) -> Program:
         program = self.program
         program.declare_array(program.input_array, self.model.in_dim)
         current = ValueRef(program.input_array, Coverage())
@@ -244,15 +430,15 @@ class Lowering:
             # precede an aggregation chunk their rows by its intervals.
             for stage_index, stage in enumerate(layer.stages):
                 if isinstance(stage, AggregateStage):
-                    grid = plan_shards(self.graph, self.config.graph,
-                                       block=self._block_for(stage.dim))
+                    grid = shard_grid(self.graph, self.geometry.stages[
+                        layer_index][stage_index].interval_size)
                     program.grids[(layer_index, stage_index)] = grid
                     program.plans[(layer_index, stage_index, "main")] = (
                         plan_blocks(stage.dim, self.feature_block))
-                    with span("shard-batch", layer=layer_index,
-                              stage=stage_index,
-                              shards=grid.grid_side * grid.grid_side):
-                        self._prewarm_shards(grid)
+                    if self.geometry.sparsity_elimination:
+                        _prewarm_shards(
+                            grid, lambda s: s._distinct_sources is None,
+                            Shard.distinct_sources)
             completions: dict[int, list[tuple[int, int]]] = {}
             for stage_index, stage in enumerate(layer.stages):
                 if isinstance(stage, AggregateStage):
@@ -270,50 +456,6 @@ class Lowering:
         program.output_array = current.array
         return program
 
-    def _prewarm_shards(self, grid: ShardGrid) -> None:
-        """Warm per-shard statistics in parallel before serial emission.
-
-        Emission reads one expensive statistic per non-empty shard —
-        the worst-GPE edge load (plus the distinct-source count under
-        sparsity elimination). Each lands in a per-shard cache keyed by
-        its own inputs, and each shard is touched by exactly one task,
-        so computing them on a thread pool first is a pure wall-time
-        win: emission then finds every value warm, and the values are
-        bit-identical to the serial path (§4 cycle-neutrality). Skipped
-        for small grids where pool startup would dominate.
-        """
-        if grid.num_edges < _PREWARM_MIN_EDGES:
-            return
-        num_gpes = self.config.graph.num_gpes
-        sparsity = self.config.sparsity_elimination
-        # Materialize views serially (O(1) each) so threads never race
-        # on the grid's view cache, then keep only shards with work.
-        pending = [
-            shard for shard in grid.iter_shards()
-            if num_gpes not in shard._gpe_loads
-            or (sparsity and shard._distinct_sources is None)
-        ]
-        if len(pending) < 2:
-            return
-
-        def warm(shard: Shard) -> None:
-            max_gpe_edges(shard, num_gpes)
-            if sparsity:
-                shard.distinct_sources()
-
-        workers = min(8, os.cpu_count() or 1, len(pending))
-        if workers < 2:
-            for shard in pending:
-                warm(shard)
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(warm, pending))
-
-    def _block_for(self, dim: int) -> int:
-        if self.feature_block is None:
-            return dim
-        return min(self.feature_block, dim)
-
     # ------------------------------------------------------------------
     # Aggregation lowering (Graph Engine, Algorithm 1)
     # ------------------------------------------------------------------
@@ -321,7 +463,7 @@ class Lowering:
                          stage: AggregateStage, incoming: ValueRef
                          ) -> tuple[ValueRef, list[tuple[int, int]]]:
         program = self.program
-        config = self.config.graph
+        geometry = self.geometry.stages[layer][stage_index]
         grid = program.grids[(layer, stage_index)]
         plan = program.plans[(layer, stage_index, "main")]
         side = grid.grid_side
@@ -334,14 +476,14 @@ class Lowering:
                   for block in range(plan.num_blocks)}
         dst_state = DstBufferState(visits)
         src_state = SrcBufferState()
-        edge_lru = EdgeBufferLru(config.usable_edge_bytes)
+        edge_lru = EdgeBufferLru(geometry.edge_buffer_bytes)
         spill_tokens: dict[tuple[int, int], str] = {}
         last_touch: dict[tuple[int, int], Operation] = {}
         cover_entries = []
         completion: list[tuple[int, int]] = []
 
         for block, row, col in dimension_blocked_walk(
-                plan, side, self.traversal):
+                plan, side, self.geometry.traversal):
             dims = _span(plan.block_slice(block))
             width = dims[1] - dims[0]
             shard = grid.shard(row, col)
@@ -370,12 +512,10 @@ class Lowering:
                 compute_ops.append(InitAccumulatorOp(
                     unit="graph.compute", layer=layer, stage=stage_index,
                     rows=dst_rows, dims=dims, acc_array=acc_array,
-                    src_array="", mode=mode,
-                    cycles=interval_touch_cycles(dst_rowcount, width,
-                                                 config)))
+                    src_array="", mode=mode))
 
             apply_self = row == col and stage.include_self
-            if self.config.sparsity_elimination:
+            if self.geometry.sparsity_elimination:
                 # HyGCN-style elimination (Sec VI-A): gather only the
                 # rows this shard touches. No interval residency — each
                 # shard fetches its own working set, like HyGCN windows.
@@ -390,11 +530,10 @@ class Lowering:
                         wait=incoming.cover.tokens_for(dst_rows, dims),
                         label=f"selfgather:{col}:{block}"))
                 elif shard.num_edges:
-                    distinct = self._distinct_sources(
-                        layer, stage_index, grid, (row, col))
                     fetch_ops.append(DmaOp(
                         unit="graph.fetch", direction="load",
-                        num_bytes=distinct * width * ELEM_BYTES,
+                        num_bytes=(shard.distinct_sources() * width
+                                   * ELEM_BYTES),
                         array=incoming.array, rows=src_rows, dims=dims,
                         purpose="src-features",
                         wait=incoming.cover.tokens_for(src_rows, dims),
@@ -416,24 +555,16 @@ class Lowering:
                         num_bytes=shard.edge_bytes, array="edges",
                         rows=(row, col), dims=(0, 0), purpose="edges",
                         label=f"edges:{row}:{col}"))
-                worst = self._gpe_imbalance(layer, stage_index, grid,
-                                            (row, col))
                 compute_ops.append(ShardAggregateOp(
                     unit="graph.compute", layer=layer, stage=stage_index,
                     shard=(row, col), dims=dims, reduce=stage.reduce,
                     acc_array=acc_array, src_array=incoming.array,
-                    num_edges=shard.num_edges,
-                    max_gpe_edges=worst,
-                    cycles=shard_compute_cycles(
-                        worst, width, config,
-                        attention=stage.needs_features)))
+                    num_edges=shard.num_edges))
             if apply_self:
                 compute_ops.append(SelfApplyOp(
                     unit="graph.compute", layer=layer, stage=stage_index,
                     rows=dst_rows, dims=dims, acc_array=acc_array,
-                    src_array=incoming.array, reduce=stage.reduce,
-                    cycles=interval_touch_cycles(dst_rowcount, width,
-                                                 config)))
+                    src_array=incoming.array, reduce=stage.reduce))
 
             if compute_ops:
                 last_touch[col_key] = compute_ops[-1]
@@ -517,10 +648,8 @@ class Lowering:
             intervals = [(iv.start, iv.stop) for iv in grid.intervals]
             completion = None
         else:
-            rows_per = max(
-                (self.config.dense.input_buffer_bytes // 2)
-                // max(stage.weight_in_dim * ELEM_BYTES, 1), 1)
-            intervals = _row_subchunks((0, self.graph.num_nodes), rows_per)
+            row_chunk = self.geometry.stages[layer][stage_index].row_chunk
+            intervals = _row_subchunks((0, self.graph.num_nodes), row_chunk)
             completion = None
 
         return self._emit_extract(layer, stage_index, stage, incoming,
@@ -539,7 +668,7 @@ class Lowering:
         them; ``None`` means dense-first / standalone (interval-outer).
         """
         program = self.program
-        dense_cfg = self.config.dense
+        geometry = self.geometry.stages[layer][stage_index]
         n = stage.out_dim
         out_array = program.declare_array(
             f"l{layer}s{stage_index}.out", n)
@@ -550,31 +679,17 @@ class Lowering:
         if self_plan is not None:
             program.plans[(layer, stage_index, "self")] = self_plan
 
-        weight_lru = LruResidency(dense_cfg.weight_buffer_bytes // 2,
+        weight_lru = LruResidency(geometry.weight_buffer_bytes,
                                   name="weight buffer")
         # Contraction sub-blocking: a K-slice of weights must fit the
         # (half) weight buffer; oversized feature blocks are split.
-        max_k = (dense_cfg.weight_buffer_bytes // 2) // (n * ELEM_BYTES)
-        if max_k < 1:
-            raise CompileError(
-                f"one weight row ({n * ELEM_BYTES} B) does not fit the "
-                f"weight buffer of stage l{layer}s{stage_index}")
-        out_capacity = dense_cfg.output_buffer_bytes // 2
-        total_out = self.graph.num_nodes * n * ELEM_BYTES
+        max_k = geometry.max_k(n)
         visits_per_interval = main_plan.num_blocks + (
             self_plan.num_blocks if self_plan is not None else 0)
         out_state = OutBufferState(
-            spilling=total_out > out_capacity,
+            spilling=geometry.spills,
             visits={i: visits_per_interval for i in range(len(intervals))})
-
-        def input_rows_for(width: int) -> int:
-            """Row-chunk size bounded by the input buffer, aligned down
-            to the array height so systolic folds never straddle chunks."""
-            rows = max((dense_cfg.input_buffer_bytes // 2)
-                       // max(width * ELEM_BYTES, 1), 1)
-            if rows >= dense_cfg.rows:
-                rows -= rows % dense_cfg.rows
-            return rows
+        input_rows_for = dict(geometry.input_rows)
 
         spill_tokens: dict[int, str] = {}
         last_gemm: dict[int, GemmOp] = {}
@@ -612,7 +727,7 @@ class Lowering:
                         array=f"W{layer}.{stage_index}", rows=w_rows,
                         dims=(0, n), purpose="weights"))
                 accumulate = not (action.first and sub_idx == 0)
-                chunks = _row_subchunks(rows, input_rows_for(width))
+                chunks = _row_subchunks(rows, input_rows_for[width])
                 for chunk_idx, chunk in enumerate(chunks):
                     m = chunk[1] - chunk[0]
                     fetch_ops: list[Operation] = []
@@ -631,9 +746,7 @@ class Lowering:
                         stage=stage_index, rows=chunk,
                         src_array=source.array, src_dims=dims,
                         weight_rows=w_rows, out_array=out_array,
-                        accumulate=accumulate, m=m, k=width, n=n,
-                        cycles=gemm_timing(GemmShape(m=m, k=width, n=n),
-                                           dense_cfg).cycles)
+                        accumulate=accumulate, m=m, k=width, n=n)
                     compute_ops: list[Operation] = [gemm]
                     last_gemm[interval_idx] = gemm
                     if (is_final_visit and sub_idx == len(subs) - 1
@@ -674,9 +787,7 @@ class Lowering:
         activation = ActivationOp(
             unit="dense.compute", layer=layer, stage=stage_index,
             rows=rows, out_array=out_array, activation=stage.activation,
-            has_bias=stage.bias,
-            cycles=m + self.config.dense.cols,
-            signal=(act_token,))
+            has_bias=stage.bias, signal=(act_token,))
         program.emit(DmaOp(
             unit="dense.store", direction="store",
             num_bytes=m * n * ELEM_BYTES, array=out_array, rows=rows,
@@ -706,23 +817,134 @@ class Lowering:
         spill_tokens[interval_idx] = spill_token
 
 
-def compile_workload(graph: Graph, model: GNNModel,
-                     config: GNNeratorConfig,
-                     traversal: str = DST_STATIONARY,
-                     feature_block: int | None | str = "config") -> Program:
-    """Compile one workload; the public compiler entry point.
+# ----------------------------------------------------------------------
+# Cost pass
+# ----------------------------------------------------------------------
+def _prewarm_shards(grid: ShardGrid, pending: Callable[[Shard], bool],
+                    warm: Callable[[Shard], object]) -> None:
+    """Warm one per-shard statistic in parallel before a serial walk.
 
-    ``feature_block="config"`` (default) takes the block size from the
-    platform configuration; pass an int or ``None`` to override
-    (``None`` = conventional unblocked dataflow).
+    The structure pass reads each shard's distinct-source count (under
+    sparsity elimination), the cost pass its worst-GPE edge load. Each
+    lands in a per-shard cache keyed by its own inputs, and each shard
+    is touched by exactly one task, so computing them on a thread pool
+    first is a pure wall-time win: the walk then finds every value
+    warm, bit-identical to the serial path (§4 cycle-neutrality).
+    Skipped for small grids where pool startup would dominate.
     """
-    if feature_block == "config":
-        feature_block = config.feature_block
-    lowering = Lowering(graph, model, config, traversal, feature_block)
-    program = lowering.compile()
-    # Precompute the coalesced simulator's per-unit serial chains for
-    # the config this program was compiled against (and the static
-    # traffic breakdown every result re-reports), so the usual
+    if grid.num_edges < _PREWARM_MIN_EDGES:
+        return
+    with span("shard-batch", shards=grid.grid_side * grid.grid_side):
+        # Materialize views serially (O(1) each) so threads never race
+        # on the grid's view cache, then keep only shards with work.
+        shards = [shard for shard in grid.iter_shards() if pending(shard)]
+        workers = min(8, os.cpu_count() or 1, len(shards))
+        if workers < 2:
+            for shard in shards:
+                warm(shard)
+            return
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(warm, shards))
+
+
+def fill_costs(program: Program, config: GNNeratorConfig) -> None:
+    """The cost pass: set every compute op's cost fields for ``config``.
+
+    Writes ``cycles`` on every compute op and ``max_gpe_edges`` on
+    every :class:`ShardAggregateOp`, in place. Reads only the compute
+    knobs — ``graph.num_gpes``, ``simd_width``, ``pipeline_depth`` and
+    ``dense.rows``, ``cols``, ``dataflow`` — plus the program's own
+    grids and model. The worst-GPE edge load is cached on each shard
+    per GPE count (:func:`max_gpe_edges`), so programs sharing a grid
+    share the statistic.
+    """
+    graph_cfg, dense_cfg = config.graph, config.dense
+    num_gpes = graph_cfg.num_gpes
+    with span("cost", graph=program.graph_name):
+        for grid in {id(grid): grid
+                     for grid in program.grids.values()}.values():
+            _prewarm_shards(grid, lambda s: num_gpes not in s._gpe_loads,
+                            lambda s: max_gpe_edges(s, num_gpes))
+        stages = {(li, si): stage
+                  for li, layer in enumerate(program.model.layers)
+                  for si, stage in enumerate(layer.stages)}
+        for op in program.queues["graph.compute"]:
+            if isinstance(op, ShardAggregateOp):
+                grid = program.grids[(op.layer, op.stage)]
+                worst = max_gpe_edges(grid.shard(*op.shard), num_gpes)
+                op.max_gpe_edges = worst
+                op.cycles = shard_compute_cycles(
+                    worst, op.dims[1] - op.dims[0], graph_cfg,
+                    attention=stages[(op.layer, op.stage)].needs_features)
+            elif isinstance(op, (InitAccumulatorOp, SelfApplyOp)):
+                op.cycles = interval_touch_cycles(
+                    op.rows[1] - op.rows[0], op.dims[1] - op.dims[0],
+                    graph_cfg)
+        gemm_cycles: dict[tuple[int, int, int], int] = {}
+        for op in program.queues["dense.compute"]:
+            if isinstance(op, GemmOp):
+                shape = (op.m, op.k, op.n)
+                cycles = gemm_cycles.get(shape)
+                if cycles is None:
+                    cycles = gemm_cycles[shape] = gemm_timing(
+                        GemmShape(*shape), dense_cfg).cycles
+                op.cycles = cycles
+            elif isinstance(op, ActivationOp):
+                op.cycles = activation_cycles(
+                    op.rows[1] - op.rows[0], program.arrays[op.out_array],
+                    dense_cfg)
+
+
+#: The ops a cost pass writes; a re-cost copies exactly these.
+_COSTED_OPS = frozenset((InitAccumulatorOp, SelfApplyOp, ShardAggregateOp,
+                         GemmOp, ActivationOp))
+
+
+def recost(structure: Program, config: GNNeratorConfig,
+           workload: str = "recost") -> Program:
+    """The program ``config`` compiles ``structure``'s workload to,
+    derived without lowering.
+
+    Valid when ``config`` resolves to ``structure``'s :class:`Geometry`
+    (``Harness._compiled`` keys its structure memo that way). The
+    compute ops are copied and costed by :func:`fill_costs`; every
+    other op, the grids, plans and arrays are shared, and so are the
+    static facts that depend only on bytes and MACs (the DRAM traffic
+    breakdown, the energy model's per-op sums). ``structure`` itself
+    is never mutated. Finished and verified like a fresh compile.
+    """
+    with span("recost", graph=structure.graph_name):
+        program = Program(
+            graph_name=structure.graph_name, model=structure.model,
+            traversal=structure.traversal,
+            feature_block=structure.feature_block,
+            num_nodes=structure.num_nodes,
+            grids=dict(structure.grids), plans=dict(structure.plans),
+            arrays=dict(structure.arrays),
+            input_array=structure.input_array,
+            output_array=structure.output_array)
+        program._dram_by_purpose = structure._dram_by_purpose
+        program._energy_terms = structure._energy_terms
+        queues, order = program.queues, program.order
+        for op in structure.order:
+            cls = type(op)
+            if cls in _COSTED_OPS:
+                clone = object.__new__(cls)
+                clone.__dict__.update(op.__dict__)
+                op = clone
+            queues[op.unit].append(op)
+            order.append(op)
+        fill_costs(program, config)
+    return _finish(program, config, workload)
+
+
+def _finish(program: Program, config: GNNeratorConfig,
+            workload: str) -> Program:
+    """Precompute what every simulation of ``program`` reads, and verify
+    it when ``REPRO_VERIFY`` is on."""
+    # The coalesced simulator's per-unit serial chains for the config
+    # this program was compiled against (and the static traffic
+    # breakdown every result re-reports), so the usual
     # compile→simulate path pays the linear precomputation once, at
     # compile time; simulating under a different DRAM config builds a
     # fresh plan lazily.
@@ -730,12 +952,37 @@ def compile_workload(graph: Graph, model: GNNModel,
     program.dram_bytes_by_purpose()
     # Opt-in compile-time verification (REPRO_VERIFY=1; the test suite
     # always sets it): run the repro.analysis pass pipeline over the
-    # fresh program and fail the compile on any contract violation.
+    # program and fail the compile on any contract violation.
     # Imported lazily — analysis sits above the compiler in the layer
     # DAG, so the compiler must not import it at module level.
     from repro.analysis.verify import verify_enabled, verify_program
 
     if verify_enabled():
-        verify_program(program, config, workload="compile_workload",
+        verify_program(program, config, workload=workload,
                        raise_on_failure=True)
     return program
+
+
+def compile_workload(graph: Graph, model: GNNModel,
+                     config: GNNeratorConfig,
+                     traversal: str = DST_STATIONARY,
+                     feature_block: int | None | str = "config",
+                     geometry: Geometry | None = None) -> Program:
+    """Compile one workload; the public compiler entry point.
+
+    ``feature_block="config"`` (default) takes the block size from the
+    platform configuration; pass an int or ``None`` to override
+    (``None`` = conventional unblocked dataflow). ``geometry`` skips
+    resolving it again when the caller already has
+    ``resolve_geometry(graph, model, config, traversal, feature_block)``.
+    """
+    global _FULL_LOWERINGS
+    if geometry is None:
+        geometry = resolve_geometry(graph, model, config, traversal,
+                                    feature_block)
+    with _MEMO_LOCK:
+        _FULL_LOWERINGS += 1
+    with span("lower", graph=graph.name, layers=len(model.layers)):
+        program = Lowering(graph, model, geometry).compile()
+        fill_costs(program, config)
+    return _finish(program, config, "compile_workload")

@@ -24,25 +24,15 @@ from repro.config.accelerator import ConfigError, GNNeratorConfig
 #: The nested config sections knob paths may address.
 SECTIONS = ("dense", "graph", "dram")
 
-#: Per-section field names only the *simulator* reads. Lowering bakes
-#: every op's cycle cost from structural config (array shape, GPE
-#: count, SIMD width, pipeline depth, buffer budgets) but clock
-#: frequencies enter only when cycles are converted to seconds, and
-#: the whole DRAM section enters only through the simulator's
-#: coalesced chains (see ``Program.coalesced_plan``). Anything listed
-#: here can change without invalidating a compiled program.
+#: Per-section field names only the *simulator* reads. Lowering reads
+#: buffer budgets through its geometry and the compute knobs (array
+#: shape, GPE count, SIMD width, pipeline depth) through its cost pass
+#: (see :mod:`repro.compiler.lowering`), but clock frequencies enter
+#: only when cycles are converted to seconds, and the whole DRAM
+#: section enters only through the simulator's coalesced chains (see
+#: ``Program.coalesced_plan``). Anything listed here can change
+#: without invalidating a compiled program.
 _SIMULATE_ONLY_FIELDS = ("frequency_ghz",)
-
-#: Compile-product families a knob invalidates — see
-#: :func:`knob_dependencies`. Ordered roughly from cheapest to
-#: recompute ("simulate" invalidates nothing compiled) to most
-#: expensive ("grid" forces a fresh shard scatter).
-KNOB_FAMILIES = ("simulate", "dense", "graph-compute", "grid")
-
-#: Graph Engine fields that determine shard-grid *geometry* (interval
-#: size, scatter, per-shard edge lists) rather than just op cycles.
-_GRID_FIELDS = ("src_feature_buffer_bytes", "dst_feature_buffer_bytes",
-                "edge_buffer_bytes")
 
 #: Frozen, canonical override form: sorted ``(path, value)`` pairs.
 FrozenOverrides = tuple[tuple[str, float], ...]
@@ -178,43 +168,6 @@ def overrides_between(base: GNNeratorConfig,
     return diff
 
 
-def knob_dependencies(base: GNNeratorConfig | None = None
-                      ) -> dict[str, str]:
-    """Map every knob path to the compile-product family it invalidates.
-
-    The families (:data:`KNOB_FAMILIES`) tag what moving a knob forces
-    the compiler to redo — the contract incremental recompilation is
-    built on:
-
-    * ``"simulate"`` — nothing compiled: DRAM knobs and clock
-      frequencies are read only at simulation time, so two candidates
-      differing solely in these share one :class:`Program` outright
-      (each DRAM config lazily gets its own coalesced action chains).
-    * ``"dense"`` — Dense Engine op emission (GEMM tiling, residency)
-      changes; shard grids and baked aggregation weights survive.
-    * ``"graph-compute"`` — Graph Engine op *cycles* change (GPE count,
-      SIMD width, pipeline depth) but the shard grid geometry does not;
-      the memoized grid and its per-shard statistics are reused.
-    * ``"grid"`` — buffer budgets or the feature block move the
-      interval size: a fresh scatter may be needed (still memoized per
-      resolved interval on the graph).
-    """
-    deps: dict[str, str] = {"feature_block": "grid"}
-    for path in knob_paths(base):
-        if path == "feature_block":
-            continue
-        section, name = path.split(".", 1)
-        if section == "dram" or name in _SIMULATE_ONLY_FIELDS:
-            deps[path] = "simulate"
-        elif section == "dense":
-            deps[path] = "dense"
-        elif name in _GRID_FIELDS:
-            deps[path] = "grid"
-        else:
-            deps[path] = "graph-compute"
-    return deps
-
-
 def compile_relevant_config(config: GNNeratorConfig
                             ) -> tuple[tuple[str, object], ...]:
     """Canonical projection of the config fields compilation reads.
@@ -226,7 +179,9 @@ def compile_relevant_config(config: GNNeratorConfig
     config, so DSE candidates differing only in simulate-only knobs
     (the DRAM section, clock frequencies, the cosmetic ``name``) map to
     one compile. Returned as sorted ``(path, value)`` pairs: hashable,
-    JSON-able, order-stable.
+    JSON-able, order-stable. (Projections that differ only in compute
+    knobs still share one lowering: ``Harness._compiled`` re-costs a
+    program of the same geometry.)
     """
     entries: list[tuple[str, object]] = [
         ("feature_block", config.feature_block),

@@ -8,6 +8,7 @@ experiment modules.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 from dataclasses import dataclass
@@ -23,6 +24,12 @@ from repro.config.platforms import (
 )
 from repro.config.overrides import compile_relevant_config
 from repro.config.workload import WorkloadSpec
+from repro.compiler.lowering import (
+    compile_workload,
+    program_geometry,
+    recost,
+    resolve_geometry,
+)
 from repro.compiler.program import Program
 from repro.compiler.store import default_program_store, program_key_payload
 from repro.graph.datasets import dataset_fingerprint, dataset_stats
@@ -96,15 +103,23 @@ class Harness:
         self._params: dict[tuple, Parameters] = {}
         self._datasets = DatasetCache()
         self._programs: dict[tuple, Program] = {}
+        #: Programs by ``(spec, Geometry)``: what a cost-only variant
+        #: re-costs instead of lowering (see :meth:`_compiled`).
+        self._structures: dict[tuple, Program] = {}
         self._fingerprints: dict[str, str | None] = {}
         self._memo_hits = 0
         self._memo_misses = 0
+        self._structure_hits = 0
+        self._structure_misses = 0
         #: Guards every memo dict and counter on this harness.
         self._lock = threading.RLock()
-        #: One lock per in-flight compile key (see :meth:`_compiled`).
+        #: One lock per in-flight compile key and per structure being
+        #: lowered (see :meth:`_compiled`).
         self._compile_locks: dict[tuple, threading.Lock] = {}
+        self._structure_locks: dict[tuple, threading.Lock] = {}
         #: Which cache layer satisfied this *thread's* most recent
-        #: :meth:`_compiled` call ("memo" | "store" | "compiled").
+        #: :meth:`_compiled` call ("memo" | "store" | "recost" |
+        #: "compiled").
         #: Thread-local so concurrent daemon workers can attribute a
         #: tier to their own request without racing on a counter delta.
         self._tier = threading.local()
@@ -157,39 +172,62 @@ class Harness:
                 self._fingerprints[dataset] = dataset_fingerprint(dataset)
             return self._fingerprints[dataset]
 
+    @contextlib.contextmanager
+    def _key_lock(self, locks: dict, key):
+        """Hold ``key``'s lock in ``locks``, created on demand and
+        dropped once its holder is done — whether the work succeeded
+        or raised, so failing keys never accumulate locks."""
+        with self._lock:
+            lock = locks.setdefault(key, threading.Lock())
+        try:
+            with lock:
+                yield
+        finally:
+            with self._lock:
+                if locks.get(key) is lock:
+                    del locks[key]
+
     def _compiled(self, spec: WorkloadSpec,
                   config: GNNeratorConfig,
                   feature_block: int | None | str) -> Program:
         """The memoized compiled program for one (workload, config).
 
         Compilation is deterministic given (graph, model, config,
-        traversal, block) and simulation never mutates the
-        program, so sweep points and DSE candidates sharing a software
-        shape skip recompilation entirely. Keyed by the *compile-
-        relevant* config projection rather than the full config, so DSE
-        candidates that differ only in simulate-only knobs (DRAM, clock
-        frequencies) share one program. In-process misses fall through
-        to the persistent program store before compiling, and fresh
-        compiles are published there; bounded FIFO to keep long
-        searches from pinning every program ever compiled.
+        traversal, block) and simulation never mutates the program, so
+        sweep points and DSE candidates sharing a software shape skip
+        recompilation entirely. Keyed by the *compile-relevant* config
+        projection rather than the full config, so DSE candidates that
+        differ only in simulate-only knobs (DRAM, clock frequencies)
+        share one program. A miss looks further, cheapest first:
+
+        1. the persistent program store;
+        2. the structure memo, keyed by ``(spec, Geometry)``: a
+           candidate that moves only compute knobs (array shape, GPE
+           count, SIMD lanes) — or a buffer the workload cannot fill —
+           re-costs a memoized program of its geometry
+           (:func:`~repro.compiler.lowering.recost`) instead of
+           lowering. Re-costs are never published to the store: one
+           costs less to rebuild than a store round trip.
+        3. a full lowering, published to the store.
+
+        Full lowerings and store hits seed the structure memo. Both
+        memos are bounded FIFO to keep long searches from pinning every
+        program ever compiled.
         """
         if feature_block == "config":
             feature_block = config.feature_block
         projection = compile_relevant_config(config)
         key = (spec, projection, feature_block)
-        # Fast path + per-key lock acquisition under the harness lock:
-        # concurrent requests for the same key serialize on the key
-        # lock (one lowering, the rest hit the memo on re-check) while
-        # distinct keys compile concurrently.
+        # Fast path + per-key lock: concurrent requests for the same key
+        # serialize on the key lock (one lowering, the rest hit the
+        # memo on re-check) while distinct keys compile concurrently.
         with self._lock:
             program = self._programs.get(key)
             if program is not None:
                 self._memo_hits += 1
                 self._tier.value = "memo"
                 return program
-            key_lock = self._compile_locks.setdefault(key,
-                                                      threading.Lock())
-        with key_lock:
+        with self._key_lock(self._compile_locks, key):
             with self._lock:
                 program = self._programs.get(key)
                 if program is not None:
@@ -199,68 +237,102 @@ class Harness:
                     return program
                 self._memo_misses += 1
             graph = self.graph(spec.dataset)
-            store = self.program_store
-            store_key = None
-            program = None
-            tier = "compiled"
             with span("compile", workload=spec.label):
-                if store is not None:
-                    fingerprint = self._fingerprint(spec.dataset)
-                    if fingerprint is not None:
-                        store_key = store.key(program_key_payload(
-                            dataset_fingerprint=fingerprint,
-                            network=spec.network,
-                            hidden_dim=spec.hidden_dim,
-                            traversal=spec.traversal,
-                            feature_block=feature_block,
-                            config_projection=projection))
-                        program = store.get(store_key, graph)
-                        if program is not None:
-                            tier = "store"
-                            # Freshly compiled programs were verified
-                            # (if REPRO_VERIFY is on) inside
-                            # compile_workload; a store hit skips that
-                            # path, so guard against corrupted or
-                            # stale cache entries here.
-                            from repro.analysis.verify import (
-                                verify_enabled,
-                                verify_program,
-                            )
-
-                            if verify_enabled():
-                                verify_program(
-                                    program, config,
-                                    workload=f"store:{spec.label}",
-                                    raise_on_failure=True)
-                if program is None:
-                    accelerator = GNNerator(config)
-                    program = accelerator.compile(
-                        graph, self.model(spec),
-                        traversal=spec.traversal,
-                        feature_block=feature_block)
-                    if store_key is not None:
-                        store.put(store_key, program, graph)
+                program, tier = self._compile_miss(
+                    spec, graph, config, feature_block, projection)
             self._tier.value = tier
             with self._lock:
-                if len(self._programs) >= self.PROGRAM_CACHE_MAX_ENTRIES:
-                    self._programs.pop(next(iter(self._programs)))
-                self._programs[key] = program
-                self._compile_locks.pop(key, None)
+                self._remember(self._programs, key, program)
             return program
+
+    def _compile_miss(self, spec: WorkloadSpec, graph: Graph,
+                      config: GNNeratorConfig, feature_block: int | None,
+                      projection: tuple) -> tuple[Program, str]:
+        """Serve a program-memo miss; returns ``(program, tier)``."""
+        store = self.program_store
+        store_key = None
+        if store is not None:
+            fingerprint = self._fingerprint(spec.dataset)
+            if fingerprint is not None:
+                store_key = store.key(program_key_payload(
+                    dataset_fingerprint=fingerprint,
+                    network=spec.network,
+                    hidden_dim=spec.hidden_dim,
+                    traversal=spec.traversal,
+                    feature_block=feature_block,
+                    config_projection=projection))
+                program = store.get(store_key, graph)
+                if program is not None:
+                    # Freshly compiled programs were verified (if
+                    # REPRO_VERIFY is on) inside compile_workload; a
+                    # store hit skips that path, so guard against
+                    # corrupted or stale cache entries here.
+                    from repro.analysis.verify import (
+                        verify_enabled,
+                        verify_program,
+                    )
+
+                    if verify_enabled():
+                        verify_program(program, config,
+                                       workload=f"store:{spec.label}",
+                                       raise_on_failure=True)
+                    structure_key = (spec, program_geometry(
+                        program, graph, config))
+                    with self._lock:
+                        self._remember(self._structures, structure_key,
+                                       program)
+                    return program, "store"
+        with span("geometry", workload=spec.label):
+            model = self.model(spec)
+            structure_key = (spec, resolve_geometry(
+                graph, model, config, spec.traversal, feature_block))
+        # One lowering per structure: concurrent cost variants of one
+        # geometry wait for it here, then re-cost in parallel.
+        with self._key_lock(self._structure_locks, structure_key):
+            with self._lock:
+                structure = self._structures.get(structure_key)
+                if structure is None:
+                    self._structure_misses += 1
+                else:
+                    self._structure_hits += 1
+            if structure is None:
+                program = compile_workload(
+                    graph, model, config, traversal=spec.traversal,
+                    feature_block=feature_block,
+                    geometry=structure_key[1])
+                with self._lock:
+                    self._remember(self._structures, structure_key,
+                                   program)
+        if structure is not None:
+            return recost(structure, config,
+                          workload=f"recost:{spec.label}"), "recost"
+        if store_key is not None:
+            store.put(store_key, program, graph)
+        return program, "compiled"
+
+    def _remember(self, memo: dict, key, program: Program) -> None:
+        """FIFO-bounded insert (the caller holds the harness lock)."""
+        if key in memo:
+            return
+        if len(memo) >= self.PROGRAM_CACHE_MAX_ENTRIES:
+            memo.pop(next(iter(memo)))
+        memo[key] = program
 
     def last_compile_tier(self) -> str | None:
         """Which layer served this thread's most recent compile:
-        ``"memo"``, ``"store"`` or ``"compiled"`` (None = no compile
-        on this thread yet). The daemon joins this to its per-request
-        logs — a thread-local, not a counter delta, so it stays
-        accurate under concurrent workers."""
+        ``"memo"``, ``"store"``, ``"recost"`` or ``"compiled"`` (None
+        = no compile on this thread yet). The daemon joins this to its
+        per-request logs — a thread-local, not a counter delta, so it
+        stays accurate under concurrent workers."""
         return getattr(self._tier, "value", None)
 
     def cache_stats(self) -> dict:
         """Hit/miss counters of this harness's program caches."""
         with self._lock:
             stats = {"memo": {"hits": self._memo_hits,
-                              "misses": self._memo_misses}}
+                              "misses": self._memo_misses},
+                     "structure": {"hits": self._structure_hits,
+                                   "misses": self._structure_misses}}
         if self.program_store is not None:
             stats["store"] = dict(self.program_store.stats)
             stats["store"]["root"] = str(self.program_store.root)

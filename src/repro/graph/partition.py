@@ -429,22 +429,14 @@ def plan_shards(graph: Graph, config: GraphEngineConfig,
                 block: int) -> ShardGrid:
     """Build the shard grid for ``graph`` under a feature block of ``block``.
 
-    Starts from the buffer-capacity interval size and halves it until
-    every shard's edge list also fits the (double-buffered) edge buffer.
-
-    Grids are memoized on the graph object, keyed by exactly the config
-    inputs the geometry depends on — the usable buffer budgets and the
-    block size — so every compile of the same workload shape reuses the
-    scatter, the per-shard segment boundaries, and the GPE load
-    statistics. DSE candidates that vary only compute knobs (GPE count,
-    SIMD width, frequency, dense-engine shape) share one grid; the
-    per-shard GPE-load cache is itself keyed by GPE count, so sharing
-    a grid across those candidates stays sound.
-
-    Holds the graph's grid lock for the whole plan: concurrent
-    compiles of the same graph (serve daemon request threads) get one
-    grid build and identical grid *objects* — two structurally equal
-    grids would defeat every identity-keyed per-shard cache downstream.
+    The grid at :func:`fitting_interval`, additionally memoized under
+    exactly the config inputs the geometry depends on — the usable
+    buffer budgets and the block size — so a repeat call skips the
+    probe. DSE candidates that vary only compute knobs (GPE count, SIMD
+    width, frequency, dense-engine shape) share one grid; the per-shard
+    GPE-load cache is itself keyed by GPE count, so sharing a grid
+    across those candidates stays sound. (The compiler asks for grids
+    by interval size instead: :func:`shard_grid`.)
     """
     with _graph_grid_lock(graph):
         key = (config.usable_src_bytes, config.usable_dst_bytes,
@@ -452,18 +444,38 @@ def plan_shards(graph: Graph, config: GraphEngineConfig,
         cached = _grid_memo(graph).get(key)
         if cached is not None:
             return cached
-        with span("plan-shards", graph=graph.name, block=block):
-            interval = _fitting_interval(graph, config, block)
-            # A grid depends only on (graph, interval): different
-            # feature blocks that resolve to the same interval — e.g. a
-            # wide input layer halved down to the interval a narrow
-            # hidden layer gets from capacity alone — share one
-            # scatter. The per-shard caches (segment boundaries, GPE
-            # loads) are block-independent, so the sharing is sound.
-            grid = _grid_memo(graph).get(("interval", interval))
-            if grid is None:
-                grid = memoize_grid(ShardGrid(graph, interval))
-            return memoize_grid(grid, key)
+        grid = shard_grid(graph, _fitting_interval(graph, config, block))
+        return memoize_grid(grid, key)
+
+
+def shard_grid(graph: Graph, interval_size: int) -> ShardGrid:
+    """The memoized shard grid of ``graph`` at ``interval_size``.
+
+    A grid depends only on (graph, interval): different feature blocks
+    or buffer budgets that resolve to the same interval share one
+    scatter. The per-shard caches (segment boundaries, GPE loads) are
+    block-independent, so the sharing is sound.
+
+    Holds the graph's grid lock for the whole build: concurrent
+    compiles of the same graph (serve daemon request threads) get one
+    grid build and identical grid *objects* — two structurally equal
+    grids would defeat every identity-keyed per-shard cache downstream.
+    """
+    with _graph_grid_lock(graph):
+        grid = _grid_memo(graph).get(("interval", interval_size))
+        if grid is None:
+            with span("plan-shards", graph=graph.name,
+                      interval=interval_size):
+                grid = memoize_grid(ShardGrid(graph, interval_size))
+        return grid
+
+
+def fitting_interval(graph: Graph, config: GraphEngineConfig,
+                     block: int) -> int:
+    """The interval size :func:`plan_shards` builds its grid at, from
+    the graph's memoized probes — never building a grid."""
+    with _graph_grid_lock(graph):
+        return _fitting_interval(graph, config, block)
 
 
 def _fitting_interval(graph: Graph, config: GraphEngineConfig,

@@ -90,8 +90,9 @@ def _metrics_delta(before: dict | None, after: dict | None
             "repro_request_latency_seconds_count"),
         "cache_hits": {
             layer: diff("repro_cache_hits_total", layer=layer)
-            for layer in ("harness-memo", "program-store",
-                          "dataset-disk", "result-cache")},
+            for layer in ("harness-memo", "harness-structure",
+                          "program-store", "dataset-disk",
+                          "result-cache")},
     }
 
 

@@ -160,6 +160,7 @@ class ServeState:
         caches = self.harness.cache_stats()
         layers = {
             "harness-memo": caches["memo"],
+            "harness-structure": caches["structure"],
             "dataset-disk": disk_cache_stats(),
             "result-cache": results,
         }
@@ -219,7 +220,8 @@ class ServeState:
             "cycles": result.cycles,
             "num_operations": result.num_operations,
             "total_dram_bytes": result.total_dram_bytes,
-            # Which layer served the compile (memo/store/compiled).
+            # Which layer served the compile (memo/store/recost/
+            # compiled).
             # Read on this worker thread (thread-local), then shared
             # with every coalesced waiter through the job result — the
             # handler joins it into the request log.

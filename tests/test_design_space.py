@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.compiler.lowering import program_geometry, resolve_geometry
 from repro.config.workload import WorkloadSpec
 from repro.dse.space import default_design_space
 from repro.eval.harness import Harness
@@ -58,9 +59,8 @@ def design_variants() -> list[tuple[str, dict[str, float]]]:
     return variants
 
 
-def _compute() -> dict:
+def _compute(harness: Harness) -> dict:
     space = default_design_space()
-    harness = Harness(program_store=None)
     payload: dict[str, dict[str, dict[str, float]]] = {}
     for dataset, network in WORKLOADS:
         spec = WorkloadSpec(dataset=dataset, network=network)
@@ -93,8 +93,15 @@ def _diff(expected: dict, actual: dict) -> list[str]:
     return lines
 
 
-def test_design_space_matches_golden():
-    actual = _compute()
+@pytest.fixture(scope="module")
+def evaluated() -> tuple[Harness, dict]:
+    """One harness holding every row's program, and the rows."""
+    harness = Harness(program_store=None)
+    return harness, _compute(harness)
+
+
+def test_design_space_matches_golden(evaluated):
+    _, actual = evaluated
     if os.environ.get("REGEN_GOLDENS"):
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(actual, indent=1,
@@ -122,3 +129,21 @@ def test_golden_covers_every_variant():
         for row in rows.values():
             assert set(row) == set(FIELDS)
             assert row["cycles"] > 0 and row["energy_pj"] > 0
+
+
+def test_program_geometry_matches_resolved(evaluated):
+    """A store hit reads its geometry off the loaded program's grids; a
+    miss resolves it from the config through the interval probes. For
+    every golden row the two must agree, or store hits would seed the
+    structure memo under keys no miss ever looks up."""
+    harness, _ = evaluated
+    space = default_design_space()
+    for dataset, network in WORKLOADS:
+        spec = WorkloadSpec(dataset=dataset, network=network)
+        graph, model = harness.graph(dataset), harness.model(spec)
+        for label, overrides in design_variants():
+            config = space.config_for(overrides)
+            program = harness.gnnerator_program(spec, config)
+            assert program_geometry(program, graph, config) \
+                == resolve_geometry(graph, model, config, spec.traversal), (
+                    f"{spec.label}/{label}")

@@ -430,10 +430,10 @@ class TestSweepAndDseIntegration:
 
     def test_dse_200_candidates_at_most_10_lowerings(self, tmp_path,
                                                      monkeypatch):
-        """The ISSUE's incremental-recompilation acceptance bar: a
-        200-candidate tiny-gcn grid whose knobs are mostly
-        simulate-only compiles once per compile-relevant projection
-        (here 2 x 2 = 4 times), not once per candidate."""
+        """Incremental recompilation: a 200-candidate tiny-gcn grid
+        whose knobs are simulate-only or compute-only lowers once. Its
+        2 x 2 compile-relevant projections share one geometry, so three
+        of them are re-costs of the first."""
         from repro.dse import Budget, DseEngine, build_strategy
         from repro.dse.space import DesignSpace, Knob
 
@@ -456,5 +456,4 @@ class TestSweepAndDseIntegration:
         assert len(result.evaluations) == 200
         assert all(e.ok for e in result.evaluations)
         assert result.frontier
-        assert lowerings <= 10
-        assert lowerings == 4  # exactly one per projection
+        assert lowerings == 1  # one per geometry

@@ -398,8 +398,8 @@ class TestObservability:
                       "repro_cache_misses_total"):
             layers = {dict(labels)["layer"]
                       for (name, labels) in parsed if name == field}
-            assert layers == {"harness-memo", "dataset-disk",
-                              "result-cache"}
+            assert layers == {"harness-memo", "harness-structure",
+                              "dataset-disk", "result-cache"}
         assert series_sum(parsed, "repro_full_lowerings_total") >= 1
         # The latency histogram observed the POST above.
         assert series_sum(parsed, "repro_request_latency_seconds_count",
@@ -441,6 +441,31 @@ class TestObservability:
                                              "network": "gcn"})
         assert first["result"]["cache_tier"] == "compiled"
         assert second["result"]["cache_tier"] == "memo"
+
+    def test_cost_variant_logs_recost_tier_and_structure_hit(self,
+                                                            daemon):
+        """A request that moves only compute knobs re-costs the first
+        request's program: its response and request log say
+        ``recost``, and /metrics counts a harness-structure hit."""
+        from repro.obs.metrics import parse_prometheus, series_sum
+
+        state, base = daemon
+        _post(f"{base}/run", {"dataset": "tiny", "network": "gcn"})
+        status, payload, _ = _post(f"{base}/run", {
+            "dataset": "tiny", "network": "gcn",
+            "overrides": {"graph.num_gpes": 16}})
+        assert status == 200
+        assert payload["result"]["cache_tier"] == "recost"
+        _settle(lambda: _logged(state, request_id=payload["request_id"]))
+        (entry,) = [line for line in _log_lines(state)
+                    if line.get("request_id") == payload["request_id"]]
+        assert entry["cache_tier"] == "recost"
+        _, text, _ = _get_text(f"{base}/metrics")
+        parsed = parse_prometheus(text)
+        assert series_sum(parsed, "repro_cache_hits_total",
+                          layer="harness-structure") == 1
+        assert series_sum(parsed, "repro_cache_misses_total",
+                          layer="harness-structure") == 1
 
     def test_structured_logs_join_request_to_outcome(self, daemon):
         state, base = daemon
