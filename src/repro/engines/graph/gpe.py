@@ -40,7 +40,7 @@ def max_gpe_edges(shard: Shard, num_gpes: int) -> int:
     """Edge count on the most-loaded GPE (the latency determinant).
 
     Cached on the shard per GPE count: shard grids are memoized across
-    compiles (see :func:`repro.graph.partition.plan_shards`), so sweeps
+    compiles (see :func:`repro.graph.partition.shard_grid`), so sweeps
     and DSE candidates sharing a grid never re-reduce the distribution.
     """
     cached = shard._gpe_loads.get(num_gpes)

@@ -89,10 +89,11 @@ class Harness:
 
     Thread safety: one harness may be shared by concurrent request
     threads (the ``repro serve`` daemon). Every memo (params, datasets,
-    fingerprints, compiled programs) is guarded, and compilation uses a
-    per-key lock so N threads asking for the *same* program run exactly
-    one lowering while threads asking for *different* programs compile
-    in parallel.
+    fingerprints, compiled programs, program structures) is guarded,
+    and compilation uses per-key locks so N threads asking for the
+    *same* program — or for cost variants of one structure — run
+    exactly one lowering while threads asking for *different* programs
+    compile in parallel.
     """
 
     #: Compiled programs kept per harness; evicted FIFO beyond this.

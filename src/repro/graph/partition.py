@@ -368,8 +368,7 @@ def plan_interval_size(config: GraphEngineConfig, block: int) -> int:
     return int(capacity)
 
 
-#: Grid-cache entries kept per graph by :func:`plan_shards` (each grid
-#: occupies up to two slots: its interval key plus a block-key alias);
+#: Grids kept per graph, one per interval size (see :func:`shard_grid`);
 #: bounds worst-case memory when a DSE search walks many scratchpad
 #: geometries over one graph.
 _GRID_CACHE_MAX_ENTRIES = 16
@@ -402,50 +401,36 @@ def _grid_memo(graph: Graph) -> dict:
     return cache
 
 
-def memoize_grid(grid: ShardGrid, key: tuple | None = None) -> ShardGrid:
+def memoize_grid(grid: ShardGrid) -> ShardGrid:
     """Enter ``grid`` in its graph's grid memo and return the memo's
-    entry for ``key`` (default: the grid's interval key).
+    entry for its interval size.
 
-    The one way into the memo, for grids :func:`plan_shards` builds and
+    The one way into the memo, for grids :func:`shard_grid` builds and
     grids a stored program brings along: it holds the graph's grid lock
     and evicts the oldest entry once :data:`_GRID_CACHE_MAX_ENTRIES` are
-    held. An entry already under ``key`` wins, so the memo never swaps
-    a grid out from under compiles that share it.
+    held. An entry already under the interval size wins, so the memo
+    never swaps a grid out from under compiles that share it.
     """
-    if key is None:
-        key = ("interval", grid.interval_size)
     with _graph_grid_lock(grid.graph):
         cache = _grid_memo(grid.graph)
-        existing = cache.get(key)
+        existing = cache.get(grid.interval_size)
         if existing is not None:
             return existing
         if len(cache) >= _GRID_CACHE_MAX_ENTRIES:
             cache.pop(next(iter(cache)))
-        cache[key] = grid
+        cache[grid.interval_size] = grid
         return grid
 
 
 def plan_shards(graph: Graph, config: GraphEngineConfig,
                 block: int) -> ShardGrid:
-    """Build the shard grid for ``graph`` under a feature block of ``block``.
-
-    The grid at :func:`fitting_interval`, additionally memoized under
-    exactly the config inputs the geometry depends on — the usable
-    buffer budgets and the block size — so a repeat call skips the
-    probe. DSE candidates that vary only compute knobs (GPE count, SIMD
-    width, frequency, dense-engine shape) share one grid; the per-shard
-    GPE-load cache is itself keyed by GPE count, so sharing a grid
-    across those candidates stays sound. (The compiler asks for grids
-    by interval size instead: :func:`shard_grid`.)
-    """
-    with _graph_grid_lock(graph):
-        key = (config.usable_src_bytes, config.usable_dst_bytes,
-               config.usable_edge_bytes, block)
-        cached = _grid_memo(graph).get(key)
-        if cached is not None:
-            return cached
-        grid = shard_grid(graph, _fitting_interval(graph, config, block))
-        return memoize_grid(grid, key)
+    """The shard grid for ``graph`` under a feature block of ``block``:
+    the memoized grid at :func:`fitting_interval`. DSE candidates that
+    vary only compute knobs (GPE count, SIMD width, frequency,
+    dense-engine shape) share one grid; the per-shard GPE-load cache is
+    itself keyed by GPE count, so sharing a grid across those
+    candidates stays sound."""
+    return shard_grid(graph, fitting_interval(graph, config, block))
 
 
 def shard_grid(graph: Graph, interval_size: int) -> ShardGrid:
@@ -462,7 +447,7 @@ def shard_grid(graph: Graph, interval_size: int) -> ShardGrid:
     grids would defeat every identity-keyed per-shard cache downstream.
     """
     with _graph_grid_lock(graph):
-        grid = _grid_memo(graph).get(("interval", interval_size))
+        grid = _grid_memo(graph).get(interval_size)
         if grid is None:
             with span("plan-shards", graph=graph.name,
                       interval=interval_size):
@@ -472,38 +457,31 @@ def shard_grid(graph: Graph, interval_size: int) -> ShardGrid:
 
 def fitting_interval(graph: Graph, config: GraphEngineConfig,
                      block: int) -> int:
-    """The interval size :func:`plan_shards` builds its grid at, from
-    the graph's memoized probes — never building a grid."""
-    with _graph_grid_lock(graph):
-        return _fitting_interval(graph, config, block)
-
-
-def _fitting_interval(graph: Graph, config: GraphEngineConfig,
-                      block: int) -> int:
     """The largest candidate interval whose fullest cell fits the edge
     buffer, halving down from the scratchpad capacity.
 
     Candidates are probed with an O(|E|) per-cell edge count instead of
     building (and sorting) a full grid per candidate — the accepted
-    interval is exactly the one the old build-and-check loop chose, the
-    grid is just constructed once, at the end. Probe results are
-    memoized per graph: a multi-layer model (or a DSE sweep walking
-    buffer budgets) re-asks about the same candidate intervals, and the
-    answer is a pure function of (graph, interval).
+    interval is exactly the one a build-and-check loop would choose,
+    and no grid is built. Probe results are memoized per graph: a
+    multi-layer model (or a DSE sweep walking buffer budgets) re-asks
+    about the same candidate intervals, and the answer is a pure
+    function of (graph, interval).
     """
     interval = min(plan_interval_size(config, block),
                    max(graph.num_nodes, 1))
     edge_capacity = config.usable_edge_bytes // EDGE_BYTES
-    probes: dict | None = getattr(graph, "_cell_edge_cache", None)
-    if probes is None:
-        probes = graph._cell_edge_cache = {}
-    while interval > 1:
-        cells = probes.get(interval)
-        if cells is None:
-            cells = probes[interval] = _max_cell_edges(graph, interval)
-        if cells <= edge_capacity:
-            break
-        interval = max(interval // 2, 1)
+    with _graph_grid_lock(graph):
+        probes: dict | None = getattr(graph, "_cell_edge_cache", None)
+        if probes is None:
+            probes = graph._cell_edge_cache = {}
+        while interval > 1:
+            cells = probes.get(interval)
+            if cells is None:
+                cells = probes[interval] = _max_cell_edges(graph, interval)
+            if cells <= edge_capacity:
+                break
+            interval = max(interval // 2, 1)
     return interval
 
 

@@ -153,9 +153,10 @@ def run_point(point: SweepPoint, harness) -> PointResult:
 #: compiled programs materialise once per process, not once per point —
 #: DSE candidates that share a *compile-relevant* config projection
 #: reuse the compiled software outright (see ``Harness._compiled``:
-#: DRAM/frequency-only variants map to one program), and candidates
-#: that differ only in non-graph-engine knobs still share the memoized
-#: shard grids hanging off the graph object. Each worker's default
+#: DRAM/frequency-only variants map to one program), candidates that
+#: differ only in compute knobs re-cost one lowered structure, and the
+#: rest still share the memoized shard grids hanging off the graph
+#: object. Each worker's default
 #: harness additionally consults the persistent compiled-program store
 #: (``.program-cache``), which all workers — and all later processes —
 #: share: a program any worker compiles is published once, atomically,
