@@ -219,9 +219,9 @@ class ExtractGeometry:
     #: the stage's GEMMs contract over: the input-buffer half aligned
     #: down to ``dense.rows``, clamped to the stage's longest interval.
     input_rows: tuple[tuple[int, int], ...]
-    #: A standalone stage's row chunk, clamped to ``num_nodes``; None
-    #: when an adjacent aggregate stage's intervals set the rows.
-    row_chunk: int | None
+    #: A standalone stage's row chunk, clamped to ``num_nodes``; 0 when
+    #: an adjacent aggregate stage's intervals set the rows.
+    row_chunk: int
     #: Whether the output working set spills the output-buffer half.
     spills: bool
 
@@ -245,6 +245,18 @@ class Geometry:
     sparsity_elimination: bool
     #: Per layer, one entry per stage in stage order.
     stages: tuple[tuple[AggregateGeometry | ExtractGeometry, ...], ...]
+
+    def aggregate(self, layer: int, stage: int) -> AggregateGeometry:
+        entry = self.stages[layer][stage]
+        if not isinstance(entry, AggregateGeometry):
+            raise CompileError(f"no aggregate geometry for l{layer}s{stage}")
+        return entry
+
+    def extract(self, layer: int, stage: int) -> ExtractGeometry:
+        entry = self.stages[layer][stage]
+        if not isinstance(entry, ExtractGeometry):
+            raise CompileError(f"no extract geometry for l{layer}s{stage}")
+        return entry
 
 
 def _block_for(feature_block: int | None, dim: int) -> int:
@@ -293,7 +305,7 @@ def resolve_geometry(graph: Graph, model: GNNModel,
     workloads no lowering could place (an empty graph, a weight row
     wider than the weight-buffer half).
     """
-    if feature_block == "config":
+    if isinstance(feature_block, str):  # the "config" sentinel
         feature_block = config.feature_block
     _check_workload(graph, model)
     intervals = {
@@ -324,7 +336,7 @@ def _geometry(graph: Graph, model: GNNModel, config: GNNeratorConfig,
     num_nodes = graph.num_nodes
     edge_bytes = min(config.graph.usable_edge_bytes,
                      max(graph.num_edges * EDGE_BYTES, EDGE_BYTES))
-    layers = []
+    layers: list[tuple[AggregateGeometry | ExtractGeometry, ...]] = []
     for li, layer in enumerate(model.layers):
         stages = layer.stages
         entries: list[AggregateGeometry | ExtractGeometry] = []
@@ -341,7 +353,7 @@ def _geometry(graph: Graph, model: GNNModel, config: GNNeratorConfig,
                 raise CompileError(
                     f"one weight row ({n * ELEM_BYTES} B) does not fit "
                     f"the weight buffer of stage l{li}s{si}")
-            row_chunk = None
+            row_chunk = 0
             if si > 0 and isinstance(stages[si - 1], AggregateStage):
                 longest = intervals[(li, si - 1)]
             elif (si + 1 < len(stages)
@@ -430,8 +442,8 @@ class Lowering:
             # precede an aggregation chunk their rows by its intervals.
             for stage_index, stage in enumerate(layer.stages):
                 if isinstance(stage, AggregateStage):
-                    grid = shard_grid(self.graph, self.geometry.stages[
-                        layer_index][stage_index].interval_size)
+                    grid = shard_grid(self.graph, self.geometry.aggregate(
+                        layer_index, stage_index).interval_size)
                     program.grids[(layer_index, stage_index)] = grid
                     program.plans[(layer_index, stage_index, "main")] = (
                         plan_blocks(stage.dim, self.feature_block))
@@ -463,7 +475,7 @@ class Lowering:
                          stage: AggregateStage, incoming: ValueRef
                          ) -> tuple[ValueRef, list[tuple[int, int]]]:
         program = self.program
-        geometry = self.geometry.stages[layer][stage_index]
+        geometry = self.geometry.aggregate(layer, stage_index)
         grid = program.grids[(layer, stage_index)]
         plan = program.plans[(layer, stage_index, "main")]
         side = grid.grid_side
@@ -648,7 +660,7 @@ class Lowering:
             intervals = [(iv.start, iv.stop) for iv in grid.intervals]
             completion = None
         else:
-            row_chunk = self.geometry.stages[layer][stage_index].row_chunk
+            row_chunk = self.geometry.extract(layer, stage_index).row_chunk
             intervals = _row_subchunks((0, self.graph.num_nodes), row_chunk)
             completion = None
 
@@ -668,7 +680,7 @@ class Lowering:
         them; ``None`` means dense-first / standalone (interval-outer).
         """
         program = self.program
-        geometry = self.geometry.stages[layer][stage_index]
+        geometry = self.geometry.extract(layer, stage_index)
         n = stage.out_dim
         out_array = program.declare_array(
             f"l{layer}s{stage_index}.out", n)
@@ -865,9 +877,10 @@ def fill_costs(program: Program, config: GNNeratorConfig) -> None:
                      for grid in program.grids.values()}.values():
             _prewarm_shards(grid, lambda s: num_gpes not in s._gpe_loads,
                             lambda s: max_gpe_edges(s, num_gpes))
-        stages = {(li, si): stage
-                  for li, layer in enumerate(program.model.layers)
-                  for si, stage in enumerate(layer.stages)}
+        attention = {(li, si): stage.needs_features
+                     for li, layer in enumerate(program.model.layers)
+                     for si, stage in enumerate(layer.stages)
+                     if isinstance(stage, AggregateStage)}
         for op in program.queues["graph.compute"]:
             if isinstance(op, ShardAggregateOp):
                 grid = program.grids[(op.layer, op.stage)]
@@ -875,7 +888,7 @@ def fill_costs(program: Program, config: GNNeratorConfig) -> None:
                 op.max_gpe_edges = worst
                 op.cycles = shard_compute_cycles(
                     worst, op.dims[1] - op.dims[0], graph_cfg,
-                    attention=stages[(op.layer, op.stage)].needs_features)
+                    attention=attention[(op.layer, op.stage)])
             elif isinstance(op, (InitAccumulatorOp, SelfApplyOp)):
                 op.cycles = interval_touch_cycles(
                     op.rows[1] - op.rows[0], op.dims[1] - op.dims[0],
