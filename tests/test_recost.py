@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -176,8 +177,13 @@ def test_concurrent_cost_variants_lower_once():
         return harness.gnnerator_program(spec, config)
 
     before = full_lowering_count()
-    with ThreadPoolExecutor(max_workers=len(configs)) as pool:
-        programs = list(pool.map(compile_one, configs))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads finely
+    try:
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            programs = list(pool.map(compile_one, configs))
+    finally:
+        sys.setswitchinterval(interval)
     assert full_lowering_count() - before == 1
     assert harness.cache_stats()["structure"] == {
         "hits": len(configs) - 1, "misses": 1}
