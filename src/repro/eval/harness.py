@@ -96,7 +96,8 @@ class Harness:
     compile in parallel.
     """
 
-    #: Compiled programs kept per harness; evicted FIFO beyond this.
+    #: Compiled programs, and program structures, kept per harness (each
+    #: memo separately); evicted FIFO beyond this.
     PROGRAM_CACHE_MAX_ENTRIES = 64
 
     def __init__(self, seed: int = 0, program_store="default") -> None:
