@@ -77,6 +77,7 @@ from typing import Callable
 
 from repro.compiler.ir import (
     AccumWritebackOp,
+    COMPUTE_OPS,
     AcquireOp,
     ActivationOp,
     CompileError,
@@ -908,11 +909,6 @@ def fill_costs(program: Program, config: GNNeratorConfig) -> None:
                     dense_cfg)
 
 
-#: The ops a cost pass writes; a re-cost copies exactly these.
-_COSTED_OPS = frozenset((InitAccumulatorOp, SelfApplyOp, ShardAggregateOp,
-                         GemmOp, ActivationOp))
-
-
 def recost(structure: Program, config: GNNeratorConfig,
            workload: str = "recost") -> Program:
     """The program ``config`` compiles ``structure``'s workload to,
@@ -940,9 +936,9 @@ def recost(structure: Program, config: GNNeratorConfig,
         program._energy_terms = structure._energy_terms
         queues, order = program.queues, program.order
         for op in structure.order:
-            cls = type(op)
-            if cls in _COSTED_OPS:
-                clone = object.__new__(cls)
+            # Exactly the ops fill_costs writes.
+            if isinstance(op, COMPUTE_OPS):
+                clone = object.__new__(type(op))
                 clone.__dict__.update(op.__dict__)
                 op = clone
             queues[op.unit].append(op)
@@ -979,23 +975,19 @@ def _finish(program: Program, config: GNNeratorConfig,
 def compile_workload(graph: Graph, model: GNNModel,
                      config: GNNeratorConfig,
                      traversal: str = DST_STATIONARY,
-                     feature_block: int | None | str = "config",
-                     geometry: Geometry | None = None) -> Program:
+                     feature_block: int | None | str = "config") -> Program:
     """Compile one workload; the public compiler entry point.
 
     ``feature_block="config"`` (default) takes the block size from the
     platform configuration; pass an int or ``None`` to override
-    (``None`` = conventional unblocked dataflow). ``geometry`` skips
-    resolving it again when the caller already has
-    ``resolve_geometry(graph, model, config, traversal, feature_block)``.
+    (``None`` = conventional unblocked dataflow).
     """
     global _FULL_LOWERINGS
-    if geometry is None:
+    with span("lower", graph=graph.name, layers=len(model.layers)):
         geometry = resolve_geometry(graph, model, config, traversal,
                                     feature_block)
-    with _MEMO_LOCK:
-        _FULL_LOWERINGS += 1
-    with span("lower", graph=graph.name, layers=len(model.layers)):
+        with _MEMO_LOCK:
+            _FULL_LOWERINGS += 1
         program = Lowering(graph, model, geometry).compile()
         fill_costs(program, config)
     return _finish(program, config, "compile_workload")

@@ -300,8 +300,7 @@ class Harness:
             if structure is None:
                 program = compile_workload(
                     graph, model, config, traversal=spec.traversal,
-                    feature_block=feature_block,
-                    geometry=structure_key[1])
+                    feature_block=feature_block)
                 with self._lock:
                     self._remember(self._structures, structure_key,
                                    program)

@@ -8,8 +8,9 @@ hardware probe, then reports
 * the binding resource: each resource's lower bound (DRAM bandwidth,
   Graph Engine aggregation, Dense Engine combination) against the
   achieved cycles (:mod:`repro.eval.bottleneck`);
-* per-phase host wall time (the span aggregate — load, compile, lower
-  and its per-stage children, shard-batch, build-plan, simulate);
+* per-phase host wall time (the span aggregate — load, compile,
+  geometry, lower and its per-stage children, cost, recost,
+  shard-batch, build-plan, simulate);
 * per-unit simulated cycles from the probe's op slices: compute
   cycles for the compute units, DMA cycles in flight (request to data
   delivered) for the fetch and writeback units;
