@@ -76,8 +76,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.compiler.ir import (
-    AccumWritebackOp,
     COMPUTE_OPS,
+    AccumWritebackOp,
     AcquireOp,
     ActivationOp,
     CompileError,
