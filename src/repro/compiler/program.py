@@ -12,7 +12,9 @@ treatment when persisted:
 
 * every :class:`~repro.graph.graph.Graph` reference (held by the shard
   grids in ``grids``) is pickled *by dataset identity*, never by value,
-  and reattached to the loading process's graph object;
+  and reattached to the loading process's graph object; each grid
+  pickles as (graph, interval size) only and loads as that graph's
+  memoized grid, sorted again only if something reads its edges;
 * ``_coalesced_plans`` rides along as a bonus — chains depend only on
   the op queues plus a DramConfig key, so entries cached for one DRAM
   config remain valid for a program shared across DRAM-only DSE

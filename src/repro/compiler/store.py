@@ -26,16 +26,21 @@ that function *on disk*, modeled on the dataset cache
   dropped and healed by the next store. Two workers racing on the
   same key write identical bytes; last writer wins.
 
-The graph itself is **never** serialized: since schema 3 the pickler
-reduces the keyed :class:`~repro.graph.graph.Graph` to a
-``_graph_ref(name)`` call (refusing any other graph object), and the
-unpickler resolves ``_graph_ref`` to the loading process's graph
-object (the shard grids then rebuild their sorted edge views with one
-O(|E|) gather — see ``ShardGrid.__getstate__``). Entries therefore stay
-orders of magnitude smaller than the feature matrices they index, and
-a memory-mapped million-edge feature matrix is never pulled through
-pickle. Workloads whose graph cannot be fingerprinted (real Planetoid
-files on disk) bypass the store entirely rather than risk stale keys.
+Only the program itself is serialized — never the graph, and never
+data derived from it. The pickler reduces the keyed
+:class:`~repro.graph.graph.Graph` to a ``_graph_ref(name)`` call
+(refusing any other graph object), and the unpickler resolves
+``_graph_ref`` to the loading process's graph object. Since schema 4 a
+shard grid pickles as (graph reference, interval size) and unpickles
+as that graph's memoized grid, entering an unbuilt one if the memo has
+none (``ShardGrid.__reduce__``): the |E|-sized sort order is rebuilt
+by the same in-place sort, and only if something reads the grid's
+edges — simulating a loaded program never does. Entries therefore
+hold op queues and plans only, orders of magnitude smaller than the
+graphs they index, and a memory-mapped million-edge feature matrix is
+never pulled through pickle. Workloads
+whose graph cannot be fingerprinted (real Planetoid files on disk)
+bypass the store entirely rather than risk stale keys.
 
 Disabled by pointing :data:`PROGRAM_CACHE_ENV` at ``0``/``off``/
 ``none`` (or per-call: ``Harness(program_store=None)``,
@@ -56,7 +61,6 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING
 
 from repro.graph.graph import Graph
-from repro.graph.partition import memoize_grid
 from repro.obs.spans import span
 
 if TYPE_CHECKING:
@@ -64,7 +68,7 @@ if TYPE_CHECKING:
 
 #: Bump when the pickled layout (or anything about how entries are
 #: produced) changes incompatibly; old entries become misses.
-PROGRAM_SCHEMA = 3
+PROGRAM_SCHEMA = 4
 
 #: Environment variable pointing at the store; ``0``/``off``/``none``/
 #: empty disables it (mirrors the dataset cache's contract).
@@ -212,10 +216,9 @@ class ProgramStore:
         missing file, a truncated write from a crashed worker, a
         corrupt or incompatible pickle — is a miss, and the broken
         entry is best-effort removed so the next compile heals it.
-        Loaded shard grids are registered in the graph's grid memo
-        (through :func:`~repro.graph.partition.memoize_grid`, under its
-        lock and size bound), so a later cold compile against a
-        different compute config still reuses the scatter.
+        The loaded program's shard grids are ``graph``'s memoized grids
+        (unbuilt ones entered under the memo's lock and size bound), so
+        programs and later compiles of one graph share each scatter.
         """
         path = self._path(key)
         with span("store-get", graph=graph.name):
@@ -233,8 +236,6 @@ class ProgramStore:
                 self.misses += 1
                 return None
             self.hits += 1
-            for grid in program.grids.values():
-                memoize_grid(grid)
             return program
 
     def put(self, key: str, program: "Program", graph: Graph) -> bool:

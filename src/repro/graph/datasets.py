@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,7 +148,8 @@ def _load_planetoid(stats: DatasetStats, data_dir: str) -> Graph:
 #: cache; set to ``0``/``off``/empty-string handling below to disable.
 DATASET_CACHE_ENV = "REPRO_DATASET_CACHE"
 
-#: Default on-disk location for synthesized graphs (npz per dataset).
+#: Default on-disk location for synthesized graphs (per dataset: an npz
+#: record plus edge and feature ``.npy`` sidecars).
 DEFAULT_DATASET_CACHE = ".dataset-cache"
 
 
@@ -170,7 +172,7 @@ def _generator_fingerprint() -> str:
 
 
 #: Bumped when the on-disk layout changes; old entries become misses.
-_CACHE_FORMAT = "v2"
+_CACHE_FORMAT = "v3"
 
 #: Process-wide disk-cache accounting (the in-process ``_synthesize``
 #: memo sits above this layer, so each counter moves at most once per
@@ -227,26 +229,38 @@ def _dataset_cache_path(stats: DatasetStats, seed: int) -> Path | None:
 def _features_path(path: Path) -> Path:
     """The sidecar ``.npy`` holding the feature matrix.
 
-    Features live outside the structure npz so they can be loaded with
+    Features live outside the record npz so they can be loaded with
     ``mmap_mode`` — ``np.load`` cannot memory-map members of a zip
     archive — and so a load never materialises a second in-memory copy
     of the matrix while the archive is being decoded."""
     return path.with_suffix(".features.npy")
 
 
+def _edges_path(path: Path) -> Path:
+    """The sidecar ``.npy`` holding the edges as one ``(2, |E|)`` int64
+    array (``src`` then ``dst``), memory-mapped for the same reasons as
+    the features."""
+    return path.with_suffix(".edges.npy")
+
+
 def _dataset_cache_load(path: Path | None, stats: DatasetStats) -> Graph | None:
     """A cached graph, or None; any read or validation error — missing
-    sidecar, truncated zip, short-mapped ``.npy``, stat mismatch — is
-    treated as a miss and the entry is rewritten by the next store
-    (mirroring ``ResultCache.get``'s race-tolerant contract).
+    sidecar, truncated zip, short-mapped ``.npy``, edge checksum or
+    stat mismatch — is treated as a miss and the entry is rewritten by
+    the next store (mirroring ``ResultCache.get``'s race-tolerant
+    contract).
 
-    The feature matrix is always a read-only memory map, so its pages
-    fault in only when (and if) a consumer reads them. A compile or a
-    simulation never does: a compiled program holds no values, so a
-    DSE point, a sweep point or a cycle-accurate run reads structure
-    only. That keeps a loaded graph small in every process that holds
-    one, and keeps a forked sweep worker, whose RSS starts at its
-    parent's, small with it. A write to the mapped features raises.
+    The record npz holds the node count and a CRC-32 of the edge
+    sidecar's data, and both arrays load as read-only memory maps. The
+    edges are read once here, by the checksum and the ``Graph`` range
+    checks; they never pass through a zip decoder or a second copy.
+    The feature matrix is not checksummed, so its pages fault in only
+    when (and if) a consumer reads them. A compile or a simulation
+    never does: a compiled program holds no values, so a DSE point, a
+    sweep point or a cycle-accurate run reads structure only. That
+    keeps a loaded graph small in every process that holds one, and
+    keeps a forked sweep worker, whose RSS starts at its parent's,
+    small with it. A write to the mapped features or edges raises.
     """
     if path is None:
         return None
@@ -254,13 +268,19 @@ def _dataset_cache_load(path: Path | None, stats: DatasetStats) -> Graph | None:
         features = np.load(_features_path(path), mmap_mode="r")
         if features.shape != (stats.num_nodes, stats.feature_dim):
             return None
-        with np.load(path) as data:
-            graph = Graph(int(data["num_nodes"]), data["src"], data["dst"],
-                          features=features, name=stats.name)
+        with np.load(path) as record:
+            num_nodes = int(record["num_nodes"])
+            edges_crc32 = int(record["edges_crc32"])
+        edges = np.load(_edges_path(path), mmap_mode="r")
+        if (edges.dtype != np.int64
+                or edges.shape != (2, stats.num_edges)
+                or zlib.crc32(edges) != edges_crc32):
+            return None
+        graph = Graph(num_nodes, edges[0], edges[1],
+                      features=features, name=stats.name)
     except Exception:
         return None
-    if (graph.num_nodes != stats.num_nodes
-            or graph.num_edges != stats.num_edges):
+    if graph.num_nodes != stats.num_nodes:
         return None
     return graph
 
@@ -281,19 +301,23 @@ def _atomic_write(path: Path, write) -> None:
 
 
 def _dataset_cache_store(path: Path | None, graph: Graph) -> None:
-    """Persist the graph: features sidecar first, then the structure npz
-    (loads require both, so a crash between the writes reads as a miss,
+    """Persist the graph: the feature and edge sidecars first, then the
+    record npz holding the node count and the edges' CRC-32 (loads
+    require all three, so a crash between the writes reads as a miss,
     never as a torn graph)."""
     if path is None:
         return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+        edges = np.stack([graph.src, graph.dst])
         _atomic_write(_features_path(path),
                       lambda handle: np.save(handle, graph.features))
+        _atomic_write(_edges_path(path),
+                      lambda handle: np.save(handle, edges))
         _atomic_write(path,
                       lambda handle: np.savez(
                           handle, num_nodes=np.int64(graph.num_nodes),
-                          src=graph.src, dst=graph.dst))
+                          edges_crc32=np.int64(zlib.crc32(edges))))
     except OSError:
         pass  # caching is best-effort; synthesis already succeeded
 
@@ -338,9 +362,9 @@ def load_dataset(name: str, data_dir: str | None = None) -> Graph:
     Prefers real Planetoid files under ``data_dir`` (or ``$REPRO_DATA_DIR``
     or ``./data``); falls back to the deterministic synthetic equivalent.
     The synthetic graphs are cached, so repeated loads are cheap — callers
-    must not mutate the returned object (copy features first). A graph
-    read from the disk cache carries its features as a read-only memory
-    map, so writing to them raises.
+    must not mutate the returned object (copy arrays first). A graph
+    read from the disk cache carries its features and its ``src``/``dst``
+    arrays as read-only memory maps, so writing to them raises.
     """
     stats = dataset_stats(name)
     candidates = [data_dir, os.environ.get("REPRO_DATA_DIR"), "data"]

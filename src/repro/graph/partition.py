@@ -16,6 +16,7 @@ dimension-blocking win (Sec IV-B).
 
 from __future__ import annotations
 
+import functools
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -172,96 +173,98 @@ class ShardGrid:
     memory is O(|E|) for the whole grid instead of O(|E|) *per copy* of
     the old fully materialized shard list. Cell contents and ordering
     are bit-identical to the old per-shard copies.
+
+    The grid is also *lazy*: constructing one is O(1), and the first
+    read of its edge data (a shard, the cell table, the sorted arrays)
+    runs ``_scatter`` under the graph's grid lock — concurrent first
+    touches build once — inside a ``plan-shards`` span. The partition
+    (``interval_size``, ``intervals``, ``num_intervals``,
+    ``grid_side``) never sorts.
     """
+
+    #: What ``_scatter`` sets, ``_bounds`` last; reading any of them on
+    #: an unbuilt grid builds it (see ``__getattr__``).
+    _EDGE_DATA = frozenset({"_order", "_src_sorted", "_dst_sorted",
+                            "_bounds"})
 
     def __init__(self, graph: Graph, interval_size: int) -> None:
         if interval_size <= 0:
             raise GraphError("interval_size must be positive")
+        # Nothing here reads the graph: unpickling may construct a grid
+        # over a graph whose own state is still being restored.
         self.graph = graph
         self.interval_size = int(interval_size)
-        starts = list(range(0, max(graph.num_nodes, 1), self.interval_size))
-        self.intervals = [
-            NodeInterval(index=i, start=start,
-                         stop=min(start + self.interval_size,
-                                  graph.num_nodes))
-            for i, start in enumerate(starts)
-        ]
-        self.num_intervals = len(self.intervals)
-        self._scatter()
         #: Lazily materialized Shard views, keyed by (row, col); only
         #: non-empty cells are cached (empty cells are throwaway).
         self._shard_views: dict[tuple[int, int], Shard] = {}
+
+    @functools.cached_property
+    def intervals(self) -> list[NodeInterval]:
+        """The node intervals tiling ``[0, num_nodes)``."""
+        num_nodes = self.graph.num_nodes
+        return [
+            NodeInterval(index=i, start=start,
+                         stop=min(start + self.interval_size, num_nodes))
+            for i, start in enumerate(
+                range(0, max(num_nodes, 1), self.interval_size))
+        ]
+
+    @functools.cached_property
+    def num_intervals(self) -> int:
+        return len(self.intervals)
+
+    @property
+    def built(self) -> bool:
+        """Whether the edge data has been scattered yet."""
+        return "_bounds" in self.__dict__
+
+    def build(self) -> None:
+        """Scatter the edges now, unless that already happened."""
+        with _graph_grid_lock(self.graph):
+            if not self.built:
+                with span("plan-shards", graph=self.graph.name,
+                          interval=self.interval_size):
+                    self._scatter()
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not set yet.
+        if name in ShardGrid._EDGE_DATA:
+            self.build()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _scatter(self) -> None:
         # Sort by (shard row, shard col, destination) in one pass; the
         # within-shard dst order makes segment reductions cheap downstream.
         order = shard_sort_order(self.graph.src, self.graph.dst,
                                  self.interval_size, self.num_intervals)
-        self._order = order
-        self._src_sorted = self.graph.src[order]
-        self._dst_sorted = self.graph.dst[order]
-        keys_sorted = ((self._src_sorted // self.interval_size)
+        src_sorted = self.graph.src[order]
+        dst_sorted = self.graph.dst[order]
+        keys_sorted = ((src_sorted // self.interval_size)
                        * self.num_intervals
-                       + self._dst_sorted // self.interval_size)
+                       + dst_sorted // self.interval_size)
         starts = segment_starts(keys_sorted)
         stops = np.append(starts[1:], keys_sorted.size)
+        self._order = order
+        self._src_sorted = src_sorted
+        self._dst_sorted = dst_sorted
+        # Last: a reader that finds ``_bounds`` finds every array.
         self._bounds: dict[int, tuple[int, int]] = {
             int(keys_sorted[start]): (int(start), int(stop))
             for start, stop in zip(starts, stops)
         }
 
     # -- pickling ------------------------------------------------------
-    # A grid is a pure function of (graph, interval_size); what makes
-    # rebuilding expensive is the O(|E| log |E|) sort hiding in
-    # ``_scatter``. Serialisation therefore keeps exactly the sort's
-    # outputs — the permutation and the per-cell offsets — and
-    # recomputes everything derivable by a cheap O(|E|) gather on load.
-    # The parent graph rides along *by reference*: the program store's
-    # pickler reduces it to a ``_graph_ref(name)`` call (never its
-    # feature matrix), and the unpickler resolves that call to the
-    # loading process's graph object.
-    def __getstate__(self) -> dict:
-        return {"graph": self.graph,
-                "interval_size": self.interval_size,
-                "_order": self._order,
-                "_bounds": self._bounds}
-
-    #: Attributes rebuilt from (graph, _order) after unpickling.
-    _DERIVED = ("intervals", "num_intervals",
-                "_src_sorted", "_dst_sorted", "_shard_views")
-
-    def __setstate__(self, state: dict) -> None:
-        # Stash the persisted fields only. The derived state cannot be
-        # rebuilt here: when the graph itself is being unpickled and
-        # its ``_shard_grid_cache`` references this grid back (a
-        # reference cycle), pickle invokes ``__setstate__`` while
-        # ``state["graph"]`` is still an empty shell whose own state
-        # has not been applied yet. ``__getattr__`` finishes the job
-        # on first access, by which point the graph is whole.
-        self.__dict__.update(state)
-
-    def __getattr__(self, name: str):
-        if name in ShardGrid._DERIVED and "_order" in self.__dict__:
-            self._rebuild_derived()
-            return self.__dict__[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def _rebuild_derived(self) -> None:
-        """O(|E|) gather restoring everything ``__getstate__`` dropped."""
-        graph = self.graph
-        starts = list(range(0, max(graph.num_nodes, 1),
-                            self.interval_size))
-        self.intervals = [
-            NodeInterval(index=i, start=start,
-                         stop=min(start + self.interval_size,
-                                  graph.num_nodes))
-            for i, start in enumerate(starts)
-        ]
-        self.num_intervals = len(self.intervals)
-        self._src_sorted = graph.src[self._order]
-        self._dst_sorted = graph.dst[self._order]
-        self._shard_views = {}
+    # A grid is a pure function of (graph, interval_size), so that pair
+    # is all it pickles: unpickling returns the graph's memoized grid
+    # for the interval (see ``_grid_ref``), built or not, and a grid
+    # nobody reads again is never sorted again. The graph rides along
+    # by reference in the program store — its pickler reduces the graph
+    # to a ``_graph_ref(name)`` call, resolved to the loading process's
+    # graph object — and by value under plain pickle.
+    def __reduce__(self):
+        return _grid_ref, (self.graph, self.interval_size)
 
     # ------------------------------------------------------------------
     @property
@@ -406,8 +409,8 @@ def memoize_grid(grid: ShardGrid) -> ShardGrid:
     entry for its interval size.
 
     The one way into the memo, for grids :func:`shard_grid` builds and
-    grids a stored program brings along: it holds the graph's grid lock
-    and evicts the oldest entry once :data:`_GRID_CACHE_MAX_ENTRIES` are
+    grids a stored program names: it holds the graph's grid lock and
+    evicts the oldest entry once :data:`_GRID_CACHE_MAX_ENTRIES` are
     held. An entry already under the interval size wins, so the memo
     never swaps a grid out from under compiles that share it.
     """
@@ -422,6 +425,14 @@ def memoize_grid(grid: ShardGrid) -> ShardGrid:
         return grid
 
 
+def _grid_ref(graph: Graph, interval_size: int) -> ShardGrid:
+    """What a pickled grid calls to come back: the graph's memoized
+    grid at ``interval_size``, entering an unbuilt one (O(1)) when the
+    memo holds none. A loaded program thus shares the memo's grid, and
+    the per-graph memo stays the single owner of each interval's grid."""
+    return memoize_grid(ShardGrid(graph, interval_size))
+
+
 def plan_shards(graph: Graph, config: GraphEngineConfig,
                 block: int) -> ShardGrid:
     """The shard grid for ``graph`` under a feature block of ``block``:
@@ -434,25 +445,21 @@ def plan_shards(graph: Graph, config: GraphEngineConfig,
 
 
 def shard_grid(graph: Graph, interval_size: int) -> ShardGrid:
-    """The memoized shard grid of ``graph`` at ``interval_size``.
+    """The memoized shard grid of ``graph`` at ``interval_size``, built.
 
     A grid depends only on (graph, interval): different feature blocks
     or buffer budgets that resolve to the same interval share one
     scatter. The per-shard caches (segment boundaries, GPE loads) are
     block-independent, so the sharing is sound.
 
-    Holds the graph's grid lock for the whole build: concurrent
-    compiles of the same graph (serve daemon request threads) get one
-    grid build and identical grid *objects* — two structurally equal
-    grids would defeat every identity-keyed per-shard cache downstream.
+    Concurrent compiles of the same graph (serve daemon request
+    threads) get identical grid *objects* and one build, both under
+    the graph's grid lock — two structurally equal grids would defeat
+    every identity-keyed per-shard cache downstream.
     """
-    with _graph_grid_lock(graph):
-        grid = _grid_memo(graph).get(interval_size)
-        if grid is None:
-            with span("plan-shards", graph=graph.name,
-                      interval=interval_size):
-                grid = memoize_grid(ShardGrid(graph, interval_size))
-        return grid
+    grid = _grid_ref(graph, interval_size)
+    grid.build()
+    return grid
 
 
 def fitting_interval(graph: Graph, config: GraphEngineConfig,
@@ -485,11 +492,25 @@ def fitting_interval(graph: Graph, config: GraphEngineConfig,
     return interval
 
 
+#: Cell counts up to this many per edge are tallied with an
+#: ``S**2``-long ``np.bincount`` (O(|E| + S**2)); sparser grids sort the
+#: cell keys with ``np.unique`` instead (O(|E| log |E|)).
+_BINCOUNT_CELLS_PER_EDGE = 4
+
+
 def _max_cell_edges(graph: Graph, interval: int) -> int:
     """Edge count of the fullest grid cell at this interval size."""
-    if graph.num_edges == 0:
+    num_edges = graph.num_edges
+    if num_edges == 0:
         return 0
     num_intervals = -(-max(graph.num_nodes, 1) // interval)
-    keys = (graph.src // interval) * num_intervals + (graph.dst // interval)
+    if num_intervals == 1:
+        return num_edges
+    keys = np.floor_divide(graph.src, interval, dtype=np.int64)
+    keys *= num_intervals
+    keys += graph.dst // interval
+    cells = num_intervals * num_intervals
+    if cells <= _BINCOUNT_CELLS_PER_EDGE * num_edges:
+        return int(np.bincount(keys).max())
     _, counts = np.unique(keys, return_counts=True)
     return int(counts.max())

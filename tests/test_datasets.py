@@ -191,6 +191,56 @@ class TestLoading:
         with pytest.raises((ValueError, OSError)):
             cached.features[0, 0] = 99.0
 
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    def test_disk_cache_damaged_edge_sidecar_is_a_miss_that_heals(
+            self, tmp_path, monkeypatch, damage):
+        """The edge sidecar loads as a memory map, so no zip CRC reads
+        it: the record's CRC-32 must. A flipped bit that leaves every
+        node id in range is a miss, and so is a short file; the next
+        store heals the entry."""
+        monkeypatch.setenv(DATASET_CACHE_ENV, str(tmp_path))
+        stats = dataset_stats("tiny")
+        fresh = datasets_module._synthesize.__wrapped__("tiny")
+        path = _dataset_cache_path(stats, 53)
+        sidecar = datasets_module._edges_path(path)
+        blob = bytearray(sidecar.read_bytes())
+        if damage == "flip":
+            # The low bit of dst[0]: still a valid node id.
+            offset = len(blob) - 8 * stats.num_edges
+            blob[offset] ^= 0x01
+        else:
+            del blob[len(blob) // 2:]
+        sidecar.write_bytes(bytes(blob))
+        assert _dataset_cache_load(path, stats) is None
+        datasets_module._synthesize.__wrapped__("tiny")
+        healed = _dataset_cache_load(path, stats)
+        assert healed is not None
+        assert np.array_equal(healed.src, fresh.src)
+        assert np.array_equal(healed.dst, fresh.dst)
+
+    def test_cached_edges_are_read_only_memory_maps(self, tmp_path,
+                                                    monkeypatch):
+        """A cached graph's edges are views of one mapped sidecar: no
+        decoded copy, and a write raises instead of corrupting the
+        graph every holder shares."""
+        monkeypatch.setenv(DATASET_CACHE_ENV, str(tmp_path))
+        fresh = datasets_module._synthesize.__wrapped__("tiny")
+        stats = dataset_stats("tiny")
+        cached = _dataset_cache_load(_dataset_cache_path(stats, 53), stats)
+        assert cached is not None
+        for array, expected in ((cached.src, fresh.src),
+                                (cached.dst, fresh.dst)):
+            base = array
+            while base is not None and not isinstance(base, np.memmap):
+                base = base.base
+            assert base is not None, "not a view of a memory map"
+            assert not array.flags.writeable
+            assert np.array_equal(array, expected)
+        with pytest.raises(ValueError):
+            cached.src[0] = 1
+        with pytest.raises(ValueError):
+            cached.dst[0] = 1
+
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="reads /proc/self/smaps")
     def test_dse_evaluation_reads_no_feature_value(self, tmp_path,

@@ -13,10 +13,12 @@ from repro.graph.graph import Graph, GraphError
 from repro.graph.partition import (
     NodeInterval,
     ShardGrid,
+    _max_cell_edges,
     plan_interval_size,
     plan_shards,
     shard_sort_order,
 )
+from repro.obs.spans import tracing
 
 
 def materialized_scatter(graph: Graph, interval: int) -> dict:
@@ -141,6 +143,56 @@ class TestShardSortOrder:
         order = shard_sort_order(src, dst, interval, num_intervals)
         reference = np.lexsort((dst, dst // interval, src // interval))
         assert np.array_equal(order, reference)
+
+
+class TestMaxCellEdges:
+    """The interval probe's cell count equals the ``np.unique`` count
+    it replaced on every branch: no edges, one interval, the
+    ``bincount`` tally, and the sort fallback for sparse grids."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=edge_lists())
+    @example(case=(1, *_edges(), 1))  # a single node, no edges
+    @example(case=(1, *_edges((0, 0), (0, 0)), 1))  # a single node
+    # A 40x40 grid over 3 edges: past _BINCOUNT_CELLS_PER_EDGE, the
+    # np.unique fallback.
+    @example(case=(40, *_edges((0, 39), (39, 0), (0, 39)), 1))
+    # A 3x3 grid over 4 edges: the bincount tally.
+    @example(case=(9, *_edges((0, 8), (4, 4), (8, 0), (4, 5)), 4))
+    def test_equals_unique_count(self, case):
+        num_nodes, src, dst, interval = case
+        graph = Graph(num_nodes, src, dst)
+        if not src.size:
+            expected = 0
+        else:
+            side = -(-num_nodes // interval)
+            keys = (src // interval) * side + dst // interval
+            expected = int(np.unique(keys, return_counts=True)[1].max())
+        assert _max_cell_edges(graph, interval) == expected
+
+    def test_empty_graph(self):
+        assert _max_cell_edges(Graph(0, [], []), 1) == 0
+
+
+class TestLazyGrid:
+    def test_partition_reads_never_sort(self, small_graph):
+        grid = ShardGrid(small_graph, interval_size=16)
+        with tracing() as tracer:
+            assert grid.interval_size == 16
+            assert grid.grid_side == grid.num_intervals == 4
+            assert [iv.start for iv in grid.intervals] == [0, 16, 32, 48]
+        assert not grid.built
+        assert not tracer.spans
+
+    def test_first_edge_read_sorts_once_in_a_span(self, small_graph):
+        grid = ShardGrid(small_graph, interval_size=16)
+        with tracing() as tracer:
+            grid.shard(0, 0)
+            grid.validate()
+        assert grid.built
+        assert [record.name for record in tracer.spans] == ["plan-shards"]
+        assert tracer.spans[0].attrs == {"graph": small_graph.name,
+                                         "interval": 16}
 
 
 class TestNodeInterval:

@@ -38,7 +38,12 @@ from repro.eval.harness import Harness
 from repro.graph import datasets as dataset_registry
 from repro.graph.datasets import dataset_fingerprint
 from repro.graph.graph import Graph
-from repro.graph.partition import _GRID_CACHE_MAX_ENTRIES, plan_shards
+from repro.graph.partition import (
+    _GRID_CACHE_MAX_ENTRIES,
+    ShardGrid,
+    plan_shards,
+    shard_grid,
+)
 from repro.obs.spans import tracing
 from repro.sweep import NullCache, SweepRunner
 from repro.sweep.plan import METRIC_DSE, SweepPlan, SweepPoint
@@ -285,6 +290,113 @@ class TestShardGridPickle:
                 assert a.num_edges == b.num_edges
                 np.testing.assert_array_equal(a.src, b.src)
                 np.testing.assert_array_equal(a.dst, b.dst)
+
+
+def _ancestor_names(tracer, record) -> list[str]:
+    """Names of ``record``'s enclosing spans, innermost first."""
+    by_uid = {span.uid: span for span in tracer.spans}
+    names = []
+    while record.parent in by_uid:
+        record = by_uid[record.parent]
+        names.append(record.name)
+    return names
+
+
+class TestGridsByReference:
+    """A stored program names each shard grid by (graph, interval
+    size): loading it yields the graph's memoized grids, and nothing
+    sorts until something reads a grid's edges. Verification reads
+    every grid, so these tests switch it off."""
+
+    @pytest.fixture(autouse=True)
+    def _no_verify(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY", "0")
+
+    def test_grid_pickles_as_graph_reference_and_interval(self):
+        harness = fresh_harness(None)
+        graph = harness.graph("tiny")
+        grid = next(iter(
+            harness.gnnerator_program(TINY_GCN).grids.values()))
+        buffer = io.BytesIO()
+        _GraphPickler(buffer, graph).dump(grid)
+        assert len(buffer.getvalue()) < 200  # no |E|-sized array
+        buffer.seek(0)
+        assert _GraphUnpickler(buffer, graph).load() is grid
+
+    def test_store_hit_shares_the_memoized_grid(self, tmp_path):
+        """Regression: a program loaded into a process whose graph
+        memo already holds its intervals must use the memo's grids,
+        not a second copy of the |E|-sized arrays and per-shard
+        caches."""
+        store = ProgramStore(tmp_path, code_version="v1")
+        fresh_harness(store).gnnerator_program(TINY_GAT)
+        reader = Harness(program_store=store)  # same process and graph
+        program = reader.gnnerator_program(TINY_GAT)
+        assert reader.last_compile_tier() == "store"
+        graph = reader.graph("tiny")
+        assert program.grids
+        for grid in program.grids.values():
+            assert grid is shard_grid(graph, grid.interval_size)
+
+    def test_loaded_grids_hold_no_sort_until_first_use(self, tmp_path):
+        store = ProgramStore(tmp_path, code_version="v1")
+        fresh_harness(store).gnnerator_program(TINY_GAT)
+        reader = fresh_harness(store)
+        program = reader.gnnerator_program(TINY_GAT)
+        assert reader.last_compile_tier() == "store"
+        grids = list(program.grids.values())
+        assert grids
+        for grid in grids:
+            assert "_order" not in grid.__dict__
+            assert grid.grid_side == grid.num_intervals == len(
+                grid.intervals)
+            assert not grid.built
+        # The first read sorts, to exactly what a fresh build holds.
+        grid = grids[0]
+        fresh = ShardGrid(reader.graph("tiny"), grid.interval_size)
+        np.testing.assert_array_equal(grid._order, fresh._order)
+        assert grid.built
+
+    def test_store_hit_then_simulate_builds_no_grid(self, tmp_path):
+        store = ProgramStore(tmp_path, code_version="v1")
+        expected = fresh_harness(store).gnnerator_result(TINY_GAT).cycles
+        reader = fresh_harness(store)
+        with tracing() as tracer:
+            result = reader.gnnerator_result(TINY_GAT)
+        assert reader.last_compile_tier() == "store"
+        assert result.cycles == expected
+        names = [record.name for record in tracer.spans]
+        assert "store-get" in names
+        assert "plan-shards" not in names
+        program = reader.gnnerator_program(TINY_GAT)
+        assert not any(grid.built for grid in program.grids.values())
+
+    def test_store_hit_then_recost_sorts_each_interval_once(self,
+                                                            tmp_path):
+        store = ProgramStore(tmp_path, code_version="v1")
+        # 1 KiB scratchpads give the 32- and 16-wide aggregate stages
+        # intervals of their own.
+        base = apply_overrides(
+            gnnerator_config(feature_block=TINY_GCN.feature_block),
+            {"graph.src_feature_buffer_bytes": 1024,
+             "graph.dst_feature_buffer_bytes": 1024})
+        fresh_harness(store).gnnerator_program(TINY_GCN, base)
+        reader = fresh_harness(store)
+        program = reader.gnnerator_program(TINY_GCN, base)
+        intervals = sorted({grid.interval_size
+                            for grid in program.grids.values()})
+        assert len(intervals) == 2
+        variant = apply_overrides(base, {"graph.num_gpes": 16,
+                                         "dense.rows": 128})
+        with tracing() as tracer:
+            reader.gnnerator_program(TINY_GCN, variant)
+        assert reader.last_compile_tier() == "recost"
+        builds = [record for record in tracer.spans
+                  if record.name == "plan-shards"]
+        assert sorted(record.attrs["interval"]
+                      for record in builds) == intervals
+        assert all("recost" in _ancestor_names(tracer, record)
+                   for record in builds)
 
 
 class TestStorePicklers:

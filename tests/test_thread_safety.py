@@ -189,6 +189,38 @@ class TestShardGridHammer:
             results[0][1].interval_size}
 
 
+    def test_first_touches_of_a_loaded_grid_build_once(self, tmp_path,
+                                                       monkeypatch):
+        """Eight threads first-touch one unbuilt, store-loaded grid at
+        once, through different reads: one sort, one set of arrays."""
+        from repro.compiler.store import ProgramStore
+        from repro.graph import datasets
+        from repro.obs.spans import tracing
+
+        monkeypatch.setenv("REPRO_VERIFY", "0")  # would build on load
+        spec = WorkloadSpec(dataset="tiny", network="gcn",
+                            hidden_dim=16)
+        store = ProgramStore(tmp_path, code_version="v1")
+        Harness(program_store=store).gnnerator_program(spec)
+        datasets._synthesize.cache_clear()  # the reader's own graph
+        program = Harness(program_store=store).gnnerator_program(spec)
+        grid = next(iter(program.grids.values()))
+        assert not grid.built
+        reads = (lambda: grid._order,
+                 lambda: grid.shard(0, 0).edge_ids.base,
+                 lambda: grid.nonempty_shards()[0].edge_ids.base,
+                 lambda: grid.num_edges and grid._order)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with tracing() as tracer:
+                orders = _hammer(lambda i: reads[i % len(reads)](), n=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(order is grid._order for order in orders)
+        assert [record.name for record in tracer.spans] == ["plan-shards"]
+
+
 class TestLoweringMemoHammer:
     @pytest.mark.parametrize("network", ["gcn", "gat"])
     def test_independent_harnesses_share_weight_memos_safely(
