@@ -38,9 +38,9 @@ by the same in-place sort, and only if something reads the grid's
 edges — simulating a loaded program never does. Entries therefore
 hold op queues and plans only, orders of magnitude smaller than the
 graphs they index, and a memory-mapped million-edge feature matrix is
-never pulled through pickle. Workloads
-whose graph cannot be fingerprinted (real Planetoid files on disk)
-bypass the store entirely rather than risk stale keys.
+never pulled through pickle. Workloads whose graph cannot be
+fingerprinted (real Planetoid files on disk) bypass the store entirely
+rather than risk stale keys.
 
 Disabled by pointing :data:`PROGRAM_CACHE_ENV` at ``0``/``off``/
 ``none`` (or per-call: ``Harness(program_store=None)``,

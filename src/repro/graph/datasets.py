@@ -252,8 +252,8 @@ def _dataset_cache_load(path: Path | None, stats: DatasetStats) -> Graph | None:
 
     The record npz holds the node count and a CRC-32 of the edge
     sidecar's data, and both arrays load as read-only memory maps. The
-    edges are read once here, by the checksum and the ``Graph`` range
-    checks; they never pass through a zip decoder or a second copy.
+    checksum and the ``Graph`` range checks read the edges here, in
+    place: they never pass through a zip decoder or a second copy.
     The feature matrix is not checksummed, so its pages fault in only
     when (and if) a consumer reads them. A compile or a simulation
     never does: a compiled program holds no values, so a DSE point, a

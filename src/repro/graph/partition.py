@@ -258,13 +258,13 @@ class ShardGrid:
     # -- pickling ------------------------------------------------------
     # A grid is a pure function of (graph, interval_size), so that pair
     # is all it pickles: unpickling returns the graph's memoized grid
-    # for the interval (see ``_grid_ref``), built or not, and a grid
+    # for the interval (see ``memoize_grid``), built or not, and a grid
     # nobody reads again is never sorted again. The graph rides along
     # by reference in the program store — its pickler reduces the graph
     # to a ``_graph_ref(name)`` call, resolved to the loading process's
     # graph object — and by value under plain pickle.
     def __reduce__(self):
-        return _grid_ref, (self.graph, self.interval_size)
+        return memoize_grid, (self.graph, self.interval_size)
 
     # ------------------------------------------------------------------
     @property
@@ -379,9 +379,9 @@ _GRID_CACHE_MAX_ENTRIES = 16
 #: Guards lazy creation of each graph's grid lock — the only
 #: cross-graph state here; the per-graph lock itself serializes grid
 #: building so concurrent compiles of one graph (the serve daemon's
-#: request threads) build each grid once. The lock is reentrant so
-#: :func:`memoize_grid` can take it inside :func:`plan_shards`. Locks
-#: live in a side table (not on the graph): graphs ride inside pickled
+#: request threads) build each grid once. The lock is reentrant, so
+#: code holding it may read an unbuilt grid's edges. Locks live in a
+#: side table (not on the graph): graphs ride inside plainly pickled
 #: grids, and a lock attribute would make them unpicklable.
 _GRID_LOCKS_GUARD = threading.Lock()
 _GRID_LOCKS: "weakref.WeakKeyDictionary[Graph, threading.RLock]" = (
@@ -404,33 +404,26 @@ def _grid_memo(graph: Graph) -> dict:
     return cache
 
 
-def memoize_grid(grid: ShardGrid) -> ShardGrid:
-    """Enter ``grid`` in its graph's grid memo and return the memo's
-    entry for its interval size.
+def memoize_grid(graph: Graph, interval_size: int) -> ShardGrid:
+    """The graph's memoized grid at ``interval_size``, entering an
+    unbuilt one (O(1)) when the memo holds none.
 
     The one way into the memo, for grids :func:`shard_grid` builds and
-    grids a stored program names: it holds the graph's grid lock and
-    evicts the oldest entry once :data:`_GRID_CACHE_MAX_ENTRIES` are
-    held. An entry already under the interval size wins, so the memo
-    never swaps a grid out from under compiles that share it.
+    grids a stored program names (a pickled :class:`ShardGrid` calls
+    this to come back, so a loaded program shares the memo's grid): it
+    holds the graph's grid lock and evicts the oldest entry once
+    :data:`_GRID_CACHE_MAX_ENTRIES` are held. An entry already under
+    the interval size wins, so the memo never swaps a grid out from
+    under compiles that share it.
     """
-    with _graph_grid_lock(grid.graph):
-        cache = _grid_memo(grid.graph)
-        existing = cache.get(grid.interval_size)
-        if existing is not None:
-            return existing
-        if len(cache) >= _GRID_CACHE_MAX_ENTRIES:
-            cache.pop(next(iter(cache)))
-        cache[grid.interval_size] = grid
+    with _graph_grid_lock(graph):
+        cache = _grid_memo(graph)
+        grid = cache.get(interval_size)
+        if grid is None:
+            if len(cache) >= _GRID_CACHE_MAX_ENTRIES:
+                cache.pop(next(iter(cache)))
+            grid = cache[interval_size] = ShardGrid(graph, interval_size)
         return grid
-
-
-def _grid_ref(graph: Graph, interval_size: int) -> ShardGrid:
-    """What a pickled grid calls to come back: the graph's memoized
-    grid at ``interval_size``, entering an unbuilt one (O(1)) when the
-    memo holds none. A loaded program thus shares the memo's grid, and
-    the per-graph memo stays the single owner of each interval's grid."""
-    return memoize_grid(ShardGrid(graph, interval_size))
 
 
 def plan_shards(graph: Graph, config: GraphEngineConfig,
@@ -457,7 +450,7 @@ def shard_grid(graph: Graph, interval_size: int) -> ShardGrid:
     the graph's grid lock — two structurally equal grids would defeat
     every identity-keyed per-shard cache downstream.
     """
-    grid = _grid_ref(graph, interval_size)
+    grid = memoize_grid(graph, interval_size)
     grid.build()
     return grid
 
