@@ -69,11 +69,8 @@ process — the observable CI and the cache tests use to assert
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.compiler.ir import (
     COMPUTE_OPS,
@@ -123,7 +120,6 @@ from repro.engines.graph.gpe import (
 )
 from repro.graph.graph import Graph
 from repro.graph.partition import (
-    Shard,
     ShardGrid,
     fitting_interval,
     shard_grid,
@@ -152,11 +148,6 @@ def full_lowering_count() -> int:
     """How many times this process ran the full lowering pass."""
     with _MEMO_LOCK:
         return _FULL_LOWERINGS
-
-
-#: Below this many grid edges the thread-pool prewarm of per-shard
-#: statistics costs more than it saves.
-_PREWARM_MIN_EDGES = 100_000
 
 
 @dataclass(frozen=True)
@@ -448,10 +439,6 @@ class Lowering:
                     program.grids[(layer_index, stage_index)] = grid
                     program.plans[(layer_index, stage_index, "main")] = (
                         plan_blocks(stage.dim, self.feature_block))
-                    if self.geometry.sparsity_elimination:
-                        _prewarm_shards(
-                            grid, lambda s: s._distinct_sources is None,
-                            Shard.distinct_sources)
             completions: dict[int, list[tuple[int, int]]] = {}
             for stage_index, stage in enumerate(layer.stages):
                 if isinstance(stage, AggregateStage):
@@ -833,33 +820,6 @@ class Lowering:
 # ----------------------------------------------------------------------
 # Cost pass
 # ----------------------------------------------------------------------
-def _prewarm_shards(grid: ShardGrid, pending: Callable[[Shard], bool],
-                    warm: Callable[[Shard], object]) -> None:
-    """Warm one per-shard statistic in parallel before a serial walk.
-
-    The structure pass reads each shard's distinct-source count (under
-    sparsity elimination), the cost pass its worst-GPE edge load. Each
-    lands in a per-shard cache keyed by its own inputs, and each shard
-    is touched by exactly one task, so computing them on a thread pool
-    first is a pure wall-time win: the walk then finds every value
-    warm, bit-identical to the serial path (§4 cycle-neutrality).
-    Skipped for small grids where pool startup would dominate.
-    """
-    if grid.num_edges < _PREWARM_MIN_EDGES:
-        return
-    with span("shard-batch", shards=grid.grid_side * grid.grid_side):
-        # Materialize views serially (O(1) each) so threads never race
-        # on the grid's view cache, then keep only shards with work.
-        shards = [shard for shard in grid.iter_shards() if pending(shard)]
-        workers = min(8, os.cpu_count() or 1, len(shards))
-        if workers < 2:
-            for shard in shards:
-                warm(shard)
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(warm, shards))
-
-
 def fill_costs(program: Program, config: GNNeratorConfig) -> None:
     """The cost pass: set every compute op's cost fields for ``config``.
 
@@ -874,10 +834,6 @@ def fill_costs(program: Program, config: GNNeratorConfig) -> None:
     graph_cfg, dense_cfg = config.graph, config.dense
     num_gpes = graph_cfg.num_gpes
     with span("cost", graph=program.graph_name):
-        for grid in {id(grid): grid
-                     for grid in program.grids.values()}.values():
-            _prewarm_shards(grid, lambda s: num_gpes not in s._gpe_loads,
-                            lambda s: max_gpe_edges(s, num_gpes))
         attention = {(li, si): stage.needs_features
                      for li, layer in enumerate(program.model.layers)
                      for si, stage in enumerate(layer.stages)

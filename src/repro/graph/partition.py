@@ -121,45 +121,95 @@ class Shard:
         return self.src_interval.size * block * ELEM_BYTES
 
 
-def shard_sort_order(src: np.ndarray, dst: np.ndarray,
-                     interval_size: int, num_intervals: int) -> np.ndarray:
-    """The stable permutation sorting edges by (row, col, dst).
+#: Widest packed sort key, in bits: every key stays below ``2**62``,
+#: clear of the int64 sign bit.
+_KEY_BITS = 62
 
-    Semantically this is ``np.lexsort((dst, dst // n, src // n))`` — the
-    order every shard golden depends on. When it fits an int64, the sort
-    runs instead over the *unique* key ``cell_key * |E| + edge_index``,
-    where ``cell_key = (row * S + col) * N + dst``: edges with equal
-    ``cell_key`` are ordered by their index, which is exactly how a
-    stable sort breaks ties. No two keys are equal, so any sort of them
-    is that stable order, and one plain in-place ``ndarray.sort`` —
-    several times faster than a stable argsort on multi-million-edge
-    lists — yields the permutation as ``key % |E|``. Composite keys too
-    wide for that fall back to a stable argsort of ``cell_key``, and
-    wider still to ``lexsort``; all three permutations are identical.
+
+def _bit_width(count: int) -> int:
+    """Bits that hold every integer in ``[0, count)``."""
+    return max(count - 1, 0).bit_length()
+
+
+def _id_dtype(graph: Graph) -> np.dtype:
+    """What a grid stores node ids and edge indices as: int32 when
+    every one of them fits, int64 otherwise."""
+    fits = max(graph.num_nodes, graph.num_edges) <= 2 ** 31
+    return np.dtype(np.int32 if fits else np.int64)
+
+
+#: Edges per ``np.take`` of the ``src`` gather. ``take`` widens its
+#: indices to int64 first, so whole-array calls would hold a transient
+#: 8 bytes per edge; chunks hold 512 KiB.
+_GATHER_CHUNK = 1 << 16
+
+
+#: ``(order, dst_sorted, cells, starts)``: the edge order and the sorted
+#: destinations, then each non-empty cell's key ``row * S + col`` and
+#: its first position in that order, ascending.
+_SortedEdges = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _sort_by_packed_key(graph: Graph, interval_size: int,
+                        num_intervals: int, dtype: np.dtype
+                        ) -> _SortedEdges:
+    """The sorted edges from one in-place sort.
+
+    Each edge's key packs ``(src // n, dst, edge_index)`` into one
+    int64, ``((src // n) << dst_bits | dst) << edge_bits | edge_index``.
+    Since ``dst`` fixes the column, key order is (row, col, dst) order,
+    and the edge index breaks ties exactly as a stable sort does; the
+    keys are unique, so they admit only that one sorted order. The
+    edge order and the sorted destinations are the keys' low fields.
+    A non-empty cell's first edge is where its smallest possible key,
+    ``row << dst_bits | col * n`` once the edge bits are shifted out,
+    would sort; grids much sparser than their edge list instead read
+    each edge's cell off its key.
     """
-    num_edges = int(src.size)
-    num_intervals = int(num_intervals)
-    num_nodes_bound = max(int(dst.max()) + 1 if dst.size else 1, 1)
-    cell_keys = num_intervals * num_intervals * num_nodes_bound
-    if cell_keys * num_edges < 2 ** 62:
-        # Built in place: no more |E|-sized temporaries live at once
-        # than ``key`` plus one operand.
-        key = np.floor_divide(src, interval_size, dtype=np.int64)
-        key *= num_intervals
-        key += dst // interval_size
-        key *= num_nodes_bound
-        key += dst
-        key *= num_edges
-        key += np.arange(num_edges, dtype=np.int64)
-        key.sort()
-        key %= max(num_edges, 1)
-        return key
-    src_bin = src // interval_size
-    dst_bin = dst // interval_size
-    if cell_keys < 2 ** 62:
-        key = (src_bin * num_intervals + dst_bin) * num_nodes_bound + dst
-        return np.argsort(key, kind="stable")
-    return np.lexsort((dst, dst_bin, src_bin))
+    num_edges = graph.num_edges
+    dst_bits = _bit_width(graph.num_nodes)
+    edge_bits = _bit_width(num_edges)
+    # Built in place: no more |E|-sized temporaries live at once than
+    # ``key`` plus one operand. The edge indices' buffer is then
+    # overwritten with the edge order.
+    key = np.floor_divide(graph.src, interval_size, dtype=np.int64)
+    key <<= dst_bits
+    key |= graph.dst
+    key <<= edge_bits
+    order = np.arange(num_edges, dtype=dtype)
+    key |= order
+    key.sort()
+    np.bitwise_and(key, (1 << edge_bits) - 1, out=order, casting="unsafe")
+    key >>= edge_bits  # row << dst_bits | dst, still sorted
+    dst_mask = (1 << dst_bits) - 1
+    if num_intervals ** 2 <= _BINCOUNT_CELLS_PER_EDGE * num_edges:
+        bins = np.arange(num_intervals, dtype=np.int64)
+        first_keys = (bins[:, None] << dst_bits) | (bins * interval_size)
+        bounds = np.searchsorted(key, first_keys.ravel())
+        cells = np.flatnonzero(np.diff(bounds, append=num_edges))
+        starts = bounds[cells]
+    else:
+        cell_of_edge = ((key >> dst_bits) * num_intervals
+                        + (key & dst_mask) // interval_size)
+        starts = segment_starts(cell_of_edge)
+        cells = cell_of_edge[starts]
+    dst_sorted = key if dtype == np.int64 else np.empty(num_edges, dtype)
+    np.bitwise_and(key, dst_mask, out=dst_sorted, casting="unsafe")
+    return order, dst_sorted, cells, starts
+
+
+def _sort_by_lexsort(graph: Graph, interval_size: int,
+                     num_intervals: int, dtype: np.dtype) -> _SortedEdges:
+    """:func:`_sort_by_packed_key`'s result for keys too wide to pack."""
+    src_bin = graph.src // interval_size
+    order = np.lexsort((graph.dst, src_bin))
+    dst_sorted = graph.dst[order]
+    cell_of_edge = (src_bin[order] * num_intervals
+                    + dst_sorted // interval_size)
+    starts = segment_starts(cell_of_edge)
+    return (order.astype(dtype, copy=False),
+            dst_sorted.astype(dtype, copy=False),
+            cell_of_edge[starts], starts)
 
 
 class ShardGrid:
@@ -172,7 +222,11 @@ class ShardGrid:
     *views* into the shared arrays — building a shard is O(1) and peak
     memory is O(|E|) for the whole grid instead of O(|E|) *per copy* of
     the old fully materialized shard list. Cell contents and ordering
-    are bit-identical to the old per-shard copies.
+    are bit-identical to the old per-shard copies. The three arrays
+    (``_src_sorted``, ``_dst_sorted`` and the edge order ``_order``)
+    are int32 whenever node ids and edge indices fit, 12 bytes per
+    edge, and are decoded from one in-place sort of packed int64 keys
+    (:func:`_sort_by_packed_key`; ``lexsort`` for keys too wide).
 
     The grid is also *lazy*: constructing one is O(1), and the first
     read of its edge data (a shard, the cell table, the sorted arrays)
@@ -222,8 +276,10 @@ class ShardGrid:
         """Scatter the edges now, unless that already happened."""
         with _graph_grid_lock(self.graph):
             if not self.built:
+                edges = self.graph.num_edges
                 with span("plan-shards", graph=self.graph.name,
-                          interval=self.interval_size):
+                          interval=self.interval_size, edges=edges,
+                          bytes=3 * edges * _id_dtype(self.graph).itemsize):
                     self._scatter()
 
     def __getattr__(self, name: str):
@@ -237,22 +293,30 @@ class ShardGrid:
     def _scatter(self) -> None:
         # Sort by (shard row, shard col, destination) in one pass; the
         # within-shard dst order makes segment reductions cheap downstream.
-        order = shard_sort_order(self.graph.src, self.graph.dst,
-                                 self.interval_size, self.num_intervals)
-        src_sorted = self.graph.src[order]
-        dst_sorted = self.graph.dst[order]
-        keys_sorted = ((src_sorted // self.interval_size)
-                       * self.num_intervals
-                       + dst_sorted // self.interval_size)
-        starts = segment_starts(keys_sorted)
-        stops = np.append(starts[1:], keys_sorted.size)
+        graph = self.graph
+        dtype = _id_dtype(graph)
+        key_bits = (_bit_width(self.num_intervals)
+                    + _bit_width(graph.num_nodes)
+                    + _bit_width(graph.num_edges))
+        sort = (_sort_by_packed_key if key_bits <= _KEY_BITS
+                else _sort_by_lexsort)
+        order, dst_sorted, cells, starts = sort(
+            graph, self.interval_size, self.num_intervals, dtype)
+        # Narrowing first makes the one random-access pass read half
+        # the bytes; ``order`` is a permutation, so nothing clips.
+        source = graph.src.astype(dtype, copy=False)
+        src_sorted = np.empty(graph.num_edges, dtype)
+        for start in range(0, graph.num_edges, _GATHER_CHUNK):
+            chunk = slice(start, start + _GATHER_CHUNK)
+            np.take(source, order[chunk], out=src_sorted[chunk], mode="clip")
+        stops = np.append(starts[1:], graph.num_edges)
         self._order = order
         self._src_sorted = src_sorted
         self._dst_sorted = dst_sorted
         # Last: a reader that finds ``_bounds`` finds every array.
         self._bounds: dict[int, tuple[int, int]] = {
-            int(keys_sorted[start]): (int(start), int(stop))
-            for start, stop in zip(starts, stops)
+            cell: (start, stop) for cell, start, stop in zip(
+                cells.tolist(), starts.tolist(), stops.tolist())
         }
 
     # -- pickling ------------------------------------------------------
@@ -463,7 +527,9 @@ def fitting_interval(graph: Graph, config: GraphEngineConfig,
     Candidates are probed with an O(|E|) per-cell edge count instead of
     building (and sorting) a full grid per candidate — the accepted
     interval is exactly the one a build-and-check loop would choose,
-    and no grid is built. Probe results are memoized per graph: a
+    and no grid is built. A candidate whose mean cell load,
+    ``ceil(|E| / S**2)``, already exceeds the buffer is rejected
+    without a probe. Probe results are memoized per graph: a
     multi-layer model (or a DSE sweep walking buffer budgets) re-asks
     about the same candidate intervals, and the answer is a pure
     function of (graph, interval).
@@ -476,18 +542,26 @@ def fitting_interval(graph: Graph, config: GraphEngineConfig,
         if probes is None:
             probes = graph._cell_edge_cache = {}
         while interval > 1:
-            cells = probes.get(interval)
-            if cells is None:
-                cells = probes[interval] = _max_cell_edges(graph, interval)
-            if cells <= edge_capacity:
-                break
+            side = -(-max(graph.num_nodes, 1) // interval)
+            # The fullest cell holds at least the mean, ceil(|E| / S**2),
+            # so a candidate whose mean overflows is rejected unprobed.
+            if -(-graph.num_edges // (side * side)) <= edge_capacity:
+                cells = probes.get(interval)
+                if cells is None:
+                    cells = probes[interval] = _max_cell_edges(graph,
+                                                               interval)
+                if cells <= edge_capacity:
+                    break
             interval = max(interval // 2, 1)
     return interval
 
 
 #: Cell counts up to this many per edge are tallied with an
 #: ``S**2``-long ``np.bincount`` (O(|E| + S**2)); sparser grids sort the
-#: cell keys with ``np.unique`` instead (O(|E| log |E|)).
+#: cell keys with ``np.unique`` instead (O(|E| log |E|)). A grid build
+#: splits the same way: an ``S**2``-long ``searchsorted`` for its cell
+#: bounds, or cells decoded off every sorted key. Either way no array
+#: outgrows O(|E|); at interval 1, flickr's S**2 is 8e9.
 _BINCOUNT_CELLS_PER_EDGE = 4
 
 

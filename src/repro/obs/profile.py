@@ -10,7 +10,7 @@ hardware probe, then reports
   achieved cycles (:mod:`repro.eval.bottleneck`);
 * per-phase host wall time (the span aggregate — load, compile,
   geometry, lower and its per-stage children, cost, recost,
-  shard-batch, build-plan, simulate);
+  build-plan, simulate);
 * per-unit simulated cycles from the probe's op slices: compute
   cycles for the compute units, DMA cycles in flight (request to data
   delivered) for the fetch and writeback units;

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.compiler.store import PROGRAM_CACHE_ENV
 from repro.config.accelerator import (
     DenseEngineConfig,
     DramConfig,
@@ -44,6 +46,14 @@ settings.load_profile("repro-ci" if os.environ.get("CI") else "repro-dev")
 # liveness, schedulability, plan agreement) — a mis-lowered program
 # fails at compile time with a named pass instead of as a cycle drift.
 os.environ.setdefault("REPRO_VERIFY", "1")
+
+# Every default program store in the session — ``Harness()`` and the
+# subprocesses tests start — lives in one temp dir, removed at exit,
+# never the checkout's ``.program-cache/``: a rerun of the suite then
+# compiles what the first run compiled, instead of hitting its entries.
+# Tests of the store's location set the variable themselves.
+_PROGRAM_STORE = tempfile.TemporaryDirectory(prefix="repro-test-programs-")
+os.environ[PROGRAM_CACHE_ENV] = _PROGRAM_STORE.name
 
 
 @pytest.fixture(scope="session")

@@ -1,22 +1,33 @@
 """Unit tests for 2-D grid sharding."""
 
-import math
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.config.accelerator import EDGE_BYTES, GraphEngineConfig
+from repro.compiler.lowering import resolve_geometry
+from repro.config.accelerator import (
+    EDGE_BYTES,
+    ELEM_BYTES,
+    GNNeratorConfig,
+    GraphEngineConfig,
+)
+from repro.config.workload import WorkloadSpec
+from repro.eval.harness import Harness
+from repro.graph import partition
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import erdos_renyi, powerlaw_graph, star_graph
 from repro.graph.graph import Graph, GraphError
 from repro.graph.partition import (
     NodeInterval,
     ShardGrid,
     _max_cell_edges,
+    fitting_interval,
     plan_interval_size,
     plan_shards,
-    shard_sort_order,
 )
 from repro.obs.spans import tracing
 
@@ -44,6 +55,43 @@ def materialized_scatter(graph: Graph, interval: int) -> dict:
     return shards
 
 
+def assert_matches_materialized(grid: ShardGrid) -> None:
+    """``grid`` holds exactly :func:`materialized_scatter`'s cells."""
+    reference = materialized_scatter(grid.graph, grid.interval_size)
+    assert {(s.row, s.col) for s in grid.iter_shards()} == set(reference)
+    for shard in grid.iter_shards():
+        ref_src, ref_dst, ref_ids = reference[(shard.row, shard.col)]
+        assert np.array_equal(shard.src, ref_src)
+        assert np.array_equal(shard.dst, ref_dst)
+        assert np.array_equal(shard.edge_ids, ref_ids)
+    assert grid.num_edges == grid.graph.num_edges
+
+
+#: The grid's three ways to its cells. The packed key takes cell bounds
+#: from an S**2-long ``searchsorted`` ("unique-key") or, for grids
+#: sparser than ``_BINCOUNT_CELLS_PER_EDGE`` cells per edge, from cells
+#: decoded off each sorted key ("decoded-cells"); keys wider than
+#: ``_KEY_BITS`` fall back to ``lexsort`` ("lexsort"). Each forcing
+#: overrides the natural choice for every graph with edges; an edgeless
+#: grid never takes the ``searchsorted`` path.
+SCATTER_PATHS = {
+    "unique-key": {"_BINCOUNT_CELLS_PER_EDGE": 10 ** 9},
+    "decoded-cells": {"_BINCOUNT_CELLS_PER_EDGE": 0},
+    "lexsort": {"_KEY_BITS": -1},
+}
+
+
+@contextlib.contextmanager
+def forced_path(path: str):
+    """Force one scatter path, and gather ``src`` in chunks of 7 edges so
+    that small graphs span several chunks and a partial last one."""
+    with contextlib.ExitStack() as stack:
+        forced = {**SCATTER_PATHS[path], "_GATHER_CHUNK": 7}
+        for name, value in forced.items():
+            stack.enter_context(mock.patch.object(partition, name, value))
+        yield
+
+
 class TestStreamedScatterEquivalence:
     """The streaming grid must reproduce the materialized scatter
     shard by shard — same cells, same edges, same order, same edge-id
@@ -62,17 +110,52 @@ class TestStreamedScatterEquivalence:
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_shard_by_shard_identical(self, case):
         build, interval = self.CASES[case]
-        graph = build()
-        grid = ShardGrid(graph, interval)
-        reference = materialized_scatter(graph, interval)
-        keys = {(s.row, s.col) for s in grid.nonempty_shards()}
-        assert keys == set(reference)
-        for shard in grid.iter_shards():
-            ref_src, ref_dst, ref_ids = reference[(shard.row, shard.col)]
-            assert np.array_equal(shard.src, ref_src)
-            assert np.array_equal(shard.dst, ref_dst)
-            assert np.array_equal(shard.edge_ids, ref_ids)
+        grid = ShardGrid(build(), interval)
+        assert_matches_materialized(grid)
         grid.validate()
+
+    @pytest.mark.parametrize("path", list(SCATTER_PATHS))
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_every_path_identical(self, path, case):
+        build, interval = self.CASES[case]
+        graph = build()
+        with forced_path(path):
+            grid = ShardGrid(graph, interval)
+            grid.build()
+        assert_matches_materialized(grid)
+        grid.validate()
+
+    def test_ids_that_fit_are_stored_in_12_bytes_per_edge(self):
+        graph = powerlaw_graph(400, 3000, feature_dim=8, seed=2)
+        grid = ShardGrid(graph, 48)
+        arrays = (grid._order, grid._src_sorted, grid._dst_sorted)
+        assert all(array.dtype == np.int32 for array in arrays)
+        assert sum(array.nbytes for array in arrays) == 12 * 3000
+
+    def test_node_ids_past_int32_stay_int64(self):
+        """A graph with more than 2**31 node ids keeps int64 arrays and
+        decodes the destinations in place of the sorted keys."""
+        top = 2 ** 31
+        graph = Graph(top + 1, [top, 0, top, 5], [0, top, top, 0])
+        grid = ShardGrid(graph, 2 ** 30)
+        assert grid._dst_sorted.dtype == grid._order.dtype == np.int64
+        assert grid._src_sorted.dtype == np.int64
+        assert_matches_materialized(grid)
+
+    def test_keys_past_62_bits_fall_back_to_lexsort(self):
+        """2**60 node ids (60 destination bits), 8 intervals (3 row
+        bits) and 16 edges (4 index bits) pack into 67 bits: too wide,
+        so the grid sorts with ``lexsort`` — the same cells."""
+        rng = np.random.default_rng(7)
+        num_nodes = 2 ** 60
+        src = rng.integers(0, num_nodes, 16)
+        dst = np.concatenate([rng.integers(0, num_nodes, 12), src[:4]])
+        grid = ShardGrid(Graph(num_nodes, src, dst), 2 ** 57)
+        assert grid.num_intervals == 8
+        with mock.patch.object(partition, "_sort_by_packed_key",
+                               side_effect=AssertionError("packed")):
+            grid.build()
+        assert_matches_materialized(grid)
 
     def test_shards_are_views_not_copies(self):
         """The memory contract: shard arrays alias the grid's shared
@@ -111,38 +194,33 @@ def _edges(*pairs):
 
 
 class TestShardSortOrder:
-    """``shard_sort_order`` equals the lexsort it stands for on each of
-    its three branches. An oversized ``num_intervals`` (the sort only
-    needs it as an upper bound on the row bin) pushes the composite key
-    past the int64 budget of the faster branches."""
+    """The grid's sort equals the ``lexsort`` scatter it stands for on
+    each of its paths: the packed unique key with ``searchsorted`` cell
+    bounds, the same key with cells decoded off it, and the ``lexsort``
+    fallback for keys too wide to pack. The examples are the edge
+    cases of the packing: no nodes, no edges, a single node (no
+    destination bits) and a single edge (no edge-index bits)."""
 
-    @staticmethod
-    def num_intervals_for(branch: str, num_nodes: int, interval: int,
-                          dst: np.ndarray) -> int:
-        if branch == "unique-key":
-            return -(-num_nodes // interval)
-        bound = int(dst.max()) + 1 if dst.size else 1
-        if branch == "stable-argsort":
-            # S^2 * N < 2**62: the cell key fits, but times |E| >= 2
-            # the unique key does not.
-            return math.isqrt((2 ** 62 - 1) // bound)
-        return 2 ** 31  # S^2 * N >= 2**62: only lexsort is safe
-
-    @pytest.mark.parametrize("branch",
-                             ["unique-key", "stable-argsort", "lexsort"])
+    @pytest.mark.parametrize("path", list(SCATTER_PATHS))
     @settings(max_examples=60, deadline=None)
     @given(case=edge_lists())
+    @example(case=(0, *_edges(), 1))
     @example(case=(5, *_edges(), 2))
+    @example(case=(1, *_edges(), 1))
+    @example(case=(1, *_edges((0, 0), (0, 0)), 1))
     @example(case=(5, *_edges((3, 1)), 2))
     @example(case=(6, *_edges((2, 2), (0, 5), (2, 2), (4, 4), (0, 5),
                               (2, 2)), 3))
-    def test_equals_lexsort(self, branch, case):
+    # A 40x40 grid over 3 edges: past _BINCOUNT_CELLS_PER_EDGE, so the
+    # natural choice decodes cells.
+    @example(case=(40, *_edges((0, 39), (39, 0), (0, 39)), 1))
+    def test_equals_lexsort(self, path, case):
         num_nodes, src, dst, interval = case
-        num_intervals = self.num_intervals_for(branch, num_nodes,
-                                               interval, dst)
-        order = shard_sort_order(src, dst, interval, num_intervals)
-        reference = np.lexsort((dst, dst // interval, src // interval))
-        assert np.array_equal(order, reference)
+        with forced_path(path):
+            grid = ShardGrid(Graph(num_nodes, src, dst), interval)
+            grid.build()
+        assert_matches_materialized(grid)
+        assert grid._order.dtype == np.int32
 
 
 class TestMaxCellEdges:
@@ -174,6 +252,83 @@ class TestMaxCellEdges:
         assert _max_cell_edges(Graph(0, [], []), 1) == 0
 
 
+def probe_every_candidate(graph: Graph, config: GraphEngineConfig,
+                          block: int) -> int:
+    """``fitting_interval`` without its bound: halve from the scratchpad
+    capacity, probing each candidate's fullest cell, until one fits."""
+    interval = min(plan_interval_size(config, block),
+                   max(graph.num_nodes, 1))
+    capacity = config.usable_edge_bytes // EDGE_BYTES
+    while interval > 1 and _max_cell_edges(graph, interval) > capacity:
+        interval = max(interval // 2, 1)
+    return interval
+
+
+class TestFittingInterval:
+    """The mean-load bound rejects candidates without probing them, and
+    never changes the interval accepted."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=edge_lists(), node_slots=st.integers(1, 48),
+           edge_slots=st.integers(1, 64))
+    @example(case=(1, *_edges(), 1), node_slots=1, edge_slots=1)
+    @example(case=(9, *_edges((0, 8), (4, 4), (8, 0), (4, 5)), 1),
+             node_slots=9, edge_slots=1)
+    def test_bound_accepts_the_interval_probing_accepts(
+            self, case, node_slots, edge_slots):
+        num_nodes, src, dst, _ = case
+        # One-dimension blocks: the scratchpads hold ``node_slots``
+        # nodes, the edge buffer ``edge_slots`` edges (half of each).
+        config = GraphEngineConfig(
+            src_feature_buffer_bytes=2 * node_slots * ELEM_BYTES,
+            dst_feature_buffer_bytes=2 * node_slots * ELEM_BYTES,
+            edge_buffer_bytes=2 * edge_slots * EDGE_BYTES)
+        expected = probe_every_candidate(Graph(num_nodes, src, dst),
+                                         config, block=1)
+        assert fitting_interval(Graph(num_nodes, src, dst), config,
+                                block=1) == expected
+
+    def test_a_rejected_candidate_runs_no_probe(self, monkeypatch):
+        # 64 nodes and 600 edges against a 100-edge buffer, with
+        # scratchpads for all 64 nodes: at 64 and 32 nodes per interval
+        # the mean cell holds 600 and 150 edges.
+        graph = erdos_renyi(64, 600, feature_dim=8, seed=3)
+        config = GraphEngineConfig(
+            src_feature_buffer_bytes=64 * 8 * ELEM_BYTES * 2,
+            dst_feature_buffer_bytes=64 * 8 * ELEM_BYTES * 2,
+            edge_buffer_bytes=100 * EDGE_BYTES * 2)
+        probed = []
+
+        def spy(graph, interval):
+            probed.append(interval)
+            return _max_cell_edges(graph, interval)
+
+        monkeypatch.setattr(partition, "_max_cell_edges", spy)
+        interval = fitting_interval(graph, config, block=8)
+        assert interval == probe_every_candidate(graph, config, block=8)
+        assert 64 not in probed and 32 not in probed
+        assert probed and probed[-1] == interval
+        assert set(graph._cell_edge_cache) == set(probed)
+
+    def test_flickr_default_config_skips_its_overfull_candidates(self):
+        """At the default config, the 16-dimension stages of flickr-gcn
+        and flickr-gat start at 89,250 nodes per interval and halve
+        through 44,625 before 22,312 fits the 131,072-edge buffer. The
+        first two candidates' mean cells hold 899,756 and 224,939
+        edges, so neither is probed (a probe is an |E| pass)."""
+        flickr = load_dataset("flickr")
+        # A fresh graph object: its probe memo starts empty.
+        graph = Graph(flickr.num_nodes, flickr.src, flickr.dst,
+                      features=flickr.features, name="flickr")
+        harness = Harness()
+        for network in ("gcn", "gat"):
+            spec = WorkloadSpec(dataset="flickr", network=network,
+                                hidden_dim=16)
+            resolve_geometry(graph, harness.model(spec), GNNeratorConfig())
+        probed = graph._cell_edge_cache
+        assert probed and 44_625 not in probed and 89_250 not in probed
+
+
 class TestLazyGrid:
     def test_partition_reads_never_sort(self, small_graph):
         grid = ShardGrid(small_graph, interval_size=16)
@@ -191,8 +346,12 @@ class TestLazyGrid:
             grid.validate()
         assert grid.built
         assert [record.name for record in tracer.spans] == ["plan-shards"]
-        assert tracer.spans[0].attrs == {"graph": small_graph.name,
-                                         "interval": 16}
+        # ``bytes`` is what the three sorted arrays hold: 12 per edge.
+        arrays = (grid._order, grid._src_sorted, grid._dst_sorted)
+        assert tracer.spans[0].attrs == {
+            "graph": small_graph.name, "interval": 16, "edges": 300,
+            "bytes": sum(array.nbytes for array in arrays)}
+        assert tracer.spans[0].attrs["bytes"] == 12 * 300
 
 
 class TestNodeInterval:
