@@ -96,8 +96,8 @@ class GNNerator:
         with span("simulate", graph=program.graph_name):
             cycles = run_plan(plan, probe)
         if probe is not None:
-            probe.ops.extend(op_slices(program.queues, probe,
-                                       self.config.dram))
+            probe.ops.extend(op_slices(program.queues, program.costs,
+                                       probe, self.config.dram))
         return ExecutionResult(
             cycles=cycles,
             frequency_ghz=self.config.graph.frequency_ghz,

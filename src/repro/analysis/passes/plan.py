@@ -1,14 +1,15 @@
 """Plan/program cross-agreement.
 
-:func:`repro.sim.coalesce.build_plan` lowers the op queues into packed
-per-unit action chains; this pass *re-derives* that lowering with an
-independent decoder and checks the cached plan matches action by
-action — token interning (first appearance in ``UNITS`` order must be
-bijective with the program's token set), channel operands, occupancy
-and latency arguments, busy-cycle sums, and the ``seq_bits`` sizing of
-the scheduler's packed heap entries. A stale or corrupted cached plan
-(e.g. a store entry whose program was edited) cannot silently replay
-the wrong chains.
+:func:`repro.sim.coalesce.retime` writes one design's cycles into the
+chains :func:`repro.sim.coalesce.build_template` lowers the op queues
+to; this pass *re-derives* them op by op from the queues and cost
+lists with an independent decoder and checks the cached plan matches
+action by action — token interning (first appearance in ``UNITS``
+order must be bijective with the program's token set), channel
+operands, compute (``NOP`` at zero), occupancy and latency arguments,
+busy-cycle sums, and the ``seq_bits`` sizing of the scheduler's packed
+heap entries. A stale or corrupted cached plan (e.g. a store entry
+whose program was edited) cannot silently replay the wrong chains.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import TYPE_CHECKING, cast
 from repro.analysis.report import PassResult
 from repro.compiler.ir import (
     CHANNELS,
+    COMPUTE_OPS,
     UNITS,
     AccumWritebackOp,
     AcquireOp,
@@ -26,7 +28,6 @@ from repro.compiler.ir import (
     PopOp,
     PushOp,
     ReleaseOp,
-    op_cycles,
 )
 from repro.compiler.program import Program
 from repro.config.accelerator import GNNeratorConfig
@@ -35,18 +36,21 @@ if TYPE_CHECKING:
     from repro.sim.coalesce import CoalescedPlan
 
 
-def _expected_actions(op: Operation, channel_ids: dict[str, int],
+def _expected_actions(op: Operation, cycles: int,
+                      channel_ids: dict[str, int],
                       bytes_per_cycle: float, latency: int
                       ) -> list[tuple[int, int]]:
-    """The ``(kind, arg)`` sequence ``build_plan`` emits for one op,
-    excluding the token WAIT/SIGNAL bracketing (handled by the caller
-    because token ids need the interning map)."""
+    """The ``(kind, arg)`` sequence a re-timed plan holds for one op
+    (``cycles``: its cost-list entry, if a compute op), excluding the
+    token WAIT/SIGNAL bracketing (handled by the caller because token
+    ids need the interning map)."""
     from repro.sim.coalesce import (
         CREDIT_SIGNAL,
         CREDIT_WAIT,
         DRAM_REL,
         DRAM_REQ,
         GET,
+        NOP,
         PUT,
         TIMEOUT,
         _occupancy,
@@ -65,14 +69,16 @@ def _expected_actions(op: Operation, channel_ids: dict[str, int],
             return []
         occ = _occupancy(op.num_bytes, bytes_per_cycle)
         return [(DRAM_REQ, 0), (TIMEOUT, occ), (DRAM_REL, latency)]
-    cycles = op_cycles(op)
-    return [(TIMEOUT, cycles)] if cycles else []
+    if isinstance(op, COMPUTE_OPS):
+        return [(TIMEOUT, cycles)] if cycles else [(NOP, 0)]
+    return []
 
 
 class _ChainDecoder:
     """Cursor over one unit's packed chain, failing onto a shared
     :class:`PassResult`. The token-interning map is shared across the
-    decoders of all six units (build_plan interns in UNITS order)."""
+    decoders of all six units (build_template interns in UNITS
+    order)."""
 
     def __init__(self, unit: str, chain: list[int],
                  token_ids: dict[str, int], result: PassResult) -> None:
@@ -82,7 +88,6 @@ class _ChainDecoder:
         self.result = result
         self.pc = 0
         self.checked = 0
-        self.timeout_cycles = 0
 
     def take(self, want_kind: int, want_arg: int | None,
              what: str) -> bool:
@@ -115,14 +120,7 @@ class _ChainDecoder:
 
 def check_plan_agreement(program: Program,
                          config: GNNeratorConfig) -> PassResult:
-    from repro.sim.coalesce import (
-        DRAM_REL,
-        END,
-        SIGNAL,
-        TIMEOUT,
-        WAIT,
-        _occupancy,
-    )
+    from repro.sim.coalesce import DRAM_REL, END, SIGNAL, TIMEOUT, WAIT
 
     result = PassResult("plan-agreement")
     plan = cast("CoalescedPlan", program.coalesced_plan(config.dram))
@@ -136,10 +134,17 @@ def check_plan_agreement(program: Program,
         ops = program.queues.get(unit, [])
         decoder = _ChainDecoder(unit, plan.unit_actions[unit_index],
                                 token_ids, result)
+        costs = program.costs.get(unit, [])
+        if len(costs) != sum(isinstance(op, COMPUTE_OPS) for op in ops):
+            result.fail(f"{unit}: cost list and compute ops disagree")
+            continue
+        cycles = iter(costs)
         mismatched = False
         for op_index, op in enumerate(ops):
             where = f"op {op_index} ({op.label or type(op).__name__})"
-            expected = _expected_actions(op, channel_ids, bpc, latency)
+            expected = _expected_actions(
+                op, next(cycles) if isinstance(op, COMPUTE_OPS) else 0,
+                channel_ids, bpc, latency)
             ok = all(decoder.take_token(WAIT, token, f"{where}: WAIT")
                      for token in op.wait)
             ok = ok and all(
@@ -152,8 +157,6 @@ def check_plan_agreement(program: Program,
             if not ok:
                 mismatched = True
                 break
-            decoder.timeout_cycles += sum(
-                arg for kind, arg in expected if kind == TIMEOUT)
         checked_actions += decoder.checked
         if mismatched:
             continue
@@ -162,17 +165,12 @@ def check_plan_agreement(program: Program,
         if decoder.pc != len(decoder.chain):
             result.fail(f"{unit}: {len(decoder.chain) - decoder.pc} "
                         f"trailing action(s) after the END sentinel")
-        # DRAM occupancies count toward channel busy (dma pass), not
-        # unit busy; subtract them out of the decoder's TIMEOUT sum.
-        dma_occ = sum(
-            _occupancy(op.num_bytes, bpc) for op in ops
-            if isinstance(op, (DmaOp, AccumWritebackOp))
-            and op.num_bytes)
-        recomputed = decoder.timeout_cycles - dma_occ
-        if recomputed != plan.unit_busy_cycles.get(unit, 0):
+        # The compute slots just matched the cost list, so it sums the
+        # unit's busy cycles (DRAM occupancy is the dma pass's).
+        if sum(costs) != plan.unit_busy_cycles.get(unit, 0):
             result.fail(f"{unit}: plan says "
                         f"{plan.unit_busy_cycles.get(unit, 0)} busy "
-                        f"cycles, decoder recomputes {recomputed}")
+                        f"cycles, decoder recomputes {sum(costs)}")
 
     if len(token_ids) != plan.num_tokens:
         result.fail(f"plan interned {plan.num_tokens} tokens, decoder "

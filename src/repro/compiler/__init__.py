@@ -3,7 +3,6 @@
 from repro.compiler.ir import (
     CHANNELS,
     COMPUTE_OPS,
-    MEMORY_OPS,
     UNITS,
     AccumWritebackOp,
     AcquireOp,
@@ -19,7 +18,6 @@ from repro.compiler.ir import (
     SelfApplyOp,
     ShardAggregateOp,
     op_bytes,
-    op_cycles,
 )
 from repro.compiler.lowering import Coverage, ValueRef, compile_workload
 from repro.compiler.program import Program
@@ -32,7 +30,6 @@ from repro.compiler.runtime import (
 __all__ = [
     "CHANNELS",
     "COMPUTE_OPS",
-    "MEMORY_OPS",
     "UNITS",
     "AccumWritebackOp",
     "AcquireOp",
@@ -48,7 +45,6 @@ __all__ = [
     "SelfApplyOp",
     "ShardAggregateOp",
     "op_bytes",
-    "op_cycles",
     "Coverage",
     "ValueRef",
     "compile_workload",

@@ -28,13 +28,13 @@ Controller at simulation time:
   one shard ahead of compute — exactly the paper's double-buffered
   prefetch pipeline.
 
-Every operation carries its timing payload (DMA bytes or compute
-cycles), computed at lowering time from the platform configuration. The
-compute ops' *cost fields* (``cycles``, and ``max_gpe_edges`` on
-:class:`ShardAggregateOp`) default to zero: the structure pass emits
-them unset and the cost pass (:func:`repro.compiler.lowering.fill_costs`)
-fills them. The functional runtime interprets the same operations over
-numpy arrays and ignores timing.
+A DMA op carries its byte count. A compute op carries no cost: its
+cycles live in the program's per-unit cost lists
+(:attr:`repro.compiler.program.Program.costs`), which the cost pass
+(:func:`repro.compiler.lowering.fill_costs`) fills per design, so one
+op structure serves every design of its geometry. The functional
+runtime interprets the same operations over numpy arrays and ignores
+timing.
 """
 
 from __future__ import annotations
@@ -147,7 +147,6 @@ class InitAccumulatorOp(Operation):
     acc_array: str
     src_array: str
     mode: str
-    cycles: int = 0  # cost field
 
     def __post_init__(self) -> None:
         if self.mode not in ("self", "zero", "neginf"):
@@ -166,8 +165,6 @@ class ShardAggregateOp(Operation):
     acc_array: str
     src_array: str
     num_edges: int
-    max_gpe_edges: int = 0  # cost field
-    cycles: int = 0  # cost field
 
 
 @dataclass(kw_only=True)
@@ -186,7 +183,6 @@ class SelfApplyOp(Operation):
     acc_array: str
     src_array: str
     reduce: str
-    cycles: int = 0  # cost field
 
 
 @dataclass(kw_only=True)
@@ -230,7 +226,6 @@ class GemmOp(Operation):
     m: int
     k: int
     n: int
-    cycles: int = 0  # cost field
 
 
 @dataclass(kw_only=True)
@@ -244,31 +239,16 @@ class ActivationOp(Operation):
     out_array: str
     activation: str
     has_bias: bool
-    cycles: int = 0  # cost field
 
 
-#: Operations whose ``cycles`` occupy a compute unit.
+#: Operations that occupy a compute unit; each has one entry in its
+#: unit's cost list.
 COMPUTE_OPS = (InitAccumulatorOp, SelfApplyOp, ShardAggregateOp, GemmOp,
                ActivationOp)
-
-#: Operations that move data over the shared DRAM channel.
-MEMORY_OPS = (DmaOp, AccumWritebackOp)
-
-
-def op_cycles(op: Operation) -> int:
-    """Compute-cycle cost of an op (0 for non-compute ops)."""
-    # Literal tuple (not COMPUTE_OPS) so mypy narrows to the classes
-    # that actually declare ``cycles``.
-    if isinstance(op, (InitAccumulatorOp, SelfApplyOp, ShardAggregateOp,
-                       GemmOp, ActivationOp)):
-        return op.cycles
-    return 0
 
 
 def op_bytes(op: Operation) -> int:
     """DRAM bytes moved by an op (0 for non-memory ops)."""
-    if isinstance(op, DmaOp):
-        return op.num_bytes
-    if isinstance(op, AccumWritebackOp):
+    if isinstance(op, (DmaOp, AccumWritebackOp)):
         return op.num_bytes
     return 0

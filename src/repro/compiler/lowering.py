@@ -41,18 +41,17 @@ pipeline:
   buffer larger than the stage's weights behaves like one exactly
   their size — so equal structures get equal geometries. Shard grids
   are keyed ``(graph, interval size)`` and memoized on the graph.
-* **cost pass** (:func:`fill_costs`) — the cost fields: every compute
-  op's ``cycles`` and :class:`ShardAggregateOp`'s ``max_gpe_edges``,
-  from :mod:`repro.engines.graph.gpe` and
+* **cost pass** (:func:`fill_costs`) — the program's cost lists: every
+  compute op's cycles, from :mod:`repro.engines.graph.gpe` and
   :mod:`repro.engines.dense.systolic`. It reads ``graph.num_gpes``,
   ``simd_width`` and ``pipeline_depth`` and ``dense.rows``, ``cols``
   and ``dataflow``; neither pass reads any other field.
 
 So two configs of one geometry compile to programs that differ only in
-the cost fields, and :func:`recost` derives one from the other without
-lowering — ``Harness._compiled``'s structure memo. The program memo and
-the persistent program store (:mod:`repro.compiler.store`) key the full
-compile-relevant projection
+their cost lists, and :func:`recost` derives one from the other without
+lowering or copying an op — ``Harness._compiled``'s structure memo. The
+program memo and the persistent program store
+(:mod:`repro.compiler.store`) key the full compile-relevant projection
 (:func:`repro.config.overrides.compile_relevant_config`); clock
 frequencies and the DRAM section are simulate-only and in no key,
 which lets one compiled program serve DRAM-only DSE variants.
@@ -73,7 +72,6 @@ import threading
 from dataclasses import dataclass
 
 from repro.compiler.ir import (
-    COMPUTE_OPS,
     AccumWritebackOp,
     AcquireOp,
     ActivationOp,
@@ -382,7 +380,7 @@ def _geometry(graph: Graph, model: GNNModel, config: GNNeratorConfig,
 class Lowering:
     """Single-use structure pass; see :func:`compile_workload`.
 
-    Emits every op with zero cost fields; :func:`fill_costs` sets them.
+    Emits every op and no cost; :func:`fill_costs` computes the costs.
     """
 
     def __init__(self, graph: Graph, model: GNNModel,
@@ -430,15 +428,6 @@ class Lowering:
         current = ValueRef(program.input_array, Coverage())
         for layer_index, layer in enumerate(self.model.layers):
             layer_input = current
-            # Pre-plan every aggregate stage of the layer: extracts that
-            # precede an aggregation chunk their rows by its intervals.
-            for stage_index, stage in enumerate(layer.stages):
-                if isinstance(stage, AggregateStage):
-                    grid = shard_grid(self.graph, self.geometry.aggregate(
-                        layer_index, stage_index).interval_size)
-                    program.grids[(layer_index, stage_index)] = grid
-                    program.plans[(layer_index, stage_index, "main")] = (
-                        plan_blocks(stage.dim, self.feature_block))
             completions: dict[int, list[tuple[int, int]]] = {}
             for stage_index, stage in enumerate(layer.stages):
                 if isinstance(stage, AggregateStage):
@@ -459,12 +448,24 @@ class Lowering:
     # ------------------------------------------------------------------
     # Aggregation lowering (Graph Engine, Algorithm 1)
     # ------------------------------------------------------------------
+    def _aggregate_grid(self, layer: int, stage_index: int) -> ShardGrid:
+        """An aggregate stage's grid and block plan, planned on first
+        use: by the stage, or by an extract chunking rows by it."""
+        key = (layer, stage_index)
+        if key not in self.program.grids:
+            self.program.plans[(*key, "main")] = plan_blocks(
+                self.model.layers[layer].stages[stage_index].dim,
+                self.feature_block)
+            self.program.grids[key] = shard_grid(
+                self.graph, self.geometry.aggregate(*key).interval_size)
+        return self.program.grids[key]
+
     def _lower_aggregate(self, layer: int, stage_index: int,
                          stage: AggregateStage, incoming: ValueRef
                          ) -> tuple[ValueRef, list[tuple[int, int]]]:
         program = self.program
         geometry = self.geometry.aggregate(layer, stage_index)
-        grid = program.grids[(layer, stage_index)]
+        grid = self._aggregate_grid(layer, stage_index)
         plan = program.plans[(layer, stage_index, "main")]
         side = grid.grid_side
 
@@ -644,7 +645,7 @@ class Lowering:
             intervals = [(iv.start, iv.stop) for iv in grid.intervals]
             completion = completions[stage_index - 1]
         elif next_is_agg:
-            grid = program.grids[(layer, stage_index + 1)]
+            grid = self._aggregate_grid(layer, stage_index + 1)
             intervals = [(iv.start, iv.stop) for iv in grid.intervals]
             completion = None
         else:
@@ -820,16 +821,17 @@ class Lowering:
 # ----------------------------------------------------------------------
 # Cost pass
 # ----------------------------------------------------------------------
-def fill_costs(program: Program, config: GNNeratorConfig) -> None:
-    """The cost pass: set every compute op's cost fields for ``config``.
+def fill_costs(program: Program,
+               config: GNNeratorConfig) -> dict[str, list[int]]:
+    """The cost pass: ``program``'s compute-op cycles under ``config``.
 
-    Writes ``cycles`` on every compute op and ``max_gpe_edges`` on
-    every :class:`ShardAggregateOp`, in place. Reads only the compute
-    knobs — ``graph.num_gpes``, ``simd_width``, ``pipeline_depth`` and
-    ``dense.rows``, ``cols``, ``dataflow`` — plus the program's own
-    grids and model. The worst-GPE edge load is cached on each shard
-    per GPE count (:func:`max_gpe_edges`), so programs sharing a grid
-    share the statistic.
+    Returns one list per compute unit (``graph.compute``,
+    ``dense.compute``) of each compute op's cycles in queue order. Reads
+    only the compute knobs — ``graph.num_gpes``, ``simd_width``,
+    ``pipeline_depth`` and ``dense.rows``, ``cols``, ``dataflow`` —
+    plus the program's own grids and model. The worst-GPE edge load is
+    cached on each shard per GPE count (:func:`max_gpe_edges`), so
+    programs sharing a grid share the statistic.
     """
     graph_cfg, dense_cfg = config.graph, config.dense
     num_gpes = graph_cfg.num_gpes
@@ -838,19 +840,20 @@ def fill_costs(program: Program, config: GNNeratorConfig) -> None:
                      for li, layer in enumerate(program.model.layers)
                      for si, stage in enumerate(layer.stages)
                      if isinstance(stage, AggregateStage)}
+        graph_costs: list[int] = []
         for op in program.queues["graph.compute"]:
             if isinstance(op, ShardAggregateOp):
                 grid = program.grids[(op.layer, op.stage)]
-                worst = max_gpe_edges(grid.shard(*op.shard), num_gpes)
-                op.max_gpe_edges = worst
-                op.cycles = shard_compute_cycles(
-                    worst, op.dims[1] - op.dims[0], graph_cfg,
-                    attention=attention[(op.layer, op.stage)])
+                graph_costs.append(shard_compute_cycles(
+                    max_gpe_edges(grid.shard(*op.shard), num_gpes),
+                    op.dims[1] - op.dims[0], graph_cfg,
+                    attention=attention[(op.layer, op.stage)]))
             elif isinstance(op, (InitAccumulatorOp, SelfApplyOp)):
-                op.cycles = interval_touch_cycles(
+                graph_costs.append(interval_touch_cycles(
                     op.rows[1] - op.rows[0], op.dims[1] - op.dims[0],
-                    graph_cfg)
+                    graph_cfg))
         gemm_cycles: dict[tuple[int, int, int], int] = {}
+        dense_costs: list[int] = []
         for op in program.queues["dense.compute"]:
             if isinstance(op, GemmOp):
                 shape = (op.m, op.k, op.n)
@@ -858,11 +861,12 @@ def fill_costs(program: Program, config: GNNeratorConfig) -> None:
                 if cycles is None:
                     cycles = gemm_cycles[shape] = gemm_timing(
                         GemmShape(*shape), dense_cfg).cycles
-                op.cycles = cycles
+                dense_costs.append(cycles)
             elif isinstance(op, ActivationOp):
-                op.cycles = activation_cycles(
+                dense_costs.append(activation_cycles(
                     op.rows[1] - op.rows[0], program.arrays[op.out_array],
-                    dense_cfg)
+                    dense_cfg))
+    return {"graph.compute": graph_costs, "dense.compute": dense_costs}
 
 
 def recost(structure: Program, config: GNNeratorConfig,
@@ -871,48 +875,42 @@ def recost(structure: Program, config: GNNeratorConfig,
     derived without lowering.
 
     Valid when ``config`` resolves to ``structure``'s :class:`Geometry`
-    (``Harness._compiled`` keys its structure memo that way). The
-    compute ops are copied and costed by :func:`fill_costs`; every
-    other op, the grids, plans and arrays are shared, and so are the
-    static facts that depend only on bytes and MACs (the DRAM traffic
-    breakdown, the energy model's per-op sums). ``structure`` itself
-    is never mutated. Finished and verified like a fresh compile.
+    (``Harness._compiled`` keys its structure memo that way). The new
+    program shares ``structure``'s queues, order, grids, plans, arrays,
+    plan template and static facts (the DRAM traffic breakdown, the
+    energy model's per-op sums) and owns only its cost lists and
+    coalesced plans; no op is copied. Finished and verified like a
+    fresh compile.
     """
     with span("recost", graph=structure.graph_name):
+        structure.dram_bytes_by_purpose()
         program = Program(
             graph_name=structure.graph_name, model=structure.model,
             traversal=structure.traversal,
             feature_block=structure.feature_block,
-            num_nodes=structure.num_nodes,
-            grids=dict(structure.grids), plans=dict(structure.plans),
-            arrays=dict(structure.arrays),
+            num_nodes=structure.num_nodes, queues=structure.queues,
+            order=structure.order, grids=structure.grids,
+            plans=structure.plans, arrays=structure.arrays,
             input_array=structure.input_array,
-            output_array=structure.output_array)
-        program._dram_by_purpose = structure._dram_by_purpose
-        program._energy_terms = structure._energy_terms
-        queues, order = program.queues, program.order
-        for op in structure.order:
-            # Exactly the ops fill_costs writes.
-            if isinstance(op, COMPUTE_OPS):
-                clone = object.__new__(type(op))
-                clone.__dict__.update(op.__dict__)
-                op = clone
-            queues[op.unit].append(op)
-            order.append(op)
-        fill_costs(program, config)
-    return _finish(program, config, workload)
+            output_array=structure.output_array,
+            costs=fill_costs(structure, config),
+            _template=structure.plan_template(),
+            _dram_by_purpose=structure._dram_by_purpose,
+            _energy_terms=structure._energy_terms)
+        return finish_program(program, config, workload)
 
 
-def _finish(program: Program, config: GNNeratorConfig,
-            workload: str) -> Program:
+def finish_program(program: Program, config: GNNeratorConfig,
+                   workload: str) -> Program:
     """Precompute what every simulation of ``program`` reads, and verify
-    it when ``REPRO_VERIFY`` is on."""
+    it when ``REPRO_VERIFY`` is on: the last step of a compile, a
+    re-cost and a program-store hit."""
     # The coalesced simulator's per-unit serial chains for the config
     # this program was compiled against (and the static traffic
     # breakdown every result re-reports), so the usual
-    # compile→simulate path pays the linear precomputation once, at
-    # compile time; simulating under a different DRAM config builds a
-    # fresh plan lazily.
+    # compile→simulate path pays the precomputation once, at compile
+    # time; simulating under a different DRAM config re-times the
+    # template lazily.
     program.coalesced_plan(config.dram)
     program.dram_bytes_by_purpose()
     # Opt-in compile-time verification (REPRO_VERIFY=1; the test suite
@@ -931,19 +929,22 @@ def _finish(program: Program, config: GNNeratorConfig,
 def compile_workload(graph: Graph, model: GNNModel,
                      config: GNNeratorConfig,
                      traversal: str = DST_STATIONARY,
-                     feature_block: int | None | str = "config") -> Program:
+                     feature_block: int | None | str = "config", *,
+                     geometry: Geometry | None = None) -> Program:
     """Compile one workload; the public compiler entry point.
 
     ``feature_block="config"`` (default) takes the block size from the
     platform configuration; pass an int or ``None`` to override
-    (``None`` = conventional unblocked dataflow).
+    (``None`` = conventional unblocked dataflow). ``geometry``: the
+    workload's, if the caller already resolved it under ``config``.
     """
     global _FULL_LOWERINGS
     with span("lower", graph=graph.name, layers=len(model.layers)):
-        geometry = resolve_geometry(graph, model, config, traversal,
-                                    feature_block)
+        if geometry is None:
+            geometry = resolve_geometry(graph, model, config, traversal,
+                                        feature_block)
         with _MEMO_LOCK:
             _FULL_LOWERINGS += 1
         program = Lowering(graph, model, geometry).compile()
-        fill_costs(program, config)
-    return _finish(program, config, "compile_workload")
+        program.costs = fill_costs(program, config)
+    return finish_program(program, config, "compile_workload")

@@ -1,24 +1,23 @@
 """Compiled program container and traffic/cycle accounting.
 
-A :class:`Program` is also the unit the persistent compiled-program
-store (:mod:`repro.compiler.store`) serializes: it is a pure function
-of ``(graph content, network, traversal, feature block,
-compile-relevant config)`` — see
-:func:`repro.config.overrides.compile_relevant_config` — and nothing
-else, which is exactly the store's content-address. It holds no
-values: parameters and aggregation weights are inputs of the
-functional runtime, never of the program. Two fields get special
-treatment when persisted:
+A :class:`Program` is a *structure* — op queues, order, grids, block
+plans, arrays and what follows from them alone (DRAM bytes by purpose,
+energy terms, the plan template), a pure function of the graph, the
+network and the :class:`~repro.compiler.lowering.Geometry` — plus
+*cost lists*, its compute ops' cycles. A re-cost
+(:func:`~repro.compiler.lowering.recost`) shares the structure. A
+program holds no values: parameters and aggregation weights are inputs
+of the functional runtime. The persistent store
+(:mod:`repro.compiler.store`) serializes it, treating two fields
+specially:
 
 * every :class:`~repro.graph.graph.Graph` reference (held by the shard
   grids in ``grids``) is pickled *by dataset identity*, never by value,
   and reattached to the loading process's graph object; each grid
   pickles as (graph, interval size) only and loads as that graph's
   memoized grid, sorted again only if something reads its edges;
-* ``_coalesced_plans`` rides along as a bonus — chains depend only on
-  the op queues plus a DramConfig key, so entries cached for one DRAM
-  config remain valid for a program shared across DRAM-only DSE
-  variants, and any config not in the dict is rebuilt lazily.
+* the coalesced plans are dropped: a loaded program re-times its
+  template per DramConfig on first use.
 """
 
 from __future__ import annotations
@@ -34,12 +33,11 @@ from repro.compiler.ir import (
     DmaOp,
     Operation,
     op_bytes,
-    op_cycles,
 )
 
 if TYPE_CHECKING:
     from repro.config.accelerator import DramConfig
-    from repro.sim.coalesce import CoalescedPlan
+    from repro.sim.coalesce import CoalescedPlan, PlanTemplate
 from repro.dataflow.blocking import BlockPlan
 from repro.graph.partition import ShardGrid
 from repro.models.stages import GNNModel
@@ -74,10 +72,16 @@ class Program:
     arrays: dict[str, int] = field(default_factory=dict)
     input_array: str = "h.in"
     output_array: str = ""
-    #: Coalesced-simulation plans keyed by DramConfig; built lazily by
-    #: :meth:`coalesced_plan` (and eagerly by ``compile_workload`` for
-    #: the compiling config, so a compile→simulate run pays the chain
-    #: precomputation in compile time, once). Never part of equality.
+    #: Each compute op's cycles, one list per compute unit in queue
+    #: order (:func:`repro.compiler.lowering.fill_costs`).
+    costs: dict[str, list[int]] = field(default_factory=dict)
+    #: The structure's plan template (:meth:`plan_template`), shared by
+    #: its re-costs. Never part of equality.
+    _template: PlanTemplate | None = field(default=None, repr=False,
+                                           compare=False)
+    #: Coalesced-simulation plans keyed by DramConfig; re-timed lazily
+    #: by :meth:`coalesced_plan` (and eagerly for the compiling config
+    #: at compile time). Never part of equality, never persisted.
     _coalesced_plans: dict[DramConfig, CoalescedPlan] = field(
         default_factory=dict, repr=False, compare=False)
     #: Memoized dram_bytes_by_purpose breakdown (static once compiled).
@@ -89,6 +93,12 @@ class Program:
     #: part of equality or any cache key.
     _energy_terms: (tuple[float, float, tuple[tuple[str, float], ...]]
                     | None) = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        """Pickle without plans (a loaded program re-times)."""
+        state = dict(self.__dict__)
+        state["_coalesced_plans"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Construction helpers (used by the lowering pass)
@@ -110,22 +120,29 @@ class Program:
         self.arrays[name] = dim
         return name
 
-    def coalesced_plan(self, dram: DramConfig) -> CoalescedPlan:
-        """The precompiled action chains for the coalesced simulator.
-
-        Cached per :class:`~repro.config.accelerator.DramConfig`
-        (the only config input the chains depend on — occupancies and
-        burst latency are baked into the DRAM actions). Sound because a
-        program's queues are immutable after compilation and simulation
-        never mutates them.
-        """
-        plan = self._coalesced_plans.get(dram)
-        if plan is None:
-            from repro.sim.coalesce import build_plan
+    def plan_template(self) -> PlanTemplate:
+        """The structure's plan template, built on first use. Sound
+        because a program's queues are immutable after compilation and
+        simulation never mutates them."""
+        if self._template is None:
+            from repro.sim.coalesce import build_template
 
             with span("build-plan", graph=self.graph_name):
-                plan = self._coalesced_plans[dram] = build_plan(
-                    self.queues, dram)
+                self._template = build_template(self.queues)
+        return self._template
+
+    def coalesced_plan(self, dram: DramConfig) -> CoalescedPlan:
+        """The precompiled action chains for the coalesced simulator:
+        the template re-timed with this program's cost lists, cached per
+        :class:`~repro.config.accelerator.DramConfig`."""
+        plan = self._coalesced_plans.get(dram)
+        if plan is None:
+            from repro.sim.coalesce import retime
+
+            template = self.plan_template()
+            with span("retime", graph=self.graph_name):
+                plan = self._coalesced_plans[dram] = retime(
+                    template, self.costs, dram)
         return plan
 
     # ------------------------------------------------------------------
@@ -159,14 +176,7 @@ class Program:
     def compute_cycles_by_unit(self) -> dict[str, int]:
         """Serial compute-cycle totals per unit (a lower bound on busy
         time; the DES adds stalls and overlap)."""
-        totals: dict[str, int] = defaultdict(int)
-        for unit, ops in self.queues.items():
-            for op in ops:
-                totals[unit] += op_cycles(op)
-        return dict(totals)
-
-    def count_ops(self, op_type: type[Operation]) -> int:
-        return sum(1 for op in self.order if isinstance(op, op_type))
+        return {unit: sum(self.costs.get(unit, ())) for unit in self.queues}
 
     def describe(self) -> str:
         per_unit = {unit: len(ops) for unit, ops in self.queues.items()}

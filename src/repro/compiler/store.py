@@ -18,13 +18,20 @@ that function *on disk*, modeled on the dataset cache
   compiler actually reads changes the key; knobs it does not read
   (DRAM, clock frequencies — see
   :func:`repro.config.overrides.compile_relevant_config`) do not.
+* **two names per lowering** — a lowered program is also hard-linked
+  as ``<root>/<2 hex>/<name>.structure``, named by the network, hidden
+  dim and :class:`~repro.compiler.lowering.Geometry`
+  (:func:`structure_key_payload`): re-costed, it serves every design
+  of that structure. ``len(store)`` counts programs, not names.
 * **atomic** — writes go to a per-process temp file and publish with
-  ``os.replace``; readers only ever observe absent or complete
-  entries.
+  ``os.replace``, names with ``os.link``; readers only ever observe
+  absent or complete entries.
 * **race-tolerant** — *any* read failure (missing, truncated,
   corrupt, wrong schema) is a miss; the broken entry is best-effort
   dropped and healed by the next store. Two workers racing on the
-  same key write identical bytes; last writer wins.
+  same key write identical bytes; last writer wins. A name that cannot
+  be linked (another worker linked first) is skipped, as a failed put
+  is.
 
 Only the program itself is serialized — never the graph, and never
 data derived from it. The pickler reduces the keyed
@@ -35,12 +42,13 @@ shard grid pickles as (graph reference, interval size) and unpickles
 as that graph's memoized grid, entering an unbuilt one if the memo has
 none (``ShardGrid.__reduce__``): the |E|-sized sort order is rebuilt
 by the same in-place sort, and only if something reads the grid's
-edges — simulating a loaded program never does. Entries therefore
-hold op queues and plans only, orders of magnitude smaller than the
-graphs they index, and a memory-mapped million-edge feature matrix is
-never pulled through pickle. Workloads whose graph cannot be
-fingerprinted (real Planetoid files on disk) bypass the store entirely
-rather than risk stale keys.
+edges — simulating a loaded program never does. Since schema 5 an
+entry holds the plan template and cost lists, never a re-timed plan.
+Entries are orders of magnitude smaller than the graphs they index,
+and a memory-mapped million-edge feature matrix is never pulled
+through pickle. Workloads whose graph cannot be fingerprinted (real
+Planetoid files on disk) bypass the store entirely rather than risk
+stale keys.
 
 Disabled by pointing :data:`PROGRAM_CACHE_ENV` at ``0``/``off``/
 ``none`` (or per-call: ``Harness(program_store=None)``,
@@ -52,10 +60,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import pickle
-import itertools
 from pathlib import Path
 
 from typing import IO, TYPE_CHECKING
@@ -68,7 +76,7 @@ if TYPE_CHECKING:
 
 #: Bump when the pickled layout (or anything about how entries are
 #: produced) changes incompatibly; old entries become misses.
-PROGRAM_SCHEMA = 4
+PROGRAM_SCHEMA = 5
 
 #: Environment variable pointing at the store; ``0``/``off``/``none``/
 #: empty disables it (mirrors the dataset cache's contract).
@@ -117,6 +125,21 @@ def program_key_payload(*, dataset_fingerprint: str, network: str,
         "traversal": traversal,
         "feature_block": feature_block,
         "config": [list(pair) for pair in config_projection],
+    }
+
+
+def structure_key_payload(*, dataset_fingerprint: str, network: str,
+                          hidden_dim: int, geometry: object
+                          ) -> dict[str, object]:
+    """The name payload of one program structure: what a full lowering
+    is a function of. :meth:`ProgramStore.key` encodes the frozen
+    ``geometry`` as its ``repr``, which names each stage entry's class.
+    """
+    return {
+        "dataset": dataset_fingerprint,
+        "network": network,
+        "hidden_dim": hidden_dim,
+        "geometry": geometry,
     }
 
 
@@ -183,7 +206,9 @@ class ProgramStore:
     Mirrors :class:`repro.sweep.cache.ResultCache`: the code version is
     resolved at construction, ``code_root`` narrows the hashed tree so
     tests can exercise key invalidation without touching the real
-    package, and ``hits``/``misses`` count this instance's lookups.
+    package, and ``hits``/``misses`` (``structure_hits``/
+    ``structure_misses``) count this instance's lookups by program key
+    (by structure name).
     """
 
     def __init__(self, root: str | os.PathLike,
@@ -196,21 +221,31 @@ class ProgramStore:
                              else code_version_hash(code_root))
         self.hits = 0
         self.misses = 0
+        self.structure_hits = 0
+        self.structure_misses = 0
 
     def key(self, payload: dict[str, object]) -> str:
-        """Content address of one program under this code version."""
+        """Content address of one program (or structure name) under this
+        code version; a value JSON cannot encode (a geometry) is encoded
+        by its ``repr``."""
         blob = json.dumps(
             {"schema": PROGRAM_SCHEMA, "code": self.code_version,
              "program": payload},
-            sort_keys=True, separators=(",", ":"))
+            sort_keys=True, separators=(",", ":"), default=repr)
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+    def _path(self, key: str | dict[str, object],
+              structure: bool = False) -> Path:
+        if not isinstance(key, str):
+            key = self.key(key)
+        suffix = "structure" if structure else "pkl"
+        return self.root.joinpath(key[:2], f"{key}.{suffix}")
 
-    def get(self, key: str, graph: Graph) -> "Program | None":
-        """The stored program for ``key`` rebuilt against ``graph``,
-        or None.
+    def get(self, key: str | dict[str, object], graph: Graph,
+            structure: bool = False) -> "Program | None":
+        """The stored program for ``key`` (a structure name when
+        ``structure``; either may be the payload :meth:`key` hashes)
+        rebuilt against ``graph``, or None.
 
         Fully race-tolerant: any failure to read or deserialize — a
         missing file, a truncated write from a crashed worker, a
@@ -220,36 +255,40 @@ class ProgramStore:
         (unbuilt ones entered under the memo's lock and size bound), so
         programs and later compiles of one graph share each scatter.
         """
-        path = self._path(key)
-        with span("store-get", graph=graph.name):
+        with span("store-get", graph=graph.name, structure=structure):
+            path = self._path(key, structure)
             try:
                 with open(path, "rb") as handle:
                     program = _GraphUnpickler(handle, graph).load()
-            except FileNotFoundError:
-                self.misses += 1
-                return None
-            except Exception:
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass  # a sibling worker already removed it — fine
-                self.misses += 1
-                return None
-            self.hits += 1
+            except Exception as exc:
+                program = None
+                if not isinstance(exc, FileNotFoundError):
+                    try:
+                        os.remove(path)
+                    except OSError:
+                        pass  # a sibling worker already removed it
+            counter = (("structure_" if structure else "")
+                       + ("misses" if program is None else "hits"))
+            setattr(self, counter, getattr(self, counter) + 1)
             return program
 
-    def put(self, key: str, program: "Program", graph: Graph) -> bool:
-        """Atomically persist ``program`` under ``key`` (best-effort).
+    def put(self, key: str | dict[str, object], program: "Program",
+            graph: Graph,
+            structure: str | dict[str, object] | None = None) -> bool:
+        """Atomically persist ``program`` under ``key`` (best-effort),
+        hard-linked under the ``structure`` name if one is given (either
+        may be a payload, as for :meth:`get`).
 
         Returns False (leaving no partial file behind) when the entry
         cannot be written — an unpicklable program, a read-only cache
         directory — since caching must never fail the compile that
-        produced the program.
+        produced the program. A name that cannot be linked (present
+        already, or no hard links here) is skipped.
         """
-        path = self._path(key)
-        tmp = path.parent / (f".{key}.{os.getpid()}"
-                             f".{next(_PUT_SEQUENCE)}.tmp")
         with span("store-put", graph=graph.name):
+            path = self._path(key)
+            tmp = path.parent / (f".{path.stem}.{os.getpid()}"
+                                 f".{next(_PUT_SEQUENCE)}.tmp")
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 buffer = io.BytesIO()
@@ -257,7 +296,6 @@ class ProgramStore:
                 with open(tmp, "wb") as handle:
                     handle.write(buffer.getvalue())
                 os.replace(tmp, path)
-                return True
             except Exception:
                 return False
             finally:
@@ -265,25 +303,23 @@ class ProgramStore:
                     os.remove(tmp)
                 except OSError:
                     pass  # already replaced into place (or never created)
-
-    def clear(self) -> int:
-        """Delete every cached entry; returns how many were removed."""
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for path in self.root.rglob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+            if structure is not None:
+                name = self._path(structure, structure=True)
+                try:
+                    name.parent.mkdir(parents=True, exist_ok=True)
+                    os.link(path, name)
+                except OSError:
+                    pass
+            return True
 
     def __len__(self) -> int:
+        """Stored programs; a structure name is a link, not a program."""
         if not self.root.exists():
             return 0
         return sum(1 for _ in self.root.rglob("*.pkl"))
 
     @property
     def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
+        return {"hits": self.hits, "misses": self.misses,
+                "structure_hits": self.structure_hits,
+                "structure_misses": self.structure_misses}

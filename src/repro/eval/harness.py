@@ -26,12 +26,17 @@ from repro.config.overrides import compile_relevant_config
 from repro.config.workload import WorkloadSpec
 from repro.compiler.lowering import (
     compile_workload,
+    finish_program,
     program_geometry,
     recost,
     resolve_geometry,
 )
 from repro.compiler.program import Program
-from repro.compiler.store import default_program_store, program_key_payload
+from repro.compiler.store import (
+    default_program_store,
+    program_key_payload,
+    structure_key_payload,
+)
 from repro.graph.datasets import dataset_fingerprint, dataset_stats
 from repro.graph.graph import Graph
 from repro.models.layers import Parameters, init_parameters
@@ -202,7 +207,7 @@ class Harness:
         differ only in simulate-only knobs (DRAM, clock frequencies)
         share one program. A miss looks further, cheapest first:
 
-        1. the persistent program store;
+        1. the persistent program store, by the projection key;
         2. the structure memo, keyed by ``(spec, Geometry)``: a
            candidate that moves only compute knobs (array shape, GPE
            count, SIMD lanes) — or a buffer the workload cannot fill —
@@ -210,11 +215,14 @@ class Harness:
            (:func:`~repro.compiler.lowering.recost`) instead of
            lowering. Re-costs are never published to the store: one
            costs less to rebuild than a store round trip.
-        3. a full lowering, published to the store.
+        3. the store by the geometry's *structure name*: a program
+           another process lowered to this structure, re-costed;
+        4. a full lowering, published under its projection key and
+           linked under its structure name.
 
-        Full lowerings and store hits seed the structure memo. Both
-        memos are bounded FIFO to keep long searches from pinning every
-        program ever compiled.
+        Lowered and stored programs seed the structure memo, energy
+        terms filled for its re-costs to share. Both memos are bounded
+        FIFO, so long searches never pin every program ever compiled.
         """
         if feature_block == "config":
             feature_block = config.feature_block
@@ -251,43 +259,39 @@ class Harness:
                       config: GNNeratorConfig, feature_block: int | None,
                       projection: tuple) -> tuple[Program, str]:
         """Serve a program-memo miss; returns ``(program, tier)``."""
-        store = self.program_store
-        store_key = None
-        if store is not None:
-            fingerprint = self._fingerprint(spec.dataset)
-            if fingerprint is not None:
-                store_key = store.key(program_key_payload(
-                    dataset_fingerprint=fingerprint,
-                    network=spec.network,
-                    hidden_dim=spec.hidden_dim,
-                    traversal=spec.traversal,
-                    feature_block=feature_block,
-                    config_projection=projection))
-                program = store.get(store_key, graph)
-                if program is not None:
-                    # Freshly compiled programs were verified (if
-                    # REPRO_VERIFY is on) inside compile_workload; a
-                    # store hit skips that path, so guard against
-                    # corrupted or stale cache entries here.
-                    from repro.analysis.verify import (
-                        verify_enabled,
-                        verify_program,
-                    )
+        from repro.eval.energy import _program_terms
 
-                    if verify_enabled():
-                        verify_program(program, config,
-                                       workload=f"store:{spec.label}",
-                                       raise_on_failure=True)
-                    structure_key = (spec, program_geometry(
-                        program, graph, config))
-                    with self._lock:
-                        self._remember(self._structures, structure_key,
-                                       program)
-                    return program, "store"
+        store = self.program_store
+        fingerprint = (self._fingerprint(spec.dataset)
+                       if store is not None else None)
+        store_key = None
+        if fingerprint is not None:
+            store_key = program_key_payload(
+                dataset_fingerprint=fingerprint,
+                network=spec.network,
+                hidden_dim=spec.hidden_dim,
+                traversal=spec.traversal,
+                feature_block=feature_block,
+                config_projection=projection)
+            program = store.get(store_key, graph)
+            if program is not None:
+                # Re-timed, and verified against corrupted or stale
+                # entries when REPRO_VERIFY is on, like a fresh compile.
+                finish_program(program, config, f"store:{spec.label}")
+                _program_terms(program)
+                structure_key = (spec, program_geometry(
+                    program, graph, config))
+                with self._lock:
+                    self._remember(self._structures, structure_key,
+                                   program)
+                return program, "store"
         with span("geometry", workload=spec.label):
             model = self.model(spec)
-            structure_key = (spec, resolve_geometry(
-                graph, model, config, spec.traversal, feature_block))
+            geometry = resolve_geometry(graph, model, config,
+                                        spec.traversal, feature_block)
+        structure_key = (spec, geometry)
+        name = None
+        tier = "recost"
         # One lowering per structure: concurrent cost variants of one
         # geometry wait for it here, then re-cost in parallel.
         with self._key_lock(self._structure_locks, structure_key):
@@ -297,19 +301,26 @@ class Harness:
                     self._structure_misses += 1
                 else:
                     self._structure_hits += 1
+            if structure is None and fingerprint is not None:
+                name = structure_key_payload(
+                    dataset_fingerprint=fingerprint, network=spec.network,
+                    hidden_dim=spec.hidden_dim, geometry=geometry)
+                structure = store.get(name, graph, structure=True)
+                tier = "store"
             if structure is None:
-                program = compile_workload(
+                structure = program = compile_workload(
                     graph, model, config, traversal=spec.traversal,
-                    feature_block=feature_block)
-                with self._lock:
-                    self._remember(self._structures, structure_key,
-                                   program)
-        if structure is not None:
-            return recost(structure, config,
-                          workload=f"recost:{spec.label}"), "recost"
-        if store_key is not None:
-            store.put(store_key, program, graph)
-        return program, "compiled"
+                    feature_block=feature_block, geometry=geometry)
+                tier = "compiled"
+            _program_terms(structure)
+            with self._lock:
+                self._remember(self._structures, structure_key, structure)
+        if tier == "compiled":
+            if store_key is not None:
+                store.put(store_key, program, graph, structure=name)
+            return program, tier
+        return recost(structure, config,
+                      workload=f"recost:{spec.label}"), tier
 
     def _remember(self, memo: dict, key, program: Program) -> None:
         """FIFO-bounded insert (the caller holds the harness lock)."""

@@ -10,15 +10,16 @@ hardware probe, then reports
   achieved cycles (:mod:`repro.eval.bottleneck`);
 * per-phase host wall time (the span aggregate — load, compile,
   geometry, lower and its per-stage children, cost, recost,
-  build-plan, simulate);
+  build-plan, retime, simulate);
 * per-unit simulated cycles from the probe's op slices: compute
   cycles for the compute units, DMA cycles in flight (request to data
   delivered) for the fetch and writeback units;
 * the DRAM roll-up from the probe (bytes each way, achieved
   bytes/cycle, peak port-queue depth);
 * the top-k hottest shards by GPE compute cycles (straight off the
-  compiled program's :class:`~repro.compiler.ir.ShardAggregateOp`
-  queue entries — a static property of the program, no extra runs);
+  compiled program's cost list for its
+  :class:`~repro.compiler.ir.ShardAggregateOp` queue entries — a
+  static property of the program, no extra runs);
 * the pipeline Gantt chart of the op slices.
 
 Everything here is read-only over existing machinery; profiling runs
@@ -35,24 +36,30 @@ from repro.obs.spans import SpanTracer, tracing
 # so importing it here would close an import cycle.
 
 
-def hottest_shards(program, top_k: int = 5) -> list[dict]:
+def hottest_shards(program, num_gpes: int, top_k: int = 5) -> list[dict]:
     """The ``top_k`` shard-aggregate ops by compute cycles; one row per
-    (shard, feature block) visit."""
-    from repro.compiler.ir import ShardAggregateOp
+    (shard, feature block) visit, with its worst-GPE load at
+    ``num_gpes`` GPEs (cached on the shard by the cost pass)."""
+    from repro.compiler.ir import COMPUTE_OPS, ShardAggregateOp
+    from repro.engines.graph.gpe import max_gpe_edges
 
-    ops = [op for queue in program.queues.values() for op in queue
-           if isinstance(op, ShardAggregateOp)]
-    ops.sort(key=lambda op: (-op.cycles, op.layer, op.stage, op.shard,
-                             op.dims))
+    compute = [op for op in program.queues["graph.compute"]
+               if isinstance(op, COMPUTE_OPS)]
+    rows = sorted(((cycles, op) for op, cycles in zip(
+        compute, program.costs["graph.compute"])
+        if isinstance(op, ShardAggregateOp)),
+        key=lambda row: (-row[0], row[1].layer, row[1].stage,
+                         row[1].shard, row[1].dims))
     return [{
         "layer": op.layer,
         "stage": op.stage,
         "shard": list(op.shard),
         "block": list(op.dims),
-        "cycles": op.cycles,
+        "cycles": cycles,
         "num_edges": op.num_edges,
-        "max_gpe_edges": op.max_gpe_edges,
-    } for op in ops[:top_k]]
+        "max_gpe_edges": max_gpe_edges(
+            program.grids[(op.layer, op.stage)].shard(*op.shard), num_gpes),
+    } for cycles, op in rows[:top_k]]
 
 
 def unit_cycles(probe: HwProbe, result) -> dict[str, dict]:
@@ -117,7 +124,8 @@ def profile_workload(dataset: str, network: str, *,
             for name, info in sorted(phases.items(),
                                      key=lambda kv: -kv[1]["total_s"])},
         "engines": unit_cycles(probe, result),
-        "hottest_shards": hottest_shards(program, top_k),
+        "hottest_shards": hottest_shards(program, config.graph.num_gpes,
+                                         top_k),
         "dram": summarize_probe(probe, result.cycles),
         "gantt": render_gantt(probe.ops),
     }

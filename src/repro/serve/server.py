@@ -165,7 +165,10 @@ class ServeState:
             "result-cache": results,
         }
         if "store" in caches:
-            layers["program-store"] = caches["store"]
+            layers["program-store"] = store = caches["store"]
+            layers["program-store-structure"] = {
+                "hits": store["structure_hits"],
+                "misses": store["structure_misses"]}
         return layers
 
     def _cache_series(self, field: str):

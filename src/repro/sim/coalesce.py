@@ -10,13 +10,14 @@ field of an ``ExecutionResult`` — busy cycles, DRAM bytes, op counts —
 is a static function of the program, because every operation executes
 exactly once). This module therefore splits simulation into:
 
-* :func:`build_plan` — a one-time pass over the compiled queues that
-  precomputes each unit's *serial action chain*: the exact sequence of
-  kernel interactions ``execute_op`` would perform (token waits, credit
-  acquires, buffer handoffs, DRAM bursts, compute occupancies), with
-  adjacent compute occupancies merged into single timeouts, plus all
-  the static accounting (per-unit busy cycles, DRAM byte counters,
-  channel busy time);
+* :func:`build_template` — a once-per-structure pass over the compiled
+  queues that precomputes each unit's *serial action chain*: the exact
+  sequence of kernel interactions ``execute_op`` would perform (token
+  waits, credit acquires, buffer handoffs, DRAM bursts, compute
+  occupancies) with every timed argument left as a slot, plus the
+  static DRAM accounting;
+* :func:`retime` — one design's plan: the slots written from the
+  program's cost lists and a DramConfig, and the busy sums;
 * :func:`run_plan` — a bespoke scheduler that replays the six chains,
   entering its event structures only at cross-unit synchronisation
   points: buffer handoffs (credits / handoff stores), DRAM-channel
@@ -92,26 +93,27 @@ differential suite and asserting exact cycle equality.
 Compile-product dependency key
 ------------------------------
 
-A :class:`CoalescedPlan` is a pure function of ``(program op queues,
-DramConfig)`` and nothing else — no graph data, no clock frequency, no
-Dense/Graph-Engine knobs beyond what is already baked into the ops'
-cycle fields. Plans are therefore cached on the program per DramConfig
-(``Program.coalesced_plan``) and, being plain containers of ints
-(``__slots__`` of lists/dicts), serialized *with* the program by the
-persistent store (:mod:`repro.compiler.store`): a warm-store load gets
-the chains for free, and a DSE candidate that differs only in DRAM
-knobs reuses the shared program while lazily building its own plan.
+A :class:`PlanTemplate` is a pure function of the program's op queues;
+a :class:`CoalescedPlan` adds the program's cost lists and a
+``DramConfig`` and nothing else. A program builds its template once
+(``Program.plan_template``, shared by its re-costs and stored with it
+by :mod:`repro.compiler.store`) and re-times it per DramConfig
+(``Program.coalesced_plan``), so neither a re-cost nor a DRAM-only DSE
+variant walks an op. A zero-cycle compute op (none occurs in lowered
+workloads) keeps its slot as a ``NOP``, which the replay steps over.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from typing import TYPE_CHECKING
 
 from repro.compiler.ir import (
     CHANNELS,
+    COMPUTE_OPS,
     DOUBLE_BUFFER_CREDITS,
     UNITS,
     AccumWritebackOp,
@@ -121,7 +123,6 @@ from repro.compiler.ir import (
     PopOp,
     PushOp,
     ReleaseOp,
-    op_cycles,
 )
 from repro.config.accelerator import DramConfig
 
@@ -162,6 +163,7 @@ GET = 6             # arg: channel id          wait for a filled buffer
 WAIT = 7            # arg: token id            wait on a controller token
 SIGNAL = 8          # arg: token id            signal a token (synchronous)
 END = 9             # chain terminator sentinel
+NOP = 10            # arg: unused              a zero-cycle compute slot
 
 #: A timestamp later than any simulation reaches; stands in for "the
 #: heap is empty" in the hoisted next-deadline register.
@@ -172,38 +174,25 @@ def _pack(kind: int, arg: int = 0) -> int:
     return kind | (arg << 4)
 
 
+@dataclass(slots=True)
 class CoalescedPlan:
     """Precompiled per-unit action chains plus all static accounting."""
 
-    __slots__ = ("unit_actions", "num_tokens", "seq_bits",
-                 "unit_busy_cycles", "dram_traffic", "dram_busy_cycles",
-                 "dma_meta")
-
-    def __init__(self, unit_actions: list[list[int]], num_tokens: int,
-                 seq_bits: int, unit_busy_cycles: dict[str, int],
-                 dram_traffic: dict[str, tuple[int, int, int, int]],
-                 dram_busy_cycles: int,
-                 dma_meta: list[list[tuple[bool, int]]] | None = None
-                 ) -> None:
-        #: Flat packed action chains, indexed like ``UNITS``; each ends
-        #: with an ``END`` sentinel.
-        self.unit_actions = unit_actions
-        self.num_tokens = num_tokens
-        #: Bits reserved for the timer-insertion sequence number in the
-        #: scheduler's packed heap entries — sized to the total number
-        #: of timed actions, which bounds how many pushes can happen.
-        self.seq_bits = seq_bits
-        self.unit_busy_cycles = unit_busy_cycles
-        #: per unit: (read_bytes, write_bytes, read_tx, write_tx)
-        self.dram_traffic = dram_traffic
-        self.dram_busy_cycles = dram_busy_cycles
-        #: Per unit, in chain order: ``(is_read, num_bytes)`` of each
-        #: emitted DRAM burst. Pure static accounting consumed by the
-        #: telemetry probe (:mod:`repro.obs.hwtel`) to attribute bytes
-        #: and direction to the bursts it observes during replay —
-        #: never read on the unprobed hot path.
-        self.dma_meta = (dma_meta if dma_meta is not None
-                         else [[] for _ in unit_actions])
+    #: Flat packed action chains, indexed like ``UNITS``; each ends with
+    #: an ``END`` sentinel.
+    unit_actions: list[list[int]]
+    num_tokens: int
+    #: Bits reserved for the timer-insertion sequence number in the
+    #: scheduler's packed heap entries — sized to the total number of
+    #: timed actions, which bounds how many pushes can happen.
+    seq_bits: int
+    unit_busy_cycles: dict[str, int]
+    #: per unit: (read_bytes, write_bytes, read_tx, write_tx)
+    dram_traffic: dict[str, tuple[int, int, int, int]]
+    dram_busy_cycles: int
+    #: Per unit, in chain order: ``(is_read, num_bytes)`` of each DRAM
+    #: burst, for the telemetry probe (:mod:`repro.obs.hwtel`) only.
+    dma_meta: list[list[tuple[bool, int]]]
 
 
 def _occupancy(num_bytes: int, bytes_per_cycle: float) -> int:
@@ -211,19 +200,30 @@ def _occupancy(num_bytes: int, bytes_per_cycle: float) -> int:
     return max(int(round(num_bytes / bytes_per_cycle)), 1)
 
 
-def build_plan(queues: dict[str, list[Operation]],
-               dram: DramConfig) -> CoalescedPlan:
-    """Lower per-unit operation queues into primitive action chains.
+@dataclass(slots=True)
+class PlanTemplate:
+    """A structure's action chains with every timed argument a slot;
+    the plans :func:`retime` derives share its queue-static fields."""
+
+    #: Packed chains indexed like ``UNITS``, slots unwritten.
+    unit_actions: list[list[int]]
+    num_tokens: int
+    dram_traffic: dict[str, tuple[int, int, int, int]]
+    dma_meta: list[list[tuple[bool, int]]]
+    #: Per unit, each compute op's slot index, in cost-list order.
+    compute_slots: list[list[int]]
+    #: Per unit, each burst's occupancy slot index (latency slot next).
+    burst_slots: list[list[int]]
+
+
+def build_template(queues: dict[str, list[Operation]]) -> PlanTemplate:
+    """Lower per-unit operation queues into action chains with slots.
 
     Emits, for each operation, exactly the kernel interactions the
-    oracle's ``execute_op`` performs, in the same order.
-    All once-per-run accounting (busy cycles, DRAM byte counters,
-    channel busy time) is summed here instead of at run time — every
-    action executes exactly once, so it is a static property of the
-    program.
+    oracle's ``execute_op`` performs, in the same order, leaving each
+    compute op's ``TIMEOUT`` and each burst's occupancy ``TIMEOUT`` and
+    ``DRAM_REL`` latency as slots, and sums the byte accounting.
     """
-    bpc = dram.bytes_per_cycle
-    latency = dram.burst_latency_cycles
     channel_ids = {channel: i for i, channel in enumerate(CHANNELS)}
     token_ids: dict[str, int] = {}
 
@@ -234,17 +234,17 @@ def build_plan(queues: dict[str, list[Operation]],
         return existing
 
     unit_actions: list[list[int]] = []
-    busy: dict[str, int] = {}
+    compute_slots: list[list[int]] = []
+    burst_slots: list[list[int]] = []
     traffic: dict[str, tuple[int, int, int, int]] = {}
     dma_meta: list[list[tuple[bool, int]]] = []
-    dram_busy = 0
     for unit in UNITS:
-        ops = queues.get(unit, [])
         chain: list[int] = []
+        slots: list[int] = []
+        bursts: list[int] = []
         meta: list[tuple[bool, int]] = []
-        unit_busy = 0
         reads = writes = read_tx = write_tx = 0
-        for op in ops:
+        for op in queues.get(unit, []):
             for token in op.wait:
                 chain.append(_pack(WAIT, token_id(token)))
             if isinstance(op, AcquireOp):
@@ -264,36 +264,69 @@ def build_plan(queues: dict[str, list[Operation]],
                     writes += op.num_bytes
                     write_tx += 1
                 if op.num_bytes:
-                    occ = _occupancy(op.num_bytes, bpc)
-                    dram_busy += occ
                     chain.append(_pack(DRAM_REQ))
-                    chain.append(_pack(TIMEOUT, occ))
-                    chain.append(_pack(DRAM_REL, latency))
+                    bursts.append(len(chain))
+                    chain.append(_pack(TIMEOUT))
+                    chain.append(_pack(DRAM_REL))
                     meta.append((is_load, op.num_bytes))
-            else:
-                cycles = op_cycles(op)
-                if cycles:
-                    unit_busy += cycles
-                    # Deliberately NOT merged with an adjacent TIMEOUT:
-                    # see the module docstring — the second hop's heap
-                    # insertion order is part of the observable
-                    # semantics when another unit's timer matures on
-                    # the same cycle.
-                    chain.append(_pack(TIMEOUT, cycles))
+            elif isinstance(op, COMPUTE_OPS):
+                # Deliberately NOT merged with an adjacent TIMEOUT: see
+                # the module docstring — the second hop's heap insertion
+                # order is part of the observable semantics when another
+                # unit's timer matures on the same cycle.
+                slots.append(len(chain))
+                chain.append(NOP)
             for token in op.signal:
                 chain.append(_pack(SIGNAL, token_id(token)))
         chain.append(_pack(END))
         unit_actions.append(chain)
+        compute_slots.append(slots)
+        burst_slots.append(bursts)
         dma_meta.append(meta)
-        busy[unit] = unit_busy
         traffic[unit] = (reads, writes, read_tx, write_tx)
-    timed_actions = sum(
-        1 for chain in unit_actions for action in chain
-        if (action & 15) == TIMEOUT
-        or ((action & 15) == DRAM_REL and action >> 4))
-    seq_bits = max(timed_actions, 1).bit_length() + 1
-    return CoalescedPlan(unit_actions, len(token_ids), seq_bits,
-                         busy, traffic, dram_busy, dma_meta)
+    return PlanTemplate(unit_actions, len(token_ids), traffic, dma_meta,
+                        compute_slots, burst_slots)
+
+
+def retime(template: PlanTemplate, costs: dict[str, list[int]],
+           dram: DramConfig) -> CoalescedPlan:
+    """One design's plan: ``template``'s chains, copied, with the slots
+    written from ``costs`` (a program's cost lists; a zero-cycle op gets
+    a ``NOP``) and ``dram``. The busy sums and ``seq_bits`` follow from
+    the slot values; no op is read.
+    """
+    release = _pack(DRAM_REL, dram.burst_latency_cycles)
+    occupancies: dict[int, int] = {}  # bursts repeat a few sizes
+    unit_actions: list[list[int]] = []
+    busy: dict[str, int] = {}
+    dram_busy = timed = 0
+    for unit, chain, slots, bursts, meta in zip(
+            UNITS, template.unit_actions, template.compute_slots,
+            template.burst_slots, template.dma_meta):
+        chain = chain.copy()
+        cycles = costs.get(unit, ())
+        if len(cycles) != len(slots):
+            raise SimulationError(f"{unit}: {len(cycles)} costs for "
+                                  f"{len(slots)} compute ops")
+        for index, cost in zip(slots, cycles):
+            # TIMEOUT is opcode 0: the packed action is ``cost << 4``.
+            chain[index] = cost << 4 if cost else NOP
+        for index, (_, num_bytes) in zip(bursts, meta):
+            occupancy = occupancies.get(num_bytes)
+            if occupancy is None:
+                occupancy = occupancies[num_bytes] = _occupancy(
+                    num_bytes, dram.bytes_per_cycle)
+            chain[index] = occupancy << 4
+            chain[index + 1] = release
+            dram_busy += occupancy
+        busy[unit] = sum(cycles)
+        timed += (len(slots) - cycles.count(0) + len(bursts)
+                  * (2 if dram.burst_latency_cycles else 1))
+        unit_actions.append(chain)
+    return CoalescedPlan(unit_actions, template.num_tokens,
+                         max(timed, 1).bit_length() + 1, busy,
+                         dict(template.dram_traffic), dram_busy,
+                         template.dma_meta)
 
 
 def run_plan(plan: CoalescedPlan, probe: HwProbe | None = None) -> int:
@@ -580,6 +613,9 @@ def run_plan(plan: CoalescedPlan, probe: HwProbe | None = None) -> int:
             if kind == END:
                 done[unit] = True
                 break
+            if kind == NOP:
+                pc += 1
+                continue
             raise SimulationError(f"unknown action kind {kind!r}")
         pcs[unit] = pc
 
@@ -589,16 +625,18 @@ def run_plan(plan: CoalescedPlan, probe: HwProbe | None = None) -> int:
     return now
 
 
-def op_slices(queues: dict[str, list[Operation]], probe: HwProbe,
+def op_slices(queues: dict[str, list[Operation]],
+              costs: dict[str, list[int]], probe: HwProbe,
               dram: DramConfig) -> list[tuple[str, str, int, int]]:
     """Label a probed replay's windows with the ops that made them.
 
     Returns ``(unit, label, start, end)`` for every operation that
     occupied its unit for a non-zero time, by inverting
-    :func:`build_plan`'s op-to-action mapping over the probe's streams
-    (each unit appends them in queue order):
+    :func:`build_template`'s op-to-action mapping over the probe's
+    streams (each unit appends them in queue order):
 
-    * the k-th compute op with cycles is the unit's k-th ``busy``
+    * the k-th compute op with non-zero cycles in ``costs`` (the
+      program's per-unit cost lists) is the unit's k-th ``busy``
       window;
     * the k-th DMA or writeback moving bytes is the unit's k-th
       ``dram`` burst, and occupies the unit from its request (the
@@ -623,14 +661,13 @@ def op_slices(queues: dict[str, list[Operation]], probe: HwProbe,
     for unit in UNITS:
         windows = iter(busy[unit])
         bursts = zip(requests[unit], done[unit])
+        cycles = iter(costs.get(unit, ()))
         for op in queues.get(unit, []):
-            if isinstance(op, (AcquireOp, PopOp, ReleaseOp, PushOp)):
-                continue
             if isinstance(op, (DmaOp, AccumWritebackOp)):
                 if not op.num_bytes:
                     continue
                 start, end = next(bursts)
-            elif op_cycles(op):
+            elif isinstance(op, COMPUTE_OPS) and next(cycles):
                 start, end = next(windows)
             else:
                 continue

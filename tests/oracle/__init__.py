@@ -36,7 +36,7 @@ def simulate_event(program: Program, config: GNNeratorConfig,
     engines = (GraphEngine(env, config.graph, controller, dram),
                DenseEngine(env, config.dense, controller, dram))
     for engine in engines:
-        engine.launch(program.queues, probe)
+        engine.launch(program.queues, program.costs, probe)
     env.run()
     stuck = [name for engine in engines
              for name, proc in engine.processes.items()

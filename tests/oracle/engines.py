@@ -47,12 +47,12 @@ class _Engine:
         self.processes: dict[str, Process] = {}
 
     def launch(self, queues: dict[str, list[Operation]],
-               probe=None) -> None:
+               costs: dict[str, list[int]], probe=None) -> None:
         for unit in self.UNIT_NAMES:
             self.processes[unit] = self.env.process(
                 unit_process(self.env, unit, queues.get(unit, []),
-                             self.controller, self.dram,
-                             self.trackers[unit], probe),
+                             costs.get(unit, []), self.controller,
+                             self.dram, self.trackers[unit], probe),
                 name=unit)
 
     @property

@@ -15,6 +15,7 @@ the streams the replay derives with ``op_slices``.
 from __future__ import annotations
 
 from repro.compiler.ir import (
+    COMPUTE_OPS,
     AccumWritebackOp,
     AcquireOp,
     DmaOp,
@@ -22,7 +23,6 @@ from repro.compiler.ir import (
     PopOp,
     PushOp,
     ReleaseOp,
-    op_cycles,
 )
 
 from .controller import Controller
@@ -30,10 +30,11 @@ from .kernel import Environment
 from .memory import BusyTracker, DramChannel
 
 
-def execute_op(env: Environment, unit: str, op: Operation,
+def execute_op(env: Environment, unit: str, op: Operation, cycles: int,
                controller: Controller, dram: DramChannel,
                tracker: BusyTracker, probe=None):
-    """Generator performing one operation's timing behaviour.
+    """Generator performing one operation's timing behaviour;
+    ``cycles`` is a compute op's cost-list entry (ignored otherwise).
 
     ``probe`` (:class:`repro.obs.hwtel.HwProbe`) records compute
     occupancy windows and op slices; DRAM bursts and requests are
@@ -57,8 +58,7 @@ def execute_op(env: Environment, unit: str, op: Operation,
                                  else "write", op.num_bytes)
     elif isinstance(op, AccumWritebackOp):
         yield from dram.transfer(unit, "write", op.num_bytes)
-    elif not isinstance(op, (AcquireOp, PopOp)):
-        cycles = op_cycles(op)
+    elif isinstance(op, COMPUTE_OPS):
         if cycles:
             tracker.record(cycles)
             if probe is not None:
@@ -72,9 +72,12 @@ def execute_op(env: Environment, unit: str, op: Operation,
 
 
 def unit_process(env: Environment, unit: str, ops: list[Operation],
-                 controller: Controller, dram: DramChannel,
-                 tracker: BusyTracker, probe=None):
-    """Process body running a whole unit queue to completion."""
+                 costs: list[int], controller: Controller,
+                 dram: DramChannel, tracker: BusyTracker, probe=None):
+    """Process body running a whole unit queue to completion; ``costs``
+    holds the unit's compute-op cycles in queue order."""
+    cycles = iter(costs)
     for op in ops:
-        yield from execute_op(env, unit, op, controller, dram, tracker,
-                              probe)
+        yield from execute_op(
+            env, unit, op, next(cycles) if isinstance(op, COMPUTE_OPS)
+            else 0, controller, dram, tracker, probe)

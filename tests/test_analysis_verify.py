@@ -15,6 +15,7 @@ from repro.analysis.verify import (
     verify_program,
 )
 from repro.compiler.ir import (
+    UNITS,
     AcquireOp,
     DmaOp,
     PopOp,
@@ -22,8 +23,9 @@ from repro.compiler.ir import (
     ReleaseOp,
     ShardAggregateOp,
 )
-from repro.compiler.lowering import compile_workload
+from repro.compiler.lowering import compile_workload, recost
 from repro.compiler.program import Program
+from repro.config.overrides import apply_overrides
 from repro.graph.generators import erdos_renyi
 from repro.models.zoo import build_network
 from tests.conftest import make_tiny_config
@@ -246,6 +248,29 @@ class TestPlanAgreement:
         text = failing(verify_program(program, config),
                        "plan-agreement")
         assert "busy" in text and unit in text
+
+
+    @pytest.mark.parametrize("slot,unit", [
+        ("compute", "graph.compute"), ("compute", "dense.compute"),
+        ("occupancy", "graph.fetch"), ("latency", "dense.store")])
+    def test_catches_a_corrupt_retimed_slot(self, compiled, slot, unit):
+        """A re-cost's plan is its structure's template with one
+        design's slots written; one cycle off in any slot fails."""
+        program, config = compiled
+        variant = apply_overrides(config, {"graph.num_gpes": 2,
+                                           "graph.simd_width": 8,
+                                           "dense.cols": 4})
+        recosted = recost(program, variant)
+        plan = recosted.coalesced_plan(variant.dram)
+        template = recosted.plan_template()
+        index = UNITS.index(unit)
+        if slot == "compute":
+            at = template.compute_slots[index][0]
+        else:
+            at = template.burst_slots[index][0] + (slot == "latency")
+        plan.unit_actions[index][at] += 1 << 4  # one cycle more
+        text = failing(verify_program(recosted, variant), "plan-agreement")
+        assert f"{unit}: chain[{at}]" in text
 
 
 class TestDriver:

@@ -9,7 +9,6 @@ from repro.compiler.ir import (
     GemmOp,
     InitAccumulatorOp,
     op_bytes,
-    op_cycles,
 )
 from repro.compiler.program import Program
 from repro.compiler.residency import (
@@ -47,7 +46,7 @@ class TestOps:
         with pytest.raises(CompileError):
             InitAccumulatorOp(unit="graph.compute", layer=0, stage=0,
                               rows=(0, 1), dims=(0, 1), acc_array="a",
-                              src_array="", mode="random", cycles=1)
+                              src_array="", mode="random")
 
     def test_signal_wait_mutation(self):
         op = dma()
@@ -56,18 +55,28 @@ class TestOps:
         assert op.signal == ("t1",) and op.wait == ("t2",)
 
     def test_op_bytes_and_cycles(self):
+        """DMA ops carry bytes; compute ops carry no cost — their
+        cycles live in the program's cost lists."""
         assert op_bytes(dma(num_bytes=77)) == 77
         wb = AccumWritebackOp(unit="graph.writeback", layer=0, stage=0,
                               rows=(0, 4), dims=(0, 4), acc_array="a",
                               num_bytes=55, partial=False)
         assert op_bytes(wb) == 55
-        gemm = GemmOp(unit="dense.compute", layer=0, stage=1, rows=(0, 4),
+        fields = dict(unit="dense.compute", layer=0, stage=1, rows=(0, 4),
                       src_array="a", src_dims=(0, 4), weight_rows=(0, 4),
-                      out_array="o", accumulate=False, m=4, k=4, n=2,
-                      cycles=99)
-        assert op_cycles(gemm) == 99
+                      out_array="o", accumulate=False, m=4, k=4, n=2)
+        gemm = GemmOp(**fields)
         assert op_bytes(gemm) == 0
-        assert op_cycles(dma()) == 0
+        with pytest.raises(TypeError):
+            GemmOp(**fields, cycles=99)
+        program = Program(graph_name="g", model=build_network("gcn", 8, 2),
+                          traversal=DST_STATIONARY, feature_block=4,
+                          num_nodes=10)
+        program.emit(gemm)
+        program.emit(dma())
+        program.costs = {"dense.compute": [99]}
+        assert program.compute_cycles_by_unit()["dense.compute"] == 99
+        assert program.compute_cycles_by_unit()["graph.fetch"] == 0
 
 
 class TestSrcBuffer:

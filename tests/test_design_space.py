@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.passes.plan import check_plan_agreement
 from repro.compiler.lowering import program_geometry, resolve_geometry
 from repro.config.workload import WorkloadSpec
 from repro.dse.space import default_design_space
@@ -147,3 +148,18 @@ def test_program_geometry_matches_resolved(evaluated):
             assert program_geometry(program, graph, config) \
                 == resolve_geometry(graph, model, config, spec.traversal), (
                     f"{spec.label}/{label}")
+
+
+def test_retimed_plans_agree_with_the_derivation(evaluated):
+    """Every row's plan — most rows re-time a structure another row
+    lowered — matches the plan-agreement pass's op-by-op derivation
+    from the queues and the row's cost lists."""
+    harness, _ = evaluated
+    space = default_design_space()
+    for dataset, network in WORKLOADS:
+        spec = WorkloadSpec(dataset=dataset, network=network)
+        for label, overrides in design_variants():
+            config = space.config_for(overrides)
+            result = check_plan_agreement(
+                harness.gnnerator_program(spec, config), config)
+            assert result.ok, (spec.label, label, result.failures[:3])

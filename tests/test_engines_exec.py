@@ -60,9 +60,9 @@ class TestUnitExecutor:
         tracker = BusyTracker()
         op = InitAccumulatorOp(unit="graph.compute", layer=0, stage=0,
                                rows=(0, 4), dims=(0, 4), acc_array="a",
-                               src_array="", mode="zero", cycles=25)
-        env.process(unit_process(env, "graph.compute", [op], controller,
-                                 dram, tracker))
+                               src_array="", mode="zero")
+        env.process(unit_process(env, "graph.compute", [op], [25],
+                                 controller, dram, tracker))
         env.run()
         assert env.now == 25
         assert tracker.busy_cycles == 25
@@ -76,7 +76,7 @@ class TestUnitExecutor:
                              rows=(0, 1), dims=(0, 1), acc_array="a",
                              num_bytes=2560, partial=False),
         ]
-        env.process(unit_process(env, "graph.fetch", ops, controller,
+        env.process(unit_process(env, "graph.fetch", ops, [], controller,
                                  dram, BusyTracker()))
         env.run()
         assert env.now == 20  # 2 x 10 cycles at 256 B/cycle
@@ -87,15 +87,14 @@ class TestUnitExecutor:
         env, controller, dram = make_rig()
         op = InitAccumulatorOp(unit="graph.compute", layer=0, stage=0,
                                rows=(0, 4), dims=(0, 4), acc_array="a",
-                               src_array="", mode="zero", cycles=5,
-                               wait=("go",))
+                               src_array="", mode="zero", wait=("go",))
 
         def signaller(env):
             yield env.timeout(100)
             controller.signal("go")
 
-        env.process(unit_process(env, "graph.compute", [op], controller,
-                                 dram, BusyTracker()))
+        env.process(unit_process(env, "graph.compute", [op], [5],
+                                 controller, dram, BusyTracker()))
         env.process(signaller(env))
         env.run()
         assert env.now == 105
@@ -113,13 +112,14 @@ class TestUnitExecutor:
             PopOp(unit="graph.compute", channel="graph"),
             InitAccumulatorOp(unit="graph.compute", layer=0, stage=0,
                               rows=(0, 4), dims=(0, 4), acc_array="a",
-                              src_array="", mode="zero", cycles=7),
+                              src_array="", mode="zero"),
             ReleaseOp(unit="graph.compute", channel="graph"),
         ]
-        f = env.process(unit_process(env, "graph.fetch", fetch_ops,
+        f = env.process(unit_process(env, "graph.fetch", fetch_ops, [],
                                      controller, dram, BusyTracker()))
         c = env.process(unit_process(env, "graph.compute", compute_ops,
-                                     controller, dram, BusyTracker()))
+                                     [7], controller, dram,
+                                     BusyTracker()))
         env.run()
         assert f.triggered and c.triggered
         assert env.now == 8  # 1 cycle DMA + 7 compute
@@ -133,10 +133,10 @@ class TestUnitExecutor:
         consumer = InitAccumulatorOp(
             unit="dense.compute", layer=0, stage=0, rows=(0, 4),
             dims=(0, 4), acc_array="a", src_array="", mode="zero",
-            cycles=3, wait=("done",))
-        env.process(unit_process(env, "graph.fetch", [producer],
+            wait=("done",))
+        env.process(unit_process(env, "graph.fetch", [producer], [],
                                  controller, dram, BusyTracker()))
-        env.process(unit_process(env, "dense.compute", [consumer],
+        env.process(unit_process(env, "dense.compute", [consumer], [3],
                                  controller, dram, BusyTracker()))
         env.run()
         assert env.now == 4
@@ -149,8 +149,8 @@ class TestEngineWrappers:
                                    dram)
         dense_engine = DenseEngine(env, DenseEngineConfig(), controller,
                                    dram)
-        graph_engine.launch({})
-        dense_engine.launch({})
+        graph_engine.launch({}, {})
+        dense_engine.launch({}, {})
         env.run()
         assert graph_engine.finished() and dense_engine.finished()
         assert graph_engine.compute_busy_cycles == 0

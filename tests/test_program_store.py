@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 from repro.accelerator import GNNerator
-from repro.compiler.lowering import full_lowering_count
+from repro.analysis.verify import VerificationError
+from repro.compiler.lowering import full_lowering_count, resolve_geometry
 from repro.compiler.store import (
     PROGRAM_CACHE_ENV,
     ProgramStore,
@@ -47,6 +48,7 @@ from repro.graph.partition import (
 from repro.obs.spans import tracing
 from repro.sweep import NullCache, SweepRunner
 from repro.sweep.plan import METRIC_DSE, SweepPlan, SweepPoint
+from repro.sweep.runner import ProcessPoolScheduler, run_point
 
 TINY_GCN = WorkloadSpec(dataset="tiny", network="gcn", hidden_dim=16)
 TINY_GAT = WorkloadSpec(dataset="tiny", network="gat", hidden_dim=16)
@@ -79,14 +81,17 @@ class TestProgramStore:
         store = ProgramStore(tmp_path, code_version="v1")
         cold = fresh_harness(store)
         result_cold = cold.gnnerator_result(TINY_GCN)
-        assert store.stats == {"hits": 0, "misses": 1}
-        assert len(store) == 1
+        # A cold compile misses the program key and the structure name.
+        assert store.stats == {"hits": 0, "misses": 1,
+                               "structure_hits": 0, "structure_misses": 1}
+        assert len(store) == 1  # one program, named twice
 
         lowerings = full_lowering_count()
         warm = fresh_harness(store)
         result_warm = warm.gnnerator_result(TINY_GCN)
         assert full_lowering_count() == lowerings  # zero recompiles
-        assert store.stats == {"hits": 1, "misses": 1}
+        assert store.stats == {"hits": 1, "misses": 1,
+                               "structure_hits": 0, "structure_misses": 1}
         assert result_warm.cycles == result_cold.cycles
         assert result_warm.seconds == result_cold.seconds
 
@@ -102,7 +107,8 @@ class TestProgramStore:
         second = Harness(seed=1, program_store=store).gnnerator_result(
             TINY_GAT)
         assert full_lowering_count() == lowerings  # zero recompiles
-        assert store.stats == {"hits": 1, "misses": 1}
+        assert store.stats == {"hits": 1, "misses": 1,
+                               "structure_hits": 0, "structure_misses": 1}
         assert second.cycles == first.cycles
 
     def test_truncated_entry_is_miss_that_heals(self, tmp_path):
@@ -444,7 +450,8 @@ class TestStorePicklers:
         renamed = Graph(graph.num_nodes, graph.src, graph.dst,
                         name="not-tiny")
         assert store.get(key, renamed) is None
-        assert store.stats == {"hits": 0, "misses": 1}
+        assert store.stats == {"hits": 0, "misses": 1,
+                               "structure_hits": 0, "structure_misses": 0}
 
     def test_store_loads_respect_grid_memo_bound(self, tmp_path):
         """Grids that come with stored programs enter the graph's grid
@@ -479,7 +486,10 @@ class TestStorePicklers:
             fresh_harness(store).gnnerator_program(TINY_GCN)
         names = [record.name for record in tracer.spans]
         assert names.count("store-put") == 1
-        assert names.count("store-get") == 2  # the miss, then the hit
+        # The program-key miss and the structure-name miss, then the hit.
+        assert names.count("store-get") == 3
+        assert [record.attrs["structure"] for record in tracer.spans
+                if record.name == "store-get"] == [False, True, False]
         assert "plan-shards" in names
 
 
@@ -538,7 +548,8 @@ class TestSweepAndDseIntegration:
         warm.gnnerator_program(
             TINY_GCN, gnnerator_config(
                 feature_block=TINY_GCN.feature_block))
-        assert store.stats == {"hits": 1, "misses": 0}
+        assert store.stats == {"hits": 1, "misses": 0,
+                               "structure_hits": 0, "structure_misses": 0}
 
     def test_dse_200_candidates_at_most_10_lowerings(self, tmp_path,
                                                      monkeypatch):
@@ -569,3 +580,177 @@ class TestSweepAndDseIntegration:
         assert all(e.ok for e in result.evaluations)
         assert result.frontier
         assert lowerings == 1  # one per geometry
+
+
+#: One default-store harness per pool worker process (forked workers
+#: start with it empty, like the sweep runner's own).
+_POOL_HARNESSES: dict[int, Harness] = {}
+
+
+def _lowerings_per_point(point: SweepPoint) -> tuple[bool, int, int]:
+    """Pool ``worker_fn``: evaluate ``point`` on this worker's harness;
+    returns (ok, cycles, full lowerings it ran)."""
+    harness = _POOL_HARNESSES.get(0)
+    if harness is None:
+        harness = _POOL_HARNESSES[0] = Harness()
+    before = full_lowering_count()
+    result = run_point(point, harness)
+    return (result.ok, result.metrics.get("cycles", 0),
+            full_lowering_count() - before)
+
+
+class TestStructureNames:
+    """A lowered program is also named by its structure, so a process
+    whose memos never saw a geometry loads a stored program of it and
+    re-costs it instead of lowering."""
+
+    BASE = gnnerator_config(feature_block=TINY_GCN.feature_block)
+
+    def test_forked_workers_load_stored_structures(self, tmp_path,
+                                                   monkeypatch):
+        """Two pool batches on one store, each forking fresh workers
+        with empty memos: the second batch holds only cost and buffer
+        variants of the first's structures, and lowers nothing."""
+        monkeypatch.setenv(PROGRAM_CACHE_ENV, str(tmp_path / "ps"))
+        variants = [("graph.num_gpes", 16), ("graph.simd_width", 64),
+                    ("dense.rows", 32),
+                    ("graph.src_feature_buffer_bytes", 23068672),
+                    ("graph.edge_buffer_bytes", 4194304),
+                    ("dense.weight_buffer_bytes", 4194304)]
+        networks = ("gcn", "gat")
+        harness = Harness(program_store=None)
+        for network in networks:
+            spec = WorkloadSpec(dataset="cora", network=network)
+            graph, model = harness.graph("cora"), harness.model(spec)
+            geometry = resolve_geometry(graph, model, gnnerator_config())
+            for path, value in variants:
+                assert resolve_geometry(graph, model, apply_overrides(
+                    gnnerator_config(), {path: value})) == geometry, path
+
+        def batch(overrides):
+            points = [SweepPoint(dataset="cora", network=network,
+                                 metric=METRIC_DSE,
+                                 config_overrides=override)
+                      for network in networks for override in overrides]
+            outcomes = ProcessPoolScheduler(
+                jobs=2, worker_fn=_lowerings_per_point).run(points)
+            assert all(ok for ok, _, _ in outcomes)
+            for point, (_, cycles, _) in zip(points, outcomes):
+                spec = WorkloadSpec(dataset="cora", network=point.network)
+                config = apply_overrides(gnnerator_config(),
+                                         dict(point.config_overrides))
+                assert cycles == harness.gnnerator_result(
+                    spec, config).cycles
+            return sum(lowerings for _, _, lowerings in outcomes)
+
+        assert batch([()]) == len(networks)
+        assert batch([((path, value),) for path, value in variants]) == 0
+        store = ProgramStore(tmp_path / "ps")
+        assert len(store) == len(networks)  # one program per lowering
+        assert len(list(store.root.rglob("*.structure"))) == len(networks)
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit-flipped"])
+    def test_damaged_name_is_a_miss_that_heals_both_names(self, tmp_path,
+                                                          damage):
+        store = ProgramStore(tmp_path, code_version="v1")
+        expected = fresh_harness(store).gnnerator_result(TINY_GCN).cycles
+        (name,) = tmp_path.rglob("*.structure")
+        (entry,) = tmp_path.rglob("*.pkl")
+        assert os.path.samefile(name, entry)  # one file, two names
+        data = name.read_bytes()
+        if damage == "truncated":
+            name.write_bytes(data[:len(data) // 2])
+        else:  # the final STOP opcode with its top bit flipped
+            name.write_bytes(data[:-1] + bytes([data[-1] ^ 0x80]))
+        assert entry.read_bytes() != data  # both names see the damage
+
+        lowerings = full_lowering_count()
+        healed = fresh_harness(store).gnnerator_result(TINY_GCN)
+        assert healed.cycles == expected
+        assert full_lowering_count() == lowerings + 1
+        assert store.stats == {"hits": 0, "misses": 2,
+                               "structure_hits": 0, "structure_misses": 2}
+        (name,) = tmp_path.rglob("*.structure")
+        (entry,) = tmp_path.rglob("*.pkl")
+        assert os.path.samefile(name, entry)
+        # Both names serve again: the key, and the name for a variant.
+        reader = fresh_harness(store)
+        reader.gnnerator_program(TINY_GCN, self.BASE)
+        assert reader.last_compile_tier() == "store"
+        reader = fresh_harness(store)
+        reader.gnnerator_program(TINY_GCN, apply_overrides(
+            self.BASE, {"graph.num_gpes": 16}))
+        assert reader.last_compile_tier() == "store"
+        assert full_lowering_count() == lowerings + 1
+        assert store.structure_hits == 1
+
+    def test_name_hit_verifies_its_recost(self, tmp_path, monkeypatch):
+        """A program under a structure name is checked through its
+        re-cost: with REPRO_VERIFY=1 a damaged structure fails the
+        compile instead of simulating."""
+        store = ProgramStore(tmp_path, code_version="v1")
+        writer = fresh_harness(store)
+        program = writer.gnnerator_program(TINY_GCN, self.BASE)
+        program.queues["graph.fetch"][0].add_wait("never-signalled")
+        (name,) = tmp_path.rglob("*.structure")
+        name.unlink()  # the program key keeps the good entry
+        buffer = io.BytesIO()
+        _GraphPickler(buffer, writer.graph("tiny")).dump(program)
+        name.write_bytes(buffer.getvalue())
+        variant = apply_overrides(self.BASE, {"graph.num_gpes": 16})
+
+        monkeypatch.setenv("REPRO_VERIFY", "0")
+        unchecked = fresh_harness(store)
+        unchecked.gnnerator_program(TINY_GCN, variant)
+        assert unchecked.last_compile_tier() == "store"
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        with pytest.raises(VerificationError, match="never-signalled"):
+            fresh_harness(store).gnnerator_program(TINY_GCN, variant)
+
+    def test_unlinkable_name_is_skipped(self, tmp_path, monkeypatch):
+        import repro.compiler.store as store_module
+
+        def no_links(*args):
+            raise OSError("hard links unsupported")
+
+        monkeypatch.setattr(store_module.os, "link", no_links)
+        store = ProgramStore(tmp_path, code_version="v1")
+        fresh_harness(store).gnnerator_program(TINY_GCN)
+        assert len(store) == 1
+        assert not list(tmp_path.rglob("*.structure"))
+        reader = fresh_harness(store)
+        reader.gnnerator_program(TINY_GCN)
+        assert reader.last_compile_tier() == "store"
+
+    def test_name_depends_on_the_geometry_alone(self):
+        """Equal geometries give equal names whatever config produced
+        them; the entry class is part of the encoding."""
+        from repro.compiler.lowering import (
+            AggregateGeometry,
+            ExtractGeometry,
+            Geometry,
+        )
+        from repro.compiler.store import structure_key_payload
+
+        store = ProgramStore("unused", code_version="v1")
+        harness = fresh_harness(None)
+        spec = WorkloadSpec(dataset="cora", network="gcn")
+        graph, model = harness.graph("cora"), harness.model(spec)
+
+        def name(config=None, geometry=None):
+            if geometry is None:
+                geometry = resolve_geometry(graph, model, config)
+            return store.key(structure_key_payload(
+                dataset_fingerprint="fp", network="gcn", hidden_dim=16,
+                geometry=geometry))
+
+        base = gnnerator_config()
+        assert name(base) == name(apply_overrides(base, {
+            "graph.num_gpes": 16, "dense.weight_buffer_bytes": 4194304}))
+        assert name(base) != name(apply_overrides(base, {
+            "graph.src_feature_buffer_bytes": 1024}))
+        extract = ExtractGeometry(weight_buffer_bytes=1, input_rows=(),
+                                  row_chunk=0, spills=False)
+        aggregate = AggregateGeometry(interval_size=1, edge_buffer_bytes=0)
+        assert name(geometry=Geometry("dst", 64, False, ((extract,),))) \
+            != name(geometry=Geometry("dst", 64, False, ((aggregate,),)))

@@ -6,9 +6,10 @@ that lets ``Harness._compiled`` serve a cost-only variant by re-costing
 a memoized program instead of lowering it:
 
 * re-costing a program to any config of the same geometry equals a
-  fresh ``compile_workload`` under that config, op for op;
-* a re-cost never mutates the program it copies and is never written
-  to the program store;
+  fresh ``compile_workload`` under that config, op for op and cost
+  list for cost list;
+* a re-cost shares its structure's ops and plan template, never
+  mutates them, and is never written to the program store;
 * concurrent cost variants of one structure lower it once;
 * a failing compile leaves no per-key lock behind.
 """
@@ -23,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.accelerator import GNNerator
 from repro.compiler.ir import CompileError
 from repro.compiler.lowering import (
     compile_workload,
@@ -36,8 +38,10 @@ from repro.config.overrides import apply_overrides
 from repro.config.platforms import gnnerator_config
 from repro.config.workload import WorkloadSpec
 from repro.dse.space import default_design_space
+from repro.eval import energy
 from repro.eval.harness import Harness
 from repro.graph import datasets as dataset_registry
+from tests.conftest import energy_oracle
 
 #: The default DSE space's ladders, plus the buffers and compute knobs
 #: it leaves fixed; the small weight/input/output budgets make the
@@ -93,6 +97,7 @@ def _config(design):
 def assert_same_program(actual, expected) -> None:
     assert actual.order == expected.order
     assert actual.queues == expected.queues
+    assert actual.costs == expected.costs
     assert {key: grid.interval_size for key, grid in actual.grids.items()} \
         == {key: grid.interval_size
             for key, grid in expected.grids.items()}
@@ -129,11 +134,17 @@ def test_recost_equals_fresh_compile_within_a_geometry(spec):
         shared += 1
         structure = compile_workload(graph, model, config_a)
         before = [(op, dict(vars(op))) for op in structure.order]
+        costs = {unit: list(cycles)
+                 for unit, cycles in structure.costs.items()}
         recosted = recost(structure, config_b)
         assert_same_program(recosted, compile_workload(graph, model,
                                                        config_b))
-        # The copied structure is untouched.
+        # The structure is shared, not copied, and untouched.
+        assert recosted.order is structure.order
+        assert recosted.queues is structure.queues
+        assert recosted.plan_template() is structure.plan_template()
         assert all(vars(op) == state for op, state in before)
+        assert structure.costs == costs
     assert shared >= 3, f"only {shared} pairs shared a geometry"
 
 
@@ -160,6 +171,41 @@ def test_store_hit_then_cost_variant_lowers_nothing(tmp_path):
     assert len(store) == 1  # the re-cost was not published
     assert_same_program(program, compile_workload(
         harness.graph(spec.dataset), harness.model(spec), variant))
+
+
+def test_recosts_of_a_stored_structure_share_its_energy_terms(
+        tmp_path, monkeypatch):
+    """The energy model's op loop runs once per structure: the lowering
+    fills the terms before publishing, the stored entry carries them,
+    and eight re-costs of the loaded structure share them — each still
+    equal to the per-op loop (``energy_oracle``)."""
+    spec = WorkloadSpec(dataset="cora", network="gat")
+    store = ProgramStore(tmp_path, code_version="v1")
+    base = gnnerator_config()
+    walked = []
+    op_macs = energy._op_macs
+    monkeypatch.setattr(energy, "_op_macs",
+                        lambda op: walked.append(op) or op_macs(op))
+    structure = Harness(program_store=store).gnnerator_program(spec, base)
+
+    dataset_registry._synthesize.cache_clear()  # a brand-new process
+    harness = Harness(program_store=store)
+    before = full_lowering_count()
+    runs = []
+    for gpes in (8, 16, 32, 64):
+        for simd in (16, 64):
+            config = apply_overrides(base, {"graph.num_gpes": gpes,
+                                            "graph.simd_width": simd})
+            program = harness.gnnerator_program(spec, config)
+            result = GNNerator(config).simulate(program)
+            runs.append((program, result,
+                         energy.estimate_energy(program, result)))
+    assert full_lowering_count() == before
+    assert harness.cache_stats()["store"]["structure_hits"] == 1
+    assert len(walked) == len(structure.order)  # one loop, at lowering
+    monkeypatch.undo()
+    for program, result, report in runs:
+        assert report == energy_oracle(program, result)
 
 
 def test_concurrent_cost_variants_lower_once():

@@ -411,14 +411,37 @@ class TestObservability:
         assert parsed[("repro_uptime_seconds", ())] >= 0
 
     def test_program_store_layer_appears_when_enabled(self, tmp_path):
+        """Both store lookups are layers: by program key, and by
+        structure name (a cost variant of a structure another harness
+        lowered)."""
         from repro.compiler.store import ProgramStore
+        from repro.config.overrides import apply_overrides
+        from repro.config.platforms import gnnerator_config
+        from repro.config.workload import WorkloadSpec
+        from repro.eval.harness import Harness
+        from repro.obs.metrics import parse_prometheus, series_sum
 
         state = ServeState(seed=0, workers=1, depth=4, cache_dir=None)
-        state.harness.program_store = ProgramStore(tmp_path / "ps")
+        store = ProgramStore(tmp_path / "ps")
+        state.harness.program_store = store
         state.logger._stream = io.StringIO()
+        spec = WorkloadSpec(dataset="tiny", network="gcn")
+        base = gnnerator_config(feature_block=spec.feature_block)
         try:
             text = state.render_metrics()
             assert 'layer="program-store"' in text
+            assert 'layer="program-store-structure"' in text
+            writer = Harness(program_store=ProgramStore(tmp_path / "ps"))
+            writer.gnnerator_program(spec, base)
+            state.harness.gnnerator_program(spec, apply_overrides(
+                base, {"graph.num_gpes": 16}))
+            parsed = parse_prometheus(state.render_metrics())
+            for layer, hits, misses in (("program-store", 0, 1),
+                                        ("program-store-structure", 1, 0)):
+                assert series_sum(parsed, "repro_cache_hits_total",
+                                  layer=layer) == hits
+                assert series_sum(parsed, "repro_cache_misses_total",
+                                  layer=layer) == misses
         finally:
             state.queue.stop(drain=False, timeout=5.0)
 

@@ -113,8 +113,9 @@ class TestSimulation:
         program = accelerator.compile(graph, gcn)
         program.queues["dense.fetch"][0].add_wait("never")
         # Mutating a compiled program violates its immutability contract;
-        # drop the precompiled simulation plan so both kernels see the
-        # corruption.
+        # drop the precompiled plan template and plans so both kernels
+        # see the corruption.
+        program._template = None
         program._coalesced_plans.clear()
         with pytest.raises(DeadlockError):
             accelerator.simulate(program)
