@@ -24,11 +24,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from repro.accelerator import GNNerator
-from repro.config.platforms import gnnerator_config, platform_table
+from repro.config.platforms import platform_table
 from repro.config.workload import WorkloadSpec
 from repro.eval.experiments import (
     fig3_speedups,
@@ -50,13 +50,7 @@ from repro.eval.report import (
 )
 from repro.graph.datasets import DATASETS, dataset_table
 from repro.models.zoo import NETWORK_NAMES, network_table
-from repro.sweep import (
-    PLAN_NAMES,
-    NullCache,
-    ResultCache,
-    SweepRunner,
-    build_plan,
-)
+from repro.sweep import PLAN_NAMES, NullCache, ResultCache, SweepResult
 
 DATASET_NAMES = tuple(DATASETS)
 
@@ -150,12 +144,49 @@ def _cmd_configs(_: argparse.Namespace) -> str:
     return "\n\n".join(parts)
 
 
+def _usage_error(command: str, message: str) -> SystemExit:
+    """Print one error line on stderr; raise the result to exit 2, as
+    argparse does for a bad flag."""
+    print(f"gnnerator {command}: error: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
+def build_request(args: argparse.Namespace):
+    """The request ``args`` describe: every argparse value whose dest is
+    a field of the command's request, validated by the model
+    ``repro serve`` parses the same fields into from JSON. A bad value
+    exits 2 with the validator's one-line message."""
+    from repro.serve.protocol import (
+        ProtocolError,
+        parse_request,
+        request_fields,
+    )
+
+    body = {name: getattr(args, name)
+            for name in request_fields(args.command)
+            if getattr(args, name, None) is not None}
+    if "jobs" in body:
+        # --jobs 0 coordinates an external fleet: the filequeue
+        # scheduler gets the 0 (no local workers), and a runner with a
+        # scheduler never reads its own job count.
+        body["jobs"] = max(body["jobs"], 1)
+    if args.command == "perf":
+        # The CLI's documented grid, not the daemon's one-workload one.
+        from repro.eval.hostperf import DEFAULT_DATASETS, DEFAULT_NETWORKS
+
+        body.setdefault("datasets", DEFAULT_DATASETS)
+        body.setdefault("networks", DEFAULT_NETWORKS)
+    try:
+        return parse_request(args.command, body)
+    except ProtocolError as exc:
+        raise _usage_error(args.command, str(exc)) from None
+
+
 def _cmd_run(args: argparse.Namespace) -> str:
-    spec = WorkloadSpec(dataset=args.dataset, network=args.network,
-                        feature_block=args.block,
-                        hidden_dim=args.hidden_dim)
+    from repro.serve.protocol import execute_run
+
+    request = build_request(args)
     harness = Harness()
-    accelerator = GNNerator(gnnerator_config(feature_block=args.block))
     trace_path = None
     if args.trace_out:
         # Telemetry run: same replay, same cycle count — the probe and
@@ -166,25 +197,21 @@ def _cmd_run(args: argparse.Namespace) -> str:
         probe = HwProbe()
         host_spans = SpanTracer()
         with tracing(host_spans):
-            program = accelerator.compile(harness.graph(spec.dataset),
-                                          harness.model(spec),
-                                          feature_block=args.block)
-            result = accelerator.simulate(program, probe=probe)
+            payload, result = execute_run(request, harness, probe=probe)
         trace_path = write_perfetto(args.trace_out, spans=host_spans,
                                     probe=probe,
                                     frequency_ghz=result.frequency_ghz,
                                     total_cycles=result.cycles)
     else:
-        result = accelerator.run(harness.graph(spec.dataset),
-                                 harness.model(spec),
-                                 feature_block=args.block)
-    lines = [f"workload: {spec.label} (B={args.block})",
-             f"result:   {result.describe()}"]
+        payload, result = execute_run(request, harness)
+    lines = [f"workload: {payload['workload']} (B={args.block})",
+             f"result:   {result.describe()}",
+             f"compile:  {payload['cache_tier']}"]
     if trace_path is not None:
         lines.append(f"trace:    wrote {trace_path} (load in "
                      f"https://ui.perfetto.dev)")
-    gpu = harness.gpu_seconds(spec)
-    hygcn = harness.hygcn_seconds(spec)
+    gpu = harness.gpu_seconds(request.spec())
+    hygcn = harness.hygcn_seconds(request.spec())
     lines.append(f"GPU baseline:   {gpu * 1e6:.1f} us "
                  f"({gpu / result.seconds:.1f}x slower)")
     lines.append(f"HyGCN baseline: {hygcn * 1e6:.1f} us "
@@ -195,20 +222,24 @@ def _cmd_run(args: argparse.Namespace) -> str:
 def _scheduler_for(args: argparse.Namespace):
     """Build the miss-compute backend selected by ``--scheduler``.
 
-    ``pool`` returns None (SweepRunner's built-in inline/ProcessPool
-    path); ``filequeue`` returns the crash-tolerant distributed
+    ``pool`` returns None (the sweep runner's own inline or process
+    pool path); ``filequeue`` returns the crash-tolerant distributed
     scheduler sharing the sweep's cache directory, so fleet workers
     publish into the same content-addressed store the coordinator
     probes.
     """
+    from repro.sweep.dist import SCHEDULER_NAMES, FileQueueScheduler
+
+    if args.scheduler not in SCHEDULER_NAMES:
+        raise _usage_error(args.command,
+                           f"unknown scheduler {args.scheduler!r}; valid "
+                           f"choices: {', '.join(SCHEDULER_NAMES)}")
     if args.scheduler == "pool":
         if args.jobs == 0:
             raise SystemExit(
                 f"{args.command}: --jobs 0 coordinates an external "
                 f"fleet and requires --scheduler filequeue")
         return None
-    from repro.sweep.dist import FileQueueScheduler
-
     return FileQueueScheduler(
         jobs=args.jobs,
         queue_dir=args.queue_dir,
@@ -217,25 +248,19 @@ def _scheduler_for(args: argparse.Namespace):
         max_attempts=args.max_attempts)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> str:
-    networks = tuple(args.network) if args.network else None
-    plan = build_plan(args.plan, seed=args.seed, networks=networks)
-    cache = NullCache() if args.no_cache else ResultCache(args.cache_dir)
-    # jobs=0 is the external-fleet coordinator: the filequeue
-    # scheduler spawns no local workers, and SweepRunner's own jobs
-    # count is unused once a scheduler is injected.
-    runner = SweepRunner(jobs=max(args.jobs, 1), cache=cache,
-                         scheduler=_scheduler_for(args))
-    result = runner.run(plan)
-    # Surface point failures through the exit code so scripts and CI
-    # can gate on the sweep without parsing the output.
-    args.exit_code = 0 if result.ok else 1
+def _result_cache(args: argparse.Namespace):
+    return NullCache() if args.no_cache else ResultCache(args.cache_dir)
+
+
+def _emit(args: argparse.Namespace, result, to_csv, render) -> str:
+    """A sweep or DSE result in ``--format``, or its summary line once
+    ``--output`` holds it."""
     if args.format == "json":
         text = result.to_json()
     elif args.format == "csv":
-        text = result.to_csv().rstrip("\n")
+        text = to_csv(result).rstrip("\n")
     else:
-        text = render_sweep(result)
+        text = render(result)
     if args.output:
         out = Path(args.output)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -244,49 +269,66 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     return text
 
 
-def _positive_int(value: str) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {value!r}") from None
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return number
+def _cmd_sweep(args: argparse.Namespace) -> str:
+    from repro.serve.protocol import execute_sweep
+
+    request = build_request(args)
+    result = execute_sweep(request, cache=_result_cache(args),
+                           scheduler=_scheduler_for(args))
+    # Surface point failures through the exit code so scripts and CI
+    # can gate on the sweep without parsing the output.
+    args.exit_code = 0 if result.ok else 1
+    return _emit(args, result, SweepResult.to_csv, render_sweep)
 
 
-def _nonnegative_int(value: str) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 0, got {value!r}") from None
-    if number < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return number
+def _at_least(bound: int, convert=int, strict: bool = False):
+    """argparse type: ``convert(text)``, which must be ``>= bound``
+    (``> bound`` when ``strict``)."""
+    kind = "an integer" if convert is int else "a number"
+    relation = f"{'>' if strict else '>='} {bound}"
+
+    def parse(text: str):
+        try:
+            number = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be {kind} {relation}, got {text!r}") from None
+        if number < bound or (strict and number == bound):
+            raise argparse.ArgumentTypeError(
+                f"must be {relation}, got {text}")
+        return number
+
+    return parse
 
 
-def _positive_float(value: str) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a number > 0, got {value!r}") from None
-    if number <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return number
+_positive_int = _at_least(1)
+_nonnegative_int = _at_least(0)
+_positive_float = _at_least(0, float, strict=True)
 
 
-def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
-    """Shared ``--scheduler`` flags (sweep and dse stay symmetric).
-
-    ``choices=`` gives the required exit-2 validation error naming the
-    valid schedulers, in the same style as every other enum flag.
+def _add_runner_args(parser: argparse.ArgumentParser) -> None:
+    """The flags sweep and dse share: workers, result cache, output and
+    the ``--scheduler`` backend, which :func:`_scheduler_for` checks, so
+    building the parser (``repro serve`` does) never imports the fleet
+    package.
     """
-    from repro.sweep.dist.scheduler import SCHEDULER_NAMES
+    parser.add_argument("--jobs", type=_nonnegative_int, default=1,
+                        help="worker processes (default 1 = in-process; "
+                             "0 = coordinate an external --scheduler "
+                             "filequeue fleet without local workers)")
+    parser.add_argument("--cache-dir", default=".sweep-cache",
+                        help="persistent result cache directory, shared "
+                             "by sweep and dse (default .sweep-cache)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="recompute every point; touch no cache "
+                             "files")
+    parser.add_argument("--format", choices=("table", "json", "csv"),
+                        default="table", help="output format")
+    parser.add_argument("--output", "-o",
+                        help="write output to this file instead of "
+                             "stdout")
 
-    parser.add_argument("--scheduler", choices=SCHEDULER_NAMES,
-                        default="pool",
+    parser.add_argument("--scheduler", default="pool", metavar="NAME",
                         help="miss-compute backend: pool = in-process "
                              "worker pool, filequeue = crash-tolerant "
                              "shared-directory fleet (default pool)")
@@ -304,12 +346,36 @@ def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
                              "point is quarantined (default 3)")
 
 
+def _number(text: str):
+    """A request field's number as typed: an int, else a float, else
+    the text itself, which the request's validator names."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _knob(text: str) -> tuple[str, tuple]:
+    """``PATH=V1,V2,...`` as one (path, values) pair of ``knobs``."""
+    path, sep, values = text.partition("=")
+    if not sep or not values:
+        raise argparse.ArgumentTypeError(
+            f"expects PATH=V1[,V2,...], got {text!r}")
+    return path, tuple(_number(value) for value in values.split(","))
+
+
 def _name_list(kind: str, valid: tuple[str, ...]):
-    """Validator for comma-separated name lists (``--datasets a,b``)."""
+    """Validator for ``repro verify``'s comma-separated name lists (a
+    request's lists are checked by the request model)."""
 
     def parse(text: str) -> tuple[str, ...]:
-        names = tuple(name.strip() for name in text.split(",")
-                      if name.strip())
+        names = _comma_list(text)
         if not names:
             raise argparse.ArgumentTypeError(
                 f"expected a comma-separated list of {kind} names; "
@@ -325,8 +391,11 @@ def _name_list(kind: str, valid: tuple[str, ...]):
 
 
 def _cmd_perf(args: argparse.Namespace) -> str:
+    from repro.compiler.store import default_program_store
     from repro.eval import hostperf
+    from repro.serve.protocol import execute_perf
 
+    request = build_request(args)
     # Read the baseline up front: writing first could clobber it when
     # --output and --check name the same file (the committed default).
     baseline = None
@@ -336,28 +405,9 @@ def _cmd_perf(args: argparse.Namespace) -> str:
             raise SystemExit(
                 f"perf: baseline file {args.check!r} does not exist")
         baseline = hostperf.load_benchmark(baseline_path)
-    from repro.eval.hostperf import DEFAULT_DATASETS, DEFAULT_NETWORKS
-
-    from repro.compiler.lowering import full_lowering_count
-    from repro.compiler.store import default_program_store
-    from repro.graph.datasets import disk_cache_stats
-
     store = None if args.no_program_cache else default_program_store()
-    lowerings_before = full_lowering_count()
-    datasets = tuple(args.datasets or DEFAULT_DATASETS)
-    networks = tuple(args.networks or DEFAULT_NETWORKS)
-    workloads = hostperf.measure(datasets=datasets,
-                                 networks=networks,
-                                 hidden_dim=args.hidden_dim,
-                                 repeat=args.repeat,
-                                 program_store=store)
-    caches = {
-        "full_lowerings": full_lowering_count() - lowerings_before,
-        "dataset_disk": disk_cache_stats(),
-        "program_store": None if store is None else dict(
-            store.stats, root=str(store.root), entries=len(store)),
-    }
-    payload = hostperf.build_payload(workloads, caches=caches)
+    payload = execute_perf(request, store)
+    caches = payload["caches"]
     lines = [hostperf.render(payload)]
     if store is None:
         lines.append("program store: disabled (--no-program-cache)")
@@ -375,8 +425,8 @@ def _cmd_perf(args: argparse.Namespace) -> str:
         # The default target is the committed baseline; only write it
         # for the full default grid, so a restricted run can never
         # silently replace the full trajectory with a partial payload.
-        full_grid = (datasets == DEFAULT_DATASETS
-                     and networks == DEFAULT_NETWORKS)
+        full_grid = (request.datasets == hostperf.DEFAULT_DATASETS
+                     and request.networks == hostperf.DEFAULT_NETWORKS)
         output = "BENCH_host.json" if full_grid else ""
         if not full_grid:
             lines.append("not writing BENCH_host.json for a restricted "
@@ -415,78 +465,17 @@ def _cmd_perf(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _knob_value(text: str) -> float:
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def _cmd_dse(args: argparse.Namespace) -> str:
-    from repro.dse import (
-        SPACE_PRESETS,
-        Budget,
-        DseEngine,
-        build_strategy,
-        dse_csv,
-        render_dse,
-    )
+    from repro.dse import dse_csv, render_dse
+    from repro.serve.protocol import execute_dse
 
-    space = SPACE_PRESETS[args.space]()
-    for spec in args.knob or []:
-        path, sep, values = spec.partition("=")
-        try:
-            if not sep or not values:
-                raise ValueError
-            ladder = tuple(_knob_value(v) for v in values.split(","))
-        except ValueError:
-            raise SystemExit(
-                f"--knob expects PATH=V1[,V2,...] with numeric values, "
-                f"got {spec!r}") from None
-        space = space.with_knob(path, ladder)
-    from repro.config.accelerator import ConfigError
-
-    strategy = build_strategy(
-        args.strategy, samples=args.samples, population=args.population,
-        generations=args.generations, seed=args.seed,
-        max_candidates=args.max_candidates)
-    workloads = [WorkloadSpec(dataset=dataset, network=network,
-                              hidden_dim=args.hidden_dim)
-                 for dataset in args.datasets for network in args.networks]
-    cache = NullCache() if args.no_cache else ResultCache(args.cache_dir)
-    # jobs=0 is the external-fleet coordinator: the filequeue
-    # scheduler spawns no local workers, and SweepRunner's own jobs
-    # count is unused once a scheduler is injected.
-    runner = SweepRunner(jobs=max(args.jobs, 1), cache=cache,
+    request = build_request(args)
+    result = execute_dse(request, cache=_result_cache(args),
                          scheduler=_scheduler_for(args))
-    engine = DseEngine(space, strategy, workloads, runner,
-                       budget=Budget(area_mm2=args.budget_area,
-                                     power_w=args.budget_power),
-                       seed=args.seed)
-    try:
-        result = engine.run()
-    except ConfigError as exc:
-        # Space-level refusals (e.g. a grid over --max-candidates)
-        # are expected user errors, not tracebacks. Per-candidate
-        # ConfigErrors never reach here — they become 'invalid' rows.
-        raise SystemExit(f"dse: {exc}") from None
-    if args.fig5_check:
-        engine.check_fig5(result)
     # An empty frontier means the search produced nothing usable —
     # surface that through the exit code for scripts and CI.
     args.exit_code = 0 if result.frontier else 1
-    if args.format == "json":
-        text = result.to_json()
-    elif args.format == "csv":
-        text = dse_csv(result).rstrip("\n")
-    else:
-        text = render_dse(result)
-    if args.output:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-        text = f"{result.summary()} -> {args.output}"
-    return text
+    return _emit(args, result, dse_csv, render_dse)
 
 
 def _cmd_worker(args: argparse.Namespace) -> str:
@@ -544,6 +533,12 @@ def _cmd_loadtest(args: argparse.Namespace) -> str:
         run_loadtest,
         write_serve_benchmark,
     )
+    from repro.serve.protocol import ENDPOINTS
+
+    if args.endpoint not in ENDPOINTS:
+        raise _usage_error("loadtest",
+                           f"unknown endpoint {args.endpoint!r}; valid "
+                           f"choices: {', '.join(ENDPOINTS)}")
 
     body = None
     if args.body:
@@ -670,9 +665,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate one workload")
     run.add_argument("dataset", choices=DATASET_NAMES)
     run.add_argument("network", choices=NETWORK_NAMES)
-    run.add_argument("--block", type=_positive_int, default=64,
+    run.add_argument("--block", type=_number, default=64,
                      help="feature block size B (default 64)")
-    run.add_argument("--hidden-dim", type=_positive_int, default=16)
+    run.add_argument("--hidden-dim", type=_number, default=16)
     run.add_argument("--trace-out", default=None, metavar="OUT.json",
                      help="also write a Chrome/Perfetto trace (host "
                           "spans + hardware telemetry; identical "
@@ -684,26 +679,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("plan", choices=PLAN_NAMES, nargs="?",
                        default="fig3",
                        help="which evaluation grid to run (default fig3)")
-    sweep.add_argument("--network", action="append",
+    sweep.add_argument("--network", action="append", dest="networks",
                        choices=NETWORK_NAMES, metavar="NETWORK",
                        help="restrict the fig3 grid to these networks "
                             "(repeatable; any zoo network, incl. gat/gin)")
-    sweep.add_argument("--jobs", type=_nonnegative_int, default=1,
-                       help="worker processes (default 1 = in-process; "
-                            "0 = coordinate an external --scheduler "
-                            "filequeue fleet without local workers)")
-    sweep.add_argument("--cache-dir", default=".sweep-cache",
-                       help="persistent result cache directory "
-                            "(default .sweep-cache)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="recompute every point; touch no cache files")
-    sweep.add_argument("--format", choices=("table", "json", "csv"),
-                       default="table", help="output format")
-    sweep.add_argument("--output", "-o",
-                       help="write output to this file instead of stdout")
-    sweep.add_argument("--seed", type=int, default=0,
+    sweep.add_argument("--seed", type=_number, default=0,
                        help="parameter-initialisation seed (default 0)")
-    _add_scheduler_args(sweep)
+    _add_runner_args(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
     profile = sub.add_parser(
         "profile",
@@ -724,60 +706,46 @@ def build_parser() -> argparse.ArgumentParser:
         "dse",
         help="search the accelerator design space, report the Pareto "
              "frontier (latency / area / energy)")
-    dse.add_argument("--strategy",
-                     choices=("grid", "random", "evolutionary"),
-                     default="random", help="search strategy")
-    dse.add_argument("--networks",
-                     type=_name_list("network", NETWORK_NAMES),
-                     default=("gcn",), metavar="A,B,...",
+    dse.add_argument("--strategy", default="random", metavar="NAME",
+                     help="search strategy (default random; an "
+                          "unknown name lists the valid ones)")
+    dse.add_argument("--networks", type=_comma_list, default=("gcn",),
+                     metavar="A,B,...",
                      help="comma-separated workload networks "
                           "(default gcn)")
-    dse.add_argument("--datasets",
-                     type=_name_list("dataset", DATASET_NAMES),
-                     default=("tiny",), metavar="A,B,...",
+    dse.add_argument("--datasets", type=_comma_list, default=("tiny",),
+                     metavar="A,B,...",
                      help="comma-separated workload datasets "
                           "(default tiny)")
-    dse.add_argument("--hidden-dim", type=_positive_int, default=16)
-    dse.add_argument("--space", choices=("default", "small"),
-                     default="default", help="design-space preset")
-    dse.add_argument("--knob", action="append", metavar="PATH=V1,V2",
+    dse.add_argument("--hidden-dim", type=_number, default=16)
+    dse.add_argument("--space", default="default", metavar="NAME",
+                     help="design-space preset (default default; an "
+                          "unknown name lists the valid ones)")
+    dse.add_argument("--knob", action="append", dest="knobs",
+                     type=_knob, metavar="PATH=V1,V2",
                      help="override one knob's value ladder, e.g. "
                           "--knob dense.rows=32,64 (repeatable)")
-    dse.add_argument("--samples", type=_positive_int, default=16,
+    dse.add_argument("--samples", type=_number, default=16,
                      help="random-strategy sample count (default 16)")
-    dse.add_argument("--population", type=_positive_int, default=8,
+    dse.add_argument("--population", type=_number, default=8,
                      help="evolutionary population size (default 8)")
-    dse.add_argument("--generations", type=_positive_int, default=4,
+    dse.add_argument("--generations", type=_number, default=4,
                      help="evolutionary generations (default 4)")
-    dse.add_argument("--max-candidates", type=_positive_int,
-                     default=4096,
+    dse.add_argument("--max-candidates", type=_number, default=4096,
                      help="refuse grid searches larger than this "
                           "(default 4096)")
-    dse.add_argument("--budget-area", type=float, default=None,
+    dse.add_argument("--budget-area", type=_number, default=None,
                      metavar="MM2", help="max silicon area in mm^2")
-    dse.add_argument("--budget-power", type=float, default=None,
+    dse.add_argument("--budget-power", type=_number, default=None,
                      metavar="W", help="max average power in watts")
     dse.add_argument("--fig5-check", action="store_true",
                      help="also evaluate the paper's Fig 5 hand-picked "
                           "variants against the discovered frontier")
-    dse.add_argument("--seed", type=int, default=0,
+    dse.add_argument("--seed", type=_number, default=0,
                      help="search + parameter seed (default 0); equal "
                           "seeds give bit-identical frontiers at any "
                           "--jobs level")
-    dse.add_argument("--jobs", type=_nonnegative_int, default=1,
-                     help="worker processes (default 1 = in-process; "
-                          "0 = coordinate an external --scheduler "
-                          "filequeue fleet without local workers)")
-    dse.add_argument("--cache-dir", default=".sweep-cache",
-                     help="persistent result cache directory "
-                          "(default .sweep-cache, shared with sweep)")
-    dse.add_argument("--no-cache", action="store_true",
-                     help="recompute every point; touch no cache files")
-    dse.add_argument("--format", choices=("table", "json", "csv"),
-                     default="table", help="output format")
-    dse.add_argument("--output", "-o",
-                     help="write output to this file instead of stdout")
-    _add_scheduler_args(dse)
+    _add_runner_args(dse)
     dse.set_defaults(handler=_cmd_dse)
     worker = sub.add_parser(
         "worker",
@@ -829,18 +797,16 @@ def build_parser() -> argparse.ArgumentParser:
         "perf",
         help="benchmark host wall-clock of load/compile/simulate per "
              "workload (the BENCH_host.json trajectory)")
-    perf.add_argument("--datasets",
-                      type=_name_list("dataset", DATASET_NAMES),
-                      default=None, metavar="A,B,...",
+    perf.add_argument("--datasets", type=_comma_list, default=None,
+                      metavar="A,B,...",
                       help="comma-separated datasets (default "
                            "tiny,cora,citeseer,pubmed,flickr; reddit-s "
                            "is opt-in — cold synthesis alone is ~10s)")
-    perf.add_argument("--networks",
-                      type=_name_list("network", NETWORK_NAMES),
-                      default=None, metavar="A,B,...",
+    perf.add_argument("--networks", type=_comma_list, default=None,
+                      metavar="A,B,...",
                       help="comma-separated networks (default gcn,gat)")
-    perf.add_argument("--hidden-dim", type=_positive_int, default=16)
-    perf.add_argument("--repeat", type=_positive_int, default=1,
+    perf.add_argument("--hidden-dim", type=_number, default=16)
+    perf.add_argument("--repeat", type=_number, default=1,
                       help="repetitions per workload; each component "
                            "reports its minimum (default 1)")
     perf.add_argument("--no-program-cache", action="store_true",
@@ -897,9 +863,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--url", default="http://127.0.0.1:8177",
                           help="daemon base URL "
                                "(default http://127.0.0.1:8177)")
-    loadtest.add_argument("--endpoint",
-                          choices=("run", "sweep", "dse", "perf"),
-                          default="run", help="endpoint to exercise")
+    loadtest.add_argument("--endpoint", default="run",
+                          help="endpoint to exercise (default run)")
     loadtest.add_argument("--body", default=None, metavar="JSON",
                           help="request body as a JSON object (default "
                                "{\"dataset\": \"tiny\", \"network\": "
@@ -973,7 +938,17 @@ def main(argv: list[str] | None = None) -> int:
         print("interrupted", file=sys.stderr)
         return 130
     if out:
-        print(out)
+        try:
+            print(out, flush=True)
+        except BrokenPipeError:
+            # The reader left (`repro configs | head -1`). Point stdout
+            # at devnull so the exit-time flush cannot raise again.
+            try:
+                os.dup2(os.open(os.devnull, os.O_WRONLY),
+                        sys.stdout.fileno())
+            except (AttributeError, OSError, ValueError):
+                pass
+            return 1
     return getattr(args, "exit_code", 0)
 
 

@@ -1,124 +1,98 @@
-"""Request parsing, validation and coalescing keys for the daemon.
+"""One request model and one executor per job, for the CLI and daemon.
 
-Every endpoint's JSON body is validated *eagerly* into a frozen request
-dataclass so malformed input becomes a ``400`` with a one-line message
-before it ever reaches the work queue, and so each request has a
-canonical hashable :meth:`~ServeRequest.key` — the coalescing identity.
-Two requests with equal keys are guaranteed to compute the same result
-(everything the executors read is part of the key), which is what makes
-sharing one in-flight computation sound.
+``repro run|sweep|dse|perf`` build field mappings from argparse, and
+``repro serve`` from JSON bodies; :func:`parse_request` validates either
+*eagerly* into a frozen request, so bad input is a one-line exit 2 or a
+400 before anything is queued. A request's :meth:`~ServeRequest.key`
+covers every field, and every input that changes a result is a field,
+so equal keys compute equal results: what makes the daemon's sharing
+of one in-flight computation sound. The executors run a request over
+the caller's harness and caches (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
-from repro.config.overrides import FrozenOverrides, freeze_overrides
+from repro.config.accelerator import ConfigError
+from repro.config.overrides import (
+    FrozenOverrides,
+    apply_overrides,
+    freeze_overrides,
+)
+from repro.config.platforms import gnnerator_config
+from repro.config.workload import WorkloadSpec
 from repro.graph.datasets import DATASETS
 from repro.models.zoo import NETWORK_NAMES
+from repro.sweep import SweepRunner, build_plan
 from repro.sweep.plan import PLAN_NAMES
 
 #: Endpoints served through the work queue (``POST /<endpoint>``).
 ENDPOINTS = ("run", "sweep", "dse", "perf")
 
-#: DSE strategies the daemon accepts (mirrors the CLI).
-DSE_STRATEGIES = ("grid", "random", "evolutionary")
-
 
 class ProtocolError(ValueError):
-    """A malformed request body; maps to HTTP 400."""
+    """An invalid request: HTTP 400 on the daemon, exit 2 on the CLI."""
 
 
-def _reject_unknown(body: dict, allowed: tuple[str, ...]) -> None:
-    """A typo'd field must be a 400, not a silently applied default —
-    the caller would believe the knob took effect."""
-    unknown = sorted(set(body) - set(allowed))
-    if unknown:
-        raise ProtocolError(
-            f"unknown field(s) {', '.join(map(repr, unknown))}; "
-            f"allowed: {', '.join(allowed)}")
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _require_str(body: dict, name: str, valid: tuple[str, ...],
-                 default: str | None = None) -> str:
-    value = body.get(name, default)
+def _set(request, name: str, value) -> None:
+    object.__setattr__(request, name, value)
+
+
+def _check_name(kind: str, value, valid) -> None:
+    if not isinstance(value, str) or value not in valid:
+        raise ProtocolError(f"unknown {kind} {value!r}; valid choices: "
+                            f"{', '.join(valid)}")
+
+
+def _name(request, name: str, valid) -> None:
+    value = getattr(request, name)
     if value is None:
         raise ProtocolError(f"missing required field {name!r}")
-    if not isinstance(value, str) or value not in valid:
-        raise ProtocolError(
-            f"{name} must be one of {', '.join(valid)}; got {value!r}")
-    return value
+    _check_name(name, value, valid)
 
 
-def _positive_int(body: dict, name: str, default: int,
-                  allow_none: bool = False) -> int | None:
-    value = body.get(name, default)
-    if value is None and allow_none:
-        return None
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or value < 1):
-        raise ProtocolError(f"{name} must be an integer >= 1, "
-                            f"got {value!r}")
-    return value
-
-
-def _int(body: dict, name: str, default: int) -> int:
-    value = body.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _name_tuple(body: dict, name: str, valid: tuple[str, ...],
-                default: tuple[str, ...]) -> tuple[str, ...]:
-    value = body.get(name)
-    if value is None:
-        return default
+def _names(request, name: str, valid) -> None:
+    """A non-empty list of names (or one bare name), kept as a tuple."""
+    value = getattr(request, name)
     if isinstance(value, str):
         value = [value]
-    if (not isinstance(value, (list, tuple)) or not value
-            or not all(isinstance(v, str) for v in value)):
-        raise ProtocolError(
-            f"{name} must be a non-empty list of names")
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ProtocolError(f"{name} must be a non-empty list of names")
     for entry in value:
-        if entry not in valid:
-            raise ProtocolError(
-                f"unknown name {entry!r} in {name}; valid: "
-                f"{', '.join(valid)}")
-    return tuple(value)
+        _check_name(name[:-1], entry, valid)
+    _set(request, name, tuple(value))
 
 
-def _timeout_s(body: dict) -> float | None:
-    """Optional queue-wait deadline in seconds (positive real)."""
-    value = body.get("timeout_s")
-    if value is None:
-        return None
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or value <= 0):
-        raise ProtocolError(
-            f"timeout_s must be a number > 0 (seconds), got {value!r}")
-    return float(value)
+def _int(request, *names: str, minimum: int | None = None) -> None:
+    for name in names:
+        value = getattr(request, name)
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or (minimum is not None and value < minimum)):
+            bound = "" if minimum is None else f" >= {minimum}"
+            raise ProtocolError(f"{name} must be an integer{bound}, "
+                                f"got {value!r}")
 
 
-def _overrides(body: dict) -> FrozenOverrides:
-    raw = body.get("overrides") or {}
+def _frozen_overrides(raw) -> FrozenOverrides:
+    """``{dotted.path: number}``, checked against the config so a bad
+    knob is a 400, not a 500 from a worker."""
+    raw = raw or {}
     if not isinstance(raw, dict):
         raise ProtocolError("overrides must be an object of "
                             "{dotted.path: number}")
     for path, value in raw.items():
-        if (not isinstance(path, str) or isinstance(value, bool)
-                or not isinstance(value, numbers.Real)):
+        if not isinstance(path, str) or not _is_number(value):
             raise ProtocolError(
                 f"override {path!r}={value!r} is not a numeric knob")
     frozen = freeze_overrides(raw)
     if frozen:
-        # Validate knob paths and candidate feasibility eagerly so a
-        # bad knob is a 400, not a 500 from deep inside a worker.
-        from repro.config.accelerator import ConfigError
-        from repro.config.overrides import apply_overrides
-        from repro.config.platforms import gnnerator_config
-
         try:
             apply_overrides(gnnerator_config(), dict(frozen))
         except ConfigError as exc:
@@ -126,11 +100,34 @@ def _overrides(body: dict) -> FrozenOverrides:
     return frozen
 
 
+def _knob_ladders(raw) -> tuple[tuple[str, tuple[float, ...]], ...]:
+    """``{dotted.path: [number, ...]}`` (or its pairs) in order. A
+    repeated path keeps its first position and its last ladder, as
+    successive ``DesignSpace.with_knob`` calls do."""
+    try:
+        ladders = dict(raw or {})
+    except (TypeError, ValueError):
+        raise ProtocolError("knobs must be an object of "
+                            "{dotted.path: [number, ...]}") from None
+    for path, values in ladders.items():
+        if (not isinstance(path, str)
+                or not isinstance(values, (list, tuple))
+                or not all(_is_number(v) for v in values)):
+            raise ProtocolError(
+                f"knob {path!r} needs a list of numbers, got {values!r}")
+    return tuple((path, tuple(values)) for path, values in ladders.items())
+
+
 @dataclass(frozen=True)
 class ServeRequest:
-    """Base class: a validated request with a coalescing identity."""
+    """Base class: a validated request with a coalescing identity.
 
-    endpoint: str = field(init=False, default="")
+    Subclasses validate and normalise their fields in
+    ``__post_init__``, so every construction — from JSON, from
+    argparse, or in code — is checked by the same rules.
+    """
+
+    endpoint: ClassVar[str] = ""
     #: Max seconds the request may wait *queued* before the daemon
     #: answers 504 instead of computing (None = wait forever).
     #: Deliberately NOT part of :meth:`key`: the deadline changes when
@@ -139,43 +136,69 @@ class ServeRequest:
     #: the latest deadline — see ``WorkQueue.submit``).
     timeout_s: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.timeout_s is not None:
+            if not _is_number(self.timeout_s) or self.timeout_s <= 0:
+                raise ProtocolError(
+                    f"timeout_s must be a number > 0 (seconds), got "
+                    f"{self.timeout_s!r}")
+            _set(self, "timeout_s", float(self.timeout_s))
+
     def key(self) -> tuple:
         """Canonical hashable identity; equal keys ⇒ equal results."""
-        raise NotImplementedError
+        return (self.endpoint,) + tuple(
+            getattr(self, f.name) for f in fields(self)
+            if f.name != "timeout_s")
 
 
 @dataclass(frozen=True)
 class RunRequest(ServeRequest):
-    dataset: str = ""
-    network: str = ""
+    endpoint: ClassVar[str] = "run"
+    dataset: str | None = None
+    network: str | None = None
     block: int | None = 64
     hidden_dim: int = 16
     overrides: FrozenOverrides = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "endpoint", "run")
+        super().__post_init__()
+        _name(self, "dataset", tuple(DATASETS))
+        _name(self, "network", NETWORK_NAMES)
+        if self.block is not None:
+            _int(self, "block", minimum=1)
+        _int(self, "hidden_dim", minimum=1)
+        _set(self, "overrides", _frozen_overrides(self.overrides))
 
-    def key(self) -> tuple:
-        return ("run", self.dataset, self.network, self.block,
-                self.hidden_dim, self.overrides)
+    def spec(self) -> WorkloadSpec:
+        return WorkloadSpec(dataset=self.dataset, network=self.network,
+                            feature_block=self.block,
+                            hidden_dim=self.hidden_dim)
 
 
 @dataclass(frozen=True)
 class SweepRequest(ServeRequest):
+    endpoint: ClassVar[str] = "sweep"
     plan: str = "smoke"
     networks: tuple[str, ...] | None = None
     seed: int = 0
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "endpoint", "sweep")
-
-    def key(self) -> tuple:
-        return ("sweep", self.plan, self.networks, self.seed, self.jobs)
+        super().__post_init__()
+        _name(self, "plan", PLAN_NAMES)
+        if self.networks is not None:
+            _names(self, "networks", NETWORK_NAMES)
+        _int(self, "seed")
+        _int(self, "jobs", minimum=1)
+        try:
+            build_plan(self.plan, seed=self.seed, networks=self.networks)
+        except ConfigError as exc:
+            raise ProtocolError(str(exc)) from None
 
 
 @dataclass(frozen=True)
 class DseRequest(ServeRequest):
+    endpoint: ClassVar[str] = "dse"
     strategy: str = "random"
     datasets: tuple[str, ...] = ("tiny",)
     networks: tuple[str, ...] = ("gcn",)
@@ -188,99 +211,180 @@ class DseRequest(ServeRequest):
     budget_power: float | None = None
     seed: int = 0
     jobs: int = 1
+    #: A ``SPACE_PRESETS`` name, then ``knobs`` ladders applied in order.
+    space: str = "default"
+    knobs: tuple[tuple[str, tuple[float, ...]], ...] = ()
+    #: Also measure the paper's Fig 5 designs against the frontier.
+    fig5_check: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "endpoint", "dse")
+        from repro.dse import SPACE_PRESETS, STRATEGY_NAMES
 
-    def key(self) -> tuple:
-        return ("dse", self.strategy, self.datasets, self.networks,
-                self.samples, self.population, self.generations,
-                self.hidden_dim, self.max_candidates, self.budget_area,
-                self.budget_power, self.seed, self.jobs)
+        super().__post_init__()
+        _name(self, "strategy", STRATEGY_NAMES)
+        _names(self, "datasets", tuple(DATASETS))
+        _names(self, "networks", NETWORK_NAMES)
+        _int(self, "samples", "population", "generations", "hidden_dim",
+             "max_candidates", "jobs", minimum=1)
+        _int(self, "seed")
+        for name in ("budget_area", "budget_power"):
+            value = getattr(self, name)
+            if value is not None and not _is_number(value):
+                raise ProtocolError(f"{name} must be a number or null")
+        if not isinstance(self.fig5_check, bool):
+            raise ProtocolError("fig5_check must be true or false")
+        _name(self, "space", tuple(SPACE_PRESETS))
+        _set(self, "knobs", _knob_ladders(self.knobs))
+        try:
+            size = self.design_space().size
+        except ConfigError as exc:
+            raise ProtocolError(str(exc)) from None
+        if self.strategy == "grid" and size > self.max_candidates:
+            raise ProtocolError(
+                f"grid search over {size} candidates exceeds "
+                f"max_candidates {self.max_candidates}; restrict the "
+                f"space (space, knobs) or raise max_candidates")
+
+    def design_space(self):
+        """The ``space`` preset with each ``knobs`` ladder applied."""
+        from repro.dse import SPACE_PRESETS
+
+        space = SPACE_PRESETS[self.space]()
+        for path, values in self.knobs:
+            space = space.with_knob(path, values)
+        return space
 
 
 @dataclass(frozen=True)
 class PerfRequest(ServeRequest):
+    endpoint: ClassVar[str] = "perf"
     datasets: tuple[str, ...] = ("tiny",)
     networks: tuple[str, ...] = ("gcn",)
     hidden_dim: int = 16
     repeat: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "endpoint", "perf")
+        super().__post_init__()
+        _names(self, "datasets", tuple(DATASETS))
+        _names(self, "networks", NETWORK_NAMES)
+        _int(self, "hidden_dim", "repeat", minimum=1)
 
-    def key(self) -> tuple:
-        return ("perf", self.datasets, self.networks, self.hidden_dim,
-                self.repeat)
+
+REQUEST_TYPES = {kind.endpoint: kind for kind in
+                 (RunRequest, SweepRequest, DseRequest, PerfRequest)}
+
+
+def request_fields(endpoint: str) -> tuple[str, ...]:
+    """The fields a request to ``endpoint`` may set."""
+    return tuple(f.name for f in fields(REQUEST_TYPES[endpoint]))
 
 
 def parse_request(endpoint: str, body: dict) -> ServeRequest:
-    """Validate one endpoint's JSON body into a request object.
+    """Validate one endpoint's field mapping into a request object.
 
-    Raises :class:`ProtocolError` (→ HTTP 400) on anything malformed.
+    Raises :class:`ProtocolError` on anything malformed.
     """
+    if endpoint not in REQUEST_TYPES:
+        raise ProtocolError(f"unknown endpoint {endpoint!r}; known: "
+                            f"{', '.join(ENDPOINTS)}")
     if not isinstance(body, dict):
         raise ProtocolError("request body must be a JSON object")
-    dataset_names = tuple(DATASETS)
-    if endpoint == "run":
-        _reject_unknown(body, ("dataset", "network", "block",
-                               "hidden_dim", "overrides", "timeout_s"))
-        return RunRequest(
-            timeout_s=_timeout_s(body),
-            dataset=_require_str(body, "dataset", dataset_names),
-            network=_require_str(body, "network", NETWORK_NAMES),
-            block=_positive_int(body, "block", 64, allow_none=True),
-            hidden_dim=_positive_int(body, "hidden_dim", 16),
-            overrides=_overrides(body))
-    if endpoint == "sweep":
-        _reject_unknown(body, ("plan", "networks", "seed", "jobs",
-                               "timeout_s"))
-        networks = (None if body.get("networks") is None
-                    else _name_tuple(body, "networks", NETWORK_NAMES, ()))
-        return SweepRequest(
-            timeout_s=_timeout_s(body),
-            plan=_require_str(body, "plan", PLAN_NAMES, default="smoke"),
-            networks=networks,
-            seed=_int(body, "seed", 0),
-            jobs=_positive_int(body, "jobs", 1))
-    if endpoint == "dse":
-        _reject_unknown(body, ("strategy", "datasets", "networks",
-                               "samples", "population", "generations",
-                               "hidden_dim", "max_candidates",
-                               "budget_area", "budget_power", "seed",
-                               "jobs", "timeout_s"))
-        for name in ("budget_area", "budget_power"):
-            value = body.get(name)
-            if value is not None and (isinstance(value, bool) or
-                                      not isinstance(value, numbers.Real)):
-                raise ProtocolError(f"{name} must be a number or null")
-        return DseRequest(
-            timeout_s=_timeout_s(body),
-            strategy=_require_str(body, "strategy", DSE_STRATEGIES,
-                                  default="random"),
-            datasets=_name_tuple(body, "datasets", dataset_names,
-                                 ("tiny",)),
-            networks=_name_tuple(body, "networks", NETWORK_NAMES,
-                                 ("gcn",)),
-            samples=_positive_int(body, "samples", 16),
-            population=_positive_int(body, "population", 8),
-            generations=_positive_int(body, "generations", 4),
-            hidden_dim=_positive_int(body, "hidden_dim", 16),
-            max_candidates=_positive_int(body, "max_candidates", 4096),
-            budget_area=body.get("budget_area"),
-            budget_power=body.get("budget_power"),
-            seed=_int(body, "seed", 0),
-            jobs=_positive_int(body, "jobs", 1))
-    if endpoint == "perf":
-        _reject_unknown(body, ("datasets", "networks", "hidden_dim",
-                               "repeat", "timeout_s"))
-        return PerfRequest(
-            timeout_s=_timeout_s(body),
-            datasets=_name_tuple(body, "datasets", dataset_names,
-                                 ("tiny",)),
-            networks=_name_tuple(body, "networks", NETWORK_NAMES,
-                                 ("gcn",)),
-            hidden_dim=_positive_int(body, "hidden_dim", 16),
-            repeat=_positive_int(body, "repeat", 1))
-    raise ProtocolError(
-        f"unknown endpoint {endpoint!r}; known: {', '.join(ENDPOINTS)}")
+    allowed = request_fields(endpoint)
+    # A typo'd field must be an error, not a silently applied default:
+    # the caller would believe the knob took effect.
+    unknown = sorted(set(body) - set(allowed))
+    if unknown:
+        raise ProtocolError(
+            f"unknown field(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(allowed)}")
+    return REQUEST_TYPES[endpoint](**body)
+
+
+# -- executors ---------------------------------------------------------
+def execute_run(request: RunRequest, harness, probe=None):
+    """Compile through the harness's memo, store and re-cost tiers,
+    then simulate (``probe`` observes the replay). Returns ``(payload,
+    ExecutionResult)``; the payload is ``POST /run``'s result."""
+    from repro.accelerator import GNNerator
+
+    spec = request.spec()
+    config = gnnerator_config(feature_block=request.block)
+    if request.overrides:
+        config = apply_overrides(config, dict(request.overrides))
+    program = harness.gnnerator_program(
+        spec, config if request.overrides else None)
+    result = GNNerator(config).simulate(program, probe=probe)
+    payload = {
+        "workload": spec.label,
+        "dataset": request.dataset,
+        "network": request.network,
+        "feature_block": request.block,
+        "hidden_dim": request.hidden_dim,
+        "overrides": dict(request.overrides),
+        "seconds": result.seconds,
+        "cycles": result.cycles,
+        "num_operations": result.num_operations,
+        "total_dram_bytes": result.total_dram_bytes,
+        # Which layer served the compile (memo/store/recost/compiled),
+        # read on this thread (thread-local): a daemon worker's tier is
+        # its own request's, shared with every coalesced waiter.
+        "cache_tier": harness.last_compile_tier(),
+    }
+    return payload, result
+
+
+def execute_sweep(request: SweepRequest, harness=None, cache=None,
+                  scheduler=None):
+    """Run the named plan; returns its ``SweepResult``."""
+    plan = build_plan(request.plan, seed=request.seed,
+                      networks=request.networks)
+    return SweepRunner(jobs=request.jobs, cache=cache, harness=harness,
+                       scheduler=scheduler).run(plan)
+
+
+def execute_dse(request: DseRequest, harness=None, cache=None,
+                scheduler=None):
+    """Search the request's space; returns the ``DseResult`` (with its
+    Fig 5 checks when ``fig5_check`` is set)."""
+    from repro.dse import Budget, DseEngine, build_strategy
+
+    strategy = build_strategy(
+        request.strategy, samples=request.samples,
+        population=request.population, generations=request.generations,
+        seed=request.seed, max_candidates=request.max_candidates)
+    workloads = [WorkloadSpec(dataset=dataset, network=network,
+                              hidden_dim=request.hidden_dim)
+                 for dataset in request.datasets
+                 for network in request.networks]
+    runner = SweepRunner(jobs=request.jobs, cache=cache, harness=harness,
+                         scheduler=scheduler)
+    engine = DseEngine(request.design_space(), strategy, workloads, runner,
+                       budget=Budget(area_mm2=request.budget_area,
+                                     power_w=request.budget_power),
+                       seed=request.seed)
+    result = engine.run()
+    if request.fig5_check:
+        engine.check_fig5(result)
+    return result
+
+
+def execute_perf(request: PerfRequest, program_store) -> dict:
+    """Measure host wall time per workload; returns the
+    ``BENCH_host.json``-shaped payload with this run's ``caches``."""
+    from repro.compiler.lowering import full_lowering_count
+    from repro.eval import hostperf
+    from repro.graph.datasets import disk_cache_stats
+
+    lowerings_before = full_lowering_count()
+    workloads = hostperf.measure(
+        datasets=request.datasets, networks=request.networks,
+        hidden_dim=request.hidden_dim, repeat=request.repeat,
+        program_store=program_store)
+    caches = {
+        "full_lowerings": full_lowering_count() - lowerings_before,
+        "dataset_disk": disk_cache_stats(),
+        "program_store": None if program_store is None else dict(
+            program_store.stats, root=str(program_store.root),
+            entries=len(program_store)),
+    }
+    return hostperf.build_payload(workloads, caches=caches)

@@ -1,4 +1,4 @@
-"""The HTTP frontend and executor state of ``repro serve``.
+"""The HTTP frontend and shared state of ``repro serve``.
 
 Process layout (DESIGN.md §7): ONE daemon process holds every warm
 cache — the thread-safe :class:`~repro.eval.harness.Harness` (datasets
@@ -7,8 +7,9 @@ ProgramStore and the sweep ResultCache handles. HTTP handler threads
 (one per connection, stdlib ``ThreadingHTTPServer``) do no simulation
 work themselves: they validate, submit to the bounded
 :class:`~repro.serve.workqueue.WorkQueue`, and block on the job's
-completion event. The queue's worker threads run the executors against
-the shared harness; ``sweep``/``dse`` requests with ``jobs > 1``
+completion event. The queue's worker threads run the executors of
+:mod:`.protocol` (the ones the CLI calls in process) against the
+shared harness; ``sweep``/``dse`` requests with ``jobs > 1``
 additionally fan out to worker *processes* through the existing
 :class:`~repro.sweep.runner.ProcessPoolScheduler`, which spawns them
 here: the daemon's threads rule out fork.
@@ -29,6 +30,10 @@ from repro.serve.protocol import (
     ENDPOINTS,
     ProtocolError,
     ServeRequest,
+    execute_dse,
+    execute_perf,
+    execute_run,
+    execute_sweep,
     parse_request,
 )
 from repro.serve.workqueue import (
@@ -56,7 +61,6 @@ class ServeState:
 
         self.harness = Harness(seed=seed)
         self.seed = seed
-        self.cache_dir = cache_dir
         self.request_timeout_s = request_timeout_s
         self.queue = WorkQueue(workers=workers, depth=depth)
         self.started_at = time.monotonic()
@@ -75,13 +79,18 @@ class ServeState:
                              else NullCache())
         self.metrics = MetricRegistry()
         self._build_metrics()
-        # Indirection so tests can wrap an executor (e.g. to gate its
-        # start and observe coalescing deterministically).
+        # The shared executors over the daemon's warm harness and result
+        # cache, each returning its JSON payload. Indirection so tests
+        # can wrap one (e.g. to gate its start and observe coalescing
+        # deterministically).
         self.executors = {
-            "run": self._exec_run,
-            "sweep": self._exec_sweep,
-            "dse": self._exec_dse,
-            "perf": self._exec_perf,
+            "run": lambda request: execute_run(request, self.harness)[0],
+            "sweep": lambda request: execute_sweep(
+                request, self.harness, self.result_cache).to_dict(),
+            "dse": lambda request: execute_dse(
+                request, self.harness, self.result_cache).to_dict(),
+            "perf": lambda request: execute_perf(
+                request, self.harness.program_store),
         }
 
     def _build_metrics(self) -> None:
@@ -153,16 +162,12 @@ class ServeState:
         """Hit/miss dicts for every cache layer the daemon touches."""
         from repro.graph.datasets import disk_cache_stats
 
-        # ResultCache.stats is a method, NullCache.stats a property.
-        results = self.result_cache.stats
-        if callable(results):
-            results = results()
         caches = self.harness.cache_stats()
         layers = {
             "harness-memo": caches["memo"],
             "harness-structure": caches["structure"],
             "dataset-disk": disk_cache_stats(),
-            "result-cache": results,
+            "result-cache": self.result_cache.stats,
         }
         if "store" in caches:
             layers["program-store"] = store = caches["store"]
@@ -190,95 +195,6 @@ class ServeState:
         return self.queue.submit(request.key(),
                                  lambda: executor(request),
                                  timeout_s=request.timeout_s)
-
-    # -- executors (run on queue worker threads) -----------------------
-    def _exec_run(self, request) -> dict:
-        from repro.accelerator import GNNerator
-        from repro.config.platforms import gnnerator_config
-        from repro.config.workload import WorkloadSpec
-
-        spec = WorkloadSpec(dataset=request.dataset,
-                            network=request.network,
-                            feature_block=request.block,
-                            hidden_dim=request.hidden_dim)
-        config = None
-        if request.overrides:
-            from repro.config.overrides import apply_overrides
-
-            config = apply_overrides(
-                gnnerator_config(feature_block=request.block),
-                dict(request.overrides))
-        program = self.harness.gnnerator_program(spec, config)
-        resolved = (config if config is not None
-                    else gnnerator_config(feature_block=request.block))
-        result = GNNerator(resolved).simulate(program)
-        return {
-            "workload": spec.label,
-            "dataset": request.dataset,
-            "network": request.network,
-            "feature_block": request.block,
-            "hidden_dim": request.hidden_dim,
-            "overrides": dict(request.overrides),
-            "seconds": result.seconds,
-            "cycles": result.cycles,
-            "num_operations": result.num_operations,
-            "total_dram_bytes": result.total_dram_bytes,
-            # Which layer served the compile (memo/store/recost/
-            # compiled).
-            # Read on this worker thread (thread-local), then shared
-            # with every coalesced waiter through the job result — the
-            # handler joins it into the request log.
-            "cache_tier": self.harness.last_compile_tier(),
-        }
-
-    def _runner(self, jobs: int):
-        """A SweepRunner over the daemon's warm harness and cache."""
-        from repro.sweep import SweepRunner
-
-        return SweepRunner(jobs=jobs, cache=self.result_cache,
-                           harness=self.harness)
-
-    def _exec_sweep(self, request) -> dict:
-        from repro.sweep import build_plan
-
-        plan = build_plan(request.plan, seed=request.seed,
-                          networks=request.networks or None)
-        result = self._runner(request.jobs).run(plan)
-        return result.to_dict()
-
-    def _exec_dse(self, request) -> dict:
-        from repro.config.workload import WorkloadSpec
-        from repro.dse import (
-            SPACE_PRESETS,
-            Budget,
-            DseEngine,
-            build_strategy,
-        )
-
-        strategy = build_strategy(
-            request.strategy, samples=request.samples,
-            population=request.population,
-            generations=request.generations, seed=request.seed,
-            max_candidates=request.max_candidates)
-        workloads = [WorkloadSpec(dataset=dataset, network=network,
-                                  hidden_dim=request.hidden_dim)
-                     for dataset in request.datasets
-                     for network in request.networks]
-        engine = DseEngine(SPACE_PRESETS["default"](), strategy,
-                           workloads, self._runner(request.jobs),
-                           budget=Budget(area_mm2=request.budget_area,
-                                         power_w=request.budget_power),
-                           seed=request.seed)
-        return engine.run().to_dict()
-
-    def _exec_perf(self, request) -> dict:
-        from repro.eval import hostperf
-
-        workloads = hostperf.measure(
-            datasets=request.datasets, networks=request.networks,
-            hidden_dim=request.hidden_dim, repeat=request.repeat,
-            program_store=self.harness.program_store)
-        return hostperf.build_payload(workloads)
 
     # -- introspection -------------------------------------------------
     def stats(self) -> dict:
@@ -321,9 +237,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _respond(self, code: int, payload: dict,
                  headers: dict[str, str] | None = None) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+        self._respond_text(code, json.dumps(payload, sort_keys=True)
+                           + "\n", "application/json", headers)
+
+    def _respond_text(self, code: int, text: str, content_type: str,
+                      headers: dict[str, str] | None = None) -> None:
+        body = text.encode()
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
@@ -332,18 +253,6 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(body)
         except BrokenPipeError:
             pass  # client went away; nothing to salvage
-
-    def _respond_text(self, code: int, text: str,
-                      content_type: str) -> None:
-        body = text.encode()
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except BrokenPipeError:
-            pass
 
     # -- GET -----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib casing)
@@ -386,10 +295,17 @@ class _Handler(BaseHTTPRequestHandler):
                                   f"POST serves {', '.join(ENDPOINTS)}"},
                    level="warning", path=self.path)
             return
+        length = self.headers.get("Content-Length") or "0"
+        if not length.isdecimal():
+            # rfile.read(-1) reads to EOF: a client that keeps its socket
+            # open would hold this thread until it closes.
+            finish(400, {"error": "Content-Length must be an integer "
+                                  ">= 0"},
+                   level="warning", error="bad-content-length")
+            return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b"{}"
-            body = json.loads(raw.decode() or "{}")
+            body = json.loads(self.rfile.read(int(length)).decode()
+                              or "{}")
         except (ValueError, UnicodeDecodeError):
             finish(400, {"error": "request body is not valid JSON"},
                    level="warning", error="invalid-json")

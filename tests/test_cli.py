@@ -7,9 +7,9 @@ import pytest
 from repro.cli import build_parser, main
 
 
-def _expect_usage_error(capsys, argv: list[str], *needles: str) -> None:
+def _expect_usage_error(capsys, argv: list[str], *needles: str) -> str:
     """``argv`` must exit 2 with a one-line error (never a traceback)
-    whose message names the valid choices."""
+    whose message names the valid choices; returns stderr."""
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -17,6 +17,7 @@ def _expect_usage_error(capsys, argv: list[str], *needles: str) -> None:
     assert "Traceback" not in err
     for needle in needles:
         assert needle in err, f"{needle!r} missing from: {err}"
+    return err
 
 
 class TestParser:
@@ -63,12 +64,12 @@ class TestArgumentValidation:
 
     def test_run_rejects_zero_feature_block(self, capsys):
         _expect_usage_error(capsys, ["run", "cora", "gcn", "--block", "0"],
-                            "must be >= 1")
+                            "must be an integer >= 1")
 
     def test_run_rejects_negative_hidden_dim(self, capsys):
         _expect_usage_error(
             capsys, ["run", "cora", "gcn", "--hidden-dim", "-4"],
-            "must be >= 1")
+            "must be an integer >= 1")
 
     def test_sweep_unknown_plan_names_choices(self, capsys):
         _expect_usage_error(capsys, ["sweep", "fig9"],
@@ -107,6 +108,40 @@ class TestArgumentValidation:
     def test_perf_rejects_non_integer_repeat(self, capsys):
         _expect_usage_error(capsys, ["perf", "--repeat", "two"],
                             "must be an integer >= 1")
+
+    def test_dse_unknown_strategy_names_choices(self, capsys):
+        _expect_usage_error(capsys, ["dse", "--strategy", "annealing"],
+                            "unknown strategy 'annealing'", "evolutionary")
+
+    def test_dse_unknown_space_names_choices(self, capsys):
+        _expect_usage_error(capsys, ["dse", "--space", "huge"],
+                            "unknown space 'huge'", "small")
+
+    def test_loadtest_unknown_endpoint_names_choices(self, capsys):
+        _expect_usage_error(capsys, ["loadtest", "--endpoint", "fig3"],
+                            "unknown endpoint 'fig3'", "perf")
+
+    def test_dse_knob_without_values(self, capsys):
+        _expect_usage_error(capsys, ["dse", "--knob", "dense.rows"],
+                            "expects PATH=V1[,V2,...]")
+
+
+class TestDseSpaceValidation:
+    """A bad DSE space is a request error, caught before any search
+    starts: one line, exit 2, no traceback."""
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["--knob", "nope.path=1,2"], "unknown knob paths ['nope.path']"),
+        (["--knob", "dense.rows=32,32"], "has duplicate values"),
+        (["--strategy", "grid"],
+         "grid search over 59049 candidates exceeds max_candidates 4096"),
+        (["--knob", "dense.rows=32,many"], "needs a list of numbers"),
+    ])
+    def test_bad_space_is_a_one_line_usage_error(self, capsys, argv,
+                                                 needle):
+        err = _expect_usage_error(
+            capsys, ["dse", "--datasets", "tiny"] + argv, needle)
+        assert len(err.splitlines()) == 1
 
 
 class TestPerfCommand:
@@ -244,6 +279,36 @@ class TestCommands:
         assert "cora-gcn" in out
         assert "GPU baseline" in out and "HyGCN baseline" in out
 
+    def test_second_run_is_a_store_hit(self, tmp_path, capsys,
+                                       monkeypatch):
+        """``repro run`` compiles through the harness: the second call
+        on one program store loads the first call's program."""
+        from repro.compiler.lowering import full_lowering_count
+        from repro.compiler.store import PROGRAM_CACHE_ENV
+
+        monkeypatch.setenv(PROGRAM_CACHE_ENV, str(tmp_path / "store"))
+        assert main(["run", "cora", "gcn"]) == 0
+        assert "compile:  compiled" in capsys.readouterr().out
+        before = full_lowering_count()
+        assert main(["run", "cora", "gcn"]) == 0
+        assert "compile:  store" in capsys.readouterr().out
+        assert full_lowering_count() == before
+
+    def test_closed_stdout_exits_nonzero_without_traceback(
+            self, capsys, monkeypatch):
+        """``repro configs | head -1``: the reader closes the pipe."""
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["configs"]) != 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_table1_command(self, capsys):
         assert main(["table1"]) == 0
         assert "Table I" in capsys.readouterr().out
@@ -276,9 +341,13 @@ class TestCommands:
 
 
 class TestTelemetryCommands:
-    def test_run_trace_out_writes_valid_perfetto(self, tmp_path, capsys):
+    def test_run_trace_out_writes_valid_perfetto(self, tmp_path, capsys,
+                                                 monkeypatch):
+        from repro.compiler.store import PROGRAM_CACHE_ENV
         from repro.obs import validate_trace_events
 
+        # A program-store hit lowers nothing, so no `lower` span.
+        monkeypatch.setenv(PROGRAM_CACHE_ENV, "off")
         out = tmp_path / "run.json"
         assert main(["run", "tiny", "gcn", "--trace-out",
                      str(out)]) == 0

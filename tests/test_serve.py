@@ -126,6 +126,32 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="plan"):
             parse_request("sweep", {"plan": "not-a-plan"})
 
+    def test_sweep_plan_is_built_during_validation(self):
+        with pytest.raises(ProtocolError, match="fig3"):
+            parse_request("sweep", {"plan": "smoke", "networks": ["gcn"]})
+
+    def test_dse_space_fields_are_part_of_the_key(self):
+        base = parse_request("dse", {})
+        variants = [{"space": "small"},
+                    {"knobs": {"dense.rows": [32, 64]}},
+                    {"fig5_check": True}]
+        keys = {parse_request("dse", body).key() for body in variants}
+        assert len(keys) == 3 and base.key() not in keys
+
+    @pytest.mark.parametrize("body, needle", [
+        ({"strategy": "grid"}, "exceeds max_candidates 4096"),
+        ({"knobs": {"nope.path": [1, 2]}}, "unknown knob paths"),
+        ({"knobs": {"dense.rows": [32, 32]}}, "duplicate values"),
+        ({"knobs": {"dense.rows": []}}, "has no values"),
+        ({"knobs": {"dense.rows": ["big"]}}, "list of numbers"),
+        ({"space": "huge"}, "unknown space 'huge'"),
+        ({"strategy": "annealing"}, "unknown strategy 'annealing'"),
+        ({"fig5_check": "yes"}, "fig5_check"),
+    ])
+    def test_bad_dse_space_rejected_eagerly(self, body, needle):
+        with pytest.raises(ProtocolError, match=needle.replace("'", ".")):
+            parse_request("dse", body)
+
 
 # ---------------------------------------------------------------------
 # Work queue
@@ -340,6 +366,48 @@ class TestHttpSurface:
             state.queue.stop(drain=False, timeout=5.0)
             httpd.shutdown()
             httpd.server_close()
+
+    def test_bad_dse_space_is_a_400_before_anything_is_queued(
+            self, daemon):
+        state, base = daemon
+        for body, needle in (({"strategy": "grid"}, "max_candidates"),
+                             ({"knobs": {"nope.path": [1, 2]}},
+                              "nope.path")):
+            status, payload, _ = _post(f"{base}/dse", body)
+            assert status == 400 and needle in payload["error"], payload
+        assert state.queue.stats()["submitted"] == 0
+
+    @pytest.mark.parametrize("length", ["-1", "twelve"])
+    def test_bad_content_length_is_a_400_without_reading_the_body(
+            self, daemon, length):
+        """A client that sends ``Content-Length: -1`` and keeps its
+        socket open gets its 400 at once: the handler never reads."""
+        import socket
+
+        _, base = daemon
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.settimeout(2.0)
+            sock.sendall(f"POST /run HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            reply = b""
+            # The daemon answers HTTP/1.0 and closes; a handler stuck
+            # reading to EOF would time this out instead.
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.decode().partition("\r\n\r\n")
+        assert head.startswith("HTTP/1.0 400"), head
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_perf_returns_the_caches_block(self, daemon):
+        _, base = daemon
+        status, payload, _ = _post(f"{base}/perf", {})
+        assert status == 200
+        result = payload["result"]
+        assert set(result["workloads"]) == {"tiny-gcn"}
+        assert set(result["caches"]) == {"full_lowerings", "dataset_disk",
+                                         "program_store"}
+        assert result["caches"]["program_store"] is None  # disabled
 
     def test_draining_queue_maps_to_503(self, daemon):
         state, base = daemon
@@ -672,6 +740,116 @@ class TestCoalescing:
         assert status == 200
         assert full_lowering_count() == before
         assert payload["result"]["cycles"] > 0
+
+
+# ---------------------------------------------------------------------
+# One request path: the CLI and the daemon agree
+# ---------------------------------------------------------------------
+class TestFrontendParity:
+    """Equivalent CLI arguments and JSON bodies build requests with equal
+    keys, and the CLI (in process) and the daemon (on its work queue)
+    compute equal results from them."""
+
+    @staticmethod
+    def _cli(argv, body, endpoint):
+        from repro.cli import build_parser, build_request
+
+        request = build_request(build_parser().parse_args(argv))
+        assert request.key() == parse_request(endpoint, body).key()
+
+    def test_run(self, daemon, capsys):
+        from repro.cli import main
+
+        _, base = daemon
+        argv = ["run", "tiny", "gat", "--block", "32", "--hidden-dim", "8"]
+        body = {"dataset": "tiny", "network": "gat", "block": 32,
+                "hidden_dim": 8}
+        self._cli(argv, body, "run")
+        assert main(argv) == 0
+        status, payload, _ = _post(f"{base}/run", body)
+        assert status == 200
+        cycles = payload["result"]["cycles"]
+        assert f"result:   {cycles} cycles" in capsys.readouterr().out
+
+    def test_sweep(self, daemon, capsys):
+        from repro.cli import main
+
+        _, base = daemon
+        argv = ["sweep", "smoke", "--no-cache", "--format", "json"]
+        self._cli(argv, {"plan": "smoke"}, "sweep")
+        assert main(argv) == 0
+        cli = json.loads(capsys.readouterr().out)
+        status, payload, _ = _post(f"{base}/sweep", {"plan": "smoke"})
+        assert status == 200
+
+        def view(result):
+            return [(p["label"], p["status"], p["metrics"])
+                    for p in result["points"]]
+
+        assert view(cli) == view(payload["result"])
+
+    def test_dse(self, daemon, capsys):
+        from repro.cli import main
+
+        _, base = daemon
+        argv = ["dse", "--space", "small", "--knob", "dense.rows=32,64",
+                "--samples", "4", "--datasets", "tiny", "--no-cache",
+                "--format", "json"]
+        body = {"space": "small", "knobs": {"dense.rows": [32, 64]},
+                "samples": 4, "datasets": ["tiny"]}
+        self._cli(argv, body, "dse")
+        assert main(argv) == 0
+        cli = json.loads(capsys.readouterr().out)
+        status, payload, _ = _post(f"{base}/dse", body)
+        assert status == 200
+
+        def view(result):
+            return [(e["label"], e["objectives"])
+                    for e in result["frontier"]]
+
+        assert view(cli) and view(cli) == view(payload["result"])
+        assert payload["result"]["knobs"]["dense.rows"] == [32, 64]
+
+    def test_perf(self, daemon, tmp_path, capsys):
+        from repro.cli import main
+
+        _, base = daemon
+        out = tmp_path / "perf.json"
+        argv = ["perf", "--datasets", "tiny,cora", "--networks", "gcn",
+                "--output", str(out)]
+        body = {"datasets": ["tiny", "cora"], "networks": ["gcn"]}
+        self._cli(argv, body, "perf")
+        assert main(argv) == 0
+        cli = json.loads(out.read_text())
+        status, payload, _ = _post(f"{base}/perf", body)
+        assert status == 200
+
+        def cycles(result):
+            return {label: row["cycles"]
+                    for label, row in result["workloads"].items()}
+
+        assert cycles(cli) == cycles(payload["result"])
+        assert "caches" in cli and "caches" in payload["result"]
+
+
+def test_serve_state_imports_no_heavy_module(tmp_path):
+    """``python -m repro serve`` imports the CLI, builds its parser and
+    then its state: none of them may import a module only some requests
+    (or other commands) need."""
+    heavy = ("repro.dse", "repro.analysis", "repro.eval.hostperf",
+             "repro.sweep.dist")
+    code = ("import sys, repro.cli\n"
+            "repro.cli.build_parser()\n"
+            "from repro.serve import ServeState\n"
+            "state = ServeState(cache_dir=None)\n"
+            "state.queue.stop(drain=False, timeout=5.0)\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+               REPRO_PROGRAM_CACHE=str(tmp_path / "ps"))
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------

@@ -570,7 +570,7 @@ class TestSweepCli:
     def test_sweep_exit_code_on_point_failure(self, monkeypatch, capsys):
         faulty = SweepPlan("faulty", (
             SweepPoint(dataset="no-such-dataset", network="gcn"),))
-        monkeypatch.setattr("repro.cli.build_plan",
+        monkeypatch.setattr("repro.serve.protocol.build_plan",
                             lambda name, seed=0, networks=None: faulty)
         assert main(["sweep", "smoke", "--no-cache"]) == 1
         assert "error" in capsys.readouterr().out
