@@ -70,11 +70,8 @@ def test_serve_warm_run_latency(benchmark):
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.serve.loadtest import (
-        render,
-        run_loadtest,
-        write_serve_benchmark,
-    )
+    from repro.eval.hostperf import write_benchmark
+    from repro.serve.loadtest import render, run_loadtest
 
     parser = argparse.ArgumentParser(
         description="Poisson load test against a fresh in-process "
@@ -110,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         _shutdown(httpd)
     print(render(payload))
     if args.output:
-        write_serve_benchmark(payload, args.output)
+        write_benchmark(payload, args.output)
         print(f"wrote {args.output}")
     # A warm burst must never recompile: the daemon's whole point.
     if args.warmup and payload["stats_delta"]["full_lowerings"]:

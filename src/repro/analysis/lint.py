@@ -3,7 +3,7 @@
 The simulator's correctness rests on a handful of conventions that
 ordinary tests cannot see — determinism (no wall-clock reads on the
 simulation path), probe purity (telemetry recording must not perturb
-scheduler state), crash-safe caches (tmp + ``os.replace``), lock
+scheduler state), crash-safe files (tmp + ``os.replace``), lock
 discipline on shared memos, metric construction through the registry,
 and a declared import layering. This module machine-checks them with
 AST rules over the source tree; ``repro lint`` runs in CI so a
@@ -30,10 +30,13 @@ _KERNEL_PREFIXES = ("sim/", "engines/")
 _KERNEL_FILES = ("compiler/runtime.py",)
 _WALLCLOCK_MODULES = ("time", "random", "datetime")
 
-#: Cache modules whose on-disk writes must be atomic (tmp file +
+#: Modules whose on-disk writes must be atomic (tmp file +
 #: ``os.replace``): a concurrent reader must never observe a torn
-#: entry (see DESIGN.md on the content-addressed store).
+#: entry (see DESIGN.md on the content-addressed store). ``persist.py``
+#: holds the one publish; the others call it, so a raw write that
+#: comes back to one of them is flagged.
 _CACHE_FILES = (
+    "persist.py",
     "compiler/store.py",
     "graph/datasets.py",
     "sweep/cache.py",
@@ -78,7 +81,10 @@ _INSTRUMENT_NAMES = ("Counter", "Gauge", "Histogram", "_Instrument")
 _LAYERS: dict[str, frozenset[str]] = {
     "config": frozenset({"config"}),
     "obs": frozenset({"obs"}),
-    "graph": frozenset({"graph", "config", "obs"}),
+    # The one atomic publish and content store: a leaf every layer
+    # that persists a file may import.
+    "persist": frozenset({"persist"}),
+    "graph": frozenset({"graph", "config", "obs", "persist"}),
     "models": frozenset({"models", "graph", "config"}),
     "dataflow": frozenset({"dataflow", "graph", "config"}),
     "sim": frozenset({"sim", "config", "obs", "compiler.ir"}),
@@ -90,7 +96,8 @@ _LAYERS: dict[str, frozenset[str]] = {
     # values.
     "compiler": frozenset({"compiler", "config", "obs", "graph",
                            "models.stages", "models.layers", "dataflow",
-                           "engines.dense.systolic", "engines.graph.gpe"}),
+                           "engines.dense.systolic", "engines.graph.gpe",
+                           "persist"}),
     "analysis": frozenset({"analysis", "compiler", "config", "obs",
                            "graph", "models", "dataflow", "sim"}),
     "accelerator": frozenset({"accelerator", "compiler", "config",
@@ -98,13 +105,14 @@ _LAYERS: dict[str, frozenset[str]] = {
                               "dataflow", "analysis"}),
     "baselines": frozenset({"baselines", "config", "graph", "models",
                             "dataflow"}),
-    "sweep": frozenset({"sweep", "config", "graph", "models", "obs"}),
+    "sweep": frozenset({"sweep", "config", "graph", "models", "obs",
+                        "persist"}),
     "eval": frozenset({"eval", "accelerator", "analysis", "baselines",
                        "compiler", "config", "dataflow", "graph",
-                       "models", "obs", "sweep", "sim"}),
+                       "models", "obs", "sweep", "sim", "persist"}),
     "dse": frozenset({"dse", "config", "sweep", "eval", "obs"}),
     "serve": frozenset({"serve", "config", "eval", "graph", "models",
-                        "obs", "sweep"}),
+                        "obs", "sweep", "persist"}),
 }
 #: Entry points see everything.
 _UNLAYERED = ("cli", "__init__", "__main__")

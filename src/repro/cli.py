@@ -50,7 +50,7 @@ from repro.eval.report import (
 )
 from repro.graph.datasets import DATASETS, dataset_table
 from repro.models.zoo import NETWORK_NAMES, network_table
-from repro.sweep import PLAN_NAMES, NullCache, ResultCache, SweepResult
+from repro.sweep import PLAN_NAMES, SweepResult, result_cache_at
 
 DATASET_NAMES = tuple(DATASETS)
 
@@ -249,7 +249,7 @@ def _scheduler_for(args: argparse.Namespace):
 
 
 def _result_cache(args: argparse.Namespace):
-    return NullCache() if args.no_cache else ResultCache(args.cache_dir)
+    return result_cache_at(None if args.no_cache else args.cache_dir)
 
 
 def _emit(args: argparse.Namespace, result, to_csv, render) -> str:
@@ -405,17 +405,17 @@ def _cmd_perf(args: argparse.Namespace) -> str:
             raise SystemExit(
                 f"perf: baseline file {args.check!r} does not exist")
         baseline = hostperf.load_benchmark(baseline_path)
-    store = None if args.no_program_cache else default_program_store()
-    payload = execute_perf(request, store)
+    payload = execute_perf(
+        request, None if args.no_program_cache else default_program_store())
     caches = payload["caches"]
+    store = caches["program_store"]
     lines = [hostperf.render(payload)]
     if store is None:
         lines.append("program store: disabled (--no-program-cache)")
     else:
         lines.append(
-            f"program store: {store.hits} hit(s), {store.misses} "
-            f"miss(es), {caches['program_store']['entries']} entries "
-            f"at {store.root}")
+            f"program store: {store['hits']} hit(s), {store['misses']} "
+            f"miss(es), {store['entries']} entries at {store['root']}")
     lines.append(f"full lowerings this run: {caches['full_lowerings']}; "
                  f"dataset disk cache: "
                  f"{caches['dataset_disk']['hits']} hit(s), "
@@ -527,12 +527,8 @@ def _cmd_serve(args: argparse.Namespace) -> str:
 def _cmd_loadtest(args: argparse.Namespace) -> str:
     import json as json_module
 
-    from repro.serve.loadtest import (
-        LoadTestError,
-        render,
-        run_loadtest,
-        write_serve_benchmark,
-    )
+    from repro.eval.hostperf import write_benchmark
+    from repro.serve.loadtest import LoadTestError, render, run_loadtest
     from repro.serve.protocol import ENDPOINTS
 
     if args.endpoint not in ENDPOINTS:
@@ -562,7 +558,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> str:
         lines.append("loadtest: burst had rejections/errors "
                      "(--counts-ok-only)")
     if args.output:
-        write_serve_benchmark(payload, args.output)
+        write_benchmark(payload, args.output)
         lines.append(f"wrote {args.output}")
     return "\n".join(lines)
 

@@ -6,9 +6,9 @@ function of inputs that rarely change: the graph, the network, the
 traversal, the feature block, and the compile-relevant slice of the
 platform config. Parameters are not among them — a program holds no
 values — so one entry serves every parameter seed. This module memoizes
-that function *on disk*, modeled on the dataset cache
-(:mod:`repro.graph.datasets`) and the sweep result cache
-(:mod:`repro.sweep.cache`):
+that function *on disk*, as a view of the one content-addressed store
+(:class:`repro.persist.ContentStore`, shared with the sweep result
+cache):
 
 * **content-addressed** — one pickle per program under
   ``<root>/<2 hex>/<key>.pkl`` where the key is the SHA-256 of
@@ -23,15 +23,13 @@ that function *on disk*, modeled on the dataset cache
   dim and :class:`~repro.compiler.lowering.Geometry`
   (:func:`structure_key_payload`): re-costed, it serves every design
   of that structure. ``len(store)`` counts programs, not names.
-* **atomic** — writes go to a per-process temp file and publish with
-  ``os.replace``, names with ``os.link``; readers only ever observe
-  absent or complete entries.
-* **race-tolerant** — *any* read failure (missing, truncated,
-  corrupt, wrong schema) is a miss; the broken entry is best-effort
-  dropped and healed by the next store. Two workers racing on the
-  same key write identical bytes; last writer wins. A name that cannot
-  be linked (another worker linked first) is skipped, as a failed put
-  is.
+* **atomic and race-tolerant** — the store's contract: readers only
+  ever observe absent or complete entries, any read failure (missing,
+  truncated, corrupt, wrong schema) is a miss that drops the broken
+  entry, and a put that cannot be written is skipped. Two workers
+  racing on the same key write identical bytes; last writer wins. A
+  name that cannot be linked (another worker linked first) is skipped
+  too.
 
 Only the program itself is serialized — never the graph, and never
 data derived from it. The pickler reduces the keyed
@@ -58,18 +56,14 @@ Disabled by pointing :data:`PROGRAM_CACHE_ENV` at ``0``/``off``/
 from __future__ import annotations
 
 import functools
-import hashlib
 import io
-import itertools
-import json
 import os
 import pickle
-from pathlib import Path
-
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, cast
 
 from repro.graph.graph import Graph
 from repro.obs.spans import span
+from repro.persist import ContentStore, cache_dir_from_env
 
 if TYPE_CHECKING:
     from repro.compiler.program import Program
@@ -79,24 +73,17 @@ if TYPE_CHECKING:
 PROGRAM_SCHEMA = 5
 
 #: Environment variable pointing at the store; ``0``/``off``/``none``/
-#: empty disables it (mirrors the dataset cache's contract).
+#: empty disables it (:func:`repro.persist.cache_dir_from_env`).
 PROGRAM_CACHE_ENV = "REPRO_PROGRAM_CACHE"
 
 #: Default on-disk location, next to ``.dataset-cache``/``.sweep-cache``.
 DEFAULT_PROGRAM_CACHE = ".program-cache"
 
-#: Uniquifies temp names when several threads of one process put at once.
-_PUT_SEQUENCE = itertools.count()
-
 
 def default_program_store() -> "ProgramStore | None":
     """The environment-configured store, or None when disabled."""
-    value = os.environ.get(PROGRAM_CACHE_ENV)
-    if value is None:
-        value = DEFAULT_PROGRAM_CACHE
-    elif value.strip().lower() in ("", "0", "off", "none"):
-        return None
-    return ProgramStore(value)
+    root = cache_dir_from_env(PROGRAM_CACHE_ENV, DEFAULT_PROGRAM_CACHE)
+    return None if root is None else ProgramStore(root)
 
 
 def program_key_payload(*, dataset_fingerprint: str, network: str,
@@ -200,46 +187,20 @@ class _GraphUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
-class ProgramStore:
-    """On-disk compiled-program cache, keyed by content.
-
-    Mirrors :class:`repro.sweep.cache.ResultCache`: the code version is
-    resolved at construction, ``code_root`` narrows the hashed tree so
-    tests can exercise key invalidation without touching the real
-    package, and ``hits``/``misses`` (``structure_hits``/
+class ProgramStore(ContentStore):
+    """On-disk compiled-program cache: the pickle format over
+    :class:`~repro.persist.ContentStore`'s keys, paths and failure
+    policy. ``hits``/``misses`` (``structure_hits``/
     ``structure_misses``) count this instance's lookups by program key
     (by structure name).
     """
 
-    def __init__(self, root: str | os.PathLike,
-                 code_version: str | None = None,
-                 code_root: str | os.PathLike | None = None) -> None:
-        from repro.sweep.cache import code_version_hash
-
-        self.root = Path(root)
-        self.code_version = (code_version if code_version is not None
-                             else code_version_hash(code_root))
-        self.hits = 0
-        self.misses = 0
-        self.structure_hits = 0
-        self.structure_misses = 0
-
-    def key(self, payload: dict[str, object]) -> str:
-        """Content address of one program (or structure name) under this
-        code version; a value JSON cannot encode (a geometry) is encoded
-        by its ``repr``."""
-        blob = json.dumps(
-            {"schema": PROGRAM_SCHEMA, "code": self.code_version,
-             "program": payload},
-            sort_keys=True, separators=(",", ":"), default=repr)
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def _path(self, key: str | dict[str, object],
-              structure: bool = False) -> Path:
-        if not isinstance(key, str):
-            key = self.key(key)
-        suffix = "structure" if structure else "pkl"
-        return self.root.joinpath(key[:2], f"{key}.{suffix}")
+    schema = PROGRAM_SCHEMA
+    suffix = "pkl"
+    # Class-level zeros: each instance's first lookup by name shadows
+    # them with its own counter.
+    structure_hits = 0
+    structure_misses = 0
 
     def get(self, key: str | dict[str, object], graph: Graph,
             structure: bool = False) -> "Program | None":
@@ -247,76 +208,49 @@ class ProgramStore:
         ``structure``; either may be the payload :meth:`key` hashes)
         rebuilt against ``graph``, or None.
 
-        Fully race-tolerant: any failure to read or deserialize — a
-        missing file, a truncated write from a crashed worker, a
-        corrupt or incompatible pickle — is a miss, and the broken
-        entry is best-effort removed so the next compile heals it.
-        The loaded program's shard grids are ``graph``'s memoized grids
-        (unbuilt ones entered under the memo's lock and size bound), so
-        programs and later compiles of one graph share each scatter.
+        Any failure to read or unpickle is a miss (see the store's
+        contract). The loaded program's shard grids are ``graph``'s
+        memoized grids (unbuilt ones entered under the memo's lock and
+        size bound), so programs and later compiles of one graph share
+        each scatter.
         """
         with span("store-get", graph=graph.name, structure=structure):
-            path = self._path(key, structure)
-            try:
-                with open(path, "rb") as handle:
-                    program = _GraphUnpickler(handle, graph).load()
-            except Exception as exc:
-                program = None
-                if not isinstance(exc, FileNotFoundError):
-                    try:
-                        os.remove(path)
-                    except OSError:
-                        pass  # a sibling worker already removed it
-            counter = (("structure_" if structure else "")
-                       + ("misses" if program is None else "hits"))
-            setattr(self, counter, getattr(self, counter) + 1)
-            return program
+            return self._read(
+                self._path(key, "structure" if structure else None),
+                lambda handle: cast("Program",
+                                    _GraphUnpickler(handle, graph).load()),
+                "structure_" if structure else "")
 
     def put(self, key: str | dict[str, object], program: "Program",
             graph: Graph,
             structure: str | dict[str, object] | None = None) -> bool:
-        """Atomically persist ``program`` under ``key`` (best-effort),
-        hard-linked under the ``structure`` name if one is given (either
-        may be a payload, as for :meth:`get`).
+        """Persist ``program`` under ``key`` (best-effort), hard-linked
+        under the ``structure`` name if one is given (either may be a
+        payload, as for :meth:`get`).
 
-        Returns False (leaving no partial file behind) when the entry
-        cannot be written — an unpicklable program, a read-only cache
+        Returns False, leaving no partial file behind, when the entry
+        is not written — an unpicklable program, a read-only cache
         directory — since caching must never fail the compile that
         produced the program. A name that cannot be linked (present
         already, or no hard links here) is skipped.
         """
         with span("store-put", graph=graph.name):
-            path = self._path(key)
-            tmp = path.parent / (f".{path.stem}.{os.getpid()}"
-                                 f".{next(_PUT_SEQUENCE)}.tmp")
+            buffer = io.BytesIO()
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                buffer = io.BytesIO()
                 _GraphPickler(buffer, graph).dump(program)
-                with open(tmp, "wb") as handle:
-                    handle.write(buffer.getvalue())
-                os.replace(tmp, path)
             except Exception:
                 return False
-            finally:
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass  # already replaced into place (or never created)
+            path = self._path(key)
+            if not self._write(path, buffer.getvalue()):
+                return False
             if structure is not None:
-                name = self._path(structure, structure=True)
+                name = self._path(structure, "structure")
                 try:
                     name.parent.mkdir(parents=True, exist_ok=True)
                     os.link(path, name)
                 except OSError:
                     pass
             return True
-
-    def __len__(self) -> int:
-        """Stored programs; a structure name is a link, not a program."""
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.rglob("*.pkl"))
 
     @property
     def stats(self) -> dict[str, int]:

@@ -47,6 +47,7 @@ from repro.config.workload import WorkloadSpec
 from repro.eval.harness import Harness
 from repro.graph import datasets as dataset_registry
 from repro.obs.spans import span
+from repro.persist import publish
 
 #: ``--check`` fails when measured total_s exceeds baseline * this.
 DEFAULT_REGRESSION_FACTOR = 2.0
@@ -187,22 +188,13 @@ def write_benchmark(payload: dict, path: str | Path) -> Path:
     A plain ``write_text`` truncates the target before writing, so an
     interrupted run (Ctrl-C, OOM-kill, crash mid-serialisation) leaves
     a half-written baseline that a later ``--check`` crashes on instead
-    of reporting. Same tmp + ``os.replace`` discipline as the dataset
-    and program caches: readers only ever see the old complete file or
-    the new complete file, and a failed write leaves no partial file.
+    of reporting. :func:`repro.persist.publish` leaves the old complete
+    file or the new one. A benchmark file is a record, not a cache, so
+    a failed write raises.
     """
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    try:
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                       + "\n")
-        os.replace(tmp, path)
-    finally:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass  # already replaced into place
-    return path
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    publish(path, lambda handle: handle.write(data))
+    return Path(path)
 
 
 def load_benchmark(path: str | Path) -> dict:

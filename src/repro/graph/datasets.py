@@ -34,6 +34,7 @@ import numpy as np
 import repro.graph.generators as _generators
 from repro.graph.generators import citation_network, powerlaw_graph
 from repro.graph.graph import Graph, GraphError
+from repro.persist import cache_dir_from_env, publish
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,8 @@ def _load_planetoid(stats: DatasetStats, data_dir: str) -> Graph:
 
 
 #: Environment variable pointing at the persistent synthetic-graph
-#: cache; set to ``0``/``off``/empty-string handling below to disable.
+#: cache; ``0``/``off``/``none``/empty disables it
+#: (:func:`repro.persist.cache_dir_from_env`).
 DATASET_CACHE_ENV = "REPRO_DATASET_CACHE"
 
 #: Default on-disk location for synthesized graphs (per dataset: an npz
@@ -154,12 +156,7 @@ DEFAULT_DATASET_CACHE = ".dataset-cache"
 
 
 def _dataset_cache_dir() -> Path | None:
-    value = os.environ.get(DATASET_CACHE_ENV)
-    if value is None:
-        return Path(DEFAULT_DATASET_CACHE)
-    if value.strip().lower() in ("", "0", "off", "none"):
-        return None
-    return Path(value)
+    return cache_dir_from_env(DATASET_CACHE_ENV, DEFAULT_DATASET_CACHE)
 
 
 @functools.lru_cache(maxsize=1)
@@ -207,7 +204,14 @@ def dataset_fingerprint(name: str, data_dir: str | None = None
                 and os.path.exists(
                     os.path.join(directory, f"{stats.name}.cites"))):
             return None
-    seed = _DATASET_SEEDS.get(name, 0)
+    return _graph_recipe(stats, _DATASET_SEEDS.get(name, 0))
+
+
+def _graph_recipe(stats: DatasetStats, seed: int) -> str:
+    """Everything that shapes a synthetic graph: the published stats,
+    the seed, the on-disk format version and the generator-source
+    hash. It is the dataset fingerprint and, hashed, names the
+    graph's cache files."""
     return (f"{stats.name}|{stats.num_nodes}|{stats.num_edges}|"
             f"{stats.feature_dim}|{stats.feature_density}|"
             f"{stats.degree_exponent}|{seed}|{_CACHE_FORMAT}|"
@@ -218,12 +222,8 @@ def _dataset_cache_path(stats: DatasetStats, seed: int) -> Path | None:
     root = _dataset_cache_dir()
     if root is None:
         return None
-    blob = (f"{stats.name}|{stats.num_nodes}|{stats.num_edges}|"
-            f"{stats.feature_dim}|{stats.feature_density}|"
-            f"{stats.degree_exponent}|{seed}|{_CACHE_FORMAT}|"
-            f"{_generator_fingerprint()}")
-    digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    return root / f"{stats.name}-{digest}.npz"
+    digest = hashlib.sha256(_graph_recipe(stats, seed).encode()).hexdigest()
+    return root / f"{stats.name}-{digest[:16]}.npz"
 
 
 def _features_path(path: Path) -> Path:
@@ -247,8 +247,7 @@ def _dataset_cache_load(path: Path | None, stats: DatasetStats) -> Graph | None:
     """A cached graph, or None; any read or validation error — missing
     sidecar, truncated zip, short-mapped ``.npy``, edge checksum or
     stat mismatch — is treated as a miss and the entry is rewritten by
-    the next store (mirroring ``ResultCache.get``'s race-tolerant
-    contract).
+    the next store.
 
     The record npz holds the node count and a CRC-32 of the edge
     sidecar's data, and both arrays load as read-only memory maps. The
@@ -285,39 +284,24 @@ def _dataset_cache_load(path: Path | None, stats: DatasetStats) -> Graph | None:
     return graph
 
 
-def _atomic_write(path: Path, write) -> None:
-    """Write via tmp + ``os.replace`` so racing workers never observe a
-    half-written file."""
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as handle:
-            write(handle)
-        os.replace(tmp, path)
-    finally:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass  # already replaced into place
-
-
 def _dataset_cache_store(path: Path | None, graph: Graph) -> None:
     """Persist the graph: the feature and edge sidecars first, then the
     record npz holding the node count and the edges' CRC-32 (loads
     require all three, so a crash between the writes reads as a miss,
-    never as a torn graph)."""
+    never as a torn graph). Each file is published atomically and
+    streamed, never buffered; a write that fails is skipped, as a
+    cache write is."""
     if path is None:
         return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         edges = np.stack([graph.src, graph.dst])
-        _atomic_write(_features_path(path),
-                      lambda handle: np.save(handle, graph.features))
-        _atomic_write(_edges_path(path),
-                      lambda handle: np.save(handle, edges))
-        _atomic_write(path,
-                      lambda handle: np.savez(
-                          handle, num_nodes=np.int64(graph.num_nodes),
-                          edges_crc32=np.int64(zlib.crc32(edges))))
+        publish(_features_path(path),
+                lambda handle: np.save(handle, graph.features))
+        publish(_edges_path(path), lambda handle: np.save(handle, edges))
+        publish(path, lambda handle: np.savez(
+            handle, num_nodes=np.int64(graph.num_nodes),
+            edges_crc32=np.int64(zlib.crc32(edges))))
     except OSError:
         pass  # caching is best-effort; synthesis already succeeded
 

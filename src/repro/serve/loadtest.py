@@ -35,7 +35,7 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.eval.hostperf import host_fingerprint, write_benchmark
+from repro.eval.hostperf import host_fingerprint
 
 #: Per-request timeout (connect + response), seconds.
 DEFAULT_TIMEOUT_S = 60.0
@@ -229,12 +229,6 @@ def run_loadtest(base_url: str, body: dict | None = None,
         "metrics_delta": _metrics_delta(metrics_before, metrics_after),
         "server_stats": stats_after,
     }
-
-
-def write_serve_benchmark(payload: dict, path) -> None:
-    """Persist a loadtest payload atomically (same tmp + ``os.replace``
-    discipline as every other benchmark/cache file)."""
-    write_benchmark(payload, path)
 
 
 def render(payload: dict) -> str:

@@ -370,12 +370,16 @@ def execute_dse(request: DseRequest, harness=None, cache=None,
 
 def execute_perf(request: PerfRequest, program_store) -> dict:
     """Measure host wall time per workload; returns the
-    ``BENCH_host.json``-shaped payload with this run's ``caches``."""
+    ``BENCH_host.json``-shaped payload with this run's ``caches``: full
+    lowerings and the program store's hits and misses count this
+    request (the daemon's store outlives it), ``entries`` the whole
+    store."""
     from repro.compiler.lowering import full_lowering_count
     from repro.eval import hostperf
     from repro.graph.datasets import disk_cache_stats
 
     lowerings_before = full_lowering_count()
+    store_before = {} if program_store is None else program_store.stats
     workloads = hostperf.measure(
         datasets=request.datasets, networks=request.networks,
         hidden_dim=request.hidden_dim, repeat=request.repeat,
@@ -384,7 +388,8 @@ def execute_perf(request: PerfRequest, program_store) -> dict:
         "full_lowerings": full_lowering_count() - lowerings_before,
         "dataset_disk": disk_cache_stats(),
         "program_store": None if program_store is None else dict(
-            program_store.stats, root=str(program_store.root),
-            entries=len(program_store)),
+            {name: count - store_before[name]
+             for name, count in program_store.stats.items()},
+            root=str(program_store.root), entries=len(program_store)),
     }
     return hostperf.build_payload(workloads, caches=caches)

@@ -57,7 +57,7 @@ class ServeState:
                  request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
                  log_level: str = "info") -> None:
         from repro.eval.harness import Harness
-        from repro.sweep import NullCache, ResultCache
+        from repro.sweep import result_cache_at
 
         self.harness = Harness(seed=seed)
         self.seed = seed
@@ -75,8 +75,7 @@ class ServeState:
         # One ResultCache for the daemon's lifetime (it hashes the code
         # tree at construction), shared by every sweep/dse request and
         # scraped as the "result-cache" layer of the cache metrics.
-        self.result_cache = (ResultCache(cache_dir) if cache_dir
-                             else NullCache())
+        self.result_cache = result_cache_at(cache_dir)
         self.metrics = MetricRegistry()
         self._build_metrics()
         # The shared executors over the daemon's warm harness and result

@@ -20,12 +20,13 @@ Entry points::
 or from the command line: ``python -m repro sweep fig3 --jobs 4``.
 """
 
+from repro.persist import code_version_hash
 from repro.sweep.cache import (
     DatasetCache,
     NullCache,
     ResultCache,
     cache_key,
-    code_version_hash,
+    result_cache_at,
 )
 from repro.sweep.plan import (
     METRIC_DSE,
@@ -61,6 +62,7 @@ __all__ = [
     "ResultCache",
     "cache_key",
     "code_version_hash",
+    "result_cache_at",
     "METRIC_DSE",
     "METRIC_LATENCY",
     "METRIC_TRAFFIC",

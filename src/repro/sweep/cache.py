@@ -7,14 +7,16 @@ SHA-256 of (schema version, code version, canonical point payload), so
 * *any* source edit under ``repro/`` invalidates every entry at once
   (conservative, but never stale), and
 * two processes racing on the same point write the same bytes to the
-  same key — last writer wins, atomically, via ``os.replace``.
+  same key; the last writer wins, atomically.
 
 Layout under the cache root (default ``.sweep-cache/``)::
 
     <root>/<first two key hex chars>/<full key>.json
 
-Clearing the cache is just deleting the directory (or
-:meth:`ResultCache.clear`).
+:class:`ResultCache` holds only the record format; the keys, paths and
+failure policy are :class:`repro.persist.ContentStore`'s, shared with
+the compiled-program store. Clearing the cache is deleting the
+directory.
 
 The module also hosts :class:`DatasetCache`, the in-memory per-owner
 graph cache that replaced the ``@staticmethod @lru_cache`` combo on
@@ -25,220 +27,93 @@ per instance.
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import json
 import os
 import threading
-import time
-from pathlib import Path
+from typing import IO
 
 from repro.graph.datasets import load_dataset
 from repro.graph.graph import Graph
+from repro.persist import ContentStore, content_key
 
 #: Bump when the cached record layout changes; old entries become misses.
 SCHEMA_VERSION = 1
 
-#: Last computed code hash per source root, revalidated by a cheap
-#: (path, mtime, size) snapshot on every lookup. Deliberately NOT an
-#: ``lru_cache`` on the function: a long-lived process (notebook,
-#: server) that edits source must not keep writing cache entries under
-#: a stale code hash.
-_CODE_HASH_MEMO: dict[Path, tuple[tuple, str, int]] = {}
-
-#: A same-size edit landing in the same filesystem-timestamp tick as
-#: the hash would be invisible to the snapshot (git's "racy" problem);
-#: distrust the fast path for files modified within this window of the
-#: memoized digest and rehash instead.
-_RACY_WINDOW_NS = 2_000_000_000
-
-
-def _code_snapshot(root: Path) -> tuple:
-    """Cheap freshness fingerprint of a source tree (no file reads)."""
-    entries = []
-    for path in sorted(root.rglob("*.py")):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((str(path.relative_to(root)),
-                        stat.st_mtime_ns, stat.st_size))
-    return tuple(entries)
-
-
-def code_version_hash(root: str | os.PathLike | None = None) -> str:
-    """SHA-256 over every ``repro`` source file (path + contents).
-
-    Used as the code-version component of cache keys: any edit to the
-    simulator, compiler, or models invalidates all cached results.
-    Computed fresh whenever the mtime/size snapshot of the tree changes;
-    an unchanged snapshot reuses the previous digest, so per-
-    :class:`ResultCache` construction stays cheap.
-    """
-    if root is None:
-        import repro
-
-        root = Path(repro.__file__).resolve().parent
-    root = Path(root).resolve()
-    snapshot = _code_snapshot(root)
-    memo = _CODE_HASH_MEMO.get(root)
-    if memo is not None:
-        old_snapshot, old_digest, hashed_at = memo
-        newest_mtime = max((mtime for _, mtime, _ in snapshot), default=0)
-        if (old_snapshot == snapshot
-                and newest_mtime + _RACY_WINDOW_NS < hashed_at):
-            return old_digest
-    digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        try:
-            contents = path.read_bytes()
-        except OSError:
-            continue
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(b"\0")
-        digest.update(contents)
-        digest.update(b"\0")
-    value = digest.hexdigest()
-    _CODE_HASH_MEMO[root] = (snapshot, value, time.time_ns())
-    return value
-
 
 def cache_key(payload: dict, code_version: str) -> str:
     """Content address of one point under one code version."""
-    blob = json.dumps(
-        {"schema": SCHEMA_VERSION, "code": code_version, "point": payload},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return content_key(SCHEMA_VERSION, code_version, payload)
 
 
-#: Uniquifies temp names when several threads of one process put at once.
-_PUT_SEQUENCE = itertools.count()
+def _decode_record(handle: IO[bytes]) -> dict | None:
+    record = json.load(handle)
+    if isinstance(record, dict) and record.get("schema") == SCHEMA_VERSION:
+        return record
+    return None
 
 
-class ResultCache:
+class ResultCache(ContentStore):
     """On-disk store of computed point records, keyed by content.
 
-    The code version is resolved at construction (not process start), so
-    a long-lived process that edits source gets fresh keys from the next
-    cache it builds. ``code_root`` narrows the hashed tree — tests use
-    it to exercise invalidation without touching the real package.
+    A record is read back only if it carries this schema. A record JSON
+    cannot encode raises ``TypeError``; a directory the record cannot be
+    written to skips it (:class:`~repro.persist.ContentStore`), so a
+    finished point is never lost to its cache.
     """
 
-    def __init__(self, root: str | os.PathLike,
-                 code_version: str | None = None,
-                 code_root: str | os.PathLike | None = None) -> None:
-        self.root = Path(root)
-        self.code_version = (code_version if code_version is not None
-                             else code_version_hash(code_root))
-        self.hits = 0
-        self.misses = 0
+    schema = SCHEMA_VERSION
+    suffix = "json"
 
     def key_for(self, payload: dict) -> str:
-        return cache_key(payload, self.code_version)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self.key(payload)
 
     def get(self, key: str) -> dict | None:
-        """The stored record for ``key``, or None.
+        """The stored record for ``key``, or None."""
+        return self._read(self._path(key), _decode_record)
 
-        Fully race-tolerant: *any* read failure is a miss. Corrupt files
-        are best-effort dropped — when two workers race here, one may
-        remove the entry while the other is mid-read; both must simply
-        recompute, never raise.
-        """
-        path = self._path(key)
-        try:
-            with open(path) as handle:
-                record = json.load(handle)
-        except FileNotFoundError:
-            self.misses += 1
+    def put(self, key: str, record: dict) -> bool:
+        """Persist ``record`` under ``key``; False when it was skipped."""
+        data = json.dumps(record, sort_keys=True).encode()
+        return self._write(self._path(key), data)
+
+    def cached_metrics(self, key: str) -> dict | None:
+        """The metrics of the successful point stored under ``key``."""
+        record = self.get(key)
+        if record is None or record.get("status") != "ok":
             return None
-        except (OSError, ValueError, UnicodeDecodeError):
-            # ValueError covers json.JSONDecodeError (truncated writes).
-            try:
-                os.remove(path)
-            except OSError:
-                pass  # a sibling worker already removed it — fine
-            self.misses += 1
-            return None
-        if (not isinstance(record, dict)
-                or record.get("schema") != SCHEMA_VERSION):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record
+        return record["metrics"]
 
-    def put(self, key: str, record: dict) -> None:
-        """Atomically persist ``record`` under ``key``.
-
-        Writes to a per-process/per-call temp file first and publishes
-        with ``os.replace``, so readers only ever see absent or complete
-        entries; a failed write leaves no partial file behind.
-        """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / (f".{key}.{os.getpid()}"
-                             f".{next(_PUT_SEQUENCE)}.tmp")
-        try:
-            with open(tmp, "w") as handle:
-                json.dump(record, handle, sort_keys=True)
-            os.replace(tmp, path)
-        finally:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass  # already replaced into place
-
-    def clear(self) -> int:
-        """Delete every cached entry; returns how many were removed."""
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for path in self.root.rglob("*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.rglob("*.json"))
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
+    def put_metrics(self, key: str, payload: dict, metrics: dict) -> None:
+        """Store a successful point: the one place its record is built."""
+        self.put(key, {
+            "schema": SCHEMA_VERSION,
+            "key": key,
+            "code_version": self.code_version,
+            "point": payload,
+            "status": "ok",
+            "metrics": metrics,
+        })
 
 
-class NullCache:
-    """Cache-shaped no-op for ``--no-cache`` runs (keys stay stable so
-    callers can still log them)."""
-
-    code_version = "uncached"
+class NullCache(ResultCache):
+    """A result cache that stores nothing (``--no-cache`` runs); keys
+    stay stable so callers can still log them."""
 
     def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def key_for(self, payload: dict) -> str:
-        return cache_key(payload, self.code_version)
+        super().__init__(os.devnull, code_version="uncached")
 
     def get(self, key: str) -> dict | None:
         self.misses += 1
         return None
 
-    def put(self, key: str, record: dict) -> None:
-        pass
+    def put(self, key: str, record: dict) -> bool:
+        return False
 
-    def clear(self) -> int:
-        return 0
 
-    @property
-    def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
+def result_cache_at(cache_dir: str | os.PathLike | None) -> ResultCache:
+    """The result cache at ``cache_dir``, or a :class:`NullCache` when
+    there is none."""
+    return ResultCache(cache_dir) if cache_dir else NullCache()
 
 
 class DatasetCache:

@@ -21,10 +21,11 @@ with ``os.utime``. Three rules follow:
 * **Claims are atomic moves.** A worker claims a task by
   ``os.replace(pending/<id>, leases/<id>)``; exactly one racer wins,
   the losers see ``FileNotFoundError`` and move on.
-* **Publishes are tmp + replace.** Every record write lands in a
-  hidden ``.*.tmp`` sibling first and is renamed into place, so a
-  writer crashing mid-write leaves an orphan the scans never match
-  (state scans glob ``*.json`` only) — never a torn record.
+* **Publishes are atomic.** Every record is written by
+  :func:`repro.persist.publish`: a hidden ``.*.tmp`` sibling renamed
+  into place, so a writer crashing mid-write leaves an orphan the
+  scans never match (state scans glob ``*.json`` only) — never a torn
+  record. A record is state, not a cache, so a failed write raises.
 * **Transitions write the destination before removing the source.**
   ``complete``/``fail``/``reap`` may therefore leave a task briefly
   visible in two directories if the writer dies in between; a task is
@@ -43,11 +44,14 @@ execution wastes cycles but cannot change any answer. See DESIGN.md
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.persist import publish
 
 #: Task-record layout version; bumped on incompatible change.
 RECORD_SCHEMA = 1
@@ -61,42 +65,24 @@ class QueueError(RuntimeError):
     """A malformed queue directory or protocol violation."""
 
 
-_WRITE_SEQUENCE = 0
+#: Uniquifies the names of files moved aside into ``corrupt/``.
+_QUARANTINE_SEQUENCE = itertools.count()
 
 
-def _write_json(path: Path, record: dict) -> None:
-    """Publish ``record`` at ``path`` atomically (tmp + ``os.replace``).
-
-    The tmp name starts with a dot and ends in ``.tmp`` so directory
-    scans (``*.json``) never see half-written records, and carries the
-    pid plus a process-local sequence number so concurrent writers
-    never collide on the tmp file itself.
-    """
-    global _WRITE_SEQUENCE
-    _WRITE_SEQUENCE += 1
-    tmp = path.parent / f".{path.name}.{os.getpid()}.{_WRITE_SEQUENCE}.tmp"
-    tmp.write_text(json.dumps(record, sort_keys=True))
-    os.replace(tmp, path)
+def _write_json(path: Path, record: dict, *,
+                exclusive: bool = False) -> bool:
+    """Publish ``record`` at ``path`` (see :func:`repro.persist.publish`
+    for ``exclusive`` and the return value)."""
+    data = json.dumps(record, sort_keys=True).encode()
+    return publish(path, lambda handle: handle.write(data),
+                   exclusive=exclusive)
 
 
 def _publish_exclusive(path: Path, record: dict) -> bool:
-    """Create ``path`` atomically only if nothing exists there yet.
-
-    Hard-linking a fully-written tmp either publishes the complete
-    record or fails with ``FileExistsError`` — unlike ``os.replace``
-    it never overwrites, so two racing creators cannot each install
-    their own copy. Returns True if this call published."""
-    global _WRITE_SEQUENCE
-    _WRITE_SEQUENCE += 1
-    tmp = path.parent / f".{path.name}.{os.getpid()}.{_WRITE_SEQUENCE}.tmp"
-    tmp.write_text(json.dumps(record, sort_keys=True))
-    try:
-        os.link(tmp, path)
-    except FileExistsError:
-        return False
-    finally:
-        os.unlink(tmp)
-    return True
+    """Create ``path`` only if nothing exists there yet: unlike a
+    replace it never overwrites, so two racing creators cannot each
+    install their own copy. Returns True if this call published."""
+    return _write_json(path, record, exclusive=True)
 
 
 def _read_json(path: Path) -> dict | None:
@@ -375,10 +361,9 @@ class FileQueue:
     def _quarantine_corrupt(self, path: Path) -> None:
         """Move an unreadable file aside (unique, non-``.json`` name so
         no scan ever matches it again)."""
-        global _WRITE_SEQUENCE
-        _WRITE_SEQUENCE += 1
         target = (self.corrupt_dir /
-                  f"{path.name}.{os.getpid()}.{_WRITE_SEQUENCE}.quarantined")
+                  f"{path.name}.{os.getpid()}."
+                  f"{next(_QUARANTINE_SEQUENCE)}.quarantined")
         try:
             os.replace(path, target)
         except FileNotFoundError:

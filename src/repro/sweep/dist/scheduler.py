@@ -25,7 +25,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from repro.sweep.cache import NullCache, ResultCache
+from repro.sweep.cache import result_cache_at
 from repro.sweep.dist.queue import FileQueue
 from repro.sweep.dist.worker import run_worker
 from repro.sweep.runner import (
@@ -118,8 +118,7 @@ class FileQueueScheduler:
         # is_closed() and exits before claiming, and any new cache-miss
         # point stalls the coordinator until stall_timeout_s.
         queue.reopen()
-        keyer = (ResultCache(self.cache_dir) if self.cache_dir
-                 else NullCache())
+        keyer = result_cache_at(self.cache_dir)
         order = [(keyer.key_for(point.payload()), point)
                  for point in points]
         payloads = {task_id: point.payload() for task_id, point in order}

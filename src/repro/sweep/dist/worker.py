@@ -31,7 +31,7 @@ import time
 import traceback
 from dataclasses import dataclass
 
-from repro.sweep.cache import SCHEMA_VERSION, NullCache, ResultCache
+from repro.sweep.cache import result_cache_at
 from repro.sweep.dist.queue import FileQueue, Task
 from repro.sweep.plan import SweepPoint
 from repro.sweep.runner import _harness_for, run_point
@@ -74,12 +74,6 @@ def _heartbeat(queue: FileQueue, current: dict, interval: float,
             queue.renew(task_id)
 
 
-def _cache_for(queue: FileQueue):
-    if queue.cache_dir:
-        return ResultCache(queue.cache_dir)
-    return NullCache()
-
-
 def worker_loop(queue: FileQueue, *,
                 worker_id: str | None = None,
                 stop: threading.Event | None = None,
@@ -96,7 +90,7 @@ def worker_loop(queue: FileQueue, *,
     """
     worker_id = worker_id or default_worker_id()
     stop = stop if stop is not None else threading.Event()
-    cache = _cache_for(queue)
+    cache = result_cache_at(queue.cache_dir)
     harnesses: dict[int, object] = {}
     stats = WorkerStats()
     current: dict = {"id": None}
@@ -143,10 +137,9 @@ def _process(queue: FileQueue, cache, harnesses: dict, task: Task,
     retry/quarantine transitions)."""
     try:
         key = cache.key_for(task.payload)
-        record = cache.get(key)
-        if record is not None and record.get("status") == "ok":
-            queue.complete(task, record["metrics"], cached=True,
-                           worker=worker_id)
+        metrics = cache.cached_metrics(key)
+        if metrics is not None:
+            queue.complete(task, metrics, cached=True, worker=worker_id)
             stats.cached += 1
             return
         point = point_from_payload(task.payload)
@@ -158,14 +151,7 @@ def _process(queue: FileQueue, cache, harnesses: dict, task: Task,
         stats.failed += 1
         return
     if result.ok:
-        cache.put(key, {
-            "schema": SCHEMA_VERSION,
-            "key": key,
-            "code_version": cache.code_version,
-            "point": task.payload,
-            "status": "ok",
-            "metrics": result.metrics,
-        })
+        cache.put_metrics(key, task.payload, result.metrics)
         queue.complete(task, result.metrics, worker=worker_id)
         stats.computed += 1
     else:

@@ -41,7 +41,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.config.overrides import apply_overrides
 from repro.config.platforms import gnnerator_config, next_generation_variants
-from repro.sweep.cache import SCHEMA_VERSION, NullCache, ResultCache
+from repro.sweep.cache import NullCache
 from repro.sweep.plan import (
     METRIC_DSE,
     METRIC_TRAFFIC,
@@ -435,19 +435,15 @@ class SweepRunner:
         if harness is not None:
             self._harnesses[harness.seed] = harness
 
-    @classmethod
-    def cached(cls, cache_dir: str, jobs: int = 1) -> "SweepRunner":
-        return cls(jobs=jobs, cache=ResultCache(cache_dir))
-
     def run(self, plan: SweepPlan) -> SweepResult:
         start = time.monotonic()
         results: list[PointResult | None] = []
         pending: list[tuple[int, SweepPoint, str]] = []
         for point in plan.points:
             key = self.cache.key_for(point.payload())
-            record = self.cache.get(key)
-            if record is not None and record.get("status") == "ok":
-                results.append(PointResult(point, metrics=record["metrics"],
+            metrics = self.cache.cached_metrics(key)
+            if metrics is not None:
+                results.append(PointResult(point, metrics=metrics,
                                            cached=True))
             else:
                 pending.append((len(results), point, key))
@@ -465,14 +461,8 @@ class SweepRunner:
             for (index, point, key), result in zip(pending, computed):
                 results[index] = result
                 if result.ok:
-                    self.cache.put(key, {
-                        "schema": SCHEMA_VERSION,
-                        "key": key,
-                        "code_version": self.cache.code_version,
-                        "point": point.payload(),
-                        "status": "ok",
-                        "metrics": result.metrics,
-                    })
+                    self.cache.put_metrics(key, point.payload(),
+                                           result.metrics)
         return SweepResult(
             plan=plan.name,
             results=results,

@@ -126,6 +126,24 @@ class TestFileQueueScheduler:
                        feature_block=8)])
         assert second[0].ok
 
+    def test_unwritable_cache_costs_no_worker(self, tmp_path):
+        """A worker whose result cache cannot be written (its directory
+        would sit under a regular file) skips the write and completes
+        every point; no worker dies, so none is respawned."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        queue_dir = tmp_path / "q"
+        scheduler = FileQueueScheduler(
+            jobs=1, queue_dir=str(queue_dir),
+            cache_dir=str(blocker / "cache"),
+            poll_s=0.05, stall_timeout_s=5.0)
+        plan = _tiny_plan()
+        results = scheduler.run(plan.points)
+        assert all(result.ok for result in results)
+        assert scheduler.stats.respawned == 0
+        done = list((queue_dir / "done").glob("*.json"))
+        assert len(done) == len(plan.points)
+
     def test_quarantined_point_surfaces_as_error_result(self, tmp_path):
         # Unknown datasets pass plan-time validation and fail at load
         # time inside the worker — the queue retries then quarantines,

@@ -409,6 +409,30 @@ class TestHttpSurface:
                                          "program_store"}
         assert result["caches"]["program_store"] is None  # disabled
 
+    def test_perf_caches_count_this_request(self, tmp_path):
+        """The daemon's program store outlives a ``/perf`` request, but
+        the request reports the store's hits and misses over itself, as
+        it does its full lowerings; ``entries`` is the store's total."""
+        from repro.compiler.store import ProgramStore
+
+        state = ServeState(seed=0, workers=1, depth=4, cache_dir=None)
+        state.harness.program_store = ProgramStore(tmp_path)
+        perf = parse_request("perf", {})  # tiny-gcn
+        try:
+            state.executors["run"](parse_request(
+                "run", {"dataset": "cora", "network": "gcn"}))
+            first = state.executors["perf"](perf)["caches"]
+            second = state.executors["perf"](perf)["caches"]
+        finally:
+            state.queue.stop(drain=False, timeout=5.0)
+        assert first["full_lowerings"] == 1
+        assert first["program_store"]["hits"] == 0
+        assert first["program_store"]["misses"] == 1
+        assert second["full_lowerings"] == 0
+        assert second["program_store"]["hits"] == 1
+        assert second["program_store"]["misses"] == 0
+        assert second["program_store"]["entries"] == 2
+
     def test_draining_queue_maps_to_503(self, daemon):
         state, base = daemon
         state.queue.stop(drain=False, timeout=5.0)
@@ -901,10 +925,8 @@ class TestAtomicBenchmarkWrite:
 class TestLoadtest:
     def test_loadtest_reports_latency_and_zero_lowerings_warm(
             self, daemon, tmp_path):
-        from repro.serve.loadtest import (
-            run_loadtest,
-            write_serve_benchmark,
-        )
+        from repro.eval.hostperf import write_benchmark
+        from repro.serve.loadtest import run_loadtest
 
         _, base = daemon
         # Warm: first request pays the one compile.
@@ -925,7 +947,7 @@ class TestLoadtest:
         assert metrics["latency_observations"] == 12
         assert metrics["cache_hits"]["harness-memo"] >= 1
         out = tmp_path / "BENCH_serve.json"
-        write_serve_benchmark(payload, out)
+        write_benchmark(payload, out)
         written = json.loads(out.read_text())
         assert written["counts"]["ok"] == 12
         assert written["metrics_delta"]["requests_ok"] == 12

@@ -139,6 +139,9 @@ class TestResultCache:
         record = cache.get(key)
         assert record["metrics"]["seconds"] == 1.5
         assert cache.stats == {"hits": 1, "misses": 1}
+        other = cache.key_for(point_for(CORA_GCN.with_block(32)).payload())
+        cache.put(other, {"schema": 1, "status": "ok", "metrics": {}})
+        assert len(cache) == 2
 
     def test_key_changes_with_config(self):
         base = point_for(CORA_GCN).payload()
@@ -162,16 +165,6 @@ class TestResultCache:
         path.write_text("{not json")
         assert cache.get(key) is None
         assert not path.exists()
-
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path, code_version="v1")
-        for block in (16, 32):
-            key = cache.key_for(point_for(CORA_GCN.with_block(block))
-                                .payload())
-            cache.put(key, {"schema": 1, "status": "ok", "metrics": {}})
-        assert len(cache) == 2
-        assert cache.clear() == 2
-        assert len(cache) == 0
 
     def test_code_version_hash_is_stable(self):
         assert code_version_hash() == code_version_hash()
@@ -287,6 +280,18 @@ class TestRunnerCaching:
         rerun = SweepRunner(cache=ResultCache(tmp_path, code_version="b")) \
             .run(self.PLAN)
         assert rerun.misses == 2 and rerun.hits == 0
+
+    def test_unwritable_cache_loses_no_point(self, tmp_path):
+        """A cache directory that cannot be created (it would sit under
+        a regular file) skips its writes; every point still comes back
+        computed and ok."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cache = ResultCache(blocker / "cache")
+        result = SweepRunner(cache=cache).run(self.PLAN)
+        assert result.ok and result.misses == 2
+        assert all(r.metrics["seconds"] > 0 for r in result.results)
+        assert len(cache) == 0
 
     def test_null_cache_never_persists(self, tmp_path):
         cache = NullCache()
@@ -552,6 +557,15 @@ class TestSweepCli:
         assert not cache_dir.exists()
         out = capsys.readouterr().out
         assert out.startswith("label,")
+
+    def test_sweep_with_unwritable_cache_dir_exits_zero(self, tmp_path,
+                                                        capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["sweep", "smoke", "--cache-dir",
+                     str(blocker / "cache"), "--format", "json"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["errors"] == 0 and result["cache"]["misses"] == 6
 
     def test_sweep_table_format(self, tmp_path, capsys):
         assert main(["sweep", "smoke", "--cache-dir",
