@@ -53,8 +53,8 @@ def test_simulate_kernels_flickr(benchmark):
 
     harness = Harness()
     spec = WorkloadSpec(dataset="flickr", network="gcn", hidden_dim=16)
-    config, block = harness._resolve_config(spec, None)
-    program = harness._compiled(spec, config, block)
+    config = harness._config(spec, None)
+    program = harness._compiled(spec, config)
     fast = benchmark(GNNerator(config).simulate, program)
     assert fast.cycles == simulate_event(program, config).cycles
 

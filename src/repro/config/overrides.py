@@ -17,9 +17,12 @@ candidate and degenerate designs are rejected with a
 from __future__ import annotations
 
 import dataclasses
+import functools
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from repro.config.accelerator import ConfigError, GNNeratorConfig
+from repro.config.platforms import gnnerator_config, next_generation_variants
 
 #: The nested config sections knob paths may address.
 SECTIONS = ("dense", "graph", "dram")
@@ -36,6 +39,9 @@ _SIMULATE_ONLY_FIELDS = ("frequency_ghz",)
 
 #: Frozen, canonical override form: sorted ``(path, value)`` pairs.
 FrozenOverrides = tuple[tuple[str, float], ...]
+
+#: Configs :func:`candidate_config` keeps, least recently used first out.
+CANDIDATE_MEMO_SIZE = 1024
 
 
 def _numeric_fields(section_obj: Any) -> dict[str, float]:
@@ -59,11 +65,15 @@ def knob_paths(base: GNNeratorConfig | None = None) -> tuple[str, ...]:
     return tuple(paths)
 
 
-def _coerce(path: str, current: object, value: object) -> float:
-    """Type-check an override value against the field it replaces."""
+def _check_numeric(path: str, value: object) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(
             f"override {path!r} must be numeric, got {value!r}")
+
+
+def _coerce(path: str, current: object, value: object) -> float:
+    """Type-check an override value against the field it replaces."""
+    _check_numeric(path, value)
     if isinstance(current, int) and isinstance(value, float):
         if not value.is_integer():
             raise ConfigError(
@@ -124,13 +134,31 @@ def freeze_overrides(overrides: Mapping[str, float]
     return tuple(sorted((str(path), value) for path, value in items))
 
 
+def candidate_config(feature_block: int | None,
+                     overrides: FrozenOverrides) -> GNNeratorConfig:
+    """Table IV at ``feature_block`` plus ``overrides``, built and
+    validated once per distinct pair: the one config path of sweep
+    points, run requests and the harness. Raises :class:`ConfigError`
+    as :func:`apply_overrides` does; a rejected pair is not kept."""
+    for path, value in overrides:
+        _check_numeric(path, value)  # True would hit a remembered 1
+    return _built_config(feature_block, overrides)
+
+
+@functools.lru_cache(maxsize=CANDIDATE_MEMO_SIZE)
+def _built_config(feature_block: int | None,
+                  overrides: FrozenOverrides) -> GNNeratorConfig:
+    return apply_overrides(gnnerator_config(feature_block=feature_block),
+                           overrides)
+
+
 def overrides_between(base: GNNeratorConfig,
                       other: GNNeratorConfig) -> dict[str, float]:
     """Express ``other`` as knob overrides on ``base``.
 
     Walks every numeric knob path and records the differing values —
     how the Fig 5 next-generation variants are mapped into the DSE
-    candidate format for frontier comparison. Differences the override
+    candidate format (:func:`fig5_overrides`). Differences the override
     format cannot carry — ``feature_block=None``, or any non-numeric
     field other than the cosmetic ``name`` — raise instead of being
     silently dropped, so a config is never mislabelled as another.
@@ -166,6 +194,16 @@ def overrides_between(base: GNNeratorConfig,
             f"configs differ in non-numeric fields {inexpressible}, "
             f"which knob overrides cannot express")
     return diff
+
+
+@functools.cache
+def fig5_overrides() -> Mapping[str, FrozenOverrides]:
+    """Each Fig 5 design of :func:`next_generation_variants` as frozen
+    overrides on Table IV, by name; they rebuild it but for ``name``."""
+    base = gnnerator_config()
+    return MappingProxyType({
+        name: freeze_overrides(overrides_between(base, config))
+        for name, config in next_generation_variants(base).items()})
 
 
 def compile_relevant_config(config: GNNeratorConfig

@@ -34,18 +34,16 @@ from dataclasses import dataclass, field
 from repro.config.accelerator import ConfigError
 from repro.config.overrides import (
     FrozenOverrides,
+    fig5_overrides,
     freeze_overrides,
     overrides_between,
 )
-from repro.config.platforms import (
-    gnnerator_config,
-    next_generation_variants,
-)
+from repro.config.platforms import gnnerator_config
 from repro.config.workload import WorkloadSpec
 from repro.dse.pareto import dominates, pareto_indices
 from repro.dse.space import DesignSpace
 from repro.dse.strategies import OBJECTIVE_KEYS, SearchStrategy
-from repro.sweep.plan import METRIC_DSE, SweepPlan, SweepPoint
+from repro.sweep.plan import METRIC_DSE, SweepPlan, SweepPoint, point_for
 from repro.sweep.runner import SweepRunner
 
 
@@ -260,12 +258,8 @@ class DseEngine:
         if merge_base:
             overrides = freeze_overrides({**self._base_overrides,
                                           **dict(overrides)})
-        return [SweepPoint(dataset=spec.dataset, network=spec.network,
-                           feature_block=spec.feature_block,
-                           traversal=spec.traversal,
-                           hidden_dim=spec.hidden_dim,
-                           metric=METRIC_DSE, seed=self.seed,
-                           config_overrides=overrides)
+        return [point_for(spec, metric=METRIC_DSE, seed=self.seed,
+                          config_overrides=overrides)
                 for spec in self.workloads]
 
     def _aggregate(self, evaluation: DseEvaluation,
@@ -315,8 +309,7 @@ class DseEngine:
             evaluation = DseEvaluation(frozen, candidate_label(frozen))
             evaluations.append(evaluation)
             try:
-                if merge_base:
-                    self.space.config_for(frozen)
+                # Building the points builds and validates the config.
                 candidate_points = self._points_for(frozen, merge_base)
             except ConfigError as exc:
                 evaluation.status = "invalid"
@@ -374,18 +367,16 @@ class DseEngine:
         """Measure the paper's hand-picked designs against the frontier.
 
         Evaluates the Table IV baseline plus the three Fig 5
-        next-generation variants (expressed as knob overrides) on the
-        same workloads/budgets, and records which discovered frontier
+        next-generation designs (their override sets,
+        :func:`~repro.config.overrides.fig5_overrides`) on the same
+        workloads/budgets, and records which discovered frontier
         points dominate each. Appends to ``result.fig5``.
 
         A reference may itself dominate a frontier member; such
         members are dropped first, preserving the invariant that the
         published frontier is never dominated by an evaluated point.
         """
-        base = gnnerator_config()
-        references = [("baseline", {})]
-        for name, config in next_generation_variants(base).items():
-            references.append((name, overrides_between(base, config)))
+        references = [("baseline", ()), *fig5_overrides().items()]
         checks = []
         seen: set[FrozenOverrides] = set()
         for name, overrides in references:

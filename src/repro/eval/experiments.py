@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.config.overrides import fig5_overrides
 from repro.config.platforms import gnnerator_config
 from repro.config.workload import (
     DST_STATIONARY,
@@ -27,6 +28,7 @@ from repro.config.workload import (
     WorkloadSpec,
     fig3_workloads,
     fig4_workloads,
+    fig5_workloads,
 )
 from repro.dataflow.costs import traversal_cost
 from repro.eval.harness import Harness, geometric_mean
@@ -35,9 +37,9 @@ from repro.graph.partition import plan_shards
 from repro.graph.traversal import simulate_residency, traversal_order
 from repro.sweep.plan import (
     METRIC_TRAFFIC,
-    VARIANT_NAMES,
     fig3_plan,
     fig4_plan,
+    fig5_candidates,
     fig5_plan,
     point_for,
     table1_plan,
@@ -203,37 +205,30 @@ def fig5_scaling(harness: Harness | None = None,
     """Regenerate Fig 5: three scaled-up designs over the baseline, for
     GCN with swept hidden dimension on the three datasets, plus Gmean.
 
-    For the doubled Dense Engine the compiler auto-tunes the feature
-    block between the old and new array widths per workload: a wider B
-    feeds the bigger array but also shrinks shard intervals, and on
-    graphs where that splits the grid (Pubmed) B = 64 stays better.
+    Each design is a named override set on Table IV, and each row
+    reports its fastest candidate
+    (:func:`~repro.sweep.plan.fig5_candidates`). For the doubled Dense
+    Engine the compiler auto-tunes the feature block between the new
+    and old array widths per workload: a wider B feeds the bigger array
+    but also shrinks shard intervals, and on graphs where that splits
+    the grid (Pubmed) B = 64 stays better.
     """
     seed = _seed(runner, harness)
     sweep = _runner(runner, harness).run(
         fig5_plan(hidden_dims, network).with_seed(seed))
     rows: list[Fig5Row] = []
-    per_variant: dict[str, list[float]] = {name: [] for name in
-                                           VARIANT_NAMES}
-    for hidden in hidden_dims:
-        for dataset in FIG3_DATASETS:
-            spec = WorkloadSpec(dataset=dataset, network=network,
-                                hidden_dim=hidden)
-            base_seconds = sweep.seconds_for(point_for(spec, seed=seed))
-            row = Fig5Row(label=f"{dataset.capitalize()}-{hidden}")
-            for name in VARIANT_NAMES:
-                candidates = [point_for(spec, variant=name, seed=seed)]
-                if name == "more-dense-compute":
-                    candidates.append(point_for(spec, variant=name,
-                                                variant_block=64,
-                                                seed=seed))
-                seconds = min(sweep.seconds_for(candidate)
-                              for candidate in candidates)
-                row.speedups[name] = base_seconds / seconds
-                per_variant[name].append(row.speedups[name])
-            rows.append(row)
+    for spec in fig5_workloads(hidden_dims, network):
+        base_seconds = sweep.seconds_for(point_for(spec, seed=seed))
+        row = Fig5Row(
+            label=f"{spec.dataset.capitalize()}-{spec.hidden_dim}")
+        for name, candidates in fig5_candidates(spec, seed).items():
+            row.speedups[name] = base_seconds / min(
+                sweep.seconds_for(candidate) for candidate in candidates)
+        rows.append(row)
     gmean = Fig5Row(label="Gmean")
-    for name, values in per_variant.items():
-        gmean.speedups[name] = geometric_mean(values)
+    for name in fig5_overrides():
+        gmean.speedups[name] = geometric_mean(
+            [row.speedups[name] for row in rows])
     rows.append(gmean)
     return rows
 

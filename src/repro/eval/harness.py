@@ -17,12 +17,8 @@ from repro.accelerator import ExecutionResult, GNNerator
 from repro.baselines.gpu import GpuModel
 from repro.baselines.hygcn import HyGCNModel
 from repro.config.accelerator import GNNeratorConfig
-from repro.config.platforms import (
-    gnnerator_config,
-    hygcn_config,
-    rtx_2080_ti_config,
-)
-from repro.config.overrides import compile_relevant_config
+from repro.config.platforms import hygcn_config, rtx_2080_ti_config
+from repro.config.overrides import candidate_config, compile_relevant_config
 from repro.config.workload import WorkloadSpec
 from repro.compiler.lowering import (
     compile_workload,
@@ -157,20 +153,14 @@ class Harness:
             return self._params[key]
 
     # -- per-platform latencies ----------------------------------------
-    def _resolve_config(self, spec: WorkloadSpec,
-                        config: GNNeratorConfig | None
-                        ) -> tuple[GNNeratorConfig, int | None | str]:
-        """Pick the platform config and effective feature block.
-
-        Without an explicit ``config``, the platform is the Table IV
-        baseline with the spec's feature block. With one (Fig 5
-        variants), the config's own feature block governs — the paper
-        ties B to the Dense Engine width.
-        """
+    def _config(self, spec: WorkloadSpec,
+                config: GNNeratorConfig | None) -> GNNeratorConfig:
+        """``config``, or the Table IV baseline at the spec's feature
+        block. An explicit config's own feature block governs: Fig 5
+        ties B to the Dense Engine width."""
         if config is None:
-            return (gnnerator_config(feature_block=spec.feature_block),
-                    spec.feature_block)
-        return config, "config"
+            return candidate_config(spec.feature_block, ())
+        return config
 
     def _fingerprint(self, dataset: str) -> str | None:
         """Cached dataset fingerprint (None = not store-addressable)."""
@@ -195,8 +185,7 @@ class Harness:
                     del locks[key]
 
     def _compiled(self, spec: WorkloadSpec,
-                  config: GNNeratorConfig,
-                  feature_block: int | None | str) -> Program:
+                  config: GNNeratorConfig) -> Program:
         """The memoized compiled program for one (workload, config).
 
         Compilation is deterministic given (graph, model, config,
@@ -224,10 +213,8 @@ class Harness:
         terms filled for its re-costs to share. Both memos are bounded
         FIFO, so long searches never pin every program ever compiled.
         """
-        if feature_block == "config":
-            feature_block = config.feature_block
         projection = compile_relevant_config(config)
-        key = (spec, projection, feature_block)
+        key = (spec, projection)
         # Fast path + per-key lock: concurrent requests for the same key
         # serialize on the key lock (one lowering, the rest hit the
         # memo on re-check) while distinct keys compile concurrently.
@@ -248,18 +235,20 @@ class Harness:
                 self._memo_misses += 1
             graph = self.graph(spec.dataset)
             with span("compile", workload=spec.label):
-                program, tier = self._compile_miss(
-                    spec, graph, config, feature_block, projection)
+                program, tier = self._compile_miss(spec, graph, config,
+                                                   projection)
             self._tier.value = tier
             with self._lock:
                 self._remember(self._programs, key, program)
             return program
 
     def _compile_miss(self, spec: WorkloadSpec, graph: Graph,
-                      config: GNNeratorConfig, feature_block: int | None,
+                      config: GNNeratorConfig,
                       projection: tuple) -> tuple[Program, str]:
         """Serve a program-memo miss; returns ``(program, tier)``."""
         from repro.eval.energy import _program_terms
+
+        feature_block = config.feature_block
 
         store = self.program_store
         fingerprint = (self._fingerprint(spec.dataset)
@@ -355,16 +344,14 @@ class Harness:
                           ) -> Program:
         """Compile ``spec`` without simulating (Table I's traffic
         accounting needs only the program's DMA bytes)."""
-        config, feature_block = self._resolve_config(spec, config)
-        return self._compiled(spec, config, feature_block)
+        return self._compiled(spec, self._config(spec, config))
 
     def gnnerator_result(self, spec: WorkloadSpec,
                          config: GNNeratorConfig | None = None
                          ) -> ExecutionResult:
-        """Run ``spec`` on GNNerator (see :meth:`_resolve_config`)."""
-        config, feature_block = self._resolve_config(spec, config)
-        program = self._compiled(spec, config, feature_block)
-        return GNNerator(config).simulate(program)
+        """Run ``spec`` on GNNerator (see :meth:`_config`)."""
+        config = self._config(spec, config)
+        return GNNerator(config).simulate(self._compiled(spec, config))
 
     def gnnerator_seconds(self, spec: WorkloadSpec,
                           config: GNNeratorConfig | None = None) -> float:
@@ -383,8 +370,8 @@ class Harness:
         from repro.eval.area import gnnerator_area
         from repro.eval.energy import estimate_energy
 
-        config, feature_block = self._resolve_config(spec, config)
-        program = self._compiled(spec, config, feature_block)
+        config = self._config(spec, config)
+        program = self._compiled(spec, config)
         result = GNNerator(config).simulate(program)
         energy = estimate_energy(program, result)
         area = gnnerator_area(config)

@@ -128,9 +128,9 @@ def measure_workload(dataset: str, network: str, hidden_dim: int = 16,
         harness = Harness(program_store=program_store)
         with span("measure", workload=spec.label):
             load_s, graph = _timed(lambda: harness.graph(dataset))
-            config, feature_block = harness._resolve_config(spec, None)
+            config = harness._config(spec, None)
             compile_s, program = _timed(
-                lambda: harness._compiled(spec, config, feature_block))
+                lambda: harness._compiled(spec, config))
             simulate_s, result = _timed(
                 lambda: GNNerator(config).simulate(program))
         if cycles is not None and result.cycles != cycles:

@@ -16,13 +16,12 @@ import numbers
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
-from repro.config.accelerator import ConfigError
+from repro.config.accelerator import ConfigError, GNNeratorConfig
 from repro.config.overrides import (
     FrozenOverrides,
-    apply_overrides,
+    candidate_config,
     freeze_overrides,
 )
-from repro.config.platforms import gnnerator_config
 from repro.config.workload import WorkloadSpec
 from repro.graph.datasets import DATASETS
 from repro.models.zoo import NETWORK_NAMES
@@ -81,8 +80,7 @@ def _int(request, *names: str, minimum: int | None = None) -> None:
 
 
 def _frozen_overrides(raw) -> FrozenOverrides:
-    """``{dotted.path: number}``, checked against the config so a bad
-    knob is a 400, not a 500 from a worker."""
+    """``{dotted.path: number}`` in canonical form."""
     raw = raw or {}
     if not isinstance(raw, dict):
         raise ProtocolError("overrides must be an object of "
@@ -91,13 +89,7 @@ def _frozen_overrides(raw) -> FrozenOverrides:
         if not isinstance(path, str) or not _is_number(value):
             raise ProtocolError(
                 f"override {path!r}={value!r} is not a numeric knob")
-    frozen = freeze_overrides(raw)
-    if frozen:
-        try:
-            apply_overrides(gnnerator_config(), dict(frozen))
-        except ConfigError as exc:
-            raise ProtocolError(str(exc)) from None
-    return frozen
+    return freeze_overrides(raw)
 
 
 def _knob_ladders(raw) -> tuple[tuple[str, tuple[float, ...]], ...]:
@@ -168,6 +160,16 @@ class RunRequest(ServeRequest):
             _int(self, "block", minimum=1)
         _int(self, "hidden_dim", minimum=1)
         _set(self, "overrides", _frozen_overrides(self.overrides))
+        # The config this request runs, checked now so a bad knob is a
+        # 400, not a 500 from a worker.
+        try:
+            self.config()
+        except ConfigError as exc:
+            raise ProtocolError(str(exc)) from None
+
+    def config(self) -> GNNeratorConfig:
+        """Table IV at ``block`` plus ``overrides``."""
+        return candidate_config(self.block, self.overrides)
 
     def spec(self) -> WorkloadSpec:
         return WorkloadSpec(dataset=self.dataset, network=self.network,
@@ -308,11 +310,8 @@ def execute_run(request: RunRequest, harness, probe=None):
     from repro.accelerator import GNNerator
 
     spec = request.spec()
-    config = gnnerator_config(feature_block=request.block)
-    if request.overrides:
-        config = apply_overrides(config, dict(request.overrides))
-    program = harness.gnnerator_program(
-        spec, config if request.overrides else None)
+    config = request.config()
+    program = harness.gnnerator_program(spec, config)
     result = GNNerator(config).simulate(program, probe=probe)
     payload = {
         "workload": spec.label,

@@ -2,7 +2,8 @@
 
 A :class:`SweepPoint` pins down *everything* needed to compute one
 number of one paper artefact — dataset, network, platform, dataflow
-knobs, Fig 5 variant, and the parameter seed — as a frozen, hashable,
+knobs, the parameter seed, and any hardware knob overrides (a DSE
+candidate, or one of Fig 5's scaled designs) — as a frozen, hashable,
 picklable record. A :class:`SweepPlan` is an ordered, de-duplicated
 collection of points; the factories at the bottom enumerate the grids
 behind Fig 3/4/5 and Tables I/V, plus a tiny ``smoke`` plan for CI.
@@ -16,11 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-from repro.config.accelerator import ConfigError
-from repro.config.overrides import apply_overrides, freeze_overrides
-from repro.config.platforms import gnnerator_config
+from repro.config.accelerator import ConfigError, GNNeratorConfig
+from repro.config.overrides import (
+    FrozenOverrides,
+    candidate_config,
+    fig5_overrides,
+    freeze_overrides,
+)
 from repro.config.workload import (
     DST_STATIONARY,
     FIG3_DATASETS,
@@ -31,16 +36,12 @@ from repro.config.workload import (
     WorkloadSpec,
     fig3_workloads,
     fig4_workloads,
+    fig5_workloads,
 )
 from repro.models.zoo import NETWORK_NAMES
 
 #: Platforms a point can target.
 PLATFORMS = ("gnnerator", "gpu", "hygcn")
-
-#: The Fig 5 next-generation variant names
-#: (resolved by :func:`repro.config.platforms.next_generation_variants`).
-VARIANT_NAMES = ("more-graph-memory", "more-dense-compute",
-                 "more-feature-bandwidth")
 
 #: What a point measures: end-to-end latency (compile + simulate),
 #: compiled DRAM traffic only (Table I never needs the DES replay), or
@@ -65,21 +66,15 @@ class SweepPoint:
     feature_block: int | None = 64
     traversal: str = DST_STATIONARY
     hidden_dim: int = 16
-    #: Fig 5 next-generation variant name (GNNerator only).
-    variant: str | None = None
-    #: Override the variant config's feature block (Fig 5 auto-tune).
-    variant_block: int | None = None
-    #: HyGCN window-based sparsity elimination toggle.
-    sparsity_elimination: bool = True
     metric: str = METRIC_LATENCY
     #: Parameter-initialisation seed; fixed per point so any worker
     #: process computes byte-identical results.
     seed: int = 0
-    #: DSE candidate knobs applied on top of the baseline GNNerator
-    #: config: canonical sorted ``(path, value)`` pairs (see
-    #: :mod:`repro.config.overrides`). Part of the cache-key payload,
-    #: so two candidates never share an entry.
-    config_overrides: tuple[tuple[str, float], ...] | None = None
+    #: Knobs on top of Table IV at ``feature_block`` (a DSE candidate,
+    #: a Fig 5 design) as canonical sorted ``(path, value)`` pairs (see
+    #: :mod:`repro.config.overrides`); part of the cache-key payload.
+    #: None derives the config from the workload; ``()`` is Table IV.
+    config_overrides: FrozenOverrides | None = None
 
     def __post_init__(self) -> None:
         if self.platform not in PLATFORMS:
@@ -93,33 +88,25 @@ class SweepPoint:
             raise SweepPlanError(
                 "the dse metric (area/energy models) only applies to "
                 "the gnnerator platform")
-        if self.variant is not None:
-            if self.platform != "gnnerator":
-                raise SweepPlanError(
-                    "variant configs only apply to the gnnerator platform")
-            if self.variant not in VARIANT_NAMES:
-                raise SweepPlanError(
-                    f"variant must be one of {VARIANT_NAMES}, "
-                    f"got {self.variant!r}")
         if self.config_overrides is not None:
             if self.platform != "gnnerator":
                 raise SweepPlanError(
                     "config_overrides only apply to the gnnerator platform")
-            if self.variant is not None:
-                raise SweepPlanError(
-                    "config_overrides cannot be combined with a Fig 5 "
-                    "variant; express the variant as overrides instead")
-            canonical = freeze_overrides(self.config_overrides)
-            object.__setattr__(self, "config_overrides", canonical)
-            # Builds (and thereby validates) the candidate config now:
-            # degenerate candidates fail at plan time with a ConfigError,
-            # not inside a worker.
-            apply_overrides(
-                gnnerator_config(feature_block=self.feature_block),
-                canonical)
-        # Validates traversal / hidden_dim / feature_block eagerly, so a
-        # malformed point fails at plan time, not inside a worker.
+            object.__setattr__(self, "config_overrides",
+                               freeze_overrides(self.config_overrides))
+        # Builds (and thereby validates) the config and the workload
+        # now: a degenerate candidate or a malformed point fails at
+        # plan time, not inside a worker.
+        self.config
         self.spec
+
+    @property
+    def config(self) -> GNNeratorConfig | None:
+        """The point's GNNerator config, built once per distinct
+        (block, overrides) pair; None derives it from the workload."""
+        if self.config_overrides is None:
+            return None
+        return candidate_config(self.feature_block, self.config_overrides)
 
     @property
     def spec(self) -> WorkloadSpec:
@@ -135,12 +122,6 @@ class SweepPoint:
                  f"B{self.feature_block or 'D'}", self.platform]
         if self.traversal != DST_STATIONARY:
             parts.insert(3, self.traversal)
-        if self.variant is not None:
-            parts.append(self.variant)
-            if self.variant_block is not None:
-                parts.append(f"vB{self.variant_block}")
-        if self.platform == "hygcn" and not self.sparsity_elimination:
-            parts.append("no-elim")
         if self.metric != METRIC_LATENCY:
             parts.append(self.metric)
         if self.config_overrides:
@@ -150,8 +131,12 @@ class SweepPoint:
         return ":".join(parts)
 
     def payload(self) -> dict:
-        """The canonical JSON-able form used for cache keys."""
-        return asdict(self)
+        """The canonical JSON-able form used for cache keys: the fields
+        by name (``dataclasses.asdict`` without its deep copy)."""
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(SweepPoint))
 
 
 def point_for(spec: WorkloadSpec, platform: str = "gnnerator",
@@ -245,25 +230,35 @@ def fig4_plan(blocks: tuple[int, ...] = FIG4_BLOCKS) -> SweepPlan:
     return SweepPlan("fig4", tuple(points))
 
 
+def fig5_candidates(spec: WorkloadSpec,
+                    seed: int = 0) -> dict[str, tuple[SweepPoint, ...]]:
+    """Each Fig 5 design's candidate points on ``spec``, by name.
+
+    A design is its override set (:func:`fig5_overrides`), and Fig 5
+    reports its fastest candidate. The doubled Dense Engine has two:
+    the compiler auto-tunes the feature block between the new and the
+    old array widths (B = 128 and B = 64)."""
+    designs = {}
+    for name, overrides in fig5_overrides().items():
+        sets = [overrides]
+        if name == "more-dense-compute":
+            sets.append(freeze_overrides({**dict(overrides),
+                                          "feature_block": 64}))
+        designs[name] = tuple(point_for(spec, seed=seed,
+                                        config_overrides=candidate)
+                              for candidate in sets)
+    return designs
+
+
 def fig5_plan(hidden_dims: tuple[int, ...] = FIG5_HIDDEN_DIMS,
               network: str = "gcn") -> SweepPlan:
-    """Fig 5: baseline + three scaled-up designs per (dataset, hidden).
-
-    For the doubled Dense Engine the compiler auto-tunes the feature
-    block between the old and new array widths, so that variant
-    contributes two candidate points per workload.
-    """
+    """Fig 5: the baseline plus every candidate of the three scaled-up
+    designs (:func:`fig5_candidates`) per (dataset, hidden)."""
     points: list[SweepPoint] = []
-    for hidden in hidden_dims:
-        for dataset in FIG3_DATASETS:
-            spec = WorkloadSpec(dataset=dataset, network=network,
-                                hidden_dim=hidden)
-            points.append(point_for(spec))
-            for name in VARIANT_NAMES:
-                points.append(point_for(spec, variant=name))
-                if name == "more-dense-compute":
-                    points.append(point_for(spec, variant=name,
-                                            variant_block=64))
+    for spec in fig5_workloads(hidden_dims, network):
+        points.append(point_for(spec))
+        for candidates in fig5_candidates(spec).values():
+            points.extend(candidates)
     return SweepPlan("fig5", tuple(points))
 
 

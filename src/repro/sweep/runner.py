@@ -26,7 +26,6 @@ here, or the crash-tolerant distributed
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import multiprocessing
@@ -39,8 +38,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Protocol, runtime_checkable
 
-from repro.config.overrides import apply_overrides
-from repro.config.platforms import gnnerator_config, next_generation_variants
 from repro.sweep.cache import NullCache
 from repro.sweep.plan import (
     METRIC_DSE,
@@ -92,30 +89,15 @@ class PointResult:
         return self.metrics.get("seconds")
 
 
-def _gnnerator_config_for(point: SweepPoint):
-    """Resolve a point's explicit config (None = derive from the spec)."""
-    if point.config_overrides is not None:
-        return apply_overrides(
-            gnnerator_config(feature_block=point.feature_block),
-            point.config_overrides)
-    if point.variant is None:
-        return None
-    config = next_generation_variants()[point.variant]
-    if point.variant_block is not None:
-        config = dataclasses.replace(config,
-                                     feature_block=point.variant_block)
-    return config
-
-
 def evaluate_point(point: SweepPoint, harness) -> dict:
-    """Compute one point's metrics on ``harness`` (may raise)."""
+    """Compute one point's metrics on ``harness`` (may raise); a
+    GNNerator point runs on the config it built at plan time."""
     spec = point.spec
     if point.platform == "gpu":
         return {"seconds": harness.gpu_seconds(spec)}
     if point.platform == "hygcn":
-        return {"seconds": harness.hygcn_seconds(
-            spec, point.sparsity_elimination)}
-    config = _gnnerator_config_for(point)
+        return {"seconds": harness.hygcn_seconds(spec)}
+    config = point.config
     if point.metric == METRIC_DSE:
         return harness.gnnerator_dse_metrics(spec, config)
     if point.metric == METRIC_TRAFFIC:
@@ -384,9 +366,9 @@ class SweepResult:
 
     #: Flat column order of :meth:`to_csv`.
     CSV_FIELDS = ("label", "dataset", "network", "platform",
-                  "feature_block", "traversal", "hidden_dim", "variant",
-                  "variant_block", "metric", "seed", "status", "cached",
-                  "seconds", "cycles", "total_dram_bytes", "error")
+                  "feature_block", "traversal", "hidden_dim", "metric",
+                  "seed", "status", "cached", "seconds", "cycles",
+                  "total_dram_bytes", "error")
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -438,18 +420,19 @@ class SweepRunner:
     def run(self, plan: SweepPlan) -> SweepResult:
         start = time.monotonic()
         results: list[PointResult | None] = []
-        pending: list[tuple[int, SweepPoint, str]] = []
+        pending: list[tuple[int, SweepPoint, dict, str]] = []
         for point in plan.points:
-            key = self.cache.key_for(point.payload())
+            payload = point.payload()
+            key = self.cache.key_for(payload)
             metrics = self.cache.cached_metrics(key)
             if metrics is not None:
                 results.append(PointResult(point, metrics=metrics,
                                            cached=True))
             else:
-                pending.append((len(results), point, key))
+                pending.append((len(results), point, payload, key))
                 results.append(None)
         if pending:
-            missed = [point for _, point, _ in pending]
+            missed = [point for _, point, _, _ in pending]
             if self.scheduler is not None:
                 computed = self.scheduler.run(missed)
             elif self.jobs > 1 and len(missed) > 1:
@@ -458,11 +441,11 @@ class SweepRunner:
                 computed = [run_point(p, _harness_for(p.seed,
                                                       self._harnesses))
                             for p in missed]
-            for (index, point, key), result in zip(pending, computed):
+            for (index, _, payload, key), result in zip(pending,
+                                                        computed):
                 results[index] = result
                 if result.ok:
-                    self.cache.put_metrics(key, point.payload(),
-                                           result.metrics)
+                    self.cache.put_metrics(key, payload, result.metrics)
         return SweepResult(
             plan=plan.name,
             results=results,

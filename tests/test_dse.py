@@ -17,6 +17,8 @@ from repro.config.accelerator import (
 )
 from repro.config.overrides import (
     apply_overrides,
+    candidate_config,
+    fig5_overrides,
     freeze_overrides,
     knob_paths,
     overrides_between,
@@ -99,6 +101,10 @@ class TestOverrides:
             apply_overrides(gnnerator_config(), {"dense.rows": "big"})
         with pytest.raises(ConfigError, match="numeric"):
             apply_overrides(gnnerator_config(), {"dense.rows": True})
+        # True == 1, but a remembered 1 must not let True through.
+        candidate_config(64, (("dense.rows", 1),))
+        with pytest.raises(ConfigError, match="numeric"):
+            candidate_config(64, (("dense.rows", True),))
 
     def test_freeze_is_canonical(self):
         a = freeze_overrides({"b.x": 1, "a.y": 2})
@@ -127,13 +133,18 @@ class TestOverrides:
 
     def test_variants_round_trip_through_overrides(self):
         """Every Fig 5 variant is expressible as overrides that rebuild
-        an equivalent config (modulo the cosmetic name)."""
+        an equivalent config (modulo the cosmetic name), and so is its
+        named override set."""
         base = gnnerator_config()
         for name, variant in next_generation_variants(base).items():
             rebuilt = apply_overrides(base, overrides_between(base,
                                                               variant))
             assert dataclasses.replace(rebuilt, name=variant.name) \
                 == variant, name
+            named = candidate_config(64, fig5_overrides()[name])
+            assert dataclasses.replace(named, name=variant.name) \
+                == variant, name
+        assert list(fig5_overrides()) == list(next_generation_variants())
 
 
 # ---------------------------------------------------------------------
@@ -273,6 +284,7 @@ class TestDsePoints:
                            metric=METRIC_DSE,
                            config_overrides=(("dense.rows", 32),))
         json.dumps(point.payload())
+        assert point.payload() == dataclasses.asdict(point)
 
     def test_degenerate_overrides_fail_at_plan_time(self):
         with pytest.raises(ConfigError):
@@ -283,10 +295,6 @@ class TestDsePoints:
     def test_overrides_restricted_to_gnnerator(self):
         with pytest.raises(SweepPlanError, match="gnnerator"):
             SweepPoint(dataset="tiny", network="gcn", platform="gpu",
-                       config_overrides=(("dense.rows", 32),))
-        with pytest.raises(SweepPlanError, match="variant"):
-            SweepPoint(dataset="tiny", network="gcn",
-                       variant="more-graph-memory",
                        config_overrides=(("dense.rows", 32),))
         with pytest.raises(SweepPlanError, match="gnnerator"):
             SweepPoint(dataset="tiny", network="gcn", platform="hygcn",
@@ -351,6 +359,32 @@ class TestEngineSmoke:
         result = engine.run()
         frozen = [e.overrides for e in result.evaluations]
         assert len(frozen) == len(set(frozen)) <= 12
+
+    def test_one_generation_builds_each_candidate_config_once(
+            self, monkeypatch):
+        """The points of a candidate share one config: a generation
+        over three workloads builds each distinct candidate once, not
+        once per point and again to validate the candidate."""
+        from repro.config import overrides
+
+        builds = []
+        apply = overrides.apply_overrides
+
+        def counting(base, candidate):
+            builds.append(freeze_overrides(candidate))
+            return apply(base, candidate)
+
+        monkeypatch.setattr(overrides, "apply_overrides", counting)
+        overrides._built_config.cache_clear()
+        workloads = [TINY_GCN, WorkloadSpec(dataset="tiny", network="gat"),
+                     WorkloadSpec(dataset="tiny", network="gcn",
+                                  hidden_dim=8)]
+        engine = DseEngine(tiny_space(), RandomSearch(samples=6, seed=3),
+                           workloads, SweepRunner(cache=NullCache()))
+        evaluations = engine.evaluate(
+            engine.strategy.initial(engine.space), set())
+        assert len(evaluations) > 1 and all(e.ok for e in evaluations)
+        assert sorted(builds) == sorted(e.overrides for e in evaluations)
 
     def test_empty_workloads_rejected(self):
         with pytest.raises(DseError, match="workload"):

@@ -1,10 +1,11 @@
-"""Golden regression fixtures for the Fig-3 speedup grids.
+"""Golden regression fixtures for the Fig-3 and Fig-5 speedup grids.
 
 The synthetic datasets and every platform model are deterministic, so
-the Fig-3 speedups are too — any drift means a semantic change to the
+the speedups are too — any drift means a semantic change to the
 compiler, the simulator, or a baseline model. These tests pin the full
-grid (paper trio + zoo extensions) against small JSON goldens and fail
-with a readable per-workload diff when numbers move.
+Fig 3 grid (paper trio + zoo extensions) and the Fig 5 scaling study
+against small JSON goldens and fail with a readable per-workload diff
+when numbers move.
 
 To regenerate after an *intentional* modelling change::
 
@@ -22,9 +23,10 @@ from pathlib import Path
 import pytest
 
 from repro.config.workload import EXTENSION_NETWORKS
-from repro.eval.experiments import fig3_speedups
+from repro.eval.experiments import fig3_speedups, fig5_scaling
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "fig3_speedups.json"
+FIG5_GOLDEN_PATH = Path(__file__).parent / "goldens" / "fig5_speedups.json"
 
 #: Relative tolerance for golden comparisons. The pipeline is
 #: deterministic on one platform; the tolerance only absorbs
@@ -66,7 +68,12 @@ def _diff(expected: dict, actual: dict) -> list[str]:
                 lines.append(f"{group}/{label}: MISSING (golden has "
                              f"{exp_row})")
                 continue
-            for key in ("blocked", "no_blocking"):
+            for key in sorted(set(exp_row) | set(act_row)):
+                if key not in exp_row or key not in act_row:
+                    lines.append(f"{group}/{label}.{key}: expected "
+                                 f"{exp_row.get(key)}, got "
+                                 f"{act_row.get(key)}")
+                    continue
                 exp_v, act_v = exp_row[key], act_row[key]
                 if abs(act_v - exp_v) > RTOL * max(abs(exp_v), 1e-12):
                     ratio = act_v / exp_v if exp_v else float("inf")
@@ -76,24 +83,39 @@ def _diff(expected: dict, actual: dict) -> list[str]:
     return lines
 
 
-def test_fig3_speedups_match_goldens():
-    actual = _compute()
+def _match_golden(path: Path, actual: dict, what: str) -> None:
+    """Compare ``actual`` with the golden at ``path`` (or rewrite the
+    golden under ``REGEN_GOLDENS``)."""
     if os.environ.get("REGEN_GOLDENS"):
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(json.dumps(actual, indent=2,
-                                          sort_keys=True) + "\n")
-        pytest.skip(f"regenerated {GOLDEN_PATH}")
-    if not GOLDEN_PATH.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(actual, indent=2,
+                                   sort_keys=True) + "\n")
+        pytest.skip(f"regenerated {path}")
+    if not path.exists():
         pytest.fail(
-            f"golden file {GOLDEN_PATH} is missing; regenerate with "
+            f"golden file {path} is missing; regenerate with "
             f"REGEN_GOLDENS=1")
-    expected = json.loads(GOLDEN_PATH.read_text())
+    expected = json.loads(path.read_text())
     drift = _diff(expected, actual)
     assert not drift, (
-        "Fig-3 speedups drifted from the goldens:\n  "
+        f"{what} drifted from the goldens:\n  "
         + "\n  ".join(drift)
         + "\n(intentional modelling change? regenerate with "
           "REGEN_GOLDENS=1 and review the JSON diff)")
+
+
+def test_fig3_speedups_match_goldens():
+    _match_golden(GOLDEN_PATH, _compute(), "Fig-3 speedups")
+
+
+def test_fig5_speedups_match_goldens():
+    """Each Fig 5 design's speedup over the baseline, per (dataset,
+    hidden dimension) row and as the Gmean row."""
+    actual = {"fig5": {
+        row.label: {name: round(speedup, 9)
+                    for name, speedup in row.speedups.items()}
+        for row in fig5_scaling()}}
+    _match_golden(FIG5_GOLDEN_PATH, actual, "Fig-5 speedups")
 
 
 def test_golden_file_is_wellformed():

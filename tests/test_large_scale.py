@@ -92,9 +92,9 @@ _MEASURE = textwrap.dedent("""\
     from repro.accelerator import GNNerator
     harness = Harness()
     spec = WorkloadSpec(dataset=dataset, network="gcn", hidden_dim=16)
-    config, block = harness._resolve_config(spec, None)
+    config = harness._config(spec, None)
     t0 = time.perf_counter()
-    program = harness._compiled(spec, config, block)
+    program = harness._compiled(spec, config)
     if simulate:
         result = GNNerator(config).simulate(program)
     wall = time.perf_counter() - t0

@@ -68,11 +68,11 @@ def fresh_harness(store) -> Harness:
 
 def store_key(store: ProgramStore, harness: Harness,
               spec: WorkloadSpec) -> str:
-    config, block = harness._resolve_config(spec, None)
+    config = harness._config(spec, None)
     return store.key(program_key_payload(
         dataset_fingerprint=dataset_fingerprint(spec.dataset),
         network=spec.network, hidden_dim=spec.hidden_dim,
-        traversal=spec.traversal, feature_block=block,
+        traversal=spec.traversal, feature_block=config.feature_block,
         config_projection=compile_relevant_config(config)))
 
 

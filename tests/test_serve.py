@@ -113,6 +113,15 @@ class TestProtocol:
             parse_request("run", {"dataset": "tiny", "network": "gcn",
                                   "overrides": {"dense.bogus": 4}})
 
+    def test_overrides_checked_at_the_requests_own_block(self):
+        """A 16 KiB source buffer holds B = 64 rows of a node but not
+        B = 4096: the request is checked on the config it runs."""
+        body = {"dataset": "cora", "network": "gcn", "block": 4096,
+                "overrides": {"graph.src_feature_buffer_bytes": 16384}}
+        with pytest.raises(ProtocolError, match="feature_block=4096"):
+            parse_request("run", body)
+        parse_request("run", dict(body, block=64))
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ProtocolError, match="unknown"):
             parse_request("run", {"dataset": "tiny", "network": "gcn",
@@ -375,6 +384,15 @@ class TestHttpSurface:
                               "nope.path")):
             status, payload, _ = _post(f"{base}/dse", body)
             assert status == 400 and needle in payload["error"], payload
+        assert state.queue.stats()["submitted"] == 0
+
+    def test_run_config_invalid_at_its_block_is_a_400_before_queueing(
+            self, daemon):
+        state, base = daemon
+        status, payload, _ = _post(f"{base}/run", {
+            "dataset": "cora", "network": "gcn", "block": 4096,
+            "overrides": {"graph.src_feature_buffer_bytes": 16384}})
+        assert status == 400 and "feature_block=4096" in payload["error"]
         assert state.queue.stats()["submitted"] == 0
 
     @pytest.mark.parametrize("length", ["-1", "twelve"])

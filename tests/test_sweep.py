@@ -11,6 +11,12 @@ from contextlib import contextmanager, nullcontext
 import pytest
 
 from repro.cli import main
+from repro.config.overrides import (
+    candidate_config,
+    fig5_overrides,
+    freeze_overrides,
+)
+from repro.config.platforms import next_generation_variants
 from repro.config.workload import WorkloadSpec
 from repro.eval.experiments import fig3_speedups, table1_dataflow_costs
 from repro.eval.harness import Harness
@@ -87,9 +93,24 @@ class TestPlans:
         assert blocks == {64, 128}
 
     def test_fig5_plan_has_dense_autotune_candidates(self):
+        """The doubled Dense Engine is two override sets, B = 128 and
+        B = 64, each rebuilding the variant at that block; the other
+        designs are one set each, beside the baseline."""
         plan = fig5_plan(hidden_dims=(16,))
-        dense = [p for p in plan if p.variant == "more-dense-compute"]
-        assert {p.variant_block for p in dense} == {None, 64}
+        assert len(plan) == 3 * (1 + 4)
+        dense = dict(fig5_overrides()["more-dense-compute"])
+        assert dense["feature_block"] == 128
+        sets = {p.config_overrides for p in plan
+                if p.config_overrides
+                and "dense.rows" in dict(p.config_overrides)}
+        assert sets == {freeze_overrides({**dense, "feature_block": block})
+                        for block in (128, 64)}
+        variant = next_generation_variants()["more-dense-compute"]
+        for overrides in sets:
+            config = candidate_config(64, overrides)
+            assert config == dataclasses.replace(
+                variant, name=config.name,
+                feature_block=config.feature_block)
 
     def test_plans_deduplicate_points(self):
         point = point_for(CORA_GCN)
@@ -101,9 +122,6 @@ class TestPlans:
             SweepPoint(dataset="cora", network="gcn", platform="tpu")
         with pytest.raises(SweepPlanError):
             SweepPoint(dataset="cora", network="gcn", metric="flops")
-        with pytest.raises(SweepPlanError):
-            SweepPoint(dataset="cora", network="gcn", platform="gpu",
-                       variant="more-graph-memory")
         with pytest.raises(ValueError, match="hidden_dim"):
             SweepPoint(dataset="cora", network="gcn", hidden_dim=0)
 
