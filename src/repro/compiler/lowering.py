@@ -43,9 +43,12 @@ pipeline:
   are keyed ``(graph, interval size)`` and memoized on the graph.
 * **cost pass** (:func:`fill_costs`) — the program's cost lists: every
   compute op's cycles, from :mod:`repro.engines.graph.gpe` and
-  :mod:`repro.engines.dense.systolic`. It reads ``graph.num_gpes``,
-  ``simd_width`` and ``pipeline_depth`` and ``dense.rows``, ``cols``
-  and ``dataflow``; neither pass reads any other field.
+  :mod:`repro.engines.dense.systolic`, evaluated at once over the cost
+  inputs and shard loads the structure pass records as arrays
+  (:attr:`Program.cost_inputs`, :attr:`Program.shard_loads`), so it
+  reads no op. It reads ``graph.num_gpes``, ``simd_width`` and
+  ``pipeline_depth`` and ``dense.rows``, ``cols`` and ``dataflow``;
+  neither pass reads any other field.
 
 So two configs of one geometry compile to programs that differ only in
 their cost lists, and :func:`recost` derives one from the other without
@@ -69,7 +72,7 @@ process — the observable CI and the cache tests use to assert
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.compiler.ir import (
     AccumWritebackOp,
@@ -106,18 +109,14 @@ from repro.dataflow.blocking import (
     dimension_blocked_walk,
     plan_blocks,
 )
-from repro.engines.dense.systolic import (
-    GemmShape,
-    activation_cycles,
-    gemm_timing,
-)
+from repro.engines.dense.systolic import activation_cycles, gemm_cycles
 from repro.engines.graph.gpe import (
     interval_touch_cycles,
-    max_gpe_edges,
     shard_compute_cycles,
 )
 from repro.graph.graph import Graph
 from repro.graph.partition import (
+    GPE_COUNTS,
     ShardGrid,
     fitting_interval,
     shard_grid,
@@ -146,6 +145,13 @@ def full_lowering_count() -> int:
     """How many times this process ran the full lowering pass."""
     with _MEMO_LOCK:
         return _FULL_LOWERINGS
+
+
+#: Cost-input kinds. A compute op's :attr:`Program.cost_inputs` row is
+#: ``(TOUCH, rows, width, 0)`` for an accumulator init or self apply,
+#: ``(SHARD, shard_loads row, width, attention)``, ``(GEMM, m, k, n)`` or
+#: ``(ACTIVATION, rows, cols, 0)``.
+TOUCH, SHARD, GEMM, ACTIVATION = range(4)
 
 
 @dataclass(frozen=True)
@@ -380,7 +386,8 @@ def _geometry(graph: Graph, model: GNNModel, config: GNNeratorConfig,
 class Lowering:
     """Single-use structure pass; see :func:`compile_workload`.
 
-    Emits every op and no cost; :func:`fill_costs` computes the costs.
+    Emits every op and each compute op's cost inputs, and no cost;
+    :func:`fill_costs` computes the costs.
     """
 
     def __init__(self, graph: Graph, model: GNNModel,
@@ -395,6 +402,11 @@ class Lowering:
             feature_block=geometry.feature_block,
             num_nodes=graph.num_nodes)
         self._token_seq = 0
+        #: Cost-input rows per compute unit, and the shard-load table's
+        #: rows by (layer, stage, row, col), each led by its index.
+        self._costs: dict[str, list[tuple[int, int, int, int]]] = {
+            "graph.compute": [], "dense.compute": []}
+        self._shards: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Small helpers
@@ -402,6 +414,13 @@ class Lowering:
     def _token(self, prefix: str) -> str:
         self._token_seq += 1
         return f"{prefix}#{self._token_seq}"
+
+    def _shard_row(self, key: tuple[int, int, int, int],
+                   loads: list[int]) -> int:
+        """``key``'s row of the shard-load table, added on first use."""
+        if key not in self._shards:
+            self._shards[key] = (len(self._shards), *key, *loads)
+        return self._shards[key][0]
 
     def _emit_step(self, channel: str, fetch_unit: str, compute_unit: str,
                    fetch_ops: list[Operation],
@@ -423,6 +442,8 @@ class Lowering:
     # Top level
     # ------------------------------------------------------------------
     def compile(self) -> Program:
+        import numpy as np
+
         program = self.program
         program.declare_array(program.input_array, self.model.in_dim)
         current = ValueRef(program.input_array, Coverage())
@@ -443,6 +464,12 @@ class Lowering:
                             layer_index, stage_index, stage, current,
                             layer_input, layer, completions)
         program.output_array = current.array
+        program.cost_inputs = {
+            unit: np.array(rows, np.int32).reshape(-1, 4)
+            for unit, rows in self._costs.items()}
+        program.shard_loads = np.array(
+            [row[1:] for row in self._shards.values()],
+            np.int32).reshape(-1, 4 + len(GPE_COUNTS))
         return program
 
     # ------------------------------------------------------------------
@@ -466,6 +493,7 @@ class Lowering:
         program = self.program
         geometry = self.geometry.aggregate(layer, stage_index)
         grid = self._aggregate_grid(layer, stage_index)
+        loads = grid.gpe_loads
         plan = program.plans[(layer, stage_index, "main")]
         side = grid.grid_side
 
@@ -510,6 +538,8 @@ class Lowering:
                     label=f"reload:{col_key}"))
             if action.init:
                 mode = "neginf" if stage.reduce == "max" else "zero"
+                self._costs["graph.compute"].append(
+                    (TOUCH, dst_rowcount, width, 0))
                 compute_ops.append(InitAccumulatorOp(
                     unit="graph.compute", layer=layer, stage=stage_index,
                     rows=dst_rows, dims=dims, acc_array=acc_array,
@@ -556,12 +586,17 @@ class Lowering:
                         num_bytes=shard.edge_bytes, array="edges",
                         rows=(row, col), dims=(0, 0), purpose="edges",
                         label=f"edges:{row}:{col}"))
+                self._costs["graph.compute"].append((SHARD, self._shard_row(
+                    (layer, stage_index, row, col), loads[(row, col)]),
+                    width, stage.needs_features))
                 compute_ops.append(ShardAggregateOp(
                     unit="graph.compute", layer=layer, stage=stage_index,
                     shard=(row, col), dims=dims, reduce=stage.reduce,
                     acc_array=acc_array, src_array=incoming.array,
                     num_edges=shard.num_edges))
             if apply_self:
+                self._costs["graph.compute"].append(
+                    (TOUCH, dst_rowcount, width, 0))
                 compute_ops.append(SelfApplyOp(
                     unit="graph.compute", layer=layer, stage=stage_index,
                     rows=dst_rows, dims=dims, acc_array=acc_array,
@@ -742,6 +777,7 @@ class Lowering:
                         array=source.array, rows=chunk, dims=dims,
                         purpose="input",
                         wait=source.cover.tokens_for(chunk, dims)))
+                    self._costs["dense.compute"].append((GEMM, m, width, n))
                     gemm = GemmOp(
                         unit="dense.compute", layer=layer,
                         stage=stage_index, rows=chunk,
@@ -785,6 +821,7 @@ class Lowering:
         m = rows[1] - rows[0]
         act_token = self._token("act")
         cover_token = f"out:{layer}:{stage_index}:{rows[0]}"
+        self._costs["dense.compute"].append((ACTIVATION, m, n, 0))
         activation = ActivationOp(
             unit="dense.compute", layer=layer, stage=stage_index,
             rows=rows, out_array=out_array, activation=stage.activation,
@@ -826,47 +863,34 @@ def fill_costs(program: Program,
     """The cost pass: ``program``'s compute-op cycles under ``config``.
 
     Returns one list per compute unit (``graph.compute``,
-    ``dense.compute``) of each compute op's cycles in queue order. Reads
-    only the compute knobs — ``graph.num_gpes``, ``simd_width``,
-    ``pipeline_depth`` and ``dense.rows``, ``cols``, ``dataflow`` —
-    plus the program's own grids and model. The worst-GPE edge load is
-    cached on each shard per GPE count (:func:`max_gpe_edges`), so
-    programs sharing a grid share the statistic.
+    ``dense.compute``) of each compute op's cycles in queue order: the
+    elementwise formulas of :mod:`repro.engines.graph.gpe` and
+    :mod:`repro.engines.dense.systolic` over the program's cost inputs
+    and shard loads, with no op read. Reads only the compute knobs —
+    ``graph.num_gpes``, ``simd_width``, ``pipeline_depth`` and
+    ``dense.rows``, ``cols``, ``dataflow``.
     """
+    import numpy as np
+
     graph_cfg, dense_cfg = config.graph, config.dense
-    num_gpes = graph_cfg.num_gpes
     with span("cost", graph=program.graph_name):
-        attention = {(li, si): stage.needs_features
-                     for li, layer in enumerate(program.model.layers)
-                     for si, stage in enumerate(layer.stages)
-                     if isinstance(stage, AggregateStage)}
-        graph_costs: list[int] = []
-        for op in program.queues["graph.compute"]:
-            if isinstance(op, ShardAggregateOp):
-                grid = program.grids[(op.layer, op.stage)]
-                graph_costs.append(shard_compute_cycles(
-                    max_gpe_edges(grid.shard(*op.shard), num_gpes),
-                    op.dims[1] - op.dims[0], graph_cfg,
-                    attention=attention[(op.layer, op.stage)]))
-            elif isinstance(op, (InitAccumulatorOp, SelfApplyOp)):
-                graph_costs.append(interval_touch_cycles(
-                    op.rows[1] - op.rows[0], op.dims[1] - op.dims[0],
-                    graph_cfg))
-        gemm_cycles: dict[tuple[int, int, int], int] = {}
-        dense_costs: list[int] = []
-        for op in program.queues["dense.compute"]:
-            if isinstance(op, GemmOp):
-                shape = (op.m, op.k, op.n)
-                cycles = gemm_cycles.get(shape)
-                if cycles is None:
-                    cycles = gemm_cycles[shape] = gemm_timing(
-                        GemmShape(*shape), dense_cfg).cycles
-                dense_costs.append(cycles)
-            elif isinstance(op, ActivationOp):
-                dense_costs.append(activation_cycles(
-                    op.rows[1] - op.rows[0], program.arrays[op.out_array],
-                    dense_cfg))
-    return {"graph.compute": graph_costs, "dense.compute": dense_costs}
+        # ``a``: a touch's rows, a shard aggregate's shard-load row.
+        kind, a, width, attention = program.cost_inputs[
+            "graph.compute"].T.astype(np.int64)
+        shard = kind == SHARD
+        worst = np.zeros_like(a)
+        worst[shard] = np.asarray(
+            program.worst_gpe_edges(graph_cfg.num_gpes), np.int64)[a[shard]]
+        graph_costs = np.where(
+            shard, shard_compute_cycles(worst, width, graph_cfg, attention),
+            interval_touch_cycles(a, width, graph_cfg))
+        kind, m, k, n = program.cost_inputs[
+            "dense.compute"].T.astype(np.int64)
+        dense_costs = np.where(kind == GEMM,
+                               gemm_cycles(m, k, n, dense_cfg),
+                               activation_cycles(m, k, dense_cfg))
+    return {"graph.compute": graph_costs.tolist(),
+            "dense.compute": dense_costs.tolist()}
 
 
 def recost(structure: Program, config: GNNeratorConfig,
@@ -876,27 +900,17 @@ def recost(structure: Program, config: GNNeratorConfig,
 
     Valid when ``config`` resolves to ``structure``'s :class:`Geometry`
     (``Harness._compiled`` keys its structure memo that way). The new
-    program shares ``structure``'s queues, order, grids, plans, arrays,
-    plan template and static facts (the DRAM traffic breakdown, the
-    energy model's per-op sums) and owns only its cost lists and
-    coalesced plans; no op is copied. Finished and verified like a
-    fresh compile.
+    program shares every field of ``structure`` — its ops, decoded or
+    not, grids, plans, arrays, cost inputs, plan template and static
+    facts (the DRAM traffic breakdown, the energy model's per-op sums)
+    — and owns only its cost lists and coalesced plans; no op is
+    copied or decoded. Finished and verified like a fresh compile.
     """
     with span("recost", graph=structure.graph_name):
         structure.dram_bytes_by_purpose()
-        program = Program(
-            graph_name=structure.graph_name, model=structure.model,
-            traversal=structure.traversal,
-            feature_block=structure.feature_block,
-            num_nodes=structure.num_nodes, queues=structure.queues,
-            order=structure.order, grids=structure.grids,
-            plans=structure.plans, arrays=structure.arrays,
-            input_array=structure.input_array,
-            output_array=structure.output_array,
-            costs=fill_costs(structure, config),
-            _template=structure.plan_template(),
-            _dram_by_purpose=structure._dram_by_purpose,
-            _energy_terms=structure._energy_terms)
+        program = replace(structure, costs=fill_costs(structure, config),
+                          _template=structure.plan_template(),
+                          _coalesced_plans={})
         return finish_program(program, config, workload)
 
 

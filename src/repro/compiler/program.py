@@ -5,10 +5,11 @@ plans, arrays and what follows from them alone (DRAM bytes by purpose,
 energy terms, the plan template), a pure function of the graph, the
 network and the :class:`~repro.compiler.lowering.Geometry` — plus
 *cost lists*, its compute ops' cycles. A re-cost
-(:func:`~repro.compiler.lowering.recost`) shares the structure. A
+(:func:`~repro.compiler.lowering.recost`) shares the structure. Timing
+reads its arrays and static facts; only op walkers read its ops. A
 program holds no values: parameters and aggregation weights are inputs
 of the functional runtime. The persistent store
-(:mod:`repro.compiler.store`) serializes it, treating two fields
+(:mod:`repro.compiler.store`) serializes it, treating three fields
 specially:
 
 * every :class:`~repro.graph.graph.Graph` reference (held by the shard
@@ -16,6 +17,8 @@ specially:
   and reattached to the loading process's graph object; each grid
   pickles as (graph, interval size) only and loads as that graph's
   memoized grid, sorted again only if something reads its edges;
+* the ops pickle as one checked blob, decoded on first read
+  (:class:`_Ops`);
 * the coalesced plans are dropped: a loaded program re-times its
   template per DramConfig on first use.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
 from repro.compiler.ir import (
     UNITS,
@@ -32,16 +35,70 @@ from repro.compiler.ir import (
     CompileError,
     DmaOp,
     Operation,
-    op_bytes,
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    import numpy as np
+
     from repro.config.accelerator import DramConfig
     from repro.sim.coalesce import CoalescedPlan, PlanTemplate
 from repro.dataflow.blocking import BlockPlan
-from repro.graph.partition import ShardGrid
+from repro.graph.partition import GPE_COUNTS, ShardGrid
 from repro.models.stages import GNNModel
 from repro.obs.spans import span
+
+
+#: A program's op queues and its emission order.
+_OpLists = tuple[dict[str, list[Operation]], list[Operation]]
+
+
+class _Ops:
+    """A program's op queues and emission order (``decoded``).
+
+    They pickle as one nested pickle beside its CRC-32 and op count;
+    unpickling checks the CRC and decodes nothing. The first read of
+    ``decoded`` decodes the blob with the program store's unpickler
+    class. Racing first reads may each decode, but one result wins, so
+    the queues and the order always share op objects, as do the
+    re-costs sharing this holder.
+    """
+
+    decoded: _OpLists
+
+    def __init__(self, blob: bytes | None = None, crc: int = 0,
+                 count: int = 0) -> None:
+        import zlib
+
+        if blob is None:
+            self.decoded = ({unit: [] for unit in UNITS}, [])
+        elif zlib.crc32(blob) != crc:
+            raise ValueError("op blob fails its CRC-32")
+        self.blob, self.count = blob, count
+
+    def __getattr__(self, name: str) -> _OpLists:
+        # Reached only while ``decoded`` is unset, so there is a blob.
+        if name != "decoded" or self.blob is None:
+            raise AttributeError(name)
+        import io
+
+        from repro.compiler.store import _GraphUnpickler
+
+        ops = _GraphUnpickler(io.BytesIO(self.blob), None).load()
+        return cast(_OpLists, self.__dict__.setdefault("decoded", ops))
+
+    def __len__(self) -> int:
+        if "decoded" in self.__dict__:
+            return len(self.decoded[1])
+        return self.count
+
+    def __reduce__(self) -> tuple[type[_Ops], tuple[bytes, int, int]]:
+        import pickle
+        import zlib
+
+        blob = self.blob or pickle.dumps(self.decoded, protocol=5)
+        return _Ops, (blob, zlib.crc32(blob), len(self))
 
 
 @dataclass
@@ -60,9 +117,6 @@ class Program:
     traversal: str
     feature_block: int | None
     num_nodes: int
-    queues: dict[str, list[Operation]] = field(
-        default_factory=lambda: {unit: [] for unit in UNITS})
-    order: list[Operation] = field(default_factory=list)
     #: Aggregate-stage shard grids, keyed by (layer, stage).
     grids: dict[tuple[int, int], ShardGrid] = field(default_factory=dict)
     #: Block plans keyed by (layer, stage, part) — see lowering.
@@ -75,6 +129,14 @@ class Program:
     #: Each compute op's cycles, one list per compute unit in queue
     #: order (:func:`repro.compiler.lowering.fill_costs`).
     costs: dict[str, list[int]] = field(default_factory=dict)
+    #: The cost pass's inputs: per compute unit, an int32 row per
+    #: compute op in queue order (see :func:`~repro.compiler.lowering.
+    #: fill_costs`), and per aggregated shard an int32 row ``(layer,
+    #: stage, row, col, *its worst-GPE loads at GPE_COUNTS GPEs)``.
+    cost_inputs: dict[str, np.ndarray] = field(default_factory=dict,
+                                               compare=False)
+    shard_loads: np.ndarray | None = field(default=None, compare=False)
+    _ops: _Ops = field(default_factory=_Ops, repr=False, compare=False)
     #: The structure's plan template (:meth:`plan_template`), shared by
     #: its re-costs. Never part of equality.
     _template: PlanTemplate | None = field(default=None, repr=False,
@@ -100,14 +162,25 @@ class Program:
         state["_coalesced_plans"] = {}
         return state
 
+    @property
+    def queues(self) -> dict[str, list[Operation]]:
+        """One FIFO op queue per unit, decoded on first read."""
+        return self._ops.decoded[0]
+
+    @property
+    def order(self) -> list[Operation]:
+        """Every op in emission order, decoded with :attr:`queues`."""
+        return self._ops.decoded[1]
+
     # ------------------------------------------------------------------
     # Construction helpers (used by the lowering pass)
     # ------------------------------------------------------------------
     def emit(self, op: Operation) -> Operation:
-        if op.unit not in self.queues:
+        queues, order = self._ops.decoded
+        if op.unit not in queues:
             raise CompileError(f"unknown unit {op.unit!r}")
-        self.queues[op.unit].append(op)
-        self.order.append(op)
+        queues[op.unit].append(op)
+        order.append(op)
         return op
 
     def declare_array(self, name: str, dim: int) -> str:
@@ -150,7 +223,7 @@ class Program:
     # ------------------------------------------------------------------
     @property
     def num_operations(self) -> int:
-        return len(self.order)
+        return len(self._ops)
 
     def dram_bytes_by_purpose(self) -> dict[str, int]:
         """Total DRAM traffic per purpose tag (Table I benches use this).
@@ -171,12 +244,26 @@ class Program:
 
     @property
     def total_dram_bytes(self) -> int:
-        return sum(op_bytes(op) for op in self.order)
+        return sum(self.dram_bytes_by_purpose().values())
+
+    def worst_gpe_edges(self, num_gpes: int) -> Sequence[int]:
+        """Per :attr:`shard_loads` row, the worst-GPE edge count at
+        ``num_gpes`` GPEs: stored for the counts in ``GPE_COUNTS``,
+        counted on the shard grids for any other."""
+        loads = cast("np.ndarray", self.shard_loads)
+        if num_gpes in GPE_COUNTS:
+            return cast("Sequence[int]",
+                        loads[:, 4 + GPE_COUNTS.index(num_gpes)])
+        from repro.engines.graph.gpe import max_gpe_edges
+
+        return [max_gpe_edges(self.grids[(layer, stage)].shard(row, col),
+                              num_gpes)
+                for layer, stage, row, col in loads[:, :4].tolist()]
 
     def compute_cycles_by_unit(self) -> dict[str, int]:
         """Serial compute-cycle totals per unit (a lower bound on busy
         time; the DES adds stalls and overlap)."""
-        return {unit: sum(self.costs.get(unit, ())) for unit in self.queues}
+        return {unit: sum(self.costs.get(unit, ())) for unit in UNITS}
 
     def describe(self) -> str:
         per_unit = {unit: len(ops) for unit, ops in self.queues.items()}

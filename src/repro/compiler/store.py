@@ -42,6 +42,9 @@ none (``ShardGrid.__reduce__``): the |E|-sized sort order is rebuilt
 by the same in-place sort, and only if something reads the grid's
 edges — simulating a loaded program never does. Since schema 5 an
 entry holds the plan template and cost lists, never a re-timed plan.
+Since schema 6 it holds the ops as one nested pickle beside its CRC-32
+and op count, and the cost pass's inputs as int32 arrays: a get checks
+the CRC (a mismatch is a miss) and decodes no op.
 Entries are orders of magnitude smaller than the graphs they index,
 and a memory-mapped million-edge feature matrix is never pulled
 through pickle. Workloads whose graph cannot be fingerprinted (real
@@ -70,7 +73,7 @@ if TYPE_CHECKING:
 
 #: Bump when the pickled layout (or anything about how entries are
 #: produced) changes incompatibly; old entries become misses.
-PROGRAM_SCHEMA = 5
+PROGRAM_SCHEMA = 6
 
 #: Environment variable pointing at the store; ``0``/``off``/``none``/
 #: empty disables it (:func:`repro.persist.cache_dir_from_env`).
@@ -174,7 +177,7 @@ class _GraphPickler(pickle.Pickler):
 class _GraphUnpickler(pickle.Unpickler):
     """Resolves graph references back to the caller's graph."""
 
-    def __init__(self, handle: IO[bytes], graph: Graph) -> None:
+    def __init__(self, handle: IO[bytes], graph: Graph | None) -> None:
         super().__init__(handle)
         self._graph = graph
 
@@ -208,8 +211,9 @@ class ProgramStore(ContentStore):
         ``structure``; either may be the payload :meth:`key` hashes)
         rebuilt against ``graph``, or None.
 
-        Any failure to read or unpickle is a miss (see the store's
-        contract). The loaded program's shard grids are ``graph``'s
+        Any failure to read or unpickle, an op blob that fails its CRC
+        included, is a miss (see the store's contract); the ops stay
+        undecoded. The loaded program's shard grids are ``graph``'s
         memoized grids (unbuilt ones entered under the memo's lock and
         size bound), so programs and later compiles of one graph share
         each scatter.

@@ -12,6 +12,10 @@ GPE for ``ceil(block_width / simd_width)`` Apply/Reduce slots, plus the
 pipeline fill. Load imbalance across GPEs is therefore a first-class
 effect — a power-law hub column concentrates edges on one GPE and the
 model charges for it.
+
+The cycle formulas are elementwise: the cost pass
+(:func:`repro.compiler.lowering.fill_costs`) calls them on int arrays
+of a program's cost inputs.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ from repro.graph.partition import Shard
 
 
 def lane_slots(width: int, simd_width: int) -> int:
-    """SIMD passes needed to cover ``width`` feature dimensions."""
-    if width <= 0:
-        return 0
+    """SIMD passes needed to cover ``width >= 0`` feature dimensions."""
     return -(-width // simd_width)
 
 
@@ -38,16 +40,9 @@ def gpe_edge_distribution(shard: Shard, num_gpes: int) -> np.ndarray:
 
 def max_gpe_edges(shard: Shard, num_gpes: int) -> int:
     """Edge count on the most-loaded GPE (the latency determinant).
-
-    Cached on the shard per GPE count: shard grids are memoized across
-    compiles (see :func:`repro.graph.partition.shard_grid`), so sweeps
-    and DSE candidates sharing a grid never re-reduce the distribution.
-    """
-    cached = shard._gpe_loads.get(num_gpes)
-    if cached is None:
-        cached = int(gpe_edge_distribution(shard, num_gpes).max())
-        shard._gpe_loads[num_gpes] = cached
-    return cached
+    A compiled program stores it per shard for every power-of-two GPE
+    count (:meth:`repro.graph.partition.ShardGrid.gpe_loads`)."""
+    return int(gpe_edge_distribution(shard, num_gpes).max())
 
 
 def shard_compute_cycles(worst_gpe_edges: int, width: int,
@@ -61,12 +56,10 @@ def shard_compute_cycles(worst_gpe_edges: int, width: int,
     scale — static weights arrive precomputed with the edge data and
     cost nothing extra.
     """
-    if worst_gpe_edges == 0:
-        return 0
-    slots = lane_slots(width, config.simd_width)
-    if attention:
-        slots += lane_slots(width, config.simd_width) + 1
-    return config.pipeline_depth + worst_gpe_edges * slots
+    slots = lane_slots(width, config.simd_width) * (1 + attention) + attention
+    # An idle shard (no edges on any GPE) costs nothing, not the fill.
+    return ((worst_gpe_edges > 0) * config.pipeline_depth
+            + worst_gpe_edges * slots)
 
 
 def interval_touch_cycles(num_rows: int, width: int,

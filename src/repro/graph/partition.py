@@ -76,8 +76,6 @@ class Shard:
     # compiles that share this shard grid (never part of equality).
     _segments: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
-    _gpe_loads: dict[int, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
     _distinct_sources: int | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -142,6 +140,9 @@ def _id_dtype(graph: Graph) -> np.dtype:
 #: indices to int64 first, so whole-array calls would hold a transient
 #: 8 bytes per edge; chunks hold 512 KiB.
 _GATHER_CHUNK = 1 << 16
+
+#: The GPE counts :meth:`ShardGrid.gpe_loads` answers for.
+GPE_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 
 
 #: ``(order, dst_sorted, cells, starts)``: the edge order and the sorted
@@ -373,6 +374,27 @@ class ShardGrid:
         """All shards holding at least one edge, in (row, col) order."""
         return list(self.iter_shards())
 
+    @functools.cached_property
+    def gpe_loads(self) -> dict[tuple[int, int], list[int]]:
+        """Each non-empty shard's worst-GPE edge count at each of
+        :data:`GPE_COUNTS` GPEs, keyed by (row, col). Edges go to GPE
+        ``local dst % g``, so one 64-bin tally per shard gives every
+        count: at a power-of-two ``g``, GPE ``r`` holds the bins
+        congruent to ``r`` mod ``g``. A shard's edges fit the edge
+        buffer, so each tally's transient arrays stay small."""
+        bins = GPE_COUNTS[-1]
+        # An edge's bin: its offset in its destination interval
+        # (``dst % n``) mod the bin count, a power of two.
+        tally = np.array([np.bincount(
+            self._dst_sorted[start:stop] % self.interval_size & (bins - 1),
+            minlength=bins) for start, stop in self._bounds.values()],
+            np.int32).reshape(-1, bins)
+        loads = np.stack([
+            tally.reshape(-1, bins // gpes, gpes).sum(axis=1).max(axis=1)
+            for gpes in GPE_COUNTS], axis=1)
+        return {divmod(cell, self.num_intervals): row
+                for cell, row in zip(self._bounds, loads.tolist())}
+
     @property
     def num_edges(self) -> int:
         return sum(stop - start for start, stop in self._bounds.values())
@@ -495,9 +517,9 @@ def plan_shards(graph: Graph, config: GraphEngineConfig,
     """The shard grid for ``graph`` under a feature block of ``block``:
     the memoized grid at :func:`fitting_interval`. DSE candidates that
     vary only compute knobs (GPE count, SIMD width, frequency,
-    dense-engine shape) share one grid; the per-shard GPE-load cache is
-    itself keyed by GPE count, so sharing a grid across those
-    candidates stays sound."""
+    dense-engine shape) share one grid; its GPE loads cover every
+    power-of-two GPE count, so sharing a grid across those candidates
+    stays sound."""
     return shard_grid(graph, fitting_interval(graph, config, block))
 
 
@@ -506,8 +528,8 @@ def shard_grid(graph: Graph, interval_size: int) -> ShardGrid:
 
     A grid depends only on (graph, interval): different feature blocks
     or buffer budgets that resolve to the same interval share one
-    scatter. The per-shard caches (segment boundaries, GPE loads) are
-    block-independent, so the sharing is sound.
+    scatter. The per-shard caches (segment boundaries) and the grid's
+    GPE loads are block-independent, so the sharing is sound.
 
     Concurrent compiles of the same graph (serve daemon request
     threads) get identical grid *objects* and one build, both under

@@ -39,17 +39,20 @@ from repro.obs.spans import SpanTracer, tracing
 def hottest_shards(program, num_gpes: int, top_k: int = 5) -> list[dict]:
     """The ``top_k`` shard-aggregate ops by compute cycles; one row per
     (shard, feature block) visit, with its worst-GPE load at
-    ``num_gpes`` GPEs (cached on the shard by the cost pass)."""
+    ``num_gpes`` GPEs (read off the program's shard loads)."""
     from repro.compiler.ir import COMPUTE_OPS, ShardAggregateOp
-    from repro.engines.graph.gpe import max_gpe_edges
 
     compute = [op for op in program.queues["graph.compute"]
                if isinstance(op, COMPUTE_OPS)]
-    rows = sorted(((cycles, op) for op, cycles in zip(
-        compute, program.costs["graph.compute"])
-        if isinstance(op, ShardAggregateOp)),
-        key=lambda row: (-row[0], row[1].layer, row[1].stage,
-                         row[1].shard, row[1].dims))
+    worst = program.worst_gpe_edges(num_gpes)
+    # A shard op's cost-input row names its row of the shard loads.
+    rows = sorted(((cycles, op, int(worst[load_row])) for op, cycles,
+                   (_, load_row, _, _) in zip(
+                       compute, program.costs["graph.compute"],
+                       program.cost_inputs["graph.compute"].tolist())
+                   if isinstance(op, ShardAggregateOp)),
+                  key=lambda row: (-row[0], row[1].layer, row[1].stage,
+                                   row[1].shard, row[1].dims))
     return [{
         "layer": op.layer,
         "stage": op.stage,
@@ -57,9 +60,8 @@ def hottest_shards(program, num_gpes: int, top_k: int = 5) -> list[dict]:
         "block": list(op.dims),
         "cycles": cycles,
         "num_edges": op.num_edges,
-        "max_gpe_edges": max_gpe_edges(
-            program.grids[(op.layer, op.stage)].shard(*op.shard), num_gpes),
-    } for cycles, op in rows[:top_k]]
+        "max_gpe_edges": load,
+    } for cycles, op, load in rows[:top_k]]
 
 
 def unit_cycles(probe: HwProbe, result) -> dict[str, dict]:

@@ -69,12 +69,18 @@ class ResultCache(ContentStore):
 
     def get(self, key: str) -> dict | None:
         """The stored record for ``key``, or None."""
-        return self._read(self._path(key), _decode_record)
+        from repro.obs.spans import span
+
+        with span("cache-get"):
+            return self._read(self._path(key), _decode_record)
 
     def put(self, key: str, record: dict) -> bool:
         """Persist ``record`` under ``key``; False when it was skipped."""
-        data = json.dumps(record, sort_keys=True).encode()
-        return self._write(self._path(key), data)
+        from repro.obs.spans import span
+
+        with span("cache-put"):
+            data = json.dumps(record, sort_keys=True).encode()
+            return self._write(self._path(key), data)
 
     def cached_metrics(self, key: str) -> dict | None:
         """The metrics of the successful point stored under ``key``."""

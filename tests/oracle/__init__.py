@@ -7,7 +7,9 @@ FIFO-arbitrated DRAM port, credit semaphores and handoff stores — so
 the equivalence tests can hold the replay to it: same cycles, same
 accounting, same four probe streams (DESIGN.md §5, §8).
 
-:func:`simulate_event` is its one entry point.
+:func:`simulate_event` is its one entry point. :mod:`.costs` keeps the
+per-op cost walk that the array cost pass replaced, as that pass's
+reference.
 """
 
 from __future__ import annotations

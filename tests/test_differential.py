@@ -13,6 +13,8 @@ replacing the ad-hoc per-model equivalence checks this file supersedes.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import os
 from pathlib import Path
@@ -22,16 +24,19 @@ import pytest
 
 from repro.accelerator import GNNerator
 from repro.analysis.passes.validation import validate_program
-from repro.compiler.lowering import compile_workload
+from repro.compiler.lowering import compile_workload, fill_costs
 from repro.compiler.runtime import run_functional
 from repro.config.workload import DST_STATIONARY, SRC_STATIONARY
+from repro.engines.graph.gpe import gpe_edge_distribution
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
+from repro.graph.partition import GPE_COUNTS
 from repro.models.layers import init_parameters
 from repro.models.reference import reference_forward
 from repro.models.zoo import NETWORK_NAMES, build_network
 from tests.conftest import make_tiny_config
 from tests.oracle import simulate_event
+from tests.oracle.costs import fill_costs_walk
 
 #: runtime == reference tolerance (float32 reassociation only).
 TOLERANCE = dict(rtol=1e-5, atol=1e-5)
@@ -147,6 +152,45 @@ class TestDifferential:
         parameters of any seed, GAT's attention coefficients included."""
         self._check(network, GRAPH_CASES[graph_case](), feature_block=4,
                     traversal=DST_STATIONARY, seeds=(7, 8))
+
+
+@pytest.mark.parametrize("network", NETWORK_NAMES)
+@pytest.mark.parametrize("graph_case", sorted(GRAPH_CASES))
+def test_array_costs_equal_the_op_walk(network, graph_case):
+    """On the three differential programs of each case (blocked dst-
+    and src-stationary, unblocked), every stored shard load equals its
+    GPE distribution counted on the grid, and the array cost pass
+    equals the per-op walk under every combination of each engine's
+    compute knobs. 48 GPEs is no power of two: its loads are counted
+    on the grid."""
+    graph = GRAPH_CASES[graph_case]()
+    model = build_network(network, FEATURE_DIM, NUM_CLASSES, hidden_dim=8)
+    for block, traversal in ((4, DST_STATIONARY), (4, SRC_STATIONARY),
+                             (None, DST_STATIONARY)):
+        config = make_tiny_config(block)
+        program = compile_workload(graph, model, config,
+                                   traversal=traversal, feature_block=block)
+        for layer, stage, row, col, *loads in program.shard_loads.tolist():
+            shard = program.grids[(layer, stage)].shard(row, col)
+            assert loads == [int(gpe_edge_distribution(shard, gpes).max())
+                             for gpes in GPE_COUNTS]
+        # Graph costs read only graph knobs and dense costs only dense
+        # ones, so pairing the two products covers both in full.
+        dense_knobs = itertools.cycle(itertools.product(
+            (32, 128), (32, 128), ("ws", "os", "auto")))
+        for (gpes, simd, depth), (rows, cols, dataflow) in zip(
+                itertools.product((16, 32, 48, 64), (16, 64), (0, 4)),
+                dense_knobs):
+            variant = dataclasses.replace(
+                config,
+                graph=dataclasses.replace(config.graph, num_gpes=gpes,
+                                          simd_width=simd,
+                                          pipeline_depth=depth),
+                dense=dataclasses.replace(config.dense, rows=rows,
+                                          cols=cols, dataflow=dataflow))
+            assert fill_costs(program, variant) == fill_costs_walk(
+                program, variant), (gpes, simd, depth, rows, cols,
+                                    dataflow)
 
 
 # ---------------------------------------------------------------------

@@ -15,15 +15,19 @@ import gc
 import io
 import os
 import pickle
+import sys
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.accelerator import GNNerator
-from repro.analysis.verify import VerificationError
+from repro.analysis.verify import VerificationError, verify_program
+from repro.compiler import program as program_module
 from repro.compiler.lowering import full_lowering_count, resolve_geometry
+from repro.compiler.runtime import run_functional
 from repro.compiler.store import (
     PROGRAM_CACHE_ENV,
     ProgramStore,
@@ -298,16 +302,6 @@ class TestShardGridPickle:
                 np.testing.assert_array_equal(a.dst, b.dst)
 
 
-def _ancestor_names(tracer, record) -> list[str]:
-    """Names of ``record``'s enclosing spans, innermost first."""
-    by_uid = {span.uid: span for span in tracer.spans}
-    names = []
-    while record.parent in by_uid:
-        record = by_uid[record.parent]
-        names.append(record.name)
-    return names
-
-
 class TestGridsByReference:
     """A stored program names each shard grid by (graph, interval
     size): loading it yields the graph's memoized grids, and nothing
@@ -377,8 +371,9 @@ class TestGridsByReference:
         program = reader.gnnerator_program(TINY_GAT)
         assert not any(grid.built for grid in program.grids.values())
 
-    def test_store_hit_then_recost_sorts_each_interval_once(self,
-                                                            tmp_path):
+    def test_store_hit_then_recost_sorts_no_grid(self, tmp_path):
+        """A re-cost reads the stored shard loads: a cost variant of a
+        store hit sorts none of the grids it names."""
         store = ProgramStore(tmp_path, code_version="v1")
         # 1 KiB scratchpads give the 32- and 16-wide aggregate stages
         # intervals of their own.
@@ -397,12 +392,120 @@ class TestGridsByReference:
         with tracing() as tracer:
             reader.gnnerator_program(TINY_GCN, variant)
         assert reader.last_compile_tier() == "recost"
-        builds = [record for record in tracer.spans
-                  if record.name == "plan-shards"]
-        assert sorted(record.attrs["interval"]
-                      for record in builds) == intervals
-        assert all("recost" in _ancestor_names(tracer, record)
-                   for record in builds)
+        assert "recost" in {record.name for record in tracer.spans}
+        assert "plan-shards" not in {record.name for record in tracer.spans}
+        assert not any(grid.built for grid in program.grids.values())
+
+
+class TestLazyOps:
+    """A stored program's ops stay one checked, undecoded blob until an
+    op walker reads them; every timing path reads arrays instead."""
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch):
+        """The op blobs decoded while the test runs: the holder's
+        ``__getattr__`` is reached only to decode."""
+        blobs = []
+        decode = program_module._Ops.__getattr__
+
+        def counted(ops, name):
+            blobs.append(ops.blob)
+            return decode(ops, name)
+
+        monkeypatch.setattr(program_module._Ops, "__getattr__", counted)
+        return blobs
+
+    def test_timing_paths_decode_no_op(self, tmp_path, monkeypatch,
+                                       decodes):
+        """A store hit, its re-costs, a structure-name hit, their
+        simulations and the energy model (the DSE metrics) decode no op
+        and sort no grid."""
+        monkeypatch.setenv("REPRO_VERIFY", "0")
+        store = ProgramStore(tmp_path, code_version="v1")
+        expected = fresh_harness(store).gnnerator_dse_metrics(TINY_GAT)
+        reader = fresh_harness(store)
+        base = reader._config(TINY_GAT, None)
+        variants = [apply_overrides(base, {"graph.num_gpes": gpes,
+                                           "graph.simd_width": simd})
+                    for gpes in (16, 64) for simd in (16, 64)]
+        with tracing() as tracer:
+            assert reader.gnnerator_dse_metrics(TINY_GAT) == expected
+            assert reader.last_compile_tier() == "store"
+            recosts = []
+            for variant in variants:
+                recosts.append(reader.gnnerator_dse_metrics(TINY_GAT,
+                                                            variant))
+                assert reader.last_compile_tier() == "recost"
+                assert recosts[-1]["num_operations"] == \
+                    expected["num_operations"]
+            # A new process asks for a variant first: the program key
+            # misses and the structure name hits.
+            named = fresh_harness(store)
+            assert named.gnnerator_dse_metrics(TINY_GAT, variants[0]) \
+                == recosts[0]
+            assert named.last_compile_tier() == "store"
+            assert store.structure_hits == 1
+        assert decodes == []
+        assert "plan-shards" not in {record.name for record in tracer.spans}
+
+    def test_op_walkers_decode_once(self, tmp_path, monkeypatch, decodes):
+        monkeypatch.setenv("REPRO_VERIFY", "0")
+        store = ProgramStore(tmp_path, code_version="v1")
+        fresh_harness(store).gnnerator_program(TINY_GCN)
+        reader = fresh_harness(store)
+        program = reader.gnnerator_program(TINY_GCN)
+        assert decodes == []
+        assert verify_program(program, reader._config(TINY_GCN, None)).ok
+        run_functional(program, reader.graph("tiny"),
+                       reader.params(TINY_GCN))
+        assert len(decodes) == 1
+        assert program.num_operations == len(program.order)
+
+    def test_racing_first_reads_share_one_set_of_ops(self, tmp_path):
+        store = ProgramStore(tmp_path, code_version="v1")
+        harness = fresh_harness(store)
+        harness.gnnerator_program(TINY_GAT)
+        program = store.get(store_key(store, harness, TINY_GAT),
+                            harness.graph("tiny"))
+        barrier = threading.Barrier(8)
+
+        def first_read(index: int):
+            barrier.wait(10.0)
+            if index % 2:
+                return program.queues, program.order
+            order = program.order
+            return program.queues, order
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                reads = list(pool.map(first_read, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        queues, order = reads[0]
+        assert all(q is queues and o is order for q, o in reads)
+        in_order = {id(op) for op in order}
+        assert all(id(op) in in_order
+                   for ops in queues.values() for op in ops)
+        assert sum(map(len, queues.values())) == len(order)
+
+    def test_flipped_blob_byte_is_a_miss_that_removes_it(self, tmp_path):
+        store = ProgramStore(tmp_path, code_version="v1")
+        harness = fresh_harness(store)
+        harness.gnnerator_program(TINY_GCN)
+        key = store_key(store, harness, TINY_GCN)
+        graph = harness.graph("tiny")
+        blob = store.get(key, graph)._ops.blob
+        path = store._path(key)
+        data = bytearray(path.read_bytes())
+        start = data.find(blob)
+        assert start > 0
+        data[start + len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        assert store.get(key, graph) is None
+        assert not path.exists()
+        assert store.stats["misses"] == 2  # the cold miss, then the flip
 
 
 class TestStorePicklers:

@@ -20,6 +20,7 @@ from repro.config.platforms import next_generation_variants
 from repro.config.workload import WorkloadSpec
 from repro.eval.experiments import fig3_speedups, table1_dataflow_costs
 from repro.eval.harness import Harness
+from repro.obs.spans import tracing
 from repro.sweep import (
     DatasetCache,
     NullCache,
@@ -160,6 +161,18 @@ class TestResultCache:
         other = cache.key_for(point_for(CORA_GCN.with_block(32)).payload())
         cache.put(other, {"schema": 1, "status": "ok", "metrics": {}})
         assert len(cache) == 2
+
+    def test_get_and_put_are_spans(self, tmp_path):
+        """Result-cache reads and writes show in a trace as their own
+        spans, not as their caller's self time."""
+        cache = ResultCache(tmp_path, code_version="v1")
+        key = cache.key_for(point_for(CORA_GCN).payload())
+        with tracing() as tracer:
+            cache.get(key)
+            cache.put_metrics(key, {}, {"seconds": 1.0})
+            assert cache.cached_metrics(key) == {"seconds": 1.0}
+        names = [record.name for record in tracer.spans]
+        assert sorted(names) == ["cache-get", "cache-get", "cache-put"]
 
     def test_key_changes_with_config(self):
         base = point_for(CORA_GCN).payload()
