@@ -43,12 +43,11 @@ pipeline:
   are keyed ``(graph, interval size)`` and memoized on the graph.
 * **cost pass** (:func:`fill_costs`) — the program's cost lists: every
   compute op's cycles, from :mod:`repro.engines.graph.gpe` and
-  :mod:`repro.engines.dense.systolic`, evaluated at once over the cost
-  inputs and shard loads the structure pass records as arrays
-  (:attr:`Program.cost_inputs`, :attr:`Program.shard_loads`), so it
-  reads no op. It reads ``graph.num_gpes``, ``simd_width`` and
-  ``pipeline_depth`` and ``dense.rows``, ``cols`` and ``dataflow``;
-  neither pass reads any other field.
+  :mod:`repro.engines.dense.systolic` over the cost inputs the
+  structure pass records (:attr:`Program.cost_inputs`), reading no op.
+  It reads ``graph.num_gpes``, ``simd_width`` and ``pipeline_depth``
+  and ``dense.rows``, ``cols`` and ``dataflow``; neither pass reads
+  any other field.
 
 So two configs of one geometry compile to programs that differ only in
 their cost lists, and :func:`recost` derives one from the other without
@@ -109,7 +108,11 @@ from repro.dataflow.blocking import (
     dimension_blocked_walk,
     plan_blocks,
 )
-from repro.engines.dense.systolic import activation_cycles, gemm_cycles
+from repro.engines.dense.systolic import (
+    GemmShape,
+    activation_cycles,
+    gemm_timing,
+)
 from repro.engines.graph.gpe import (
     interval_touch_cycles,
     shard_compute_cycles,
@@ -147,10 +150,15 @@ def full_lowering_count() -> int:
         return _FULL_LOWERINGS
 
 
-#: Cost-input kinds. A compute op's :attr:`Program.cost_inputs` row is
-#: ``(TOUCH, rows, width, 0)`` for an accumulator init or self apply,
-#: ``(SHARD, shard_loads row, width, attention)``, ``(GEMM, m, k, n)`` or
-#: ``(ACTIVATION, rows, cols, 0)``.
+#: Cost-input kinds. :attr:`Program.cost_inputs` holds, per compute
+#: unit, one int32 row per compute op in queue order: ``(TOUCH, rows,
+#: width, 0)`` for an accumulator init or self apply, ``(SHARD, shard,
+#: width, attention)``, ``(GEMM, gemm, 0, 0)`` or ``(ACTIVATION, rows,
+#: cols, 0)``. Under ``"shards"``, row ``shard`` is ``(layer, stage,
+#: row, col)`` and the shard's worst-GPE loads at ``GPE_COUNTS`` GPEs;
+#: under ``"gemms"``, row ``gemm`` is a GEMM shape ``(m, k, n)`` (a
+#: program's GEMMs repeat a few shapes). Only this module reads or
+#: writes the layout.
 TOUCH, SHARD, GEMM, ACTIVATION = range(4)
 
 
@@ -402,11 +410,12 @@ class Lowering:
             feature_block=geometry.feature_block,
             num_nodes=graph.num_nodes)
         self._token_seq = 0
-        #: Cost-input rows per compute unit, and the shard-load table's
-        #: rows by (layer, stage, row, col), each led by its index.
+        #: Cost-input rows per compute unit (see :data:`TOUCH`), and
+        #: each aggregated shard's and GEMM shape's table row.
         self._costs: dict[str, list[tuple[int, int, int, int]]] = {
             "graph.compute": [], "dense.compute": []}
-        self._shards: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
+        self._shards: dict[tuple[int, int, int, int], int] = {}
+        self._gemms: dict[tuple[int, int, int], int] = {}
 
     # ------------------------------------------------------------------
     # Small helpers
@@ -415,12 +424,23 @@ class Lowering:
         self._token_seq += 1
         return f"{prefix}#{self._token_seq}"
 
-    def _shard_row(self, key: tuple[int, int, int, int],
-                   loads: list[int]) -> int:
-        """``key``'s row of the shard-load table, added on first use."""
-        if key not in self._shards:
-            self._shards[key] = (len(self._shards), *key, *loads)
-        return self._shards[key][0]
+    def _cost_row(self, op: Operation) -> tuple[int, int, int, int]:
+        """Compute op ``op``'s cost-input row (see :data:`TOUCH`)."""
+        if isinstance(op, GemmOp):
+            shape = (op.m, op.k, op.n)
+            return GEMM, self._gemms.setdefault(shape, len(self._gemms)), 0, 0
+        if isinstance(op, ActivationOp):
+            return (ACTIVATION, op.rows[1] - op.rows[0],
+                    self.program.arrays[op.out_array], 0)
+        if isinstance(op, ShardAggregateOp):
+            key = (op.layer, op.stage, *op.shard)
+            stage = self.model.layers[op.layer].stages[op.stage]
+            return (SHARD, self._shards.setdefault(key, len(self._shards)),
+                    op.dims[1] - op.dims[0],
+                    isinstance(stage, AggregateStage) and stage.needs_features)
+        if isinstance(op, (InitAccumulatorOp, SelfApplyOp)):
+            return TOUCH, op.rows[1] - op.rows[0], op.dims[1] - op.dims[0], 0
+        raise CompileError(f"{type(op).__name__} is no compute op")
 
     def _emit_step(self, channel: str, fetch_unit: str, compute_unit: str,
                    fetch_ops: list[Operation],
@@ -436,6 +456,7 @@ class Lowering:
         program.emit(PopOp(unit=compute_unit, channel=channel))
         for op in compute_ops:
             program.emit(op)
+            self._costs[compute_unit].append(self._cost_row(op))
         program.emit(ReleaseOp(unit=compute_unit, channel=channel))
 
     # ------------------------------------------------------------------
@@ -467,9 +488,13 @@ class Lowering:
         program.cost_inputs = {
             unit: np.array(rows, np.int32).reshape(-1, 4)
             for unit, rows in self._costs.items()}
-        program.shard_loads = np.array(
-            [row[1:] for row in self._shards.values()],
-            np.int32).reshape(-1, 4 + len(GPE_COUNTS))
+        program.cost_inputs["shards"] = np.array([
+            (*key, *(program.grids[key[:2]].worst_gpe_edges(gpes)[key[2:]]
+                     for gpes in GPE_COUNTS))
+            for key in self._shards], np.int32).reshape(
+                -1, 4 + len(GPE_COUNTS))
+        program.cost_inputs["gemms"] = np.array(
+            list(self._gemms), np.int32).reshape(-1, 3)
         return program
 
     # ------------------------------------------------------------------
@@ -493,7 +518,7 @@ class Lowering:
         program = self.program
         geometry = self.geometry.aggregate(layer, stage_index)
         grid = self._aggregate_grid(layer, stage_index)
-        loads = grid.gpe_loads
+        grid.worst_gpe_edges(GPE_COUNTS[0])  # tallies all, in this span
         plan = program.plans[(layer, stage_index, "main")]
         side = grid.grid_side
 
@@ -538,8 +563,6 @@ class Lowering:
                     label=f"reload:{col_key}"))
             if action.init:
                 mode = "neginf" if stage.reduce == "max" else "zero"
-                self._costs["graph.compute"].append(
-                    (TOUCH, dst_rowcount, width, 0))
                 compute_ops.append(InitAccumulatorOp(
                     unit="graph.compute", layer=layer, stage=stage_index,
                     rows=dst_rows, dims=dims, acc_array=acc_array,
@@ -586,17 +609,12 @@ class Lowering:
                         num_bytes=shard.edge_bytes, array="edges",
                         rows=(row, col), dims=(0, 0), purpose="edges",
                         label=f"edges:{row}:{col}"))
-                self._costs["graph.compute"].append((SHARD, self._shard_row(
-                    (layer, stage_index, row, col), loads[(row, col)]),
-                    width, stage.needs_features))
                 compute_ops.append(ShardAggregateOp(
                     unit="graph.compute", layer=layer, stage=stage_index,
                     shard=(row, col), dims=dims, reduce=stage.reduce,
                     acc_array=acc_array, src_array=incoming.array,
                     num_edges=shard.num_edges))
             if apply_self:
-                self._costs["graph.compute"].append(
-                    (TOUCH, dst_rowcount, width, 0))
                 compute_ops.append(SelfApplyOp(
                     unit="graph.compute", layer=layer, stage=stage_index,
                     rows=dst_rows, dims=dims, acc_array=acc_array,
@@ -777,7 +795,6 @@ class Lowering:
                         array=source.array, rows=chunk, dims=dims,
                         purpose="input",
                         wait=source.cover.tokens_for(chunk, dims)))
-                    self._costs["dense.compute"].append((GEMM, m, width, n))
                     gemm = GemmOp(
                         unit="dense.compute", layer=layer,
                         stage=stage_index, rows=chunk,
@@ -821,7 +838,6 @@ class Lowering:
         m = rows[1] - rows[0]
         act_token = self._token("act")
         cover_token = f"out:{layer}:{stage_index}:{rows[0]}"
-        self._costs["dense.compute"].append((ACTIVATION, m, n, 0))
         activation = ActivationOp(
             unit="dense.compute", layer=layer, stage=stage_index,
             rows=rows, out_array=out_array, activation=stage.activation,
@@ -864,33 +880,51 @@ def fill_costs(program: Program,
 
     Returns one list per compute unit (``graph.compute``,
     ``dense.compute``) of each compute op's cycles in queue order: the
-    elementwise formulas of :mod:`repro.engines.graph.gpe` and
-    :mod:`repro.engines.dense.systolic` over the program's cost inputs
-    and shard loads, with no op read. Reads only the compute knobs —
-    ``graph.num_gpes``, ``simd_width``, ``pipeline_depth`` and
+    formulas of :mod:`repro.engines.graph.gpe`, elementwise, and of
+    :mod:`repro.engines.dense.systolic`, once per GEMM shape, over the
+    program's cost inputs, with no op read. Reads only the compute
+    knobs — ``graph.num_gpes``, ``simd_width``, ``pipeline_depth`` and
     ``dense.rows``, ``cols``, ``dataflow``.
     """
     import numpy as np
 
     graph_cfg, dense_cfg = config.graph, config.dense
     with span("cost", graph=program.graph_name):
-        # ``a``: a touch's rows, a shard aggregate's shard-load row.
+        # ``a``: a touch's rows; a shard aggregate's shard-table row.
         kind, a, width, attention = program.cost_inputs[
             "graph.compute"].T.astype(np.int64)
-        shard = kind == SHARD
-        worst = np.zeros_like(a)
-        worst[shard] = np.asarray(
-            program.worst_gpe_edges(graph_cfg.num_gpes), np.int64)[a[shard]]
+        worst = np.array(worst_gpe_edges(program, graph_cfg.num_gpes),
+                         np.int64)
         graph_costs = np.where(
-            shard, shard_compute_cycles(worst, width, graph_cfg, attention),
+            kind == SHARD,
+            shard_compute_cycles(worst, width, graph_cfg, attention),
             interval_touch_cycles(a, width, graph_cfg))
-        kind, m, k, n = program.cost_inputs[
+        # ``a``: an activation's rows; a GEMM's shape-table row.
+        kind, a, cols, _ = program.cost_inputs[
             "dense.compute"].T.astype(np.int64)
-        dense_costs = np.where(kind == GEMM,
-                               gemm_cycles(m, k, n, dense_cfg),
-                               activation_cycles(m, k, dense_cfg))
+        shapes = program.cost_inputs["gemms"].tolist()
+        gemm = np.array([gemm_timing(GemmShape(*shape), dense_cfg).cycles
+                         for shape in shapes], np.int64)
+        dense_costs = np.where(
+            kind == GEMM, gemm[np.where(kind == GEMM, a, 0)],
+            activation_cycles(a, cols, dense_cfg))
     return {"graph.compute": graph_costs.tolist(),
             "dense.compute": dense_costs.tolist()}
+
+
+def worst_gpe_edges(program: Program, num_gpes: int) -> list[int]:
+    """Per ``graph.compute`` op of ``program`` in queue order, the edge
+    count on its shard's most-loaded of ``num_gpes`` GPEs (0 for an op
+    that aggregates no shard): stored for the counts in ``GPE_COUNTS``,
+    counted on the grids (once per grid and count) for any other."""
+    table = program.cost_inputs["shards"].tolist()
+    if num_gpes in GPE_COUNTS:
+        loads = [row[4 + GPE_COUNTS.index(num_gpes)] for row in table]
+    else:
+        loads = [program.grids[(layer, stage)].worst_gpe_edges(num_gpes)[
+            (row, col)] for layer, stage, row, col, *_ in table]
+    return [loads[shard] if kind == SHARD else 0 for kind, shard, *_
+            in program.cost_inputs["graph.compute"].tolist()]
 
 
 def recost(structure: Program, config: GNNeratorConfig,

@@ -5,19 +5,18 @@ plans, arrays and what follows from them alone (DRAM bytes by purpose,
 energy terms, the plan template), a pure function of the graph, the
 network and the :class:`~repro.compiler.lowering.Geometry` — plus
 *cost lists*, its compute ops' cycles. A re-cost
-(:func:`~repro.compiler.lowering.recost`) shares the structure. Timing
-reads its arrays and static facts; only op walkers read its ops. A
-program holds no values: parameters and aggregation weights are inputs
-of the functional runtime. The persistent store
-(:mod:`repro.compiler.store`) serializes it, treating three fields
-specially:
+(:func:`~repro.compiler.lowering.recost`) shares the structure; only
+op walkers, never timing, read its ops. A program holds no values:
+parameters and aggregation weights are inputs of the functional
+runtime. The persistent store (:mod:`repro.compiler.store`) serializes
+it, treating three fields specially:
 
 * every :class:`~repro.graph.graph.Graph` reference (held by the shard
   grids in ``grids``) is pickled *by dataset identity*, never by value,
   and reattached to the loading process's graph object; each grid
   pickles as (graph, interval size) only and loads as that graph's
   memoized grid, sorted again only if something reads its edges;
-* the ops pickle as one checked blob, decoded on first read
+* the ops pickle as one nested pickle, decoded on first read
   (:class:`_Ops`);
 * the coalesced plans are dropped: a loaded program re-times its
   template per DramConfig on first use.
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, cast
+from typing import TYPE_CHECKING
 
 from repro.compiler.ir import (
     UNITS,
@@ -38,46 +37,34 @@ from repro.compiler.ir import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
-
     import numpy as np
 
     from repro.config.accelerator import DramConfig
     from repro.sim.coalesce import CoalescedPlan, PlanTemplate
 from repro.dataflow.blocking import BlockPlan
-from repro.graph.partition import GPE_COUNTS, ShardGrid
+from repro.graph.partition import ShardGrid
 from repro.models.stages import GNNModel
 from repro.obs.spans import span
-
-
-#: A program's op queues and its emission order.
-_OpLists = tuple[dict[str, list[Operation]], list[Operation]]
 
 
 class _Ops:
     """A program's op queues and emission order (``decoded``).
 
-    They pickle as one nested pickle beside its CRC-32 and op count;
-    unpickling checks the CRC and decodes nothing. The first read of
-    ``decoded`` decodes the blob with the program store's unpickler
-    class. Racing first reads may each decode, but one result wins, so
-    the queues and the order always share op objects, as do the
-    re-costs sharing this holder.
+    They pickle as one nested pickle beside the op count, and unpickle
+    undecoded. The first read of ``decoded`` decodes the blob with the
+    program store's unpickler class. Racing first reads may each
+    decode, but one result wins, so the queues and the order always
+    share op objects, as do the re-costs sharing this holder.
     """
 
-    decoded: _OpLists
+    decoded: tuple[dict[str, list[Operation]], list[Operation]]
 
-    def __init__(self, blob: bytes | None = None, crc: int = 0,
-                 count: int = 0) -> None:
-        import zlib
-
+    def __init__(self, blob: bytes | None = None, count: int = 0) -> None:
         if blob is None:
             self.decoded = ({unit: [] for unit in UNITS}, [])
-        elif zlib.crc32(blob) != crc:
-            raise ValueError("op blob fails its CRC-32")
         self.blob, self.count = blob, count
 
-    def __getattr__(self, name: str) -> _OpLists:
+    def __getattr__(self, name: str) -> object:
         # Reached only while ``decoded`` is unset, so there is a blob.
         if name != "decoded" or self.blob is None:
             raise AttributeError(name)
@@ -86,19 +73,18 @@ class _Ops:
         from repro.compiler.store import _GraphUnpickler
 
         ops = _GraphUnpickler(io.BytesIO(self.blob), None).load()
-        return cast(_OpLists, self.__dict__.setdefault("decoded", ops))
+        return self.__dict__.setdefault("decoded", ops)
 
     def __len__(self) -> int:
         if "decoded" in self.__dict__:
             return len(self.decoded[1])
         return self.count
 
-    def __reduce__(self) -> tuple[type[_Ops], tuple[bytes, int, int]]:
+    def __reduce__(self) -> tuple[type[_Ops], tuple[bytes, int]]:
         import pickle
-        import zlib
 
         blob = self.blob or pickle.dumps(self.decoded, protocol=5)
-        return _Ops, (blob, zlib.crc32(blob), len(self))
+        return _Ops, (blob, len(self))
 
 
 @dataclass
@@ -129,13 +115,10 @@ class Program:
     #: Each compute op's cycles, one list per compute unit in queue
     #: order (:func:`repro.compiler.lowering.fill_costs`).
     costs: dict[str, list[int]] = field(default_factory=dict)
-    #: The cost pass's inputs: per compute unit, an int32 row per
-    #: compute op in queue order (see :func:`~repro.compiler.lowering.
-    #: fill_costs`), and per aggregated shard an int32 row ``(layer,
-    #: stage, row, col, *its worst-GPE loads at GPE_COUNTS GPEs)``.
+    #: The cost pass's inputs as int32 tables, recorded and read by
+    #: :mod:`repro.compiler.lowering` alone (layout: its ``TOUCH``).
     cost_inputs: dict[str, np.ndarray] = field(default_factory=dict,
                                                compare=False)
-    shard_loads: np.ndarray | None = field(default=None, compare=False)
     _ops: _Ops = field(default_factory=_Ops, repr=False, compare=False)
     #: The structure's plan template (:meth:`plan_template`), shared by
     #: its re-costs. Never part of equality.
@@ -245,20 +228,6 @@ class Program:
     @property
     def total_dram_bytes(self) -> int:
         return sum(self.dram_bytes_by_purpose().values())
-
-    def worst_gpe_edges(self, num_gpes: int) -> Sequence[int]:
-        """Per :attr:`shard_loads` row, the worst-GPE edge count at
-        ``num_gpes`` GPEs: stored for the counts in ``GPE_COUNTS``,
-        counted on the shard grids for any other."""
-        loads = cast("np.ndarray", self.shard_loads)
-        if num_gpes in GPE_COUNTS:
-            return cast("Sequence[int]",
-                        loads[:, 4 + GPE_COUNTS.index(num_gpes)])
-        from repro.engines.graph.gpe import max_gpe_edges
-
-        return [max_gpe_edges(self.grids[(layer, stage)].shard(row, col),
-                              num_gpes)
-                for layer, stage, row, col in loads[:, :4].tolist()]
 
     def compute_cycles_by_unit(self) -> dict[str, int]:
         """Serial compute-cycle totals per unit (a lower bound on busy

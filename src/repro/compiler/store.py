@@ -42,9 +42,10 @@ none (``ShardGrid.__reduce__``): the |E|-sized sort order is rebuilt
 by the same in-place sort, and only if something reads the grid's
 edges — simulating a loaded program never does. Since schema 5 an
 entry holds the plan template and cost lists, never a re-timed plan.
-Since schema 6 it holds the ops as one nested pickle beside its CRC-32
-and op count, and the cost pass's inputs as int32 arrays: a get checks
-the CRC (a mismatch is a miss) and decodes no op.
+Since schema 6 it holds the ops as one nested pickle beside the op
+count, and the cost pass's inputs as int32 arrays; a get decodes no op.
+The pickle is followed by its CRC-32, so a damaged byte anywhere in an
+entry makes it a miss.
 Entries are orders of magnitude smaller than the graphs they index,
 and a memory-mapped million-edge feature matrix is never pulled
 through pickle. Workloads whose graph cannot be fingerprinted (real
@@ -190,6 +191,26 @@ class _GraphUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
+def _encode(program: Program, graph: Graph) -> bytes:
+    """An entry: ``program``'s pickle, then that pickle's CRC-32."""
+    import zlib
+
+    buffer = io.BytesIO()
+    _GraphPickler(buffer, graph).dump(program)
+    data = buffer.getvalue()
+    return data + zlib.crc32(data).to_bytes(4, "little")
+
+
+def _decode(data: bytes, graph: Graph) -> Program:
+    """The program in an entry, checked against its CRC-32."""
+    import zlib
+
+    body = memoryview(data)[:-4]
+    if zlib.crc32(body) != int.from_bytes(data[-4:], "little"):
+        raise pickle.UnpicklingError("entry fails its CRC-32")
+    return cast("Program", _GraphUnpickler(io.BytesIO(body), graph).load())
+
+
 class ProgramStore(ContentStore):
     """On-disk compiled-program cache: the pickle format over
     :class:`~repro.persist.ContentStore`'s keys, paths and failure
@@ -211,18 +232,16 @@ class ProgramStore(ContentStore):
         ``structure``; either may be the payload :meth:`key` hashes)
         rebuilt against ``graph``, or None.
 
-        Any failure to read or unpickle, an op blob that fails its CRC
-        included, is a miss (see the store's contract); the ops stay
-        undecoded. The loaded program's shard grids are ``graph``'s
-        memoized grids (unbuilt ones entered under the memo's lock and
-        size bound), so programs and later compiles of one graph share
-        each scatter.
+        Any failure to read, to match the entry's CRC-32 or to unpickle
+        is a miss (see the store's contract); the ops stay undecoded.
+        The loaded program's shard grids are ``graph``'s memoized grids
+        (unbuilt ones entered under the memo's lock and size bound), so
+        programs and later compiles of one graph share each scatter.
         """
         with span("store-get", graph=graph.name, structure=structure):
             return self._read(
                 self._path(key, "structure" if structure else None),
-                lambda handle: cast("Program",
-                                    _GraphUnpickler(handle, graph).load()),
+                lambda handle: _decode(handle.read(), graph),
                 "structure_" if structure else "")
 
     def put(self, key: str | dict[str, object], program: "Program",
@@ -239,13 +258,12 @@ class ProgramStore(ContentStore):
         already, or no hard links here) is skipped.
         """
         with span("store-put", graph=graph.name):
-            buffer = io.BytesIO()
             try:
-                _GraphPickler(buffer, graph).dump(program)
+                data = _encode(program, graph)
             except Exception:
                 return False
             path = self._path(key)
-            if not self._write(path, buffer.getvalue()):
+            if not self._write(path, data):
                 return False
             if structure is not None:
                 name = self._path(structure, "structure")

@@ -17,24 +17,81 @@ The paper's Fig 4 observation — a feature block smaller than the array
 width of 64 under-utilises the Dense Engine — falls out of the ws
 mapping: ``K = B`` maps to the row dimension, so ``B = 32`` fills half
 the rows but still pays full per-tile overheads.
-
-The formulas are elementwise: the cost pass
-(:func:`repro.compiler.lowering.fill_costs`) times every GEMM of a
-program at once over int arrays of their dimensions.
 """
 
 from __future__ import annotations
 
-from repro.config.accelerator import DenseEngineConfig
+from dataclasses import dataclass
+
+from repro.config.accelerator import ConfigError, DenseEngineConfig
+
+
+@dataclass(frozen=True)
+class GemmShape:
+    """Dimensions of one GEMM: ``out[M, N] = in[M, K] @ W[K, N]``."""
+
+    m: int
+    k: int
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.m <= 0 or self.k <= 0 or self.n <= 0:
+            raise ConfigError(f"GEMM dims must be positive, got {self}")
+
+    @property
+    def macs(self) -> int:
+        return self.m * self.k * self.n
+
+    @property
+    def flops(self) -> int:
+        return 2 * self.macs
+
+
+@dataclass(frozen=True)
+class GemmTiming:
+    """Cycle cost and efficiency of one GEMM on a given array."""
+
+    shape: GemmShape
+    cycles: int
+    tiles: int
+    utilization: float  # achieved MACs / (cycles * array MACs)
+
+    @property
+    def macs(self) -> int:
+        return self.shape.macs
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def gemm_cycles(m: int, k: int, n: int, config: DenseEngineConfig) -> int:
-    """Cycles of ``out[m, n] = in[m, k] @ W[k, n]`` under the configured
-    dataflow; elementwise over int arrays of GEMM dimensions.
+def ws_gemm_cycles(shape: GemmShape, rows: int, cols: int) -> GemmTiming:
+    """Weight-stationary timing: K on rows, N on columns, M streamed."""
+    fold_k = _ceil_div(shape.k, rows)
+    fold_n = _ceil_div(shape.n, cols)
+    tiles = fold_k * fold_n
+    per_tile = rows + shape.m + rows + cols - 2
+    cycles = tiles * per_tile
+    utilization = shape.macs / (cycles * rows * cols)
+    return GemmTiming(shape=shape, cycles=cycles, tiles=tiles,
+                      utilization=min(utilization, 1.0))
+
+
+def os_gemm_cycles(shape: GemmShape, rows: int, cols: int) -> GemmTiming:
+    """Output-stationary timing: M on rows, N on columns, K streamed."""
+    fold_m = _ceil_div(shape.m, rows)
+    fold_n = _ceil_div(shape.n, cols)
+    tiles = fold_m * fold_n
+    per_tile = shape.k + rows + cols - 2
+    cycles = tiles * per_tile
+    utilization = shape.macs / (cycles * rows * cols)
+    return GemmTiming(shape=shape, cycles=cycles, tiles=tiles,
+                      utilization=min(utilization, 1.0))
+
+
+def gemm_timing(shape: GemmShape,
+                config: DenseEngineConfig) -> GemmTiming:
+    """Timing under the configured dataflow.
 
     ``"auto"`` (the default) picks the cheaper of the two mappings per
     GEMM, as a SCALE-Sim-style mapper would: weight-stationary wins for
@@ -43,15 +100,13 @@ def gemm_cycles(m: int, k: int, n: int, config: DenseEngineConfig) -> int:
     wins for the conventional unblocked regime (huge K streamed through
     pinned output tiles, partial sums never leaving the array).
     """
-    rows, cols = config.rows, config.cols
-    fold_n = _ceil_div(n, cols)
-    ws = _ceil_div(k, rows) * fold_n * (rows + m + rows + cols - 2)
-    os_ = _ceil_div(m, rows) * fold_n * (k + rows + cols - 2)
     if config.dataflow == "ws":
-        return ws
+        return ws_gemm_cycles(shape, config.rows, config.cols)
     if config.dataflow == "os":
-        return os_
-    return ws + (os_ < ws) * (os_ - ws)  # the cheaper mapping per GEMM
+        return os_gemm_cycles(shape, config.rows, config.cols)
+    ws = ws_gemm_cycles(shape, config.rows, config.cols)
+    os_ = os_gemm_cycles(shape, config.rows, config.cols)
+    return ws if ws.cycles <= os_.cycles else os_
 
 
 def activation_cycles(rows: int, cols: int,

@@ -12,10 +12,6 @@ GPE for ``ceil(block_width / simd_width)`` Apply/Reduce slots, plus the
 pipeline fill. Load imbalance across GPEs is therefore a first-class
 effect — a power-law hub column concentrates edges on one GPE and the
 model charges for it.
-
-The cycle formulas are elementwise: the cost pass
-(:func:`repro.compiler.lowering.fill_costs`) calls them on int arrays
-of a program's cost inputs.
 """
 
 from __future__ import annotations
@@ -25,8 +21,12 @@ import numpy as np
 from repro.config.accelerator import GraphEngineConfig
 from repro.graph.partition import Shard
 
+#: An int, or an int array the cycle formulas apply to elementwise (the
+#: cost pass times all of a program's graph ops in one call).
+IntLike = int | np.ndarray
 
-def lane_slots(width: int, simd_width: int) -> int:
+
+def lane_slots(width: IntLike, simd_width: int) -> IntLike:
     """SIMD passes needed to cover ``width >= 0`` feature dimensions."""
     return -(-width // simd_width)
 
@@ -39,15 +39,15 @@ def gpe_edge_distribution(shard: Shard, num_gpes: int) -> np.ndarray:
 
 
 def max_gpe_edges(shard: Shard, num_gpes: int) -> int:
-    """Edge count on the most-loaded GPE (the latency determinant).
-    A compiled program stores it per shard for every power-of-two GPE
-    count (:meth:`repro.graph.partition.ShardGrid.gpe_loads`)."""
+    """Edge count on the most-loaded GPE (the latency determinant); a
+    grid counts it for all its shards once per GPE count
+    (:meth:`repro.graph.partition.ShardGrid.worst_gpe_edges`)."""
     return int(gpe_edge_distribution(shard, num_gpes).max())
 
 
-def shard_compute_cycles(worst_gpe_edges: int, width: int,
+def shard_compute_cycles(worst_gpe_edges: IntLike, width: IntLike,
                          config: GraphEngineConfig,
-                         attention: bool = False) -> int:
+                         attention: IntLike = False) -> IntLike:
     """Cycles for the Shard Compute Unit to process one shard block.
 
     ``attention`` charges the extra per-edge work of computed weights:
@@ -62,8 +62,8 @@ def shard_compute_cycles(worst_gpe_edges: int, width: int,
             + worst_gpe_edges * slots)
 
 
-def interval_touch_cycles(num_rows: int, width: int,
-                          config: GraphEngineConfig) -> int:
+def interval_touch_cycles(num_rows: IntLike, width: IntLike,
+                          config: GraphEngineConfig) -> IntLike:
     """Cycles to touch every row of an interval once (accumulator init /
     self-term application), rows spread across GPEs."""
     per_gpe = -(-num_rows // config.num_gpes)

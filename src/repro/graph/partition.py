@@ -141,7 +141,8 @@ def _id_dtype(graph: Graph) -> np.dtype:
 #: 8 bytes per edge; chunks hold 512 KiB.
 _GATHER_CHUNK = 1 << 16
 
-#: The GPE counts :meth:`ShardGrid.gpe_loads` answers for.
+#: The GPE counts a program stores its shards' loads for, all counted
+#: by one tally (:meth:`ShardGrid.worst_gpe_edges`).
 GPE_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 
 
@@ -252,6 +253,8 @@ class ShardGrid:
         #: Lazily materialized Shard views, keyed by (row, col); only
         #: non-empty cells are cached (empty cells are throwaway).
         self._shard_views: dict[tuple[int, int], Shard] = {}
+        #: :meth:`worst_gpe_edges` by GPE count.
+        self._gpe_loads: dict[int, dict[tuple[int, int], int]] = {}
 
     @functools.cached_property
     def intervals(self) -> list[NodeInterval]:
@@ -374,26 +377,28 @@ class ShardGrid:
         """All shards holding at least one edge, in (row, col) order."""
         return list(self.iter_shards())
 
-    @functools.cached_property
-    def gpe_loads(self) -> dict[tuple[int, int], list[int]]:
-        """Each non-empty shard's worst-GPE edge count at each of
-        :data:`GPE_COUNTS` GPEs, keyed by (row, col). Edges go to GPE
-        ``local dst % g``, so one 64-bin tally per shard gives every
-        count: at a power-of-two ``g``, GPE ``r`` holds the bins
-        congruent to ``r`` mod ``g``. A shard's edges fit the edge
-        buffer, so each tally's transient arrays stay small."""
-        bins = GPE_COUNTS[-1]
-        # An edge's bin: its offset in its destination interval
-        # (``dst % n``) mod the bin count, a power of two.
-        tally = np.array([np.bincount(
-            self._dst_sorted[start:stop] % self.interval_size & (bins - 1),
-            minlength=bins) for start, stop in self._bounds.values()],
-            np.int32).reshape(-1, bins)
-        loads = np.stack([
-            tally.reshape(-1, bins // gpes, gpes).sum(axis=1).max(axis=1)
-            for gpes in GPE_COUNTS], axis=1)
-        return {divmod(cell, self.num_intervals): row
-                for cell, row in zip(self._bounds, loads.tolist())}
+    def worst_gpe_edges(self, num_gpes: int) -> dict[tuple[int, int], int]:
+        """Each non-empty shard's edge count on its most-loaded of
+        ``num_gpes`` GPEs, keyed by (row, col); counted once per grid
+        and count. Edges go to GPE ``local dst % num_gpes``, so one
+        64-bin tally per shard counts all of :data:`GPE_COUNTS`: at a
+        power-of-two ``g``, GPE ``r`` holds the bins congruent to ``r``
+        mod ``g``. A shard's edges fit the edge buffer, so each tally's
+        transient arrays stay small."""
+        if num_gpes not in self._gpe_loads:
+            counts = GPE_COUNTS if num_gpes in GPE_COUNTS else (num_gpes,)
+            bins = counts[-1]
+            tally = np.array([np.bincount(
+                self._dst_sorted[start:stop] % self.interval_size % bins,
+                minlength=bins) for start, stop in self._bounds.values()],
+                np.int64).reshape(-1, bins)
+            shards = [divmod(cell, self.num_intervals)
+                      for cell in self._bounds]
+            for gpes in counts:
+                loads = tally.reshape(-1, bins // gpes, gpes).sum(axis=1)
+                self._gpe_loads.setdefault(gpes, dict(zip(
+                    shards, loads.max(axis=1).tolist())))
+        return self._gpe_loads[num_gpes]
 
     @property
     def num_edges(self) -> int:
@@ -517,9 +522,8 @@ def plan_shards(graph: Graph, config: GraphEngineConfig,
     """The shard grid for ``graph`` under a feature block of ``block``:
     the memoized grid at :func:`fitting_interval`. DSE candidates that
     vary only compute knobs (GPE count, SIMD width, frequency,
-    dense-engine shape) share one grid; its GPE loads cover every
-    power-of-two GPE count, so sharing a grid across those candidates
-    stays sound."""
+    dense-engine shape) share one grid; its GPE loads are keyed by GPE
+    count, so sharing a grid across those candidates stays sound."""
     return shard_grid(graph, fitting_interval(graph, config, block))
 
 

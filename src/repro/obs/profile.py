@@ -39,20 +39,18 @@ from repro.obs.spans import SpanTracer, tracing
 def hottest_shards(program, num_gpes: int, top_k: int = 5) -> list[dict]:
     """The ``top_k`` shard-aggregate ops by compute cycles; one row per
     (shard, feature block) visit, with its worst-GPE load at
-    ``num_gpes`` GPEs (read off the program's shard loads)."""
+    ``num_gpes`` GPEs (the program's stored loads)."""
     from repro.compiler.ir import COMPUTE_OPS, ShardAggregateOp
+    from repro.compiler.lowering import worst_gpe_edges
 
     compute = [op for op in program.queues["graph.compute"]
                if isinstance(op, COMPUTE_OPS)]
-    worst = program.worst_gpe_edges(num_gpes)
-    # A shard op's cost-input row names its row of the shard loads.
-    rows = sorted(((cycles, op, int(worst[load_row])) for op, cycles,
-                   (_, load_row, _, _) in zip(
-                       compute, program.costs["graph.compute"],
-                       program.cost_inputs["graph.compute"].tolist())
-                   if isinstance(op, ShardAggregateOp)),
-                  key=lambda row: (-row[0], row[1].layer, row[1].stage,
-                                   row[1].shard, row[1].dims))
+    rows = sorted(((cycles, op, load) for op, cycles, load in zip(
+        compute, program.costs["graph.compute"],
+        worst_gpe_edges(program, num_gpes))
+        if isinstance(op, ShardAggregateOp)),
+        key=lambda row: (-row[0], row[1].layer, row[1].stage,
+                         row[1].shard, row[1].dims))
     return [{
         "layer": op.layer,
         "stage": op.stage,

@@ -2,12 +2,11 @@
 pass's reference.
 
 :func:`repro.compiler.lowering.fill_costs` times every compute op at
-once over the cost inputs and shard loads lowering records. This walk
-times each op from the op itself, one at a time: the GPE formulas of
+once over the cost inputs lowering records. This walk times each op
+from the op itself, one at a time: the GPE formulas of
 :mod:`repro.engines.graph.gpe` on each shard's GPE distribution counted
-on its grid, and the two systolic mappings of
-:mod:`repro.engines.dense.systolic` written out per GEMM. The
-equivalence tests hold the arrays to it.
+on its grid, and :mod:`repro.engines.dense.systolic`'s timing per GEMM.
+The equivalence tests hold the arrays to it.
 """
 
 from __future__ import annotations
@@ -21,23 +20,17 @@ from repro.compiler.ir import (
 )
 from repro.compiler.program import Program
 from repro.config.accelerator import GNNeratorConfig
+from repro.engines.dense.systolic import (
+    GemmShape,
+    activation_cycles,
+    gemm_timing,
+)
 from repro.engines.graph.gpe import (
     interval_touch_cycles,
     max_gpe_edges,
     shard_compute_cycles,
 )
 from repro.models.stages import AggregateStage
-
-
-def gemm_cycles_one(m: int, k: int, n: int, dense) -> int:
-    """One GEMM's cycles: weight-stationary folds K over the rows and
-    streams M; output-stationary folds M and streams K; ``auto`` takes
-    the cheaper."""
-    rows, cols = dense.rows, dense.cols
-    tiles_n = -(-n // cols)
-    ws = -(-k // rows) * tiles_n * (rows + m + rows + cols - 2)
-    os_ = -(-m // rows) * tiles_n * (k + rows + cols - 2)
-    return {"ws": ws, "os": os_}.get(dense.dataflow, min(ws, os_))
 
 
 def fill_costs_walk(program: Program,
@@ -63,7 +56,10 @@ def fill_costs_walk(program: Program,
     dense_costs: list[int] = []
     for op in program.queues["dense.compute"]:
         if isinstance(op, GemmOp):
-            dense_costs.append(gemm_cycles_one(op.m, op.k, op.n, dense_cfg))
+            dense_costs.append(gemm_timing(
+                GemmShape(op.m, op.k, op.n), dense_cfg).cycles)
         elif isinstance(op, ActivationOp):
-            dense_costs.append(op.rows[1] - op.rows[0] + dense_cfg.cols)
+            dense_costs.append(activation_cycles(
+                op.rows[1] - op.rows[0], program.arrays[op.out_array],
+                dense_cfg))
     return {"graph.compute": graph_costs, "dense.compute": dense_costs}

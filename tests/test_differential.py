@@ -24,7 +24,12 @@ import pytest
 
 from repro.accelerator import GNNerator
 from repro.analysis.passes.validation import validate_program
-from repro.compiler.lowering import compile_workload, fill_costs
+from repro.compiler.ir import COMPUTE_OPS, ShardAggregateOp
+from repro.compiler.lowering import (
+    compile_workload,
+    fill_costs,
+    worst_gpe_edges,
+)
 from repro.compiler.runtime import run_functional
 from repro.config.workload import DST_STATIONARY, SRC_STATIONARY
 from repro.engines.graph.gpe import gpe_edge_distribution
@@ -158,11 +163,11 @@ class TestDifferential:
 @pytest.mark.parametrize("graph_case", sorted(GRAPH_CASES))
 def test_array_costs_equal_the_op_walk(network, graph_case):
     """On the three differential programs of each case (blocked dst-
-    and src-stationary, unblocked), every stored shard load equals its
-    GPE distribution counted on the grid, and the array cost pass
-    equals the per-op walk under every combination of each engine's
-    compute knobs. 48 GPEs is no power of two: its loads are counted
-    on the grid."""
+    and src-stationary, unblocked), each shard op's worst-GPE load
+    equals its GPE distribution counted on the grid, and the array cost
+    pass equals the per-op walk under every combination of each
+    engine's compute knobs. 48 GPEs is no power of two: its loads are
+    counted on the grid, not stored."""
     graph = GRAPH_CASES[graph_case]()
     model = build_network(network, FEATURE_DIM, NUM_CLASSES, hidden_dim=8)
     for block, traversal in ((4, DST_STATIONARY), (4, SRC_STATIONARY),
@@ -170,10 +175,14 @@ def test_array_costs_equal_the_op_walk(network, graph_case):
         config = make_tiny_config(block)
         program = compile_workload(graph, model, config,
                                    traversal=traversal, feature_block=block)
-        for layer, stage, row, col, *loads in program.shard_loads.tolist():
-            shard = program.grids[(layer, stage)].shard(row, col)
-            assert loads == [int(gpe_edge_distribution(shard, gpes).max())
-                             for gpes in GPE_COUNTS]
+        compute = [op for op in program.queues["graph.compute"]
+                   if isinstance(op, COMPUTE_OPS)]
+        for gpes in (*GPE_COUNTS, 48):
+            assert worst_gpe_edges(program, gpes) == [
+                int(gpe_edge_distribution(program.grids[
+                    (op.layer, op.stage)].shard(*op.shard), gpes).max())
+                if isinstance(op, ShardAggregateOp) else 0
+                for op in compute], gpes
         # Graph costs read only graph knobs and dense costs only dense
         # ones, so pairing the two products covers both in full.
         dense_knobs = itertools.cycle(itertools.product(

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.config.accelerator import DenseEngineConfig
-from repro.engines.dense.systolic import activation_cycles, gemm_cycles
+from repro.config.accelerator import ConfigError, DenseEngineConfig
+from repro.engines.dense.systolic import (
+    GemmShape,
+    activation_cycles,
+    gemm_timing,
+    os_gemm_cycles,
+    ws_gemm_cycles,
+)
 from repro.engines.graph.gpe import (
     gpe_edge_distribution,
     gpe_utilization,
@@ -15,56 +21,74 @@ from repro.engines.graph.gpe import (
 )
 from repro.graph.partition import ShardGrid
 
-WS = DenseEngineConfig(dataflow="ws")
-OS = DenseEngineConfig(dataflow="os")
+
+class TestGemmShapes:
+    def test_macs_and_flops(self):
+        shape = GemmShape(m=10, k=20, n=5)
+        assert shape.macs == 1000 and shape.flops == 2000
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ConfigError):
+            GemmShape(m=0, k=1, n=1)
 
 
 class TestWeightStationary:
     def test_single_tile(self):
         # K=64 fits 64 rows, N=16 fits 64 cols -> one tile.
-        assert gemm_cycles(1000, 64, 16, WS) == 64 + 1000 + 64 + 64 - 2
+        timing = ws_gemm_cycles(GemmShape(m=1000, k=64, n=16), 64, 64)
+        assert timing.tiles == 1
+        assert timing.cycles == 64 + 1000 + 64 + 64 - 2
 
     def test_folds_multiply(self):
-        # ceil(130/64) * ceil(70/64) tiles.
-        assert gemm_cycles(100, 130, 70, WS) == 3 * 2 * (
-            64 + 100 + 64 + 64 - 2)
+        timing = ws_gemm_cycles(GemmShape(m=100, k=130, n=70), 64, 64)
+        assert timing.tiles == 3 * 2  # ceil(130/64) * ceil(70/64)
 
     def test_small_k_underutilises(self):
         """Fig 4's mechanism: B=32 fills half the rows but pays full
         per-tile overheads, so two B=32 passes cost more than one B=64."""
-        assert 2 * gemm_cycles(1000, 32, 16, WS) > gemm_cycles(
-            1000, 64, 16, WS)
+        full = ws_gemm_cycles(GemmShape(m=1000, k=64, n=16), 64, 64)
+        half = ws_gemm_cycles(GemmShape(m=1000, k=32, n=16), 64, 64)
+        assert 2 * half.cycles > full.cycles
+        assert half.utilization < full.utilization
 
-    def test_never_beats_the_peak_mac_rate(self):
-        cycles = gemm_cycles(10000, 64, 64, WS)
-        assert 10000 * 64 * 64 <= cycles * 64 * 64
+    def test_utilization_bounded(self):
+        timing = ws_gemm_cycles(GemmShape(m=10000, k=64, n=64), 64, 64)
+        assert 0 < timing.utilization <= 1.0
 
 
 class TestOutputStationary:
     def test_single_tile(self):
-        assert gemm_cycles(64, 500, 16, OS) == 500 + 64 + 64 - 2
+        timing = os_gemm_cycles(GemmShape(m=64, k=500, n=16), 64, 64)
+        assert timing.tiles == 1
+        assert timing.cycles == 500 + 64 + 64 - 2
 
     def test_large_k_amortises_fill(self):
         """OS wins the conventional (unblocked) regime: huge K streams
         through pinned outputs."""
-        assert gemm_cycles(64, 4096, 16, OS) < gemm_cycles(64, 4096, 16, WS)
+        shape = GemmShape(m=64, k=4096, n=16)
+        assert (os_gemm_cycles(shape, 64, 64).cycles
+                < ws_gemm_cycles(shape, 64, 64).cycles)
 
 
 class TestAutoDataflow:
     def test_auto_picks_minimum(self):
         config = DenseEngineConfig(dataflow="auto")
-        for m, k, n in ((4096, 64, 16), (64, 4096, 16), (128, 128, 128)):
-            assert gemm_cycles(m, k, n, config) == min(
-                gemm_cycles(m, k, n, WS), gemm_cycles(m, k, n, OS))
+        for shape in (GemmShape(m=4096, k=64, n=16),
+                      GemmShape(m=64, k=4096, n=16),
+                      GemmShape(m=128, k=128, n=128)):
+            auto = gemm_timing(shape, config)
+            ws = ws_gemm_cycles(shape, config.rows, config.cols)
+            os_ = os_gemm_cycles(shape, config.rows, config.cols)
+            assert auto.cycles == min(ws.cycles, os_.cycles)
 
-    def test_elementwise_over_arrays(self):
-        """The cost pass times every GEMM of a program in one call."""
-        m, k, n = (np.array(dims) for dims in zip(
-            (4096, 64, 16), (64, 4096, 16), (100, 100, 100)))
-        for config in (WS, OS, DenseEngineConfig(dataflow="auto")):
-            assert gemm_cycles(m, k, n, config).tolist() == [
-                gemm_cycles(*dims, config) for dims in zip(
-                    m.tolist(), k.tolist(), n.tolist())]
+    def test_explicit_dataflows_respected(self):
+        shape = GemmShape(m=100, k=100, n=100)
+        ws_cfg = DenseEngineConfig(dataflow="ws")
+        os_cfg = DenseEngineConfig(dataflow="os")
+        assert gemm_timing(shape, ws_cfg).cycles == ws_gemm_cycles(
+            shape, 64, 64).cycles
+        assert gemm_timing(shape, os_cfg).cycles == os_gemm_cycles(
+            shape, 64, 64).cycles
 
     def test_activation_cycles(self):
         config = DenseEngineConfig()

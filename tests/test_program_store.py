@@ -31,6 +31,7 @@ from repro.compiler.runtime import run_functional
 from repro.compiler.store import (
     PROGRAM_CACHE_ENV,
     ProgramStore,
+    _encode,
     _GraphPickler,
     _GraphUnpickler,
     default_program_store,
@@ -302,6 +303,16 @@ class TestShardGridPickle:
                 np.testing.assert_array_equal(a.dst, b.dst)
 
 
+def _ancestor_names(tracer, record) -> list[str]:
+    """Names of ``record``'s enclosing spans, innermost first."""
+    by_uid = {span.uid: span for span in tracer.spans}
+    names = []
+    while record.parent in by_uid:
+        record = by_uid[record.parent]
+        names.append(record.name)
+    return names
+
+
 class TestGridsByReference:
     """A stored program names each shard grid by (graph, interval
     size): loading it yields the graph's memoized grids, and nothing
@@ -371,9 +382,13 @@ class TestGridsByReference:
         program = reader.gnnerator_program(TINY_GAT)
         assert not any(grid.built for grid in program.grids.values())
 
-    def test_store_hit_then_recost_sorts_no_grid(self, tmp_path):
+    def test_store_hit_then_recost_sorts_each_interval_once(self,
+                                                            tmp_path):
         """A re-cost reads the stored shard loads: a cost variant of a
-        store hit sorts none of the grids it names."""
+        store hit sorts no grid. A GPE count with no stored loads (48)
+        sorts each interval once to count them, under its re-cost, and
+        counts each grid once: another variant at 48 GPEs counts none.
+        """
         store = ProgramStore(tmp_path, code_version="v1")
         # 1 KiB scratchpads give the 32- and 16-wide aggregate stages
         # intervals of their own.
@@ -395,6 +410,24 @@ class TestGridsByReference:
         assert "recost" in {record.name for record in tracer.spans}
         assert "plan-shards" not in {record.name for record in tracer.spans}
         assert not any(grid.built for grid in program.grids.values())
+
+        odd = apply_overrides(base, {"graph.num_gpes": 48})
+        with tracing() as tracer:
+            reader.gnnerator_program(TINY_GCN, odd)
+        assert reader.last_compile_tier() == "recost"
+        builds = [record for record in tracer.spans
+                  if record.name == "plan-shards"]
+        assert sorted(record.attrs["interval"]
+                      for record in builds) == intervals
+        assert all("recost" in _ancestor_names(tracer, record)
+                   for record in builds)
+        counted = {grid: grid._gpe_loads[48]
+                   for grid in program.grids.values()}
+        reader.gnnerator_program(TINY_GCN, apply_overrides(
+            odd, {"graph.simd_width": 64}))
+        assert reader.last_compile_tier() == "recost"
+        assert all(grid._gpe_loads[48] is loads
+                   for grid, loads in counted.items())
 
 
 class TestLazyOps:
@@ -490,22 +523,35 @@ class TestLazyOps:
                    for ops in queues.values() for op in ops)
         assert sum(map(len, queues.values())) == len(order)
 
-    def test_flipped_blob_byte_is_a_miss_that_removes_it(self, tmp_path):
+    @staticmethod
+    def _flip_a_byte_of(tmp_path, part) -> None:
+        """Flip a byte in the middle of ``part(program)``'s bytes inside
+        a stored entry: the get is a miss that removes the entry."""
         store = ProgramStore(tmp_path, code_version="v1")
         harness = fresh_harness(store)
         harness.gnnerator_program(TINY_GCN)
         key = store_key(store, harness, TINY_GCN)
         graph = harness.graph("tiny")
-        blob = store.get(key, graph)._ops.blob
+        target = part(store.get(key, graph))
         path = store._path(key)
         data = bytearray(path.read_bytes())
-        start = data.find(blob)
-        assert start > 0
-        data[start + len(blob) // 2] ^= 0x01
+        assert data.count(target) == 1
+        data[data.find(target) + len(target) // 2] ^= 0x01
         path.write_bytes(bytes(data))
         assert store.get(key, graph) is None
         assert not path.exists()
         assert store.stats["misses"] == 2  # the cold miss, then the flip
+
+    def test_flipped_blob_byte_is_a_miss_that_removes_it(self, tmp_path):
+        self._flip_a_byte_of(tmp_path, lambda program: program._ops.blob)
+
+    def test_flipped_shard_load_byte_is_a_miss_that_removes_it(
+            self, tmp_path):
+        """The shard loads are raw int32 bytes that unpickle whatever
+        their value; the entry's CRC-32 keeps a flip there from
+        re-costing to wrong cycles."""
+        self._flip_a_byte_of(
+            tmp_path, lambda program: program.cost_inputs["shards"].tobytes())
 
 
 class TestStorePicklers:
@@ -763,7 +809,7 @@ class TestStructureNames:
         data = name.read_bytes()
         if damage == "truncated":
             name.write_bytes(data[:len(data) // 2])
-        else:  # the final STOP opcode with its top bit flipped
+        else:  # the last byte (of the entry's CRC-32) flipped
             name.write_bytes(data[:-1] + bytes([data[-1] ^ 0x80]))
         assert entry.read_bytes() != data  # both names see the damage
 
@@ -797,9 +843,7 @@ class TestStructureNames:
         program.queues["graph.fetch"][0].add_wait("never-signalled")
         (name,) = tmp_path.rglob("*.structure")
         name.unlink()  # the program key keeps the good entry
-        buffer = io.BytesIO()
-        _GraphPickler(buffer, writer.graph("tiny")).dump(program)
-        name.write_bytes(buffer.getvalue())
+        name.write_bytes(_encode(program, writer.graph("tiny")))
         variant = apply_overrides(self.BASE, {"graph.num_gpes": 16})
 
         monkeypatch.setenv("REPRO_VERIFY", "0")
