@@ -54,9 +54,10 @@ _LOCKED_MEMOS: dict[str, tuple[tuple[str, ...], str]] = {
     "graph/partition.py": (("_GRID_LOCKS",), "_GRID_LOCKS_GUARD"),
     "eval/harness.py": (
         ("self._params", "self._programs", "self._structures",
-         "self._fingerprints", "self._memo_hits", "self._memo_misses",
-         "self._structure_hits", "self._structure_misses",
-         "self._compile_locks", "self._structure_locks"),
+         "self._geometries", "self._fingerprints", "self._memo_hits",
+         "self._memo_misses", "self._structure_hits",
+         "self._structure_misses", "self._compile_locks",
+         "self._structure_locks"),
         "self._lock"),
 }
 

@@ -322,6 +322,17 @@ def resolve_geometry(graph: Graph, model: GNNModel,
                      intervals)
 
 
+def geometry_fields(config: GNNeratorConfig) -> tuple:
+    """The config fields :func:`resolve_geometry` reads: ``Harness``'s
+    geometry memo key, which a field the structure pass reads must join."""
+    graph, dense = config.graph, config.dense
+    return (config.feature_block, config.sparsity_elimination,
+            graph.src_feature_buffer_bytes, graph.dst_feature_buffer_bytes,
+            graph.edge_buffer_bytes, dense.weight_buffer_bytes,
+            dense.input_buffer_bytes, dense.output_buffer_bytes,
+            dense.rows)
+
+
 def program_geometry(program: Program, graph: Graph,
                      config: GNNeratorConfig) -> Geometry:
     """The geometry of a compiled ``program`` under ``config``, with

@@ -26,10 +26,10 @@ cache):
 * **atomic and race-tolerant** — the store's contract: readers only
   ever observe absent or complete entries, any read failure (missing,
   truncated, corrupt, wrong schema) is a miss that drops the broken
-  entry, and a put that cannot be written is skipped. Two workers
-  racing on the same key write identical bytes; last writer wins. A
-  name that cannot be linked (another worker linked first) is skipped
-  too.
+  entry, and a put that cannot be written is skipped. A put of a
+  present entry rewrites nothing; two workers racing on an absent key
+  write identical bytes, and the last writer wins. A name that cannot
+  be linked (another worker linked first) is skipped too.
 
 Only the program itself is serialized — never the graph, and never
 data derived from it. The pickler reduces the keyed
@@ -254,16 +254,16 @@ class ProgramStore(ContentStore):
         Returns False, leaving no partial file behind, when the entry
         is not written — an unpicklable program, a read-only cache
         directory — since caching must never fail the compile that
-        produced the program. A name that cannot be linked (present
-        already, or no hard links here) is skipped.
+        produced the program. An entry already present is kept, not
+        re-encoded, and its name still linked. A name that cannot be
+        linked (present already, or no hard links here) is skipped.
         """
         with span("store-put", graph=graph.name):
-            try:
-                data = _encode(program, graph)
-            except Exception:
-                return False
             path = self._path(key)
-            if not self._write(path, data):
+            try:
+                if not self._write(path, lambda: _encode(program, graph)):
+                    return False
+            except Exception:
                 return False
             if structure is not None:
                 name = self._path(structure, "structure")

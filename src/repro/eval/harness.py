@@ -21,8 +21,10 @@ from repro.config.platforms import hygcn_config, rtx_2080_ti_config
 from repro.config.overrides import candidate_config, compile_relevant_config
 from repro.config.workload import WorkloadSpec
 from repro.compiler.lowering import (
+    Geometry,
     compile_workload,
     finish_program,
+    geometry_fields,
     program_geometry,
     recost,
     resolve_geometry,
@@ -100,6 +102,8 @@ class Harness:
     #: Compiled programs, and program structures, kept per harness (each
     #: memo separately); evicted FIFO beyond this.
     PROGRAM_CACHE_MAX_ENTRIES = 64
+    #: Geometries (a few hundred bytes each) kept likewise.
+    GEOMETRY_CACHE_MAX_ENTRIES = 1024
 
     def __init__(self, seed: int = 0, program_store="default") -> None:
         self.seed = seed
@@ -109,6 +113,8 @@ class Harness:
         #: Programs by ``(spec, Geometry)``: what a cost-only variant
         #: re-costs instead of lowering (see :meth:`_compiled`).
         self._structures: dict[tuple, Program] = {}
+        #: Geometries by ``(spec, geometry_fields(config))``.
+        self._geometries: dict[tuple, Geometry] = {}
         self._fingerprints: dict[str, str | None] = {}
         self._memo_hits = 0
         self._memo_misses = 0
@@ -274,10 +280,7 @@ class Harness:
                     self._remember(self._structures, structure_key,
                                    program)
                 return program, "store"
-        with span("geometry", workload=spec.label):
-            model = self.model(spec)
-            geometry = resolve_geometry(graph, model, config,
-                                        spec.traversal, feature_block)
+        geometry = self._geometry(spec, config, graph)
         structure_key = (spec, geometry)
         name = None
         tier = "recost"
@@ -298,7 +301,8 @@ class Harness:
                 tier = "store"
             if structure is None:
                 structure = program = compile_workload(
-                    graph, model, config, traversal=spec.traversal,
+                    graph, self.model(spec), config,
+                    traversal=spec.traversal,
                     feature_block=feature_block, geometry=geometry)
                 tier = "compiled"
             _program_terms(structure)
@@ -311,13 +315,67 @@ class Harness:
         return recost(structure, config,
                       workload=f"recost:{spec.label}"), tier
 
-    def _remember(self, memo: dict, key, program: Program) -> None:
+    def _geometry(self, spec: WorkloadSpec, config: GNNeratorConfig,
+                  graph: Graph | None = None,
+                  spanned: bool = True) -> Geometry:
+        """``config``'s geometry for ``spec``, resolved once per distinct
+        ``geometry_fields(config)``; only a miss opens a ``geometry``
+        span, and only if ``spanned``."""
+        key = (spec, geometry_fields(config))
+        with self._lock:
+            geometry = self._geometries.get(key)
+        if geometry is None:
+            with (span("geometry", workload=spec.label) if spanned
+                  else contextlib.nullcontext()):
+                geometry = resolve_geometry(
+                    graph or self.graph(spec.dataset), self.model(spec),
+                    config, spec.traversal, config.feature_block)
+            with self._lock:
+                self._remember(self._geometries, key, geometry,
+                               self.GEOMETRY_CACHE_MAX_ENTRIES)
+        return geometry
+
+    def load_structures(self, workloads) -> None:
+        """Resolve each ``(spec, config)``'s geometry under one
+        ``geometry`` span, then load into the structure memo each of
+        their structures the program store names: what processes
+        forked from this harness re-cost without a load. A geometry
+        that raises is left to its own compile to report."""
+        from repro.eval.energy import _program_terms
+
+        keys: dict[tuple, None] = {}
+        with span("geometry"):
+            for spec, config in workloads:
+                with contextlib.suppress(Exception):
+                    config = self._config(spec, config)
+                    keys[spec, self._geometry(spec, config, None,
+                                              spanned=False)] = None
+        store = self.program_store
+        with self._lock:
+            missing = [key for key in keys if key not in self._structures]
+        for spec, geometry in missing if store is not None else ():
+            fingerprint = self._fingerprint(spec.dataset)
+            if fingerprint is None:
+                continue
+            # Its graph was loaded when its geometry was first resolved.
+            structure = store.get(structure_key_payload(
+                dataset_fingerprint=fingerprint, network=spec.network,
+                hidden_dim=spec.hidden_dim, geometry=geometry),
+                self._datasets.get(spec.dataset), structure=True)
+            if structure is not None:
+                _program_terms(structure)
+                with self._lock:
+                    self._remember(self._structures, (spec, geometry),
+                                   structure)
+
+    def _remember(self, memo: dict, key, value,
+                  bound: int | None = None) -> None:
         """FIFO-bounded insert (the caller holds the harness lock)."""
         if key in memo:
             return
-        if len(memo) >= self.PROGRAM_CACHE_MAX_ENTRIES:
+        if len(memo) >= (bound or self.PROGRAM_CACHE_MAX_ENTRIES):
             memo.pop(next(iter(memo)))
-        memo[key] = program
+        memo[key] = value
 
     def last_compile_tier(self) -> str | None:
         """Which layer served this thread's most recent compile:

@@ -172,9 +172,10 @@ class ContentStore:
 
     Reads heal: a missing file is a miss, and a file that fails to
     decode (truncated, corrupt, incompatible) is a miss that is removed
-    if it can be. Writes skip: an entry that cannot be published (a
-    read-only or unusable directory) is not stored, and the write
-    returns False. ``hits`` and ``misses`` count this instance's reads.
+    if it can be. Writes skip: a present entry (its address names the
+    same content) costs one stat, and an entry that cannot be published
+    (a read-only or unusable directory) is not stored, the write
+    returning False. ``hits`` and ``misses`` count this instance's reads.
     """
 
     #: Mixed into every key; a view bumps it when its format changes.
@@ -218,8 +219,12 @@ class ContentStore:
         setattr(self, name, getattr(self, name) + 1)
         return value
 
-    def _write(self, path: Path, data: bytes) -> bool:
-        """Publish ``data`` at ``path``; False when it cannot be."""
+    def _write(self, path: Path, encode: Callable[[], bytes]) -> bool:
+        """Publish ``encode()`` at ``path`` unless an entry is there
+        already; False when it cannot be published."""
+        if os.path.exists(path):
+            return True
+        data = encode()
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             publish(path, lambda handle: handle.write(data))

@@ -6,8 +6,9 @@ SHA-256 of (schema version, code version, canonical point payload), so
 * re-running a sweep with unchanged code and config is pure cache hits,
 * *any* source edit under ``repro/`` invalidates every entry at once
   (conservative, but never stale), and
-* two processes racing on the same point write the same bytes to the
-  same key; the last writer wins, atomically.
+* a point already stored is never rewritten, and two processes racing
+  on a new point write the same bytes to the same key; the last writer
+  wins, atomically.
 
 Layout under the cache root (default ``.sweep-cache/``)::
 
@@ -45,18 +46,22 @@ def cache_key(payload: dict, code_version: str) -> str:
     return content_key(SCHEMA_VERSION, code_version, payload)
 
 
-def _decode_record(handle: IO[bytes]) -> dict | None:
+def _decode_record(handle: IO[bytes]) -> dict:
     record = json.load(handle)
-    if isinstance(record, dict) and record.get("schema") == SCHEMA_VERSION:
+    if (isinstance(record, dict) and record.get("schema") == SCHEMA_VERSION
+            and record.get("status") == "ok"
+            and isinstance(record.get("metrics"), dict)):
         return record
-    return None
+    # Removed on read: a put skips present entries, so one left here
+    # would never be rewritten.
+    raise ValueError("not a successful point's record of this schema")
 
 
 class ResultCache(ContentStore):
     """On-disk store of computed point records, keyed by content.
 
-    A record is read back only if it carries this schema. A record JSON
-    cannot encode raises ``TypeError``; a directory the record cannot be
+    A record is read back only if it is a successful point's, of this
+    schema. A record JSON cannot encode raises ``TypeError``; a directory the record cannot be
     written to skips it (:class:`~repro.persist.ContentStore`), so a
     finished point is never lost to its cache.
     """
@@ -79,15 +84,14 @@ class ResultCache(ContentStore):
         from repro.obs.spans import span
 
         with span("cache-put"):
-            data = json.dumps(record, sort_keys=True).encode()
-            return self._write(self._path(key), data)
+            return self._write(
+                self._path(key),
+                lambda: json.dumps(record, sort_keys=True).encode())
 
     def cached_metrics(self, key: str) -> dict | None:
         """The metrics of the successful point stored under ``key``."""
         record = self.get(key)
-        if record is None or record.get("status") != "ok":
-            return None
-        return record["metrics"]
+        return None if record is None else record["metrics"]
 
     def put_metrics(self, key: str, payload: dict, metrics: dict) -> None:
         """Store a successful point: the one place its record is built."""

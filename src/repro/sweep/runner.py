@@ -131,19 +131,15 @@ def run_point(point: SweepPoint, harness) -> PointResult:
 # ---------------------------------------------------------------------
 # Worker-process plumbing (must be module-level for pickling)
 # ---------------------------------------------------------------------
-#: One harness per seed per worker process; graphs, models, params and
-#: compiled programs materialise once per process, not once per point —
-#: DSE candidates that share a *compile-relevant* config projection
-#: reuse the compiled software outright (see ``Harness._compiled``:
-#: DRAM/frequency-only variants map to one program), candidates that
-#: differ only in compute knobs re-cost one lowered structure, and the
-#: rest still share the memoized shard grids hanging off the graph
-#: object. Each worker's default
-#: harness additionally consults the persistent compiled-program store
-#: (``.program-cache``), which all workers — and all later processes —
-#: share: a program any worker compiles is published once, atomically,
-#: and every other worker's compile becomes a disk load.
+#: One harness per seed per worker process, so graphs, models, params
+#: and compiled programs materialise once per process, not once per
+#: point (see ``Harness._compiled`` for what its memos share). A worker
+#: forked from a runner starts with the runner's harnesses and stores
+#: its records in ``_WORKER_CACHE``, the runner's cache
+#: (:func:`_adopt_runner`); any other builds its own harness, which
+#: shares the persistent program store with every other process.
 _WORKER_HARNESSES: dict[int, object] = {}
+_WORKER_CACHE = None
 
 
 def _harness_for(seed: int, store: dict):
@@ -159,9 +155,29 @@ def _worker_run(point: SweepPoint) -> PointResult:
     return run_point(point, _harness_for(point.seed, _WORKER_HARNESSES))
 
 
-def _run_chunk(worker_fn, chunk: list) -> list:
-    """Run one chunk of points inside a worker process."""
-    return [worker_fn(point) for point in chunk]
+def _adopt_runner(harnesses: dict, cache) -> None:
+    """Initializer of a pool forked (so nothing is pickled) from a
+    :class:`SweepRunner`. The inherited heap outlives every point, so
+    it is frozen: collections neither traverse nor copy its pages."""
+    import gc
+
+    global _WORKER_CACHE
+    gc.freeze()
+    _WORKER_HARNESSES.update(harnesses)
+    _WORKER_CACHE = cache
+
+
+def _run_chunk(worker_fn, chunk: list, keys: list | None = None) -> list:
+    """Run one chunk of points inside a worker process, storing each ok
+    point's record under its key, if given, as soon as it is computed:
+    a batch cut short keeps every point it finished."""
+    results: list[PointResult] = []
+    for point, key in zip(chunk, keys or [None] * len(chunk)):
+        results.append(worker_fn(point))
+        if key is not None and results[-1].ok:
+            _WORKER_CACHE.put_metrics(key, point.payload(),
+                                      results[-1].metrics)
+    return results
 
 
 def _worker_context():
@@ -229,7 +245,10 @@ class ProcessPoolScheduler:
     Linux, so workers inherit the parent's imports and the graphs
     :func:`_preload_datasets` loaded; spawned otherwise (the serve
     daemon's request threads, macOS, Windows). The pool shuts down
-    before ``run`` returns, so no worker outlives its batch.
+    before ``run`` returns, so no worker outlives its batch. A pool a
+    :class:`SweepRunner` forks starts from the runner's harnesses,
+    warmed by :meth:`SweepRunner._warm`, and its workers store their
+    records in the runner's cache. Spawned workers start cold.
 
     Interrupts: a Ctrl-C used to leave workers running to
     completion — ``pool.map`` consumed results inside a ``with`` block
@@ -256,7 +275,11 @@ class ProcessPoolScheduler:
         self.worker_fn = worker_fn
 
     def run(self, points) -> list[PointResult]:
-        points = list(points)
+        return self._run(list(points))
+
+    def _run(self, points: list, runner: "SweepRunner | None" = None,
+             keys: list | None = None) -> list[PointResult]:
+        """:meth:`run`, for ``runner``'s points under ``keys``."""
         if not points:
             return []
         if self.jobs == 1 or len(points) == 1:
@@ -268,14 +291,21 @@ class ProcessPoolScheduler:
         # worker gets enough points per IPC round trip; ceil-div so a
         # short plan never degenerates to chunksize 0.
         chunksize = max(1, -(-len(points) // (workers * 4)))
-        chunks = [points[i:i + chunksize]
-                  for i in range(0, len(points), chunksize)]
         _preload_datasets(points)
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   mp_context=_worker_context())
+        context = _worker_context()
+        forked = runner is not None and context.get_start_method() == "fork"
+        if forked:
+            runner._warm(points)
+        chunks = [(points[i:i + chunksize],
+                   keys[i:i + chunksize] if forked else None)
+                  for i in range(0, len(points), chunksize)]
+        pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=context,
+            initializer=_adopt_runner if forked else None,
+            initargs=(runner._harnesses, runner.cache) if forked else ())
         futures = []
         try:
-            futures = [pool.submit(_run_chunk, self.worker_fn, chunk)
+            futures = [pool.submit(_run_chunk, self.worker_fn, *chunk)
                        for chunk in chunks]
             results: list[PointResult] = []
             for future in futures:
@@ -417,6 +447,19 @@ class SweepRunner:
         if harness is not None:
             self._harnesses[harness.seed] = harness
 
+    def _warm(self, points) -> None:
+        """Before a pool forks, give its harnesses each GNNerator point's
+        geometry and stored structure (``Harness.load_structures``)."""
+        from repro.obs.spans import span
+
+        harnesses = {p.seed: _harness_for(p.seed, self._harnesses)
+                     for p in points}
+        with span("pool-warm"):
+            for seed, harness in harnesses.items():
+                harness.load_structures((p.spec, p.config) for p in points
+                                        if p.seed == seed
+                                        and p.platform == "gnnerator")
+
     def run(self, plan: SweepPlan) -> SweepResult:
         start = time.monotonic()
         results: list[PointResult | None] = []
@@ -436,7 +479,8 @@ class SweepRunner:
             if self.scheduler is not None:
                 computed = self.scheduler.run(missed)
             elif self.jobs > 1 and len(missed) > 1:
-                computed = ProcessPoolScheduler(self.jobs).run(missed)
+                computed = ProcessPoolScheduler(self.jobs)._run(
+                    missed, self, [key for *_, key in pending])
             else:
                 computed = [run_point(p, _harness_for(p.seed,
                                                       self._harnesses))

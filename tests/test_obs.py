@@ -7,13 +7,14 @@ oracle emit identical probe streams."""
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
 from repro.accelerator import GNNerator
-from repro.compiler.store import ProgramStore
+from repro.compiler.store import PROGRAM_CACHE_ENV, ProgramStore
 from repro.config.overrides import apply_overrides
 from repro.config.platforms import gnnerator_config
 from repro.config.workload import WorkloadSpec
@@ -43,6 +44,8 @@ from repro.obs import (
 )
 from repro.obs.metrics import MetricError
 from repro.obs.spans import NULL_TRACER, get_tracer
+from repro.sweep import SweepRunner
+from repro.sweep.plan import METRIC_DSE, SweepPlan, SweepPoint
 from tests.conftest import make_tiny_config
 from tests.oracle import simulate_event
 from tests.test_differential import (
@@ -272,6 +275,45 @@ class TestCompileSpans:
             assert harness.last_compile_tier() == "compiled"
             assert "plan-shards" in {r.name for r in tracer.spans}
             coverage.append(self.coverage(tracer, "lower"))
+        assert max(coverage) >= 0.95, coverage
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="workers fork only on Linux")
+    def test_pool_warm_children_cover_it(self, tmp_path, monkeypatch):
+        """Before it forks a pool, the runner resolves each point's
+        geometry and loads the structures the store names under one
+        ``pool-warm`` span. In a runner's second batch, its
+        ``geometry`` and ``store-get`` children account for ≥95% of
+        its wall."""
+
+        def plan(overrides):
+            return SweepPlan("warm", tuple(
+                SweepPoint(dataset=dataset, network=network,
+                           metric=METRIC_DSE, config_overrides=override)
+                for dataset in ("cora", "pubmed")
+                for network in ("gcn", "gat") for override in overrides))
+
+        # Cost variants of the first batch's structures, and new
+        # geometries nobody has lowered.
+        variants = plan([((path, value),) for path, values in (
+            ("graph.num_gpes", (16, 64)), ("graph.simd_width", (16, 64)),
+            ("dense.cols", (32, 128)), ("dense.rows", (48, 96)),
+            ("dense.weight_buffer_bytes", (1048576, 4194304)),
+            ("graph.edge_buffer_bytes", (1048576, 4194304)),
+            ("feature_block", (32, 128))) for value in values])
+        coverage = []
+        for attempt in range(3):
+            monkeypatch.setenv(PROGRAM_CACHE_ENV, str(tmp_path / str(attempt)))
+            runner = SweepRunner(jobs=2)
+            assert runner.run(plan([()])).ok  # stores four structures
+            with tracing() as tracer:
+                assert runner.run(variants).ok
+            (warm,) = [r for r in tracer.spans if r.name == "pool-warm"]
+            children = [r for r in tracer.spans if r.parent == warm.uid]
+            names = [r.name for r in children]
+            assert names.count("store-get") >= 4, names
+            assert set(names) == {"geometry", "store-get"}, names
+            coverage.append(sum(r.dur_s for r in children) / warm.dur_s)
         assert max(coverage) >= 0.95, coverage
 
     def test_store_hit_records_only_verify(self, tmp_path, monkeypatch):

@@ -241,6 +241,28 @@ class TestProgramStore:
         assert len(store) == 0
         assert not list(tmp_path.rglob("*.tmp"))
 
+    def test_put_of_a_present_entry_links_its_name(self, tmp_path,
+                                                   monkeypatch):
+        """A put of a present entry keeps it (same inode, nothing
+        re-encoded) and still links the structure name it is given."""
+        import repro.compiler.store as store_module
+
+        store = ProgramStore(tmp_path, code_version="v1")
+        harness = fresh_harness(None)
+        program = harness.gnnerator_program(TINY_GCN)
+        graph = harness.graph("tiny")
+        assert store.put("ab" * 32, program, graph)
+        entry = store._path("ab" * 32)
+        inode = entry.stat().st_ino
+
+        def encode(*args):
+            pytest.fail("a present entry was encoded again")
+
+        monkeypatch.setattr(store_module, "_encode", encode)
+        assert store.put("ab" * 32, program, graph, structure="cd" * 32)
+        assert entry.stat().st_ino == inode
+        assert os.path.samefile(store._path("cd" * 32, "structure"), entry)
+
     @pytest.mark.parametrize("foreign", ["other-dataset", "same-named-copy",
                                          "subclass-instance"])
     def test_refuses_to_cache_foreign_graph(self, tmp_path, foreign):
@@ -660,6 +682,77 @@ class TestHarnessIncrementalKeying:
         r_base = harness.gnnerator_result(TINY_GCN, base)
         r_variant = harness.gnnerator_result(TINY_GCN, variant)
         assert r_base.cycles != r_variant.cycles
+
+    #: Two values per knob path, away from Table IV. Where the structure
+    #: pass reads a knob, at least one of its values moves some
+    #: workload's geometry, so a memo key without it would be caught.
+    GEOMETRY_VALUES = {
+        "feature_block": (32, 128),
+        "dense.rows": (48, 96),
+        "dense.cols": (32, 128),
+        "dense.input_buffer_bytes": (256 * 1024, 8 * 1024 * 1024),
+        "dense.weight_buffer_bytes": (64 * 1024, 8 * 1024 * 1024),
+        "dense.output_buffer_bytes": (64 * 1024, 8 * 1024 * 1024),
+        "dense.frequency_ghz": (0.5, 2.0),
+        "graph.num_gpes": (16, 64),
+        "graph.simd_width": (16, 64),
+        "graph.src_feature_buffer_bytes": (1024 * 1024, 32 * 1024 * 1024),
+        "graph.dst_feature_buffer_bytes": (1024 * 1024, 32 * 1024 * 1024),
+        "graph.edge_buffer_bytes": (64 * 1024, 8 * 1024 * 1024),
+        "graph.frequency_ghz": (0.5, 2.0),
+        "graph.pipeline_depth": (0, 8),
+        "dram.bandwidth_bytes_per_s": (128e9, 512e9),
+        "dram.burst_latency_cycles": (50, 200),
+        "dram.frequency_ghz": (0.5, 2.0),
+    }
+    #: Knobs only the cost pass or the simulator reads.
+    NOT_GEOMETRY = {"dense.cols", "dense.frequency_ghz", "graph.num_gpes",
+                    "graph.simd_width", "graph.frequency_ghz",
+                    "graph.pipeline_depth", "dram.bandwidth_bytes_per_s",
+                    "dram.burst_latency_cycles", "dram.frequency_ghz"}
+
+    def test_geometry_memo_key_is_complete(self):
+        """The harness's geometry memo (keyed by ``geometry_fields``)
+        returns what a fresh ``resolve_geometry`` does for every knob
+        path at two values and for sparsity elimination, on cora and
+        pubmed x gcn and gat: a key missing a field the structure pass
+        reads would re-cost the wrong structure. Knobs it does not read
+        hit the memo."""
+        import dataclasses
+
+        from repro.config.overrides import candidate_config, knob_paths
+
+        assert set(knob_paths()) == set(self.GEOMETRY_VALUES)
+        moved = set()
+        for dataset in ("cora", "pubmed"):
+            for network in ("gcn", "gat"):
+                spec = WorkloadSpec(dataset=dataset, network=network)
+                harness = fresh_harness(None)
+                graph, model = harness.graph(dataset), harness.model(spec)
+                base = harness._config(spec, None)
+                configs = {"base": base, "sparsity_elimination":
+                           dataclasses.replace(base,
+                                               sparsity_elimination=True)}
+                for path, values in self.GEOMETRY_VALUES.items():
+                    for value in values:
+                        configs[(path, value)] = candidate_config(
+                            spec.feature_block, ((path, value),))
+                expected = harness._geometry(spec, base)
+                for label, config in configs.items():
+                    with tracing() as tracer:
+                        memoized = harness._geometry(spec, config)
+                    fresh = resolve_geometry(graph, model, config,
+                                             spec.traversal,
+                                             config.feature_block)
+                    assert memoized == fresh, (spec, label)
+                    path = label if isinstance(label, str) else label[0]
+                    resolved = [r.name for r in tracer.spans]
+                    if path in self.NOT_GEOMETRY or label == "base":
+                        assert resolved == [], (spec, label)
+                    elif fresh != expected:
+                        moved.add(path)
+        assert moved == (set(self.GEOMETRY_VALUES) - self.NOT_GEOMETRY
+                         | {"sparsity_elimination"})
 
     def test_cache_stats_shape(self, tmp_path):
         store = ProgramStore(tmp_path, code_version="v1")

@@ -10,7 +10,10 @@ from contextlib import contextmanager, nullcontext
 
 import pytest
 
+import repro.persist
+import repro.sweep.runner as runner_module
 from repro.cli import main
+from repro.compiler.store import PROGRAM_CACHE_ENV
 from repro.config.overrides import (
     candidate_config,
     fig5_overrides,
@@ -44,6 +47,7 @@ from repro.sweep import (
     table5_plan,
 )
 from repro.sweep.dist import FileQueueScheduler
+from repro.sweep.plan import METRIC_DSE
 from repro.sweep.runner import ProcessPoolScheduler, _worker_context
 
 CORA_GCN = WorkloadSpec(dataset="cora", network="gcn")
@@ -452,6 +456,208 @@ class TestStartMethod:
         serial = ProcessPoolScheduler(jobs=1).run(points)
         assert [r.metrics for r in results] == [r.metrics
                                                 for r in serial]
+
+
+def _dse_points(dataset, overrides, networks=("gcn", "gat")):
+    return tuple(SweepPoint(dataset=dataset, network=network,
+                            metric=METRIC_DSE, config_overrides=override)
+                 for network in networks for override in overrides)
+
+
+def _log_worker_spans(monkeypatch, log):
+    """Make every ``run_point`` of a forked pool worker (which inherits
+    this patch) append the spans its point recorded to ``log``."""
+    real = runner_module.run_point
+
+    def traced(point, harness):
+        with tracing() as tracer:
+            result = real(point, harness)
+        spans = [[r.name, r.attrs.get("structure")] for r in tracer.spans]
+        with open(log, "a") as handle:
+            handle.write(json.dumps({
+                "label": point.label, "pid": os.getpid(), "spans": spans,
+                "overrides": point.config_overrides}) + "\n")
+        return result
+
+    monkeypatch.setattr(runner_module, "run_point", traced)
+
+
+def _worker_spans(log) -> list[dict]:
+    lines = log.read_text().splitlines() if log.exists() else []
+    return [json.loads(line) for line in lines]
+
+
+def _metrics(result) -> list:
+    return [(r.status, r.metrics) for r in result.results]
+
+
+class TestWarmPool:
+    """A pool forked for a runner starts from the runner's harness,
+    which resolved every point's geometry and loaded every structure
+    the program store names; spawned workers start cold."""
+
+    #: Cost and buffer variants of Table IV's structures on cora.
+    VARIANTS = [(("graph.num_gpes", 16),), (("dense.cols", 32),),
+                (("graph.edge_buffer_bytes", 4194304),)]
+
+    def serial(self, plan):
+        return SweepRunner(jobs=1, harness=Harness(program_store=None)
+                           ).run(plan)
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="workers fork only on Linux")
+    def test_forked_workers_start_warm(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(PROGRAM_CACHE_ENV, str(tmp_path / "ps"))
+        log = tmp_path / "spans.jsonl"
+        _log_worker_spans(monkeypatch, log)
+        runner = SweepRunner(jobs=2)
+        first = SweepPlan("first", _dse_points("cora", [()]))
+        assert runner.run(first).ok
+        spans = [entry["spans"] for entry in _worker_spans(log)]
+        # Nothing was stored: the workers lower, on geometries the
+        # parent resolved.
+        assert all(["lower", None] in each for each in spans)
+        assert not any(["geometry", None] in each for each in spans)
+        log.unlink()
+        # Variants of the stored structures, and one new geometry.
+        fresh = (("feature_block", 32),)
+        plan = SweepPlan("second", _dse_points("cora",
+                                               self.VARIANTS + [fresh]))
+        result = runner.run(plan)
+        entries = _worker_spans(log)
+        assert len(entries) == len(plan)
+        assert {entry["pid"] for entry in entries} != {os.getpid()}
+        assert _metrics(result) == _metrics(self.serial(plan))
+        for entry in entries:
+            spans = entry["spans"]
+            assert ["geometry", None] not in spans, entry["label"]
+            if entry["overrides"] != [list(pair) for pair in fresh]:
+                assert ["store-get", True] not in spans, entry["label"]
+                assert ["lower", None] not in spans, entry["label"]
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="workers fork only on Linux")
+    def test_new_runners_start_cold(self, tmp_path, monkeypatch):
+        """Two runners in one process, over two fresh stores: each
+        lowers (and so stores) its own structures."""
+        plan = SweepPlan("cold", _dse_points("cora", [()] + self.VARIANTS))
+        results = []
+        for name in ("a", "b"):
+            monkeypatch.setenv(PROGRAM_CACHE_ENV, str(tmp_path / name))
+            results.append(_metrics(SweepRunner(jobs=2).run(plan)))
+            # cora gcn's and gat's structures, lowered by this runner
+            names = list((tmp_path / name).rglob("*.structure"))
+            assert len(names) == 2
+        assert results[0] == results[1] == _metrics(self.serial(plan))
+
+    def test_spawned_workers_start_cold(self, tmp_path, monkeypatch):
+        """With another thread alive the pool spawns: no warm-up runs,
+        no harness is pickled, and results equal jobs=1's."""
+        def refuse(self, protocol):
+            raise AssertionError("a harness was pickled")
+
+        monkeypatch.setattr(Harness, "__reduce_ex__", refuse)
+        monkeypatch.setenv(PROGRAM_CACHE_ENV, str(tmp_path / "ps"))
+        plan = SweepPlan("spawned", _dse_points("tiny", [(), (
+            ("graph.num_gpes", 16),)]))
+        runner = SweepRunner(jobs=2, cache=ResultCache(tmp_path / "r"))
+        with _extra_thread():
+            result = runner.run(plan)
+        assert runner._harnesses == {}
+        assert _metrics(result) == _metrics(self.serial(plan))
+        assert len(ResultCache(tmp_path / "r")) == len(plan)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unresolvable_geometry_is_its_points_error(self, jobs):
+        """A weight buffer too small for one weight row fails its point
+        (in its worker at jobs 2, past the warm-up); its batch runs."""
+        plan = SweepPlan("faulty", _dse_points("cora", [
+            (), (("dense.weight_buffer_bytes", 8),)], networks=("gcn",)))
+        result = SweepRunner(jobs=jobs).run(plan)
+        assert [r.status for r in result.results] == ["ok", "error"]
+        assert "weight buffer" in result.results[1].error
+
+
+class TestWorkerRecords:
+    """Each record is written once, by whoever computed it; the
+    parent's put of a record already present is a stat."""
+
+    PLAN = SweepPlan("records", _dse_points("tiny", [
+        (), (("graph.num_gpes", 16),), (("dense.rows", 32),)]))
+
+    @staticmethod
+    def records(root) -> dict:
+        return {str(path.relative_to(root)): path.read_bytes()
+                for path in sorted(root.rglob("*.json"))}
+
+    def log_publishes(self, monkeypatch, log):
+        """Log every ``persist.publish`` of a ``.json`` record, with
+        the publishing pid (forked workers inherit the patch)."""
+        real = repro.persist.publish
+
+        def logged(path, write, **kwargs):
+            if str(path).endswith(".json"):
+                with open(log, "a") as handle:
+                    handle.write(f"{os.getpid()} {path}\n")
+            return real(path, write, **kwargs)
+
+        monkeypatch.setattr(repro.persist, "publish", logged)
+
+    def test_every_scheduler_leaves_the_same_records(self, tmp_path,
+                                                     monkeypatch):
+        log = tmp_path / "publishes.log"
+        self.log_publishes(monkeypatch, log)
+        SweepRunner(jobs=1, cache=ResultCache(tmp_path / "serial")
+                    ).run(self.PLAN)
+        log.unlink()
+        SweepRunner(jobs=2, cache=ResultCache(tmp_path / "pool")
+                    ).run(self.PLAN)
+        pool = [line.split() for line in log.read_text().splitlines()]
+        log.unlink()
+        fleet = FileQueueScheduler(jobs=2, cache_dir=str(tmp_path / "fleet"),
+                                   poll_s=0.01)
+        SweepRunner(cache=ResultCache(tmp_path / "fleet"),
+                    scheduler=fleet).run(self.PLAN)
+        queued = [line.split() for line in log.read_text().splitlines()
+                  if str(tmp_path / "fleet") in line]
+        expected = self.records(tmp_path / "serial")
+        assert len(expected) == len(self.PLAN)
+        for name in ("pool", "fleet"):
+            assert self.records(tmp_path / name) == expected, name
+        for published in (pool, queued):
+            paths = [path for _, path in published]
+            assert len(paths) == len(set(paths)) == len(self.PLAN)
+        if _worker_context().get_start_method() == "fork":
+            assert str(os.getpid()) not in {pid for pid, _ in pool}
+
+    def test_a_present_entry_is_not_rewritten(self, tmp_path):
+        """A put of a present entry stats it and writes nothing: the
+        inode and bytes stay, and the record is not even encoded."""
+        cache = ResultCache(tmp_path, code_version="v1")
+        key = cache.key_for(point_for(CORA_GCN).payload())
+        assert cache.put(key, {"schema": 1, "status": "ok", "metrics": {}})
+        path = cache._path(key)
+        before = (path.stat().st_ino, path.read_bytes())
+
+        class Unserialisable:
+            pass
+
+        assert cache.put(key, {"schema": 1, "bad": Unserialisable()})
+        assert (path.stat().st_ino, path.read_bytes()) == before
+
+    def test_a_dropped_entry_is_written_again(self, tmp_path):
+        cache = ResultCache(tmp_path, code_version="v1")
+        key = cache.key_for(point_for(CORA_GCN).payload())
+        cache.put_metrics(key, {}, {"seconds": 1.0})
+        path = cache._path(key)
+        for damage in ("{not json", '{"schema": 2, "status": "ok"}',
+                       '{"schema": 1, "status": "error", "metrics": {}}',
+                       '{"schema": 1, "status": "ok"}'):
+            path.write_text(damage)
+            assert cache.cached_metrics(key) is None
+            assert not path.exists()
+            cache.put_metrics(key, {}, {"seconds": 1.0})
+            assert cache.cached_metrics(key) == {"seconds": 1.0}
 
 
 # ---------------------------------------------------------------------
