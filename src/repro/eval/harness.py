@@ -294,20 +294,18 @@ class Harness:
                 else:
                     self._structure_hits += 1
             if structure is None and fingerprint is not None:
-                name = structure_key_payload(
-                    dataset_fingerprint=fingerprint, network=spec.network,
-                    hidden_dim=spec.hidden_dim, geometry=geometry)
-                structure = store.get(name, graph, structure=True)
+                structure, name = self._stored_structure(
+                    spec, geometry, graph, fingerprint)
                 tier = "store"
             if structure is None:
                 structure = program = compile_workload(
-                    graph, self.model(spec), config,
-                    traversal=spec.traversal,
+                    graph, self.model(spec), config, traversal=spec.traversal,
                     feature_block=feature_block, geometry=geometry)
                 tier = "compiled"
-            _program_terms(structure)
-            with self._lock:
-                self._remember(self._structures, structure_key, structure)
+                _program_terms(structure)
+                with self._lock:
+                    self._remember(self._structures, structure_key,
+                                   structure)
         if tier == "compiled":
             if store_key is not None:
                 store.put(store_key, program, graph, structure=name)
@@ -316,8 +314,7 @@ class Harness:
                       workload=f"recost:{spec.label}"), tier
 
     def _geometry(self, spec: WorkloadSpec, config: GNNeratorConfig,
-                  graph: Graph | None = None,
-                  spanned: bool = True) -> Geometry:
+                  graph: Graph, spanned: bool = True) -> Geometry:
         """``config``'s geometry for ``spec``, resolved once per distinct
         ``geometry_fields(config)``; only a miss opens a ``geometry``
         span, and only if ``spanned``."""
@@ -327,46 +324,54 @@ class Harness:
         if geometry is None:
             with (span("geometry", workload=spec.label) if spanned
                   else contextlib.nullcontext()):
-                geometry = resolve_geometry(
-                    graph or self.graph(spec.dataset), self.model(spec),
-                    config, spec.traversal, config.feature_block)
+                geometry = resolve_geometry(graph, self.model(spec), config,
+                                            spec.traversal,
+                                            config.feature_block)
             with self._lock:
                 self._remember(self._geometries, key, geometry,
                                self.GEOMETRY_CACHE_MAX_ENTRIES)
         return geometry
 
-    def load_structures(self, workloads) -> None:
-        """Resolve each ``(spec, config)``'s geometry under one
-        ``geometry`` span, then load into the structure memo each of
-        their structures the program store names: what processes
-        forked from this harness re-cost without a load. A geometry
-        that raises is left to its own compile to report."""
+    def _stored_structure(self, spec: WorkloadSpec, geometry: Geometry,
+                          graph: Graph, fingerprint: str
+                          ) -> tuple[Program | None, dict]:
+        """The structure the program store names for ``(spec,
+        geometry)``, energy terms filled and memoized (None when it
+        names none), and that name."""
         from repro.eval.energy import _program_terms
 
-        keys: dict[tuple, None] = {}
+        name = structure_key_payload(
+            dataset_fingerprint=fingerprint, network=spec.network,
+            hidden_dim=spec.hidden_dim, geometry=geometry)
+        structure = self.program_store.get(name, graph, structure=True)
+        if structure is not None:
+            _program_terms(structure)
+            with self._lock:
+                self._remember(self._structures, (spec, geometry),
+                               structure)
+        return structure, name
+
+    def load_structures(self, workloads) -> None:
+        """Resolve each ``(spec, config)``'s geometry, under one
+        ``geometry`` span, and memoize the structures the store names
+        for them: what a process forked from here re-costs without a
+        load. A geometry that raises is left to its compile to report."""
+        graphs: dict[tuple, Graph] = {}
         with span("geometry"):
             for spec, config in workloads:
                 with contextlib.suppress(Exception):
-                    config = self._config(spec, config)
-                    keys[spec, self._geometry(spec, config, None,
-                                              spanned=False)] = None
-        store = self.program_store
-        with self._lock:
-            missing = [key for key in keys if key not in self._structures]
-        for spec, geometry in missing if store is not None else ():
-            fingerprint = self._fingerprint(spec.dataset)
-            if fingerprint is None:
-                continue
-            # Its graph was loaded when its geometry was first resolved.
-            structure = store.get(structure_key_payload(
-                dataset_fingerprint=fingerprint, network=spec.network,
-                hidden_dim=spec.hidden_dim, geometry=geometry),
-                self._datasets.get(spec.dataset), structure=True)
-            if structure is not None:
-                _program_terms(structure)
-                with self._lock:
-                    self._remember(self._structures, (spec, geometry),
-                                   structure)
+                    graph = self.graph(spec.dataset)
+                    graphs[spec, self._geometry(spec, self._config(
+                        spec, config), graph, spanned=False)] = graph
+            with self._lock:
+                missing = [key for key in graphs
+                           if key not in self._structures]
+        for spec, geometry in missing:
+            fingerprint = (self._fingerprint(spec.dataset)
+                           if self.program_store is not None else None)
+            if fingerprint is not None:
+                self._stored_structure(spec, geometry,
+                                       graphs[spec, geometry], fingerprint)
 
     def _remember(self, memo: dict, key, value,
                   bound: int | None = None) -> None:

@@ -61,9 +61,10 @@ class ResultCache(ContentStore):
     """On-disk store of computed point records, keyed by content.
 
     A record is read back only if it is a successful point's, of this
-    schema. A record JSON cannot encode raises ``TypeError``; a directory the record cannot be
-    written to skips it (:class:`~repro.persist.ContentStore`), so a
-    finished point is never lost to its cache.
+    schema. A record JSON cannot encode raises ``TypeError``; a
+    directory the record cannot be written to skips it
+    (:class:`~repro.persist.ContentStore`), so a finished point is
+    never lost to its cache.
     """
 
     schema = SCHEMA_VERSION

@@ -133,13 +133,9 @@ def run_point(point: SweepPoint, harness) -> PointResult:
 # ---------------------------------------------------------------------
 #: One harness per seed per worker process, so graphs, models, params
 #: and compiled programs materialise once per process, not once per
-#: point (see ``Harness._compiled`` for what its memos share). A worker
-#: forked from a runner starts with the runner's harnesses and stores
-#: its records in ``_WORKER_CACHE``, the runner's cache
-#: (:func:`_adopt_runner`); any other builds its own harness, which
-#: shares the persistent program store with every other process.
+#: point (see ``Harness._compiled``). A worker forked from a runner
+#: starts from the runner's harnesses; any other builds its own.
 _WORKER_HARNESSES: dict[int, object] = {}
-_WORKER_CACHE = None
 
 
 def _harness_for(seed: int, store: dict):
@@ -155,28 +151,24 @@ def _worker_run(point: SweepPoint) -> PointResult:
     return run_point(point, _harness_for(point.seed, _WORKER_HARNESSES))
 
 
-def _adopt_runner(harnesses: dict, cache) -> None:
-    """Initializer of a pool forked (so nothing is pickled) from a
-    :class:`SweepRunner`. The inherited heap outlives every point, so
-    it is frozen: collections neither traverse nor copy its pages."""
+def _adopt_harnesses(harnesses: dict) -> None:
+    """Start a forked worker from a runner's harnesses, freezing the
+    inherited heap: no collection traverses or copies its pages."""
     import gc
 
-    global _WORKER_CACHE
     gc.freeze()
     _WORKER_HARNESSES.update(harnesses)
-    _WORKER_CACHE = cache
 
 
-def _run_chunk(worker_fn, chunk: list, keys: list | None = None) -> list:
+def _run_chunk(worker_fn, chunk: list, keys=None, cache=None) -> list:
     """Run one chunk of points inside a worker process, storing each ok
-    point's record under its key, if given, as soon as it is computed:
-    a batch cut short keeps every point it finished."""
+    point's record in ``cache`` under its key, if given, as soon as it
+    is computed: a batch cut short keeps every point it finished."""
     results: list[PointResult] = []
     for point, key in zip(chunk, keys or [None] * len(chunk)):
         results.append(worker_fn(point))
         if key is not None and results[-1].ok:
-            _WORKER_CACHE.put_metrics(key, point.payload(),
-                                      results[-1].metrics)
+            cache.put_metrics(key, point.payload(), results[-1].metrics)
     return results
 
 
@@ -245,10 +237,9 @@ class ProcessPoolScheduler:
     Linux, so workers inherit the parent's imports and the graphs
     :func:`_preload_datasets` loaded; spawned otherwise (the serve
     daemon's request threads, macOS, Windows). The pool shuts down
-    before ``run`` returns, so no worker outlives its batch. A pool a
-    :class:`SweepRunner` forks starts from the runner's harnesses,
-    warmed by :meth:`SweepRunner._warm`, and its workers store their
-    records in the runner's cache. Spawned workers start cold.
+    before ``run`` returns, so no worker outlives its batch. For a
+    :class:`SweepRunner`, workers store the records they compute, and
+    forked ones start from its warmed harnesses (:meth:`SweepRunner._warm`).
 
     Interrupts: a Ctrl-C used to leave workers running to
     completion — ``pool.map`` consumed results inside a ``with`` block
@@ -277,9 +268,11 @@ class ProcessPoolScheduler:
     def run(self, points) -> list[PointResult]:
         return self._run(list(points))
 
-    def _run(self, points: list, runner: "SweepRunner | None" = None,
-             keys: list | None = None) -> list[PointResult]:
-        """:meth:`run`, for ``runner``'s points under ``keys``."""
+    def _run(self, points: list, keys=None, cache=None,
+             harnesses=None) -> list[PointResult]:
+        """:meth:`run`, storing each ok record in ``cache`` under its
+        ``keys`` entry; workers start from ``harnesses``, given only
+        when the pool will fork."""
         if not points:
             return []
         if self.jobs == 1 or len(points) == 1:
@@ -292,21 +285,16 @@ class ProcessPoolScheduler:
         # short plan never degenerates to chunksize 0.
         chunksize = max(1, -(-len(points) // (workers * 4)))
         _preload_datasets(points)
-        context = _worker_context()
-        forked = runner is not None and context.get_start_method() == "fork"
-        if forked:
-            runner._warm(points)
-        chunks = [(points[i:i + chunksize],
-                   keys[i:i + chunksize] if forked else None)
-                  for i in range(0, len(points), chunksize)]
         pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=context,
-            initializer=_adopt_runner if forked else None,
-            initargs=(runner._harnesses, runner.cache) if forked else ())
+            max_workers=workers, mp_context=_worker_context(),
+            initializer=_adopt_harnesses if harnesses else None,
+            initargs=(harnesses,) if harnesses else ())
         futures = []
         try:
-            futures = [pool.submit(_run_chunk, self.worker_fn, *chunk)
-                       for chunk in chunks]
+            futures = [pool.submit(_run_chunk, self.worker_fn,
+                                   points[i:i + chunksize],
+                                   keys and keys[i:i + chunksize], cache)
+                       for i in range(0, len(points), chunksize)]
             results: list[PointResult] = []
             for future in futures:
                 results.extend(future.result())
@@ -447,18 +435,21 @@ class SweepRunner:
         if harness is not None:
             self._harnesses[harness.seed] = harness
 
-    def _warm(self, points) -> None:
-        """Before a pool forks, give its harnesses each GNNerator point's
-        geometry and stored structure (``Harness.load_structures``)."""
+    def _warm(self, points) -> dict | None:
+        """The harnesses a forking pool starts from, first given each
+        override point's geometry and stored structure; None when no
+        point carries overrides or the pool will spawn (its workers
+        start cold)."""
+        points = [p for p in points if p.config_overrides is not None]
+        if not points or _worker_context().get_start_method() != "fork":
+            return None
         from repro.obs.spans import span
 
-        harnesses = {p.seed: _harness_for(p.seed, self._harnesses)
-                     for p in points}
         with span("pool-warm"):
-            for seed, harness in harnesses.items():
-                harness.load_structures((p.spec, p.config) for p in points
-                                        if p.seed == seed
-                                        and p.platform == "gnnerator")
+            for seed in {p.seed for p in points}:
+                _harness_for(seed, self._harnesses).load_structures(
+                    (p.spec, p.config) for p in points if p.seed == seed)
+        return self._harnesses
 
     def run(self, plan: SweepPlan) -> SweepResult:
         start = time.monotonic()
@@ -480,7 +471,8 @@ class SweepRunner:
                 computed = self.scheduler.run(missed)
             elif self.jobs > 1 and len(missed) > 1:
                 computed = ProcessPoolScheduler(self.jobs)._run(
-                    missed, self, [key for *_, key in pending])
+                    missed, [key for *_, key in pending], self.cache,
+                    self._warm(missed))
             else:
                 computed = [run_point(p, _harness_for(p.seed,
                                                       self._harnesses))

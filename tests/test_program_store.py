@@ -737,10 +737,10 @@ class TestHarnessIncrementalKeying:
                     for value in values:
                         configs[(path, value)] = candidate_config(
                             spec.feature_block, ((path, value),))
-                expected = harness._geometry(spec, base)
+                expected = harness._geometry(spec, base, graph)
                 for label, config in configs.items():
                     with tracing() as tracer:
-                        memoized = harness._geometry(spec, config)
+                        memoized = harness._geometry(spec, config, graph)
                     fresh = resolve_geometry(graph, model, config,
                                              spec.traversal,
                                              config.feature_block)

@@ -552,12 +552,15 @@ class TestWarmPool:
 
     def test_spawned_workers_start_cold(self, tmp_path, monkeypatch):
         """With another thread alive the pool spawns: no warm-up runs,
-        no harness is pickled, and results equal jobs=1's."""
+        no harness is pickled, and results equal jobs=1's. The spawned
+        workers store the records, not the parent."""
         def refuse(self, protocol):
             raise AssertionError("a harness was pickled")
 
         monkeypatch.setattr(Harness, "__reduce_ex__", refuse)
         monkeypatch.setenv(PROGRAM_CACHE_ENV, str(tmp_path / "ps"))
+        log = tmp_path / "publishes.log"
+        TestWorkerRecords.log_publishes(monkeypatch, log)
         plan = SweepPlan("spawned", _dse_points("tiny", [(), (
             ("graph.num_gpes", 16),)]))
         runner = SweepRunner(jobs=2, cache=ResultCache(tmp_path / "r"))
@@ -566,6 +569,24 @@ class TestWarmPool:
         assert runner._harnesses == {}
         assert _metrics(result) == _metrics(self.serial(plan))
         assert len(ResultCache(tmp_path / "r")) == len(plan)
+        assert not log.exists()  # spawned workers run unpatched
+
+    def test_points_without_overrides_are_not_warmed(self, tmp_path,
+                                                     monkeypatch):
+        """A figure sweep's points compile fixed workloads, whose whole
+        programs the store serves to the workers: the parent resolves
+        no geometry and loads nothing for them."""
+        monkeypatch.setenv(PROGRAM_CACHE_ENV, str(tmp_path / "ps"))
+        plan = SweepPlan("fixed", tuple(
+            point_for(WorkloadSpec(dataset="tiny", network=network))
+            for network in ("gcn", "gat")))
+        assert SweepRunner(jobs=2).run(plan).ok  # stores both programs
+        runner = SweepRunner(jobs=2)
+        with tracing() as tracer:
+            assert runner.run(plan).ok
+        assert not {"pool-warm", "geometry", "store-get"} & {
+            r.name for r in tracer.spans}
+        assert runner._harnesses == {}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unresolvable_geometry_is_its_points_error(self, jobs):
@@ -590,7 +611,8 @@ class TestWorkerRecords:
         return {str(path.relative_to(root)): path.read_bytes()
                 for path in sorted(root.rglob("*.json"))}
 
-    def log_publishes(self, monkeypatch, log):
+    @staticmethod
+    def log_publishes(monkeypatch, log):
         """Log every ``persist.publish`` of a ``.json`` record, with
         the publishing pid (forked workers inherit the patch)."""
         real = repro.persist.publish
@@ -624,11 +646,12 @@ class TestWorkerRecords:
         assert len(expected) == len(self.PLAN)
         for name in ("pool", "fleet"):
             assert self.records(tmp_path / name) == expected, name
-        for published in (pool, queued):
+        assert str(os.getpid()) not in {pid for pid, _ in pool}
+        # Spawned pool workers do not inherit the logging patch.
+        forked = _worker_context().get_start_method() == "fork"
+        for published in (pool, queued) if forked else (queued,):
             paths = [path for _, path in published]
             assert len(paths) == len(set(paths)) == len(self.PLAN)
-        if _worker_context().get_start_method() == "fork":
-            assert str(os.getpid()) not in {pid for pid, _ in pool}
 
     def test_a_present_entry_is_not_rewritten(self, tmp_path):
         """A put of a present entry stats it and writes nothing: the
