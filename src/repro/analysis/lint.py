@@ -4,11 +4,11 @@ The simulator's correctness rests on a handful of conventions that
 ordinary tests cannot see — determinism (no wall-clock reads on the
 simulation path), probe purity (telemetry recording must not perturb
 scheduler state), crash-safe files (tmp + ``os.replace``), lock
-discipline on shared memos, metric construction through the registry,
-and a declared import layering. This module machine-checks them with
-AST rules over the source tree; ``repro lint`` runs in CI so a
-violation fails the build with a file:line finding instead of
-surfacing as a heisenbug.
+discipline on shared memos, unpickling only in the program store,
+metric construction through the registry, and a declared import
+layering. This module machine-checks them with AST rules over the
+source tree; ``repro lint`` runs in CI so a violation fails the build
+with a file:line finding instead of surfacing as a heisenbug.
 
 Rules are pure functions ``rule(src) -> iterator of findings`` over a
 parsed :class:`SourceFile`; each declares which relative paths it
@@ -45,11 +45,17 @@ _CACHE_FILES = (
     "serve/loadtest.py",
 )
 
+#: The only modules that may unpickle: the program store, and the lazy
+#: op decode of the programs it loads (``compiler/program.py``).
+_UNPICKLING_FILES = ("compiler/store.py", "compiler/program.py")
+_UNPICKLERS = frozenset({"load", "loads", "Unpickler"})
+
 #: Shared-memo lock discipline: per module, which top-level names (or
 #: ``self.`` attributes) may only be mutated inside ``with <lock>:``.
 #: ``__init__`` bodies and module level are exempt (construction
 #: precedes sharing).
 _LOCKED_MEMOS: dict[str, tuple[tuple[str, ...], str]] = {
+    "persist.py": (("self._counts",), "_COUNTS_LOCK"),
     "compiler/lowering.py": (("_FULL_LOWERINGS",), "_MEMO_LOCK"),
     "graph/partition.py": (("_GRID_LOCKS",), "_GRID_LOCKS_GUARD"),
     "eval/harness.py": (
@@ -436,6 +442,32 @@ def rule_locked_memo_mutation(src: SourceFile) -> Iterator[LintFinding]:
     yield from visitor.findings
 
 
+# -- no-unpickling-outside-store ----------------------------------------
+
+def rule_no_unpickling_outside_store(src: SourceFile
+                                     ) -> Iterator[LintFinding]:
+    """Unpickling runs whatever code its input names, so only the
+    program store may do it: ``pickle.load``, ``pickle.loads`` and
+    ``pickle.Unpickler``, referenced or imported by name, are flagged
+    anywhere else."""
+    if src.rel in _UNPICKLING_FILES:
+        return
+    for node in ast.walk(src.tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "pickle":
+            names = [alias.name for alias in node.names]
+        elif (isinstance(node, ast.Attribute)
+                and _dotted(node.value) == "pickle"):
+            names = [node.attr]
+        else:
+            continue
+        for name in names:
+            if name in _UNPICKLERS:
+                yield LintFinding(
+                    src.rel, node.lineno, "no-unpickling-outside-store",
+                    f"pickle.{name} outside the program store (only "
+                    f"{' and '.join(_UNPICKLING_FILES)} may unpickle)")
+
+
 # -- metric-naming -------------------------------------------------------
 
 def rule_metric_naming(src: SourceFile) -> Iterator[LintFinding]:
@@ -543,6 +575,7 @@ RULES: tuple[RuleFn, ...] = (
     rule_probe_gated_purity,
     rule_atomic_writes,
     rule_locked_memo_mutation,
+    rule_no_unpickling_outside_store,
     rule_metric_naming,
     rule_layering,
 )

@@ -913,8 +913,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the codebase contract linter (determinism, probe "
-             "purity, atomic cache writes, lock discipline, metric "
-             "naming, import layering)")
+             "purity, atomic cache writes, lock discipline, unpickling "
+             "only in the program store, metric naming, import "
+             "layering)")
     lint.add_argument("paths", nargs="*",
                       help="files to lint (default: the whole repro "
                            "package)")

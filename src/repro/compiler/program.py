@@ -8,18 +8,11 @@ network and the :class:`~repro.compiler.lowering.Geometry` — plus
 (:func:`~repro.compiler.lowering.recost`) shares the structure; only
 op walkers, never timing, read its ops. A program holds no values:
 parameters and aggregation weights are inputs of the functional
-runtime. The persistent store (:mod:`repro.compiler.store`) serializes
-it, treating three fields specially:
-
-* every :class:`~repro.graph.graph.Graph` reference (held by the shard
-  grids in ``grids``) is pickled *by dataset identity*, never by value,
-  and reattached to the loading process's graph object; each grid
-  pickles as (graph, interval size) only and loads as that graph's
-  memoized grid, sorted again only if something reads its edges;
-* the ops pickle as one nested pickle, decoded on first read
-  (:class:`_Ops`);
-* the coalesced plans are dropped: a loaded program re-times its
-  template per DramConfig on first use.
+runtime. The persistent store (:mod:`repro.compiler.store`) pickles it
+plainly, without its shard grids (it keeps each grid's interval size
+and loads the graph's memoized grid) or coalesced plans (a loaded
+program re-times its template per DramConfig on first use); the ops
+pickle as one nested pickle, decoded on first read (:class:`_Ops`).
 """
 
 from __future__ import annotations
@@ -51,10 +44,10 @@ class _Ops:
     """A program's op queues and emission order (``decoded``).
 
     They pickle as one nested pickle beside the op count, and unpickle
-    undecoded. The first read of ``decoded`` decodes the blob with the
-    program store's unpickler class. Racing first reads may each
-    decode, but one result wins, so the queues and the order always
-    share op objects, as do the re-costs sharing this holder.
+    undecoded. The first read of ``decoded`` decodes the blob. Racing
+    first reads may each decode, but one result wins, so the queues
+    and the order always share op objects, as do the re-costs sharing
+    this holder.
     """
 
     decoded: tuple[dict[str, list[Operation]], list[Operation]]
@@ -68,12 +61,9 @@ class _Ops:
         # Reached only while ``decoded`` is unset, so there is a blob.
         if name != "decoded" or self.blob is None:
             raise AttributeError(name)
-        import io
+        import pickle
 
-        from repro.compiler.store import _GraphUnpickler
-
-        ops = _GraphUnpickler(io.BytesIO(self.blob), None).load()
-        return self.__dict__.setdefault("decoded", ops)
+        return self.__dict__.setdefault("decoded", pickle.loads(self.blob))
 
     def __len__(self) -> int:
         if "decoded" in self.__dict__:
@@ -138,12 +128,6 @@ class Program:
     #: part of equality or any cache key.
     _energy_terms: (tuple[float, float, tuple[tuple[str, float], ...]]
                     | None) = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self) -> dict:
-        """Pickle without plans (a loaded program re-times)."""
-        state = dict(self.__dict__)
-        state["_coalesced_plans"] = {}
-        return state
 
     @property
     def queues(self) -> dict[str, list[Operation]]:

@@ -31,21 +31,20 @@ cache):
   write identical bytes, and the last writer wins. A name that cannot
   be linked (another worker linked first) is skipped too.
 
-Only the program itself is serialized — never the graph, and never
-data derived from it. The pickler reduces the keyed
-:class:`~repro.graph.graph.Graph` to a ``_graph_ref(name)`` call
-(refusing any other graph object), and the unpickler resolves
-``_graph_ref`` to the loading process's graph object. Since schema 4 a
-shard grid pickles as (graph reference, interval size) and unpickles
-as that graph's memoized grid, entering an unbuilt one if the memo has
-none (``ShardGrid.__reduce__``): the |E|-sized sort order is rebuilt
-by the same in-place sort, and only if something reads the grid's
-edges — simulating a loaded program never does. Since schema 5 an
-entry holds the plan template and cost lists, never a re-timed plan.
-Since schema 6 it holds the ops as one nested pickle beside the op
-count, and the cost pass's inputs as int32 arrays; a get decodes no op.
-The pickle is followed by its CRC-32, so a damaged byte anywhere in an
-entry makes it a miss.
+An entry is a plain pickle of two things: the program without its
+shard grids or re-timed plans, and each grid's interval size. Never the
+graph, nor data derived from it: a put refuses a program whose grids
+are not over the keyed :class:`~repro.graph.graph.Graph` object, and a
+get refuses an entry of another graph name, then enters each interval
+into the caller's graph memo (:func:`~repro.graph.partition.memoize_grid`),
+unbuilt when the memo has none: the |E|-sized sort order is rebuilt by
+the same in-place sort, and only if something reads the grid's edges —
+simulating a loaded program never does. Since schema 5 an entry holds
+the plan template and cost lists, never a re-timed plan. Since schema 6
+it holds the ops as one nested pickle beside the op count, and the cost
+pass's inputs as int32 arrays; a get decodes no op. The pickle is
+followed by its CRC-32, so a damaged byte anywhere in an entry makes it
+a miss.
 Entries are orders of magnitude smaller than the graphs they index,
 and a memory-mapped million-edge feature matrix is never pulled
 through pickle. Workloads whose graph cannot be fingerprinted (real
@@ -59,22 +58,20 @@ Disabled by pointing :data:`PROGRAM_CACHE_ENV` at ``0``/``off``/
 
 from __future__ import annotations
 
-import functools
-import io
 import os
 import pickle
-from typing import IO, TYPE_CHECKING, cast
+from typing import TYPE_CHECKING, cast
 
-from repro.graph.graph import Graph
 from repro.obs.spans import span
 from repro.persist import ContentStore, cache_dir_from_env
 
 if TYPE_CHECKING:
     from repro.compiler.program import Program
+    from repro.graph.graph import Graph
 
 #: Bump when the pickled layout (or anything about how entries are
 #: produced) changes incompatibly; old entries become misses.
-PROGRAM_SCHEMA = 6
+PROGRAM_SCHEMA = 7
 
 #: Environment variable pointing at the store; ``0``/``off``/``none``/
 #: empty disables it (:func:`repro.persist.cache_dir_from_env`).
@@ -134,97 +131,58 @@ def structure_key_payload(*, dataset_fingerprint: str, network: str,
     }
 
 
-def _graph_ref(name: str, graph: Graph | None = None) -> Graph:
-    """What a pickled program calls to get its graph back.
-
-    :class:`_GraphPickler` reduces the keyed graph to
-    ``_graph_ref(name)``; :class:`_GraphUnpickler` binds ``graph`` to
-    the caller's graph, and the name must still match it. Anywhere
-    else — a plain ``pickle.load`` — there is no graph to return.
-    """
-    if graph is None or name != graph.name:
-        raise pickle.UnpicklingError(
-            f"program references graph {name!r}, but the caller's graph "
-            f"is {None if graph is None else graph.name!r}")
-    return graph
-
-
-class _GraphPickler(pickle.Pickler):
-    """Pickles the keyed ``Graph`` as a reference to its dataset name.
-
-    ``reducer_override`` rather than ``persistent_id``: pickle calls it
-    for no builtin-typed object (ints, strings, tuples, lists, dicts),
-    so a program's thousands of scalars cost no Python call.
-    """
-
-    def __init__(self, handle: IO[bytes], graph: Graph) -> None:
-        super().__init__(handle, protocol=5)
-        self._graph = graph
-
-    def reducer_override(self, obj: object) -> object:
-        if isinstance(obj, Graph):
-            if obj is not self._graph:
-                # A foreign graph object inside a program (even an
-                # equal-named copy or a subclass instance) would
-                # deserialize against the wrong dataset; refuse it.
-                raise pickle.PicklingError(
-                    f"program references a graph ({obj.name!r}) other "
-                    f"than the one it was keyed under "
-                    f"({self._graph.name!r})")
-            return _graph_ref, (obj.name,)
-        return NotImplemented
-
-
-class _GraphUnpickler(pickle.Unpickler):
-    """Resolves graph references back to the caller's graph."""
-
-    def __init__(self, handle: IO[bytes], graph: Graph | None) -> None:
-        super().__init__(handle)
-        self._graph = graph
-
-    def find_class(self, module: str, name: str) -> object:
-        if module == __name__ and name == _graph_ref.__name__:
-            # A partial over the graph, never a bound method: the
-            # unpickler memoizes what this returns, and a method bound
-            # to it would make the unpickler a reference cycle.
-            return functools.partial(_graph_ref, graph=self._graph)
-        return super().find_class(module, name)
-
-
 def _encode(program: Program, graph: Graph) -> bytes:
-    """An entry: ``program``'s pickle, then that pickle's CRC-32."""
+    """An entry: the pickle of ``program`` without its grids or plans
+    and of each grid's interval size, then that pickle's CRC-32."""
+    import dataclasses
     import zlib
 
-    buffer = io.BytesIO()
-    _GraphPickler(buffer, graph).dump(program)
-    data = buffer.getvalue()
+    for grid in program.grids.values():
+        if grid.graph is not graph:
+            # A program over another graph object (even an equal-named
+            # copy or a subclass instance) would be stored under this
+            # graph's key; refuse it.
+            raise pickle.PicklingError(
+                f"program references a graph ({grid.graph.name!r}) other "
+                f"than the one it was keyed under ({graph.name!r})")
+    intervals = {stage: grid.interval_size
+                 for stage, grid in program.grids.items()}
+    data = pickle.dumps((dataclasses.replace(
+        program, grids={}, _coalesced_plans={}), intervals), protocol=5)
     return data + zlib.crc32(data).to_bytes(4, "little")
 
 
 def _decode(data: bytes, graph: Graph) -> Program:
-    """The program in an entry, checked against its CRC-32."""
+    """The program in an entry, checked against its CRC-32, over
+    ``graph``'s memoized grids."""
     import zlib
+
+    from repro.graph.partition import memoize_grid
 
     body = memoryview(data)[:-4]
     if zlib.crc32(body) != int.from_bytes(data[-4:], "little"):
         raise pickle.UnpicklingError("entry fails its CRC-32")
-    return cast("Program", _GraphUnpickler(io.BytesIO(body), graph).load())
+    program, intervals = pickle.loads(body)
+    if program.graph_name != graph.name:
+        raise pickle.UnpicklingError(
+            f"entry holds a program of graph {program.graph_name!r}, "
+            f"but the caller's graph is {graph.name!r}")
+    program.grids = {stage: memoize_grid(graph, interval_size)
+                     for stage, interval_size in intervals.items()}
+    return cast("Program", program)
 
 
 class ProgramStore(ContentStore):
     """On-disk compiled-program cache: the pickle format over
     :class:`~repro.persist.ContentStore`'s keys, paths and failure
-    policy. ``hits``/``misses`` (``structure_hits``/
-    ``structure_misses``) count this instance's lookups by program key
-    (by structure name).
+    policy. Its :attr:`stats` count this instance's lookups by program
+    key as ``hits``/``misses``, and by structure name as
+    ``structure_hits``/``structure_misses``.
     """
 
     schema = PROGRAM_SCHEMA
     suffix = "pkl"
-    # Class-level zeros: each instance's first lookup by name shadows
-    # them with its own counter.
-    structure_hits = 0
-    structure_misses = 0
+    counted = ("hits", "misses", "structure_hits", "structure_misses")
 
     def get(self, key: str | dict[str, object], graph: Graph,
             structure: bool = False) -> "Program | None":
@@ -242,7 +200,8 @@ class ProgramStore(ContentStore):
             return self._read(
                 self._path(key, "structure" if structure else None),
                 lambda handle: _decode(handle.read(), graph),
-                "structure_" if structure else "")
+                ("structure_hits", "structure_misses") if structure
+                else ("hits", "misses"))
 
     def put(self, key: str | dict[str, object], program: "Program",
             graph: Graph,
@@ -273,9 +232,3 @@ class ProgramStore(ContentStore):
                 except OSError:
                     pass
             return True
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "structure_hits": self.structure_hits,
-                "structure_misses": self.structure_misses}

@@ -246,8 +246,6 @@ class ShardGrid:
     def __init__(self, graph: Graph, interval_size: int) -> None:
         if interval_size <= 0:
             raise GraphError("interval_size must be positive")
-        # Nothing here reads the graph: unpickling may construct a grid
-        # over a graph whose own state is still being restored.
         self.graph = graph
         self.interval_size = int(interval_size)
         #: Lazily materialized Shard views, keyed by (row, col); only
@@ -322,17 +320,6 @@ class ShardGrid:
             cell: (start, stop) for cell, start, stop in zip(
                 cells.tolist(), starts.tolist(), stops.tolist())
         }
-
-    # -- pickling ------------------------------------------------------
-    # A grid is a pure function of (graph, interval_size), so that pair
-    # is all it pickles: unpickling returns the graph's memoized grid
-    # for the interval (see ``memoize_grid``), built or not, and a grid
-    # nobody reads again is never sorted again. The graph rides along
-    # by reference in the program store — its pickler reduces the graph
-    # to a ``_graph_ref(name)`` call, resolved to the loading process's
-    # graph object — and by value under plain pickle.
-    def __reduce__(self):
-        return memoize_grid, (self.graph, self.interval_size)
 
     # ------------------------------------------------------------------
     @property
@@ -472,8 +459,8 @@ _GRID_CACHE_MAX_ENTRIES = 16
 #: building so concurrent compiles of one graph (the serve daemon's
 #: request threads) build each grid once. The lock is reentrant, so
 #: code holding it may read an unbuilt grid's edges. Locks live in a
-#: side table (not on the graph): graphs ride inside plainly pickled
-#: grids, and a lock attribute would make them unpicklable.
+#: side table (not on the graph): a lock attribute would make a graph
+#: unpicklable.
 _GRID_LOCKS_GUARD = threading.Lock()
 _GRID_LOCKS: "weakref.WeakKeyDictionary[Graph, threading.RLock]" = (
     weakref.WeakKeyDictionary())
@@ -500,9 +487,9 @@ def memoize_grid(graph: Graph, interval_size: int) -> ShardGrid:
     unbuilt one (O(1)) when the memo holds none.
 
     The one way into the memo, for grids :func:`shard_grid` builds and
-    grids a stored program names (a pickled :class:`ShardGrid` calls
-    this to come back, so a loaded program shares the memo's grid): it
-    holds the graph's grid lock and evicts the oldest entry once
+    grids a stored program names (the program store's loads call this,
+    so a loaded program shares the memo's grid): it holds the graph's
+    grid lock and evicts the oldest entry once
     :data:`_GRID_CACHE_MAX_ENTRIES` are held. An entry already under
     the interval size wins, so the memo never swaps a grid out from
     under compiles that share it.

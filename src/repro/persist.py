@@ -26,6 +26,7 @@ import hashlib
 import itertools
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import IO, Callable, TypeVar
@@ -34,6 +35,11 @@ _T = TypeVar("_T")
 
 #: Uniquifies tmp names across every publish of this process.
 _SEQUENCE = itertools.count()
+
+#: Guards every store's read counts: one lock for all stores, since a
+#: lock attribute would make a store unpicklable, and a result cache
+#: rides in every pool chunk.
+_COUNTS_LOCK = threading.Lock()
 
 
 def _discard(path: Path) -> None:
@@ -175,13 +181,16 @@ class ContentStore:
     if it can be. Writes skip: a present entry (its address names the
     same content) costs one stat, and an entry that cannot be published
     (a read-only or unusable directory) is not stored, the write
-    returning False. ``hits`` and ``misses`` count this instance's reads.
+    returning False. :attr:`stats` counts this instance's reads.
     """
 
     #: Mixed into every key; a view bumps it when its format changes.
     schema: int
     #: File suffix of the view's entries; ``len(store)`` counts these.
     suffix: str
+    #: The counts :attr:`stats` holds: a hit and a miss count per kind
+    #: of name a view reads entries by.
+    counted: tuple[str, ...] = ("hits", "misses")
 
     def __init__(self, root: str | os.PathLike[str],
                  code_version: str | None = None,
@@ -189,8 +198,7 @@ class ContentStore:
         self.root = Path(root)
         self.code_version = (code_version if code_version is not None
                              else code_version_hash(code_root))
-        self.hits = 0
-        self.misses = 0
+        self._counts = dict.fromkeys(self.counted, 0)
 
     def key(self, payload: object) -> str:
         """Content address of ``payload`` under this code version."""
@@ -203,10 +211,14 @@ class ContentStore:
             key = self.key(key)
         return self.root.joinpath(key[:2], f"{key}.{suffix or self.suffix}")
 
+    def _count(self, name: str) -> None:
+        with _COUNTS_LOCK:
+            self._counts[name] += 1
+
     def _read(self, path: Path, decode: Callable[[IO[bytes]], _T | None],
-              counter: str = "") -> _T | None:
+              counts: tuple[str, str] = ("hits", "misses")) -> _T | None:
         """``decode`` of the file at ``path``, or None (a miss), counted
-        in ``<counter>hits`` or ``<counter>misses``."""
+        under ``counts``, the names of the hit and the miss count."""
         value: _T | None = None
         try:
             with open(path, "rb") as handle:
@@ -215,8 +227,7 @@ class ContentStore:
             pass
         except Exception:
             _discard(path)
-        name = counter + ("misses" if value is None else "hits")
-        setattr(self, name, getattr(self, name) + 1)
+        self._count(counts[0] if value is not None else counts[1])
         return value
 
     def _write(self, path: Path, encode: Callable[[], bytes]) -> bool:
@@ -239,4 +250,5 @@ class ContentStore:
 
     @property
     def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
+        with _COUNTS_LOCK:
+            return dict(self._counts)

@@ -114,7 +114,7 @@ class NullCache(ResultCache):
         super().__init__(os.devnull, code_version="uncached")
 
     def get(self, key: str) -> dict | None:
-        self.misses += 1
+        self._count("misses")
         return None
 
     def put(self, key: str, record: dict) -> bool:

@@ -16,6 +16,7 @@ from repro.analysis.lint import (
     rule_layering,
     rule_locked_memo_mutation,
     rule_metric_naming,
+    rule_no_unpickling_outside_store,
     rule_no_wallclock_in_kernel,
     rule_probe_gated_purity,
 )
@@ -151,6 +152,14 @@ class Harness:
         self._params = {}
 """)))
 
+    def test_flags_unlocked_store_count(self):
+        findings = list(rule_locked_memo_mutation(src("persist.py", """
+class ContentStore:
+    def _count(self, name):
+        self._counts[name] += 1
+""")))
+        assert rules_of(findings) == ["locked-memo-mutation"]
+
     def test_flags_self_attr_outside_lock(self):
         findings = list(rule_locked_memo_mutation(src("eval/harness.py", """
 class Harness:
@@ -158,6 +167,40 @@ class Harness:
         self._params[key] = 1
 """)))
         assert rules_of(findings) == ["locked-memo-mutation"]
+
+
+class TestNoUnpicklingOutsideStore:
+    def test_flags_calls_references_and_imports(self):
+        findings = list(rule_no_unpickling_outside_store(
+            src("sweep/cache.py", """
+import pickle
+from pickle import Unpickler, dumps, loads
+
+def read(handle):
+    return pickle.load(handle), pickle.loads(handle.read())
+
+class Reader(pickle.Unpickler):
+    pass
+""")))
+        assert set(rules_of(findings)) == {"no-unpickling-outside-store"}
+        assert sorted(finding.line for finding in findings) == [
+            3, 3, 6, 6, 8]
+
+    def test_allows_pickling_and_the_program_store(self):
+        assert not list(rule_no_unpickling_outside_store(
+            src("sweep/cache.py", """
+import pickle
+
+def write(value):
+    return pickle.dumps(value, protocol=5)
+""")))
+        for rel in ("compiler/store.py", "compiler/program.py"):
+            assert not list(rule_no_unpickling_outside_store(src(rel, """
+import pickle
+
+def read(data):
+    return pickle.loads(data)
+""")))
 
 
 class TestMetricNaming:

@@ -11,13 +11,11 @@ compiles only once per compile-relevant config projection.
 
 from __future__ import annotations
 
-import gc
-import io
 import os
 import pickle
+import pickletools
 import sys
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,8 +30,6 @@ from repro.compiler.store import (
     PROGRAM_CACHE_ENV,
     ProgramStore,
     _encode,
-    _GraphPickler,
-    _GraphUnpickler,
     default_program_store,
     program_key_payload,
 )
@@ -47,7 +43,6 @@ from repro.graph.graph import Graph
 from repro.graph.partition import (
     _GRID_CACHE_MAX_ENTRIES,
     ShardGrid,
-    plan_shards,
     shard_grid,
 )
 from repro.obs.spans import tracing
@@ -128,11 +123,11 @@ class TestProgramStore:
         second = fresh_harness(store)
         healed = second.gnnerator_result(TINY_GCN)
         assert healed.cycles == result.cycles
-        assert store.misses == 2  # cold miss + truncated miss
+        assert store.stats["misses"] == 2  # cold miss + truncated miss
         # The recompile republished a complete entry.
         third = fresh_harness(store)
         assert third.gnnerator_result(TINY_GCN).cycles == result.cycles
-        assert store.hits == 1
+        assert store.stats["hits"] == 1
 
     def test_corrupt_entry_is_dropped(self, tmp_path):
         store = ProgramStore(tmp_path, code_version="v1")
@@ -304,27 +299,6 @@ class TestProgramStore:
         assert Harness().program_store is None
 
 
-class TestShardGridPickle:
-    def test_roundtrip_rebuilds_sorted_views(self, small_graph,
-                                             tiny_config):
-        grid = plan_shards(small_graph, tiny_config.graph, block=8)
-        clone = pickle.loads(pickle.dumps(grid))
-        assert clone.interval_size == grid.interval_size
-        assert clone.num_intervals == grid.num_intervals
-        np.testing.assert_array_equal(clone._order, grid._order)
-        np.testing.assert_array_equal(clone._src_sorted,
-                                      grid._src_sorted)
-        np.testing.assert_array_equal(clone._dst_sorted,
-                                      grid._dst_sorted)
-        side = grid.grid_side
-        for row in range(side):
-            for col in range(side):
-                a, b = grid.shard(row, col), clone.shard(row, col)
-                assert a.num_edges == b.num_edges
-                np.testing.assert_array_equal(a.src, b.src)
-                np.testing.assert_array_equal(a.dst, b.dst)
-
-
 def _ancestor_names(tracer, record) -> list[str]:
     """Names of ``record``'s enclosing spans, innermost first."""
     by_uid = {span.uid: span for span in tracer.spans}
@@ -344,17 +318,6 @@ class TestGridsByReference:
     @pytest.fixture(autouse=True)
     def _no_verify(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY", "0")
-
-    def test_grid_pickles_as_graph_reference_and_interval(self):
-        harness = fresh_harness(None)
-        graph = harness.graph("tiny")
-        grid = next(iter(
-            harness.gnnerator_program(TINY_GCN).grids.values()))
-        buffer = io.BytesIO()
-        _GraphPickler(buffer, graph).dump(grid)
-        assert len(buffer.getvalue()) < 200  # no |E|-sized array
-        buffer.seek(0)
-        assert _GraphUnpickler(buffer, graph).load() is grid
 
     def test_store_hit_shares_the_memoized_grid(self, tmp_path):
         """Regression: a program loaded into a process whose graph
@@ -499,7 +462,7 @@ class TestLazyOps:
             assert named.gnnerator_dse_metrics(TINY_GAT, variants[0]) \
                 == recosts[0]
             assert named.last_compile_tier() == "store"
-            assert store.structure_hits == 1
+            assert store.stats["structure_hits"] == 1
         assert decodes == []
         assert "plan-shards" not in {record.name for record in tracer.spans}
 
@@ -576,51 +539,68 @@ class TestLazyOps:
             tmp_path, lambda program: program.cost_inputs["shards"].tobytes())
 
 
-class TestStorePicklers:
-    def test_pickler_and_unpickler_leave_no_reference_cycles(self):
-        """With the cycle collector off, a store pickler and unpickler
-        die with their last reference. A cycle through either (a
-        dispatch entry bound to the pickler, a bound method the
-        unpickler memoizes) keeps every array it touched alive until
-        the collector runs."""
-        harness = fresh_harness(None)
-        graph = harness.graph("tiny")
-        program = harness.gnnerator_program(TINY_GAT)
-        buffer = io.BytesIO()
-        gc.collect()
-        gc.disable()
-        try:
-            pickler = _GraphPickler(buffer, graph)
-            pickler.dump(program)
-            pickler_ref = weakref.ref(pickler)
-            del pickler
-            assert pickler_ref() is None
-            buffer.seek(0)
-            unpickler = _GraphUnpickler(buffer, graph)
-            loaded = unpickler.load()
-            unpickler_ref = weakref.ref(unpickler)
-            del unpickler
-            assert unpickler_ref() is None
-        finally:
-            gc.enable()
-        assert loaded.grids
-        assert all(grid.graph is graph for grid in loaded.grids.values())
+def _pickled_names_and_buffers(data: bytes) -> tuple[set[str], list[int]]:
+    """Every string a pickle holds (so every name of a global it
+    references) and the length of every byte buffer (an array's data,
+    a nested pickle) in it."""
+    names: set[str] = set()
+    buffers: list[int] = []
+    for _, arg, _ in pickletools.genops(data):
+        if isinstance(arg, str):
+            names.update(arg.split())  # GLOBAL's arg is "module name"
+        elif isinstance(arg, (bytes, bytearray)):
+            buffers.append(len(arg))
+    return names, buffers
 
-    def test_entry_needs_the_callers_graph(self, tmp_path):
-        """An entry names its graph: plain pickle cannot load it, and
-        the store refuses to load it against a differently named
-        graph (a miss, never a program over the wrong dataset)."""
+
+class TestEntryFormat:
+    def test_entry_pickles_no_graph_grid_or_edge_array(self, tmp_path):
+        """An entry names its grids by interval size alone: neither it
+        nor its nested ops pickle references a Graph, a ShardGrid or
+        the grid memo, and no buffer in them holds an int32 per edge.
+        This is the only guard against a stray graph in an entry."""
         store = ProgramStore(tmp_path, code_version="v1")
         harness = fresh_harness(None)
         graph = harness.graph("tiny")
+        program = harness.gnnerator_program(TINY_GAT)
+        assert program.grids
+        key = "ab" * 32
+        assert store.put(key, program, graph)
+        body = store._path(key).read_bytes()[:-4]
+        blob = pickle.loads(body)[0]._ops.blob
+        names, buffers = _pickled_names_and_buffers(body)
+        buffers.remove(len(blob))  # the nested ops pickle
+        blob_names, blob_buffers = _pickled_names_and_buffers(blob)
+        assert not (names | blob_names) & {"Graph", "ShardGrid",
+                                           "memoize_grid"}
+        assert max(buffers + blob_buffers) < 4 * graph.num_edges
+        # The walk does see a grid, its graph and the graph's edges.
+        names, buffers = _pickled_names_and_buffers(pickle.dumps(
+            next(iter(program.grids.values())), protocol=5))
+        assert {"Graph", "ShardGrid"} <= names
+        assert max(buffers) >= 4 * graph.num_edges
+
+    def test_entry_needs_the_callers_graph(self, tmp_path):
+        """An entry holds no graph: a plain unpickle of it gives the
+        program without grids and each grid's interval size, and the
+        store refuses to load it against a differently named graph (a
+        miss that removes it, never a program over the wrong
+        dataset)."""
+        store = ProgramStore(tmp_path, code_version="v1")
+        harness = fresh_harness(None)
+        graph = harness.graph("tiny")
+        program = harness.gnnerator_program(TINY_GCN)
         key = "ef" * 32
-        assert store.put(key, harness.gnnerator_program(TINY_GCN), graph)
-        with open(store._path(key), "rb") as handle:
-            with pytest.raises(pickle.UnpicklingError):
-                pickle.load(handle)
+        assert store.put(key, program, graph)
+        path = store._path(key)
+        loaded, intervals = pickle.loads(path.read_bytes()[:-4])
+        assert loaded.grids == {}
+        assert intervals == {stage: grid.interval_size
+                             for stage, grid in program.grids.items()}
         renamed = Graph(graph.num_nodes, graph.src, graph.dst,
                         name="not-tiny")
         assert store.get(key, renamed) is None
+        assert not path.exists()
         assert store.stats == {"hits": 0, "misses": 1,
                                "structure_hits": 0, "structure_misses": 0}
 
@@ -924,7 +904,7 @@ class TestStructureNames:
             self.BASE, {"graph.num_gpes": 16}))
         assert reader.last_compile_tier() == "store"
         assert full_lowering_count() == lowerings + 1
-        assert store.structure_hits == 1
+        assert store.stats["structure_hits"] == 1
 
     def test_name_hit_verifies_its_recost(self, tmp_path, monkeypatch):
         """A program under a structure name is checked through its

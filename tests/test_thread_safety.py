@@ -1,6 +1,6 @@
 """Hammer tests for the memos the serve daemon shares across request
 threads: the Harness compiled-program memo, the per-harness dataset
-cache and the per-graph shard-grid memo.
+cache, the per-graph shard-grid memo and the stores' read counts.
 
 The invariants under concurrency:
 
@@ -262,3 +262,21 @@ class TestEnergyMemoHammer:
             assert report == oracle
             assert list(report.breakdown.items()) == list(
                 oracle.breakdown.items())
+
+
+class TestStoreCountsHammer:
+    def test_concurrent_gets_lose_no_count(self, tmp_path):
+        """Eight threads making 3,000 gets each on one result cache,
+        switching threads every microsecond: every get is counted, as
+        the daemon's cache hit and miss series report them."""
+        from repro.sweep.cache import ResultCache
+
+        cache = ResultCache(tmp_path, code_version="v1")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _hammer(lambda _: [cache.get("ab" * 32) for _ in range(3000)],
+                    n=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache.stats == {"hits": 0, "misses": 24000}
