@@ -49,6 +49,7 @@ _CACHE_FILES = (
 #: op decode of the programs it loads (``compiler/program.py``).
 _UNPICKLING_FILES = ("compiler/store.py", "compiler/program.py")
 _UNPICKLERS = frozenset({"load", "loads", "Unpickler"})
+_PICKLE_MODULES = ("pickle", "_pickle")
 
 #: Shared-memo lock discipline: per module, which top-level names (or
 #: ``self.`` attributes) may only be mutated inside ``with <lock>:``.
@@ -447,25 +448,36 @@ def rule_locked_memo_mutation(src: SourceFile) -> Iterator[LintFinding]:
 def rule_no_unpickling_outside_store(src: SourceFile
                                      ) -> Iterator[LintFinding]:
     """Unpickling runs whatever code its input names, so only the
-    program store may do it: ``pickle.load``, ``pickle.loads`` and
-    ``pickle.Unpickler``, referenced or imported by name, are flagged
-    anywhere else."""
+    program store may do it: ``load``, ``loads`` and ``Unpickler`` of
+    ``pickle`` or ``_pickle``, referenced (through any module alias) or
+    imported by name, and any call passing ``allow_pickle`` other than
+    ``False`` (``np.load``), are flagged anywhere else."""
     if src.rel in _UNPICKLING_FILES:
         return
+    modules = set(_PICKLE_MODULES) | {
+        alias.asname for node in ast.walk(src.tree)
+        if isinstance(node, ast.Import) for alias in node.names
+        if alias.name in _PICKLE_MODULES and alias.asname}
     for node in ast.walk(src.tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "pickle":
-            names = [alias.name for alias in node.names]
-        elif (isinstance(node, ast.Attribute)
-                and _dotted(node.value) == "pickle"):
-            names = [node.attr]
+        if (isinstance(node, ast.ImportFrom)
+                and node.module in _PICKLE_MODULES):
+            found = [f"{node.module}.{alias.name}" for alias in node.names
+                     if alias.name in _UNPICKLERS]
+        elif (isinstance(node, ast.Attribute) and node.attr in _UNPICKLERS
+                and _dotted(node.value) in modules):
+            found = [f"{_dotted(node.value)}.{node.attr}"]
+        elif isinstance(node, ast.Call):
+            found = [f"allow_pickle={ast.unparse(kw.value)}"
+                     for kw in node.keywords if kw.arg == "allow_pickle"
+                     and not (isinstance(kw.value, ast.Constant)
+                              and kw.value.value is False)]
         else:
             continue
-        for name in names:
-            if name in _UNPICKLERS:
-                yield LintFinding(
-                    src.rel, node.lineno, "no-unpickling-outside-store",
-                    f"pickle.{name} outside the program store (only "
-                    f"{' and '.join(_UNPICKLING_FILES)} may unpickle)")
+        for what in found:
+            yield LintFinding(
+                src.rel, node.lineno, "no-unpickling-outside-store",
+                f"{what} outside the program store (only "
+                f"{' and '.join(_UNPICKLING_FILES)} may unpickle)")
 
 
 # -- metric-naming -------------------------------------------------------

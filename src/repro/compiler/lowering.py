@@ -45,18 +45,18 @@ pipeline:
   compute op's cycles, from :mod:`repro.engines.graph.gpe` and
   :mod:`repro.engines.dense.systolic` over the cost inputs the
   structure pass records (:attr:`Program.cost_inputs`), reading no op.
-  It reads ``graph.num_gpes``, ``simd_width`` and ``pipeline_depth``
-  and ``dense.rows``, ``cols`` and ``dataflow``; neither pass reads
-  any other field.
 
-So two configs of one geometry compile to programs that differ only in
-their cost lists, and :func:`recost` derives one from the other without
-lowering or copying an op — ``Harness._compiled``'s structure memo. The
-program memo and the persistent program store
-(:mod:`repro.compiler.store`) key the full compile-relevant projection
-(:func:`repro.config.overrides.compile_relevant_config`); clock
-frequencies and the DRAM section are simulate-only and in no key,
-which lets one compiled program serve DRAM-only DSE variants.
+:data:`STRUCTURE_FIELDS` and :data:`COST_FIELDS` declare, once, the
+config fields each pass reads; every other field (clock frequencies,
+the DRAM section, ``name``) is simulate-only and in no compile key,
+which lets one compiled program serve DRAM-only DSE variants. Every
+key derives from the two lists: the harness's geometry memo keys
+:func:`structure_projection`, and its program memo and the persistent
+program store (:mod:`repro.compiler.store`) key
+:func:`program_projection`. So two configs of one geometry compile to
+programs that differ only in their cost lists, and :func:`recost`
+derives one from the other without lowering or copying an op — the
+harness's structure stage (``Harness._structure``).
 
 No product depends on feature values or parameters: the compiler
 never computes a value. Aggregation weights, attention coefficients
@@ -70,6 +70,7 @@ process — the observable CI and the cache tests use to assert
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, replace
 
@@ -203,6 +204,32 @@ def _row_subchunks(rows: tuple[int, int],
 # ----------------------------------------------------------------------
 # Geometry: what the structure pass reads of the platform
 # ----------------------------------------------------------------------
+#: The config fields the structure pass reads, all through
+#: :func:`resolve_geometry`, as dotted paths.
+STRUCTURE_FIELDS = (
+    "feature_block", "sparsity_elimination",
+    "graph.src_feature_buffer_bytes", "graph.dst_feature_buffer_bytes",
+    "graph.edge_buffer_bytes", "dense.weight_buffer_bytes",
+    "dense.input_buffer_bytes", "dense.output_buffer_bytes", "dense.rows")
+#: The config fields the cost pass (:func:`fill_costs`) reads.
+COST_FIELDS = ("graph.num_gpes", "graph.simd_width", "graph.pipeline_depth",
+               "dense.rows", "dense.cols", "dense.dataflow")
+
+
+def _projection(fields: tuple[str, ...]):
+    """A config's ``(path, value)`` pairs over ``fields``, sorted by
+    path: hashable, JSON-able and order-stable."""
+    paths = tuple(sorted(set(fields)))
+    values = operator.attrgetter(*paths)
+    return lambda config: tuple(zip(paths, values(config)))
+
+
+#: Configs equal under this resolve one :class:`Geometry` per workload.
+structure_projection = _projection(STRUCTURE_FIELDS)
+#: Configs equal under this compile one program per workload.
+program_projection = _projection(STRUCTURE_FIELDS + COST_FIELDS)
+
+
 @dataclass(frozen=True)
 class AggregateGeometry:
     """The platform as one aggregate stage's structure sees it."""
@@ -320,17 +347,6 @@ def resolve_geometry(graph: Graph, model: GNNModel,
         if isinstance(stage, AggregateStage)}
     return _geometry(graph, model, config, traversal, feature_block,
                      intervals)
-
-
-def geometry_fields(config: GNNeratorConfig) -> tuple:
-    """The config fields :func:`resolve_geometry` reads: ``Harness``'s
-    geometry memo key, which a field the structure pass reads must join."""
-    graph, dense = config.graph, config.dense
-    return (config.feature_block, config.sparsity_elimination,
-            graph.src_feature_buffer_bytes, graph.dst_feature_buffer_bytes,
-            graph.edge_buffer_bytes, dense.weight_buffer_bytes,
-            dense.input_buffer_bytes, dense.output_buffer_bytes,
-            dense.rows)
 
 
 def program_geometry(program: Program, graph: Graph,
@@ -893,9 +909,8 @@ def fill_costs(program: Program,
     ``dense.compute``) of each compute op's cycles in queue order: the
     formulas of :mod:`repro.engines.graph.gpe`, elementwise, and of
     :mod:`repro.engines.dense.systolic`, once per GEMM shape, over the
-    program's cost inputs, with no op read. Reads only the compute
-    knobs — ``graph.num_gpes``, ``simd_width``, ``pipeline_depth`` and
-    ``dense.rows``, ``cols``, ``dataflow``.
+    program's cost inputs, with no op read. Reads only
+    :data:`COST_FIELDS`.
     """
     import numpy as np
 
@@ -944,7 +959,7 @@ def recost(structure: Program, config: GNNeratorConfig,
     derived without lowering.
 
     Valid when ``config`` resolves to ``structure``'s :class:`Geometry`
-    (``Harness._compiled`` keys its structure memo that way). The new
+    (``Harness._structure`` keys its structure memo that way). The new
     program shares every field of ``structure`` — its ops, decoded or
     not, grids, plans, arrays, cost inputs, plan template and static
     facts (the DRAM traffic breakdown, the energy model's per-op sums)

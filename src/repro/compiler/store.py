@@ -13,11 +13,11 @@ cache):
 * **content-addressed** — one pickle per program under
   ``<root>/<2 hex>/<key>.pkl`` where the key is the SHA-256 of
   ``(schema, compiler-source hash, dataset fingerprint, workload spec,
-  compile-relevant config projection)``. Any source edit under
+  program projection of the config)``. Any source edit under
   ``repro/`` conservatively invalidates every entry; any knob the
   compiler actually reads changes the key; knobs it does not read
   (DRAM, clock frequencies — see
-  :func:`repro.config.overrides.compile_relevant_config`) do not.
+  :func:`repro.compiler.lowering.program_projection`) do not.
 * **two names per lowering** — a lowered program is also hard-linked
   as ``<root>/<2 hex>/<name>.structure``, named by the network, hidden
   dim and :class:`~repro.compiler.lowering.Geometry`
@@ -100,8 +100,8 @@ def program_key_payload(*, dataset_fingerprint: str, network: str,
       source hash (:func:`repro.graph.datasets.dataset_fingerprint`);
     * the workload: network name, hidden dim, traversal, resolved
       feature block (an int or None — never the ``"config"`` sentinel);
-    * ``config_projection`` — the compile-relevant config slice
-      (:func:`repro.config.overrides.compile_relevant_config`).
+    * ``config_projection`` — the config fields compilation reads
+      (:func:`repro.compiler.lowering.program_projection`).
 
     The compiler-source hash and schema version are mixed in by
     :meth:`ProgramStore.key`, not here.

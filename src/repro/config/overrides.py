@@ -27,16 +27,6 @@ from repro.config.platforms import gnnerator_config, next_generation_variants
 #: The nested config sections knob paths may address.
 SECTIONS = ("dense", "graph", "dram")
 
-#: Per-section field names only the *simulator* reads. Lowering reads
-#: buffer budgets through its geometry and the compute knobs (array
-#: shape, GPE count, SIMD width, pipeline depth) through its cost pass
-#: (see :mod:`repro.compiler.lowering`), but clock frequencies enter
-#: only when cycles are converted to seconds, and the whole DRAM
-#: section enters only through the simulator's coalesced chains (see
-#: ``Program.coalesced_plan``). Anything listed here can change
-#: without invalidating a compiled program.
-_SIMULATE_ONLY_FIELDS = ("frequency_ghz",)
-
 #: Frozen, canonical override form: sorted ``(path, value)`` pairs.
 FrozenOverrides = tuple[tuple[str, float], ...]
 
@@ -205,31 +195,3 @@ def fig5_overrides() -> Mapping[str, FrozenOverrides]:
         name: freeze_overrides(overrides_between(base, config))
         for name, config in next_generation_variants(base).items()})
 
-
-def compile_relevant_config(config: GNNeratorConfig
-                            ) -> tuple[tuple[str, object], ...]:
-    """Canonical projection of the config fields compilation reads.
-
-    Two configs with equal projections produce byte-identical compiled
-    programs for the same workload — the key both the in-process
-    program memo (``Harness._compiled``) and the persistent program
-    store (:mod:`repro.compiler.store`) hash instead of the full
-    config, so DSE candidates differing only in simulate-only knobs
-    (the DRAM section, clock frequencies, the cosmetic ``name``) map to
-    one compile. Returned as sorted ``(path, value)`` pairs: hashable,
-    JSON-able, order-stable. (Projections that differ only in compute
-    knobs still share one lowering: ``Harness._compiled`` re-costs a
-    program of the same geometry.)
-    """
-    entries: list[tuple[str, object]] = [
-        ("feature_block", config.feature_block),
-        ("sparsity_elimination", config.sparsity_elimination),
-    ]
-    for section in ("dense", "graph"):
-        section_obj = getattr(config, section)
-        for f in dataclasses.fields(section_obj):
-            if f.name in _SIMULATE_ONLY_FIELDS:
-                continue
-            entries.append((f"{section}.{f.name}",
-                            getattr(section_obj, f.name)))
-    return tuple(sorted(entries))

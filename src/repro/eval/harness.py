@@ -18,16 +18,17 @@ from repro.baselines.gpu import GpuModel
 from repro.baselines.hygcn import HyGCNModel
 from repro.config.accelerator import GNNeratorConfig
 from repro.config.platforms import hygcn_config, rtx_2080_ti_config
-from repro.config.overrides import candidate_config, compile_relevant_config
+from repro.config.overrides import candidate_config
 from repro.config.workload import WorkloadSpec
 from repro.compiler.lowering import (
     Geometry,
     compile_workload,
     finish_program,
-    geometry_fields,
     program_geometry,
+    program_projection,
     recost,
     resolve_geometry,
+    structure_projection,
 )
 from repro.compiler.program import Program
 from repro.compiler.store import (
@@ -111,9 +112,9 @@ class Harness:
         self._datasets = DatasetCache()
         self._programs: dict[tuple, Program] = {}
         #: Programs by ``(spec, Geometry)``: what a cost-only variant
-        #: re-costs instead of lowering (see :meth:`_compiled`).
+        #: re-costs instead of lowering (see :meth:`_structure`).
         self._structures: dict[tuple, Program] = {}
-        #: Geometries by ``(spec, geometry_fields(config))``.
+        #: Geometries by ``(spec, structure_projection(config))``.
         self._geometries: dict[tuple, Geometry] = {}
         self._fingerprints: dict[str, str | None] = {}
         self._memo_hits = 0
@@ -169,7 +170,10 @@ class Harness:
         return config
 
     def _fingerprint(self, dataset: str) -> str | None:
-        """Cached dataset fingerprint (None = not store-addressable)."""
+        """Cached dataset fingerprint (None = not store-addressable, or
+        no program store)."""
+        if self.program_store is None:
+            return None
         with self._lock:
             if dataset not in self._fingerprints:
                 self._fingerprints[dataset] = dataset_fingerprint(dataset)
@@ -194,32 +198,26 @@ class Harness:
                   config: GNNeratorConfig) -> Program:
         """The memoized compiled program for one (workload, config).
 
-        Compilation is deterministic given (graph, model, config,
-        traversal, block) and simulation never mutates the program, so
-        sweep points and DSE candidates sharing a software shape skip
-        recompilation entirely. Keyed by the *compile-relevant* config
-        projection rather than the full config, so DSE candidates that
-        differ only in simulate-only knobs (DRAM, clock frequencies)
-        share one program. A miss looks further, cheapest first:
-
-        1. the persistent program store, by the projection key;
-        2. the structure memo, keyed by ``(spec, Geometry)``: a
-           candidate that moves only compute knobs (array shape, GPE
-           count, SIMD lanes) — or a buffer the workload cannot fill —
-           re-costs a memoized program of its geometry
-           (:func:`~repro.compiler.lowering.recost`) instead of
-           lowering. Re-costs are never published to the store: one
-           costs less to rebuild than a store round trip.
-        3. the store by the geometry's *structure name*: a program
-           another process lowered to this structure, re-costed;
-        4. a full lowering, published under its projection key and
-           linked under its structure name.
-
-        Lowered and stored programs seed the structure memo, energy
-        terms filled for its re-costs to share. Both memos are bounded
-        FIFO, so long searches never pin every program ever compiled.
+        Compilation is deterministic and simulation never mutates the
+        program, so sweep points and DSE candidates sharing a software
+        shape skip recompilation entirely. Keyed by
+        :func:`~repro.compiler.lowering.program_projection`, so
+        candidates that differ only in simulate-only knobs (DRAM, clock
+        frequencies) share one program. A miss asks the program store
+        by that key before the structure memo, because a hit needs no
+        geometry: a cold graph resolves one by probing its intervals
+        (10–15 ms per flickr workload). Otherwise it re-costs
+        (:func:`~repro.compiler.lowering.recost`) the structure of the
+        config's geometry (:meth:`_geometry`, :meth:`_structure`),
+        unless that stage lowered it for ``config``. Re-costs are never
+        published to the store: one costs less to rebuild than a store
+        round trip. A stored program seeds the structure memo too. Both
+        memos are bounded FIFO, so long searches never pin every
+        program ever compiled.
         """
-        projection = compile_relevant_config(config)
+        from repro.eval.energy import _program_terms
+
+        projection = program_projection(config)
         key = (spec, projection)
         # Fast path + per-key lock: concurrent requests for the same key
         # serialize on the key lock (one lowering, the rest hit the
@@ -241,89 +239,49 @@ class Harness:
                 self._memo_misses += 1
             graph = self.graph(spec.dataset)
             with span("compile", workload=spec.label):
-                program, tier = self._compile_miss(spec, graph, config,
-                                                   projection)
+                fingerprint = self._fingerprint(spec.dataset)
+                store_key = program = None
+                if fingerprint is not None:
+                    store_key = program_key_payload(
+                        dataset_fingerprint=fingerprint,
+                        network=spec.network, hidden_dim=spec.hidden_dim,
+                        traversal=spec.traversal,
+                        feature_block=config.feature_block,
+                        config_projection=projection)
+                    program = self.program_store.get(store_key, graph)
+                if program is not None:
+                    tier = "store"
+                    # Re-timed, and verified against corrupted or stale
+                    # entries when REPRO_VERIFY is on, like a fresh
+                    # compile.
+                    finish_program(program, config, f"store:{spec.label}")
+                    _program_terms(program)
+                    structure_key = (spec, program_geometry(
+                        program, graph, config))
+                    with self._lock:
+                        self._remember(self._structures, structure_key,
+                                       program)
+                else:
+                    structure, tier = self._structure(
+                        spec, self._geometry(spec, config, graph), graph,
+                        config, store_key)
+                    program = structure if tier == "compiled" else recost(
+                        structure, config, workload=f"recost:{spec.label}")
             self._tier.value = tier
             with self._lock:
                 self._remember(self._programs, key, program)
             return program
 
-    def _compile_miss(self, spec: WorkloadSpec, graph: Graph,
-                      config: GNNeratorConfig,
-                      projection: tuple) -> tuple[Program, str]:
-        """Serve a program-memo miss; returns ``(program, tier)``."""
-        from repro.eval.energy import _program_terms
-
-        feature_block = config.feature_block
-
-        store = self.program_store
-        fingerprint = (self._fingerprint(spec.dataset)
-                       if store is not None else None)
-        store_key = None
-        if fingerprint is not None:
-            store_key = program_key_payload(
-                dataset_fingerprint=fingerprint,
-                network=spec.network,
-                hidden_dim=spec.hidden_dim,
-                traversal=spec.traversal,
-                feature_block=feature_block,
-                config_projection=projection)
-            program = store.get(store_key, graph)
-            if program is not None:
-                # Re-timed, and verified against corrupted or stale
-                # entries when REPRO_VERIFY is on, like a fresh compile.
-                finish_program(program, config, f"store:{spec.label}")
-                _program_terms(program)
-                structure_key = (spec, program_geometry(
-                    program, graph, config))
-                with self._lock:
-                    self._remember(self._structures, structure_key,
-                                   program)
-                return program, "store"
-        geometry = self._geometry(spec, config, graph)
-        structure_key = (spec, geometry)
-        name = None
-        tier = "recost"
-        # One lowering per structure: concurrent cost variants of one
-        # geometry wait for it here, then re-cost in parallel.
-        with self._key_lock(self._structure_locks, structure_key):
-            with self._lock:
-                structure = self._structures.get(structure_key)
-                if structure is None:
-                    self._structure_misses += 1
-                else:
-                    self._structure_hits += 1
-            if structure is None and fingerprint is not None:
-                structure, name = self._stored_structure(
-                    spec, geometry, graph, fingerprint)
-                tier = "store"
-            if structure is None:
-                structure = program = compile_workload(
-                    graph, self.model(spec), config, traversal=spec.traversal,
-                    feature_block=feature_block, geometry=geometry)
-                tier = "compiled"
-                _program_terms(structure)
-                with self._lock:
-                    self._remember(self._structures, structure_key,
-                                   structure)
-        if tier == "compiled":
-            if store_key is not None:
-                store.put(store_key, program, graph, structure=name)
-            return program, tier
-        return recost(structure, config,
-                      workload=f"recost:{spec.label}"), tier
-
     def _geometry(self, spec: WorkloadSpec, config: GNNeratorConfig,
-                  graph: Graph, spanned: bool = True) -> Geometry:
+                  graph: Graph) -> Geometry:
         """``config``'s geometry for ``spec``, resolved once per distinct
-        ``geometry_fields(config)``; only a miss opens a ``geometry``
-        span, and only if ``spanned``."""
-        key = (spec, geometry_fields(config))
+        :func:`~repro.compiler.lowering.structure_projection`; only a
+        miss opens a ``geometry`` span."""
+        key = (spec, structure_projection(config))
         with self._lock:
             geometry = self._geometries.get(key)
         if geometry is None:
-            with (span("geometry", workload=spec.label) if spanned
-                  else contextlib.nullcontext()):
+            with span("geometry", workload=spec.label):
                 geometry = resolve_geometry(graph, self.model(spec), config,
                                             spec.traversal,
                                             config.feature_block)
@@ -332,46 +290,78 @@ class Harness:
                                self.GEOMETRY_CACHE_MAX_ENTRIES)
         return geometry
 
-    def _stored_structure(self, spec: WorkloadSpec, geometry: Geometry,
-                          graph: Graph, fingerprint: str
-                          ) -> tuple[Program | None, dict]:
-        """The structure the program store names for ``(spec,
-        geometry)``, energy terms filled and memoized (None when it
-        names none), and that name."""
+    def _structure(self, spec: WorkloadSpec, geometry: Geometry,
+                   graph: Graph, config: GNNeratorConfig | None = None,
+                   store_key: dict | None = None
+                   ) -> tuple[Program | None, str | None]:
+        """The structure stage: the structure ``spec`` lowers to under
+        ``geometry``, and the tier that served it — the structure memo
+        (``"recost"``), the program store by structure name
+        (``"store"``), or, given the ``config`` to compile for, a
+        lowering (``"compiled"``), stored under ``store_key`` and that
+        name. Without a config it lowers nothing and may give ``(None,
+        None)``. Memoized structures carry their energy terms, for
+        their re-costs to share; only a compile's memo lookups count in
+        :meth:`cache_stats`. One lowering per structure: concurrent
+        cost variants of one geometry wait for it here.
+        """
         from repro.eval.energy import _program_terms
 
-        name = structure_key_payload(
-            dataset_fingerprint=fingerprint, network=spec.network,
-            hidden_dim=spec.hidden_dim, geometry=geometry)
-        structure = self.program_store.get(name, graph, structure=True)
-        if structure is not None:
+        key = (spec, geometry)
+        with span("structure", workload=spec.label), \
+                self._key_lock(self._structure_locks, key):
+            with self._lock:
+                structure = self._structures.get(key)
+                if config is not None:
+                    if structure is None:
+                        self._structure_misses += 1
+                    else:
+                        self._structure_hits += 1
+            if structure is not None:
+                return structure, "recost"
+            fingerprint = self._fingerprint(spec.dataset)
+            tier = name = None
+            if fingerprint is not None:
+                name = structure_key_payload(
+                    dataset_fingerprint=fingerprint, network=spec.network,
+                    hidden_dim=spec.hidden_dim, geometry=geometry)
+                structure = self.program_store.get(name, graph,
+                                                   structure=True)
+                tier = "store"
+            if structure is None:
+                if config is None:
+                    return None, None
+                structure = compile_workload(
+                    graph, self.model(spec), config, traversal=spec.traversal,
+                    feature_block=config.feature_block, geometry=geometry)
+                tier = "compiled"
             _program_terms(structure)
             with self._lock:
-                self._remember(self._structures, (spec, geometry),
-                               structure)
-        return structure, name
+                self._remember(self._structures, key, structure)
+        if tier == "compiled" and store_key is not None:
+            self.program_store.put(store_key, structure, graph,
+                                   structure=name)
+        return structure, tier
 
     def load_structures(self, workloads) -> None:
-        """Resolve each ``(spec, config)``'s geometry, under one
-        ``geometry`` span, and memoize the structures the store names
-        for them: what a process forked from here re-costs without a
-        load. A geometry that raises is left to its compile to report."""
+        """The geometry and structure stages over a batch of ``(spec,
+        config)`` pairs, lowering nothing: every geometry resolves
+        under one ``geometry`` span, then the structure stage loads
+        each distinct ``(spec, Geometry)`` not yet memoized — what a
+        process forked from here re-costs without a load. A geometry
+        that raises is left to its compile to report."""
         graphs: dict[tuple, Graph] = {}
         with span("geometry"):
             for spec, config in workloads:
                 with contextlib.suppress(Exception):
                     graph = self.graph(spec.dataset)
                     graphs[spec, self._geometry(spec, self._config(
-                        spec, config), graph, spanned=False)] = graph
+                        spec, config), graph)] = graph
             with self._lock:
                 missing = [key for key in graphs
                            if key not in self._structures]
         for spec, geometry in missing:
-            fingerprint = (self._fingerprint(spec.dataset)
-                           if self.program_store is not None else None)
-            if fingerprint is not None:
-                self._stored_structure(spec, geometry,
-                                       graphs[spec, geometry], fingerprint)
+            self._structure(spec, geometry, graphs[spec, geometry])
 
     def _remember(self, memo: dict, key, value,
                   bound: int | None = None) -> None:

@@ -4,8 +4,9 @@ Three signal families share this package (DESIGN.md §8):
 
 * **Host spans** (:mod:`repro.obs.spans`) — nested wall-clock windows
   around the framework's own phases (dataset load, compile, geometry
-  resolution, lowering and its per-stage children, the cost pass,
-  re-cost, plan template build, re-timing, verification, simulate).
+  resolution, the structure stage, lowering and its per-stage
+  children, the cost pass, re-cost, plan template build, re-timing,
+  verification, simulate).
   Disabled by default through a no-op
   null tracer, so instrumented hot paths pay roughly one attribute
   lookup and a no-op context manager.

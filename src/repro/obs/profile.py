@@ -9,8 +9,8 @@ hardware probe, then reports
   Graph Engine aggregation, Dense Engine combination) against the
   achieved cycles (:mod:`repro.eval.bottleneck`);
 * per-phase host wall time (the span aggregate — load, compile,
-  geometry, lower and its per-stage children, cost, recost,
-  build-plan, retime, simulate);
+  geometry, structure, lower and its per-stage children, cost,
+  recost, build-plan, retime, simulate);
 * per-unit simulated cycles from the probe's op slices: compute
   cycles for the compute units, DMA cycles in flight (request to data
   delivered) for the fetch and writeback units;

@@ -186,6 +186,28 @@ class Reader(pickle.Unpickler):
         assert sorted(finding.line for finding in findings) == [
             3, 3, 6, 6, 8]
 
+    def test_follows_module_aliases_and_allow_pickle(self):
+        findings = list(rule_no_unpickling_outside_store(
+            src("sweep/cache.py", """
+import _pickle
+import numpy as np
+import pickle as pk
+from _pickle import Unpickler
+from pickle import loads as undump
+
+def read(data, path):
+    return (pk.loads(data), _pickle.loads(data), undump(data),
+            np.load(path, allow_pickle=True))
+
+def write(path, value, flag):
+    np.save(path, value, allow_pickle=False)
+    return np.load(path), np.load(path, allow_pickle=flag), pk.dumps(1)
+""")))
+        assert set(rules_of(findings)) == {"no-unpickling-outside-store"}
+        assert sorted(finding.line for finding in findings) == [
+            5, 6, 9, 9, 10, 14]
+        assert "pk.loads" in " ".join(f.message for f in findings)
+
     def test_allows_pickling_and_the_program_store(self):
         assert not list(rule_no_unpickling_outside_store(
             src("sweep/cache.py", """

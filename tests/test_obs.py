@@ -181,10 +181,11 @@ class TestCompileSpans:
         parents = self.parent_names(tracer)
         assert parents["lower-aggregate"] == {"lower"}
         assert parents["lower-extract"] == {"lower"}
-        assert parents["lower"] == {"compile"}
-        assert parents["build-plan"] == {"compile"}
-        assert parents["retime"] == {"compile"}
-        assert parents["verify"] == {"compile"}
+        assert parents["structure"] == {"compile"}
+        assert parents["lower"] == {"structure"}
+        assert parents["build-plan"] == {"structure"}
+        assert parents["retime"] == {"structure"}
+        assert parents["verify"] == {"structure"}
 
         dram = gnnerator_config(feature_block=self.SPEC.feature_block).dram
         with tracing() as cached:
@@ -283,7 +284,7 @@ class TestCompileSpans:
         """Before it forks a pool, the runner resolves each point's
         geometry and loads the structures the store names under one
         ``pool-warm`` span. In a runner's second batch, its
-        ``geometry`` and ``store-get`` children account for ≥95% of
+        ``geometry`` and ``structure`` children account for ≥95% of
         its wall."""
 
         def plan(overrides):
@@ -311,8 +312,8 @@ class TestCompileSpans:
             (warm,) = [r for r in tracer.spans if r.name == "pool-warm"]
             children = [r for r in tracer.spans if r.parent == warm.uid]
             names = [r.name for r in children]
-            assert names.count("store-get") >= 4, names
-            assert set(names) == {"geometry", "store-get"}, names
+            assert names.count("structure") >= 4, names
+            assert set(names) == {"geometry", "structure"}, names
             coverage.append(sum(r.dur_s for r in children) / warm.dur_s)
         assert max(coverage) >= 0.95, coverage
 

@@ -24,7 +24,15 @@ import pytest
 from repro.accelerator import GNNerator
 from repro.analysis.verify import VerificationError, verify_program
 from repro.compiler import program as program_module
-from repro.compiler.lowering import full_lowering_count, resolve_geometry
+from repro.compiler.lowering import (
+    COST_FIELDS,
+    STRUCTURE_FIELDS,
+    compile_workload,
+    fill_costs,
+    full_lowering_count,
+    program_projection,
+    resolve_geometry,
+)
 from repro.compiler.runtime import run_functional
 from repro.compiler.store import (
     PROGRAM_CACHE_ENV,
@@ -33,7 +41,8 @@ from repro.compiler.store import (
     default_program_store,
     program_key_payload,
 )
-from repro.config.overrides import apply_overrides, compile_relevant_config
+from repro.config.accelerator import GNNeratorConfig
+from repro.config.overrides import apply_overrides
 from repro.config.platforms import gnnerator_config
 from repro.config.workload import WorkloadSpec
 from repro.eval.harness import Harness
@@ -73,7 +82,7 @@ def store_key(store: ProgramStore, harness: Harness,
         dataset_fingerprint=dataset_fingerprint(spec.dataset),
         network=spec.network, hidden_dim=spec.hidden_dim,
         traversal=spec.traversal, feature_block=config.feature_block,
-        config_projection=compile_relevant_config(config)))
+        config_projection=program_projection(config)))
 
 
 class TestProgramStore:
@@ -94,6 +103,32 @@ class TestProgramStore:
                                "structure_hits": 0, "structure_misses": 1}
         assert result_warm.cycles == result_cold.cycles
         assert result_warm.seconds == result_cold.seconds
+
+    def test_warm_store_compile_probes_nothing(self, tmp_path,
+                                               monkeypatch):
+        """A fresh process's compile asks the store by program key
+        before it resolves a geometry: a hit opens no ``geometry`` span
+        and probes no interval of the graph (10-15 ms per flickr
+        workload on a graph whose probe memo is cold)."""
+        from repro.graph import partition
+
+        store = ProgramStore(tmp_path, code_version="v1")
+        spec = WorkloadSpec(dataset="cora", network="gcn")
+        fresh_harness(store).gnnerator_program(spec)
+        probes = []
+        probe = partition._max_cell_edges
+        monkeypatch.setattr(partition, "_max_cell_edges",
+                            lambda *args: probes.append(args) or probe(*args))
+        harness = fresh_harness(store)  # a cold probe memo
+        with tracing() as tracer:
+            harness.gnnerator_program(spec)
+        assert harness.last_compile_tier() == "store"
+        assert "geometry" not in {r.name for r in tracer.spans}
+        assert probes == []
+        # Resolving the geometry would have probed.
+        harness._geometry(spec, harness._config(spec, None),
+                          harness.graph(spec.dataset))
+        assert probes
 
     def test_one_entry_serves_every_seed(self, tmp_path):
         """A program holds no values, so its key has no parameter seed:
@@ -200,7 +235,7 @@ class TestProgramStore:
         payload = program_key_payload(
             dataset_fingerprint="fp", network="gcn", hidden_dim=16,
             traversal="dst", feature_block=64,
-            config_projection=compile_relevant_config(gnnerator_config()))
+            config_projection=program_projection(gnnerator_config()))
         assert first.key(payload) != second.key(payload)
 
     def test_key_ignores_simulate_only_knobs(self):
@@ -217,7 +252,7 @@ class TestProgramStore:
             return store.key(program_key_payload(
                 dataset_fingerprint="fp", network="gcn", hidden_dim=16,
                 traversal="dst", feature_block=64,
-                config_projection=compile_relevant_config(config)))
+                config_projection=program_projection(config)))
 
         assert key_for(base) == key_for(dram_only)
         assert key_for(base) != key_for(compute)
@@ -663,16 +698,20 @@ class TestHarnessIncrementalKeying:
         r_variant = harness.gnnerator_result(TINY_GCN, variant)
         assert r_base.cycles != r_variant.cycles
 
-    #: Two values per knob path, away from Table IV. Where the structure
-    #: pass reads a knob, at least one of its values moves some
-    #: workload's geometry, so a memo key without it would be caught.
-    GEOMETRY_VALUES = {
+    #: Two values for every field of the config and of its sections,
+    #: away from Table IV (sparsity elimination has one other value).
+    #: Where a pass reads a field, at least one of its values moves
+    #: what that pass yields for some workload.
+    FIELD_VALUES = {
+        "name": ("renamed", "other"),
         "feature_block": (32, 128),
+        "sparsity_elimination": (True,),
         "dense.rows": (48, 96),
         "dense.cols": (32, 128),
         "dense.input_buffer_bytes": (256 * 1024, 8 * 1024 * 1024),
         "dense.weight_buffer_bytes": (64 * 1024, 8 * 1024 * 1024),
         "dense.output_buffer_bytes": (64 * 1024, 8 * 1024 * 1024),
+        "dense.dataflow": ("ws", "os"),
         "dense.frequency_ghz": (0.5, 2.0),
         "graph.num_gpes": (16, 64),
         "graph.simd_width": (16, 64),
@@ -685,54 +724,96 @@ class TestHarnessIncrementalKeying:
         "dram.burst_latency_cycles": (50, 200),
         "dram.frequency_ghz": (0.5, 2.0),
     }
-    #: Knobs only the cost pass or the simulator reads.
-    NOT_GEOMETRY = {"dense.cols", "dense.frequency_ghz", "graph.num_gpes",
-                    "graph.simd_width", "graph.frequency_ghz",
-                    "graph.pipeline_depth", "dram.bandwidth_bytes_per_s",
-                    "dram.burst_latency_cycles", "dram.frequency_ghz"}
+    WORKLOADS = [WorkloadSpec(dataset=dataset, network=network)
+                 for dataset in ("cora", "pubmed")
+                 for network in ("gcn", "gat")]
 
-    def test_geometry_memo_key_is_complete(self):
-        """The harness's geometry memo (keyed by ``geometry_fields``)
-        returns what a fresh ``resolve_geometry`` does for every knob
-        path at two values and for sparsity elimination, on cora and
-        pubmed x gcn and gat: a key missing a field the structure pass
-        reads would re-cost the wrong structure. Knobs it does not read
-        hit the memo."""
+    @staticmethod
+    def with_field(config, path, value):
+        """``config`` with the field at dotted ``path`` set to ``value``."""
         import dataclasses
 
-        from repro.config.overrides import candidate_config, knob_paths
+        if "." not in path:
+            return dataclasses.replace(config, **{path: value})
+        section, name = path.split(".")
+        return dataclasses.replace(config, **{section: dataclasses.replace(
+            getattr(config, section), **{name: value})})
 
-        assert set(knob_paths()) == set(self.GEOMETRY_VALUES)
+    def variants(self, base):
+        """``(path, config)`` for every field at each of its values."""
+        return [(path, self.with_field(base, path, value))
+                for path, values in self.FIELD_VALUES.items()
+                for value in values]
+
+    def test_field_values_cover_every_config_field(self):
+        """A new config field fails here until it gets values, and then
+        the tests below until the pass that reads it declares it."""
+        import dataclasses
+
+        base = GNNeratorConfig()
+        paths = set()
+        for f in dataclasses.fields(base):
+            value = getattr(base, f.name)
+            if dataclasses.is_dataclass(value):
+                paths |= {f"{f.name}.{g.name}"
+                          for g in dataclasses.fields(value)}
+            else:
+                paths.add(f.name)
+        assert set(self.FIELD_VALUES) == paths
+        assert set(STRUCTURE_FIELDS) | set(COST_FIELDS) < paths
+
+    def test_geometry_memo_key_is_complete(self):
+        """The harness's geometry memo (keyed by the structure-pass
+        fields) returns what a fresh ``resolve_geometry`` does for
+        every field at two values, on cora and pubmed x gcn and gat.
+        Each structure-pass field moves some workload's geometry, so a
+        key without it would re-cost the wrong structure; every other
+        field hits the memo and moves no geometry."""
         moved = set()
-        for dataset in ("cora", "pubmed"):
-            for network in ("gcn", "gat"):
-                spec = WorkloadSpec(dataset=dataset, network=network)
-                harness = fresh_harness(None)
-                graph, model = harness.graph(dataset), harness.model(spec)
-                base = harness._config(spec, None)
-                configs = {"base": base, "sparsity_elimination":
-                           dataclasses.replace(base,
-                                               sparsity_elimination=True)}
-                for path, values in self.GEOMETRY_VALUES.items():
-                    for value in values:
-                        configs[(path, value)] = candidate_config(
-                            spec.feature_block, ((path, value),))
-                expected = harness._geometry(spec, base, graph)
-                for label, config in configs.items():
-                    with tracing() as tracer:
-                        memoized = harness._geometry(spec, config, graph)
-                    fresh = resolve_geometry(graph, model, config,
-                                             spec.traversal,
-                                             config.feature_block)
-                    assert memoized == fresh, (spec, label)
-                    path = label if isinstance(label, str) else label[0]
-                    resolved = [r.name for r in tracer.spans]
-                    if path in self.NOT_GEOMETRY or label == "base":
-                        assert resolved == [], (spec, label)
-                    elif fresh != expected:
+        for spec in self.WORKLOADS:
+            harness = fresh_harness(None)
+            graph, model = harness.graph(spec.dataset), harness.model(spec)
+            base = harness._config(spec, None)
+            expected = harness._geometry(spec, base, graph)
+            for path, config in self.variants(base):
+                with tracing() as tracer:
+                    memoized = harness._geometry(spec, config, graph)
+                fresh = resolve_geometry(graph, model, config,
+                                         spec.traversal,
+                                         config.feature_block)
+                assert memoized == fresh, (spec, path)
+                if path not in STRUCTURE_FIELDS:
+                    assert [r.name for r in tracer.spans] == [], (spec, path)
+                    assert fresh == expected, (spec, path)
+                elif fresh != expected:
+                    moved.add(path)
+        assert moved == set(STRUCTURE_FIELDS)
+
+    def test_only_declared_fields_reach_a_program(self):
+        """Each cost-pass field moves some workload's cost lists, and
+        every field neither pass declares, at two values, compiles to
+        the base config's op queues, cost inputs and cost lists."""
+        declared = set(STRUCTURE_FIELDS) | set(COST_FIELDS)
+        moved = set()
+        for spec in self.WORKLOADS:
+            harness = fresh_harness(None)
+            graph, model = harness.graph(spec.dataset), harness.model(spec)
+            base = harness._config(spec, None)
+            program = compile_workload(graph, model, base)
+            for path, config in self.variants(base):
+                if path in COST_FIELDS:
+                    if fill_costs(program, config) != program.costs:
                         moved.add(path)
-        assert moved == (set(self.GEOMETRY_VALUES) - self.NOT_GEOMETRY
-                         | {"sparsity_elimination"})
+                elif path not in declared:
+                    other = compile_workload(graph, model, config)
+                    assert other.queues == program.queues, (spec, path)
+                    assert other.costs == program.costs, (spec, path)
+                    assert other.cost_inputs.keys() \
+                        == program.cost_inputs.keys()
+                    for unit, inputs in program.cost_inputs.items():
+                        assert np.array_equal(other.cost_inputs[unit],
+                                              inputs), (spec, path, unit)
+        assert moved == set(COST_FIELDS)
 
     def test_cache_stats_shape(self, tmp_path):
         store = ProgramStore(tmp_path, code_version="v1")
