@@ -293,36 +293,60 @@ def rule_probe_gated_purity(src: SourceFile) -> Iterator[LintFinding]:
 
 # -- atomic-writes -------------------------------------------------------
 
-def _is_file_write(node: ast.Call) -> bool:
+#: The one function that may append to a file in a cache module: the
+#: result log's appender, which frames each line with its CRC-32 so a
+#: reader tells a torn or damaged line from a record.
+_APPENDER = ("sweep/cache.py", "_append_record")
+
+#: ``os.open`` flags that open a file for writing.
+_WRITE_FLAGS = frozenset({"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC",
+                          "O_APPEND"})
+
+
+def _write_kind(node: ast.Call) -> str | None:
+    """``"append"`` or ``"write"`` when ``node`` opens a file for
+    appending or writing, else None. An ``os.open`` whose flags name no
+    ``O_*`` constant counts as a write."""
     func = node.func
+    if _dotted(func) == "os.open":
+        flags = {sub.attr for arg in node.args[1:2]
+                 for sub in ast.walk(arg) if isinstance(sub, ast.Attribute)
+                 and sub.attr.startswith("O_")}
+        if "O_APPEND" in flags:
+            return "append"
+        return "write" if flags & _WRITE_FLAGS or not flags else None
     if isinstance(func, ast.Name) and func.id == "open":
-        for arg in node.args[1:2]:
-            if (isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                    and any(flag in arg.value for flag in "wxa")):
-                return True
-        for kw in node.keywords:
-            if (kw.arg == "mode" and isinstance(kw.value, ast.Constant)
-                    and isinstance(kw.value.value, str)
-                    and any(flag in kw.value.value for flag in "wxa")):
-                return True
-        return False
-    return (isinstance(func, ast.Attribute)
-            and func.attr in ("write_text", "write_bytes"))
+        modes = node.args[1:2] + [kw.value for kw in node.keywords
+                                  if kw.arg == "mode"]
+        mode = next((arg.value for arg in modes
+                     if isinstance(arg, ast.Constant)
+                     and isinstance(arg.value, str)), "")
+        if "a" in mode:
+            return "append"
+        return "write" if any(flag in mode for flag in "wx+") else None
+    if (isinstance(func, ast.Attribute)
+            and func.attr in ("write_text", "write_bytes")):
+        return "write"
+    return None
 
 
 def rule_atomic_writes(src: SourceFile) -> Iterator[LintFinding]:
     """Cache modules must publish files atomically: any function that
     writes must finish with ``os.replace`` (write-to-tmp-then-rename)
     or ``os.link`` (exclusive create from a tmp), so concurrent
-    readers never see a torn entry."""
+    readers never see a torn entry. The one exception is an append in
+    :data:`_APPENDER`, whose CRC-framed lines a reader checks."""
     if src.rel not in _CACHE_FILES:
         return
     for func in ast.walk(src.tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        allowed: set[str | None] = (
+            {None, "append"} if (src.rel, func.name) == _APPENDER
+            else {None})
         writes = [node for node in ast.walk(func)
-                  if isinstance(node, ast.Call) and _is_file_write(node)]
+                  if isinstance(node, ast.Call)
+                  and _write_kind(node) not in allowed]
         if not writes:
             continue
         replaces = any(

@@ -11,8 +11,6 @@ turns it on unconditionally).
 
 from __future__ import annotations
 
-import os
-
 from repro.analysis.report import VerifyReport
 from repro.compiler.ir import CompileError
 from repro.compiler.program import Program
@@ -52,8 +50,3 @@ def verify_program(program: Program, config: GNNeratorConfig, *,
     if raise_on_failure and not report.ok:
         raise VerificationError(report)
     return report
-
-
-def verify_enabled() -> bool:
-    """Whether the ``REPRO_VERIFY`` compile-time hook is switched on."""
-    return os.environ.get("REPRO_VERIFY", "0") not in ("", "0")

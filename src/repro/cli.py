@@ -116,7 +116,7 @@ def _cache_hierarchy_table() -> list[dict[str, str]]:
         {"layer": "sweep result cache",
          "env var": "(--cache-dir)",
          "default": ".sweep-cache",
-         "entries": count(Path(".sweep-cache"), ".json"),
+         "entries": str(len(result_cache_at(".sweep-cache"))),
          "keyed by": "sweep point + repro/ source hash"},
         {"layer": "in-process memos",
          "env var": "(always on)",

@@ -71,6 +71,7 @@ process — the observable CI and the cache tests use to assert
 from __future__ import annotations
 
 import operator
+import os
 import threading
 from dataclasses import dataclass, replace
 
@@ -990,14 +991,19 @@ def finish_program(program: Program, config: GNNeratorConfig,
     # Opt-in compile-time verification (REPRO_VERIFY=1; the test suite
     # always sets it): run the repro.analysis pass pipeline over the
     # program and fail the compile on any contract violation.
-    # Imported lazily — analysis sits above the compiler in the layer
-    # DAG, so the compiler must not import it at module level.
-    from repro.analysis.verify import verify_enabled, verify_program
-
+    # Imported only when on — analysis sits above the compiler in the
+    # layer DAG, and a compile with it off pays for no import.
     if verify_enabled():
+        from repro.analysis.verify import verify_program
+
         verify_program(program, config, workload=workload,
                        raise_on_failure=True)
     return program
+
+
+def verify_enabled() -> bool:
+    """Whether the ``REPRO_VERIFY`` compile-time hook is switched on."""
+    return os.environ.get("REPRO_VERIFY", "0") not in ("", "0")
 
 
 def compile_workload(graph: Graph, model: GNNModel,

@@ -1,7 +1,7 @@
 """One atomic publish and one content-addressed store.
 
-Every file the framework persists (dataset-cache files, result-cache
-and program-store entries, fleet-queue records, benchmark payloads) is
+Every file the framework persists whole (dataset-cache files,
+program-store entries, fleet-queue records, benchmark payloads) is
 written by :func:`publish`: to a hidden sibling
 ``.<name>.<pid>.<seq>.tmp``, then renamed into place (or, exclusively,
 hard-linked there). A reader sees the old complete file or the new
@@ -12,12 +12,13 @@ share a tmp file.
 
 A failed publish raises. A cache skips the write, since a cache must
 never cost a result already computed; state and records (queue
-records, benchmark files) let it raise.
+records, benchmark files) let it raise. Result-cache records are not
+published but appended to a log (:mod:`repro.sweep.cache`).
 
 :class:`ContentStore` implements the content-addressed store once;
-:class:`~repro.sweep.cache.ResultCache` and
-:class:`~repro.compiler.store.ProgramStore` are its two views, each
-holding only its format.
+:class:`~repro.compiler.store.ProgramStore` is its view holding the
+program format, and :class:`~repro.sweep.cache.ResultCache` takes
+only its keys and counts.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ _T = TypeVar("_T")
 #: Uniquifies tmp names across every publish of this process.
 _SEQUENCE = itertools.count()
 
-#: Guards every store's read counts: one lock for all stores, since a
-#: lock attribute would make a store unpicklable, and a result cache
-#: rides in every pool chunk.
+#: Guards every store's read counts. One lock serves all stores: a
+#: count is one increment, so no store holds it for long.
 _COUNTS_LOCK = threading.Lock()
 
 
@@ -181,7 +181,9 @@ class ContentStore:
     if it can be. Writes skip: a present entry (its address names the
     same content) costs one stat, and an entry that cannot be published
     (a read-only or unusable directory) is not stored, the write
-    returning False. :attr:`stats` counts this instance's reads.
+    returning False. :attr:`stats` counts this instance's reads. A view
+    may keep its entries elsewhere: the result cache appends them to a
+    log and takes only the keys and counts.
     """
 
     #: Mixed into every key; a view bumps it when its format changes.

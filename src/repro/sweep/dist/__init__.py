@@ -2,7 +2,7 @@
 
 A campaign is a directory of task files
 (:mod:`repro.sweep.dist.queue`); workers claim tasks by atomic rename,
-keep them alive with heartbeat mtimes, and publish results to the
+keep them alive with heartbeat mtimes, and append results to the
 content-addressed ResultCache (:mod:`repro.sweep.dist.worker`); a
 coordinator supervises — reaping expired leases, retrying with capped
 backoff, quarantining poison points — behind the standard

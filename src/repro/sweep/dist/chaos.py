@@ -18,15 +18,20 @@ the lease protocol claims to survive, at deterministic points:
 * **Poison point** — one point references an unknown dataset, fails
   on every attempt, and must end quarantined in ``failed/`` with its
   traceback instead of wedging the campaign.
+* **Damaged result records** — after the campaign, the survivor's
+  result segment is truncated in the middle of its last line; after
+  the restart that recomputes that point, one byte of the record the
+  coordinator appended for it, in its own segment, is flipped.
 
 The harness then asserts the three properties the subsystem is for:
 every valid point completes with metrics *byte-identical* to a serial
 ``SweepRunner(jobs=1)`` baseline; each injected failure is visible as
 a dedicated ``repro_fleet_*`` metric scraped through the obs
 registry; and a restarted coordinator on the warm cache recomputes
-zero points. Failures are collected into a :class:`ChaosReport`
-rather than raised, so ``repro chaos-sweep`` can print the full
-picture before exiting non-zero.
+exactly the damaged points, byte-identical again, and then nothing.
+Failures are collected into a :class:`ChaosReport` rather than
+raised, so ``repro chaos-sweep`` can print the full picture before
+exiting non-zero.
 """
 
 from __future__ import annotations
@@ -88,7 +93,10 @@ class ChaosReport:
     metrics_text: str = ""
     elapsed_s: float = 0.0
     points: int = 0
-    restart_misses: int = -1
+    #: Points whose records each restart found damaged, and the points
+    #: it recomputed; they must agree.
+    damaged: list = field(default_factory=list)
+    restart_misses: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -104,8 +112,10 @@ class ChaosReport:
         for name in ("expiries", "retries", "failures", "quarantined",
                      "corrupt"):
             lines.append(f"  {name}: {self.stats.get(name, '?')}")
-        lines.append(f"  restart recomputed: {self.restart_misses} "
-                     f"point(s)")
+        lines.append(f"  restarts recomputed: "
+                     f"{', '.join(map(str, self.restart_misses))} "
+                     f"point(s), damaged "
+                     f"{', '.join(map(str, self.damaged))}")
         if self.ok:
             lines.append("chaos: OK — every fault survived, results "
                          "cycle-identical to the serial run")
@@ -163,6 +173,38 @@ def _await_victims(victims: list, report: ChaosReport,
                 f"victim {worker_id} exited {process.returncode}, "
                 f"expected SIGKILL (-9): "
                 f"{(process.stderr.read() or '')[-300:]}")
+
+
+def _check_identical(report: ChaosReport, result, baseline, plan,
+                     when: str) -> None:
+    """Every point of ``plan`` in ``result`` is ok, with metrics
+    byte-identical to the serial ``baseline``'s."""
+    for point in plan.points:
+        outcome = result.result_for(point)
+        if not outcome.ok:
+            report.problems.append(
+                f"point {point.label} failed {when}: "
+                f"{(outcome.error or '').splitlines()[0]}")
+            continue
+        expected = baseline.result_for(point).metrics
+        if (json.dumps(outcome.metrics, sort_keys=True)
+                != json.dumps(expected, sort_keys=True)):
+            report.problems.append(
+                f"cycle drift on {point.label} {when}: fleet "
+                f"{outcome.metrics} != serial {expected}")
+
+
+def _damage_last_line(segment: Path, tear: bool) -> None:
+    """Fault: truncate ``segment`` in the middle of its last line, or
+    flip one bit of that line's record, leaving valid JSON that its CRC
+    no longer matches."""
+    data = bytearray(segment.read_bytes())
+    if tear:
+        start = data.rstrip(b"\n").rfind(b"\n") + 1
+        del data[(start + len(data)) // 2:]
+    else:
+        data[-4] ^= 0x01  # the "k" of the record's "ok"}
+    segment.write_bytes(bytes(data))
 
 
 def run_chaos(workdir: str, *, lease_ttl_s: float = 1.5,
@@ -244,19 +286,7 @@ def run_chaos(workdir: str, *, lease_ttl_s: float = 1.5,
                                    "queue closed")
 
     # Verdict 1: completeness + cycle-identical results.
-    for point in valid_plan.points:
-        outcome = result.result_for(point)
-        if not outcome.ok:
-            report.problems.append(
-                f"point {point.label} failed under chaos: "
-                f"{(outcome.error or '').splitlines()[0]}")
-            continue
-        expected = baseline.result_for(point).metrics
-        if (json.dumps(outcome.metrics, sort_keys=True)
-                != json.dumps(expected, sort_keys=True)):
-            report.problems.append(
-                f"cycle drift on {point.label}: fleet "
-                f"{outcome.metrics} != serial {expected}")
+    _check_identical(report, result, baseline, valid_plan, "under chaos")
     poison = full_plan.points[-1]
     poison_outcome = result.result_for(poison)
     report.check(not poison_outcome.ok,
@@ -294,19 +324,39 @@ def run_chaos(workdir: str, *, lease_ttl_s: float = 1.5,
                  "orphan tmp file was consumed by a scan (atomicity "
                  "leak: scans must only match *.json)")
 
-    # Verdict 3: a restarted coordinator recomputes nothing.
-    restart = SweepRunner(
-        cache=ResultCache(chaos_cache),
-        scheduler=FileQueueScheduler(jobs=0, queue_dir=queue_dir,
-                                     cache_dir=chaos_cache,
-                                     poll_s=0.05,
-                                     stall_timeout_s=stall_timeout_s),
-    ).run(valid_plan)
-    report.restart_misses = restart.misses
-    report.check(restart.misses == 0,
-                 f"restarted coordinator recomputed {restart.misses} "
-                 f"point(s), expected 0")
-    report.check(restart.ok, "restarted coordinator lost results")
+    # Verdict 3: a restarted coordinator recomputes exactly the points
+    # whose records were damaged, then nothing. The fleet stored every
+    # record, so the coordinator's put appended none.
+    def restart(damaged: int) -> None:
+        report.damaged.append(damaged)
+        result = SweepRunner(
+            cache=ResultCache(chaos_cache),
+            scheduler=FileQueueScheduler(jobs=0, queue_dir=queue_dir,
+                                         cache_dir=chaos_cache,
+                                         poll_s=0.05,
+                                         stall_timeout_s=stall_timeout_s),
+        ).run(valid_plan)
+        report.restart_misses.append(result.misses)
+        _check_identical(report, result, baseline, valid_plan,
+                         "after a restart")
+
+    ours = f"-{os.getpid()}.log"
+    torn = sorted(Path(chaos_cache).glob("*/*.log"))
+    report.check(len(torn) == 1 and not torn[0].name.endswith(ours),
+                 f"expected only the survivor's result segment, found "
+                 f"{[path.name for path in torn]}")
+    for segment in torn[:1]:
+        _damage_last_line(segment, tear=True)
+    restart(len(torn[:1]))
+    flipped = sorted(Path(chaos_cache).glob(f"*/*{ours}"))
+    for segment in flipped:
+        _damage_last_line(segment, tear=False)
+    restart(len(flipped))
+    restart(0)
+    report.check(report.restart_misses == report.damaged,
+                 f"restarted coordinator recomputed "
+                 f"{report.restart_misses} point(s), expected exactly "
+                 f"the damaged {report.damaged}")
 
     report.elapsed_s = time.monotonic() - start
     return report

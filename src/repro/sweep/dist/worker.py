@@ -5,8 +5,8 @@ task it probes the shared :class:`~repro.sweep.cache.ResultCache`
 first (a point another worker — or a previous campaign — already
 computed completes without touching a harness), computes the miss with
 the same :func:`~repro.sweep.runner.run_point` path the in-process
-schedulers use, publishes ok results to both the cache and ``done/``,
-and routes errors through the queue's retry/quarantine policy.
+schedulers use, appends ok results to the cache and publishes them to
+``done/``, and routes errors through the queue's retry/quarantine policy.
 
 Liveness is a daemon heartbeat thread touching the current lease's
 mtime every TTL/4, so a worker is declared dead only after missing

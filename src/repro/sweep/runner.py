@@ -160,16 +160,9 @@ def _adopt_harnesses(harnesses: dict) -> None:
     _WORKER_HARNESSES.update(harnesses)
 
 
-def _run_chunk(worker_fn, chunk: list, keys=None, cache=None) -> list:
-    """Run one chunk of points inside a worker process, storing each ok
-    point's record in ``cache`` under its key, if given, as soon as it
-    is computed: a batch cut short keeps every point it finished."""
-    results: list[PointResult] = []
-    for point, key in zip(chunk, keys or [None] * len(chunk)):
-        results.append(worker_fn(point))
-        if key is not None and results[-1].ok:
-            cache.put_metrics(key, point.payload(), results[-1].metrics)
-    return results
+def _run_chunk(worker_fn, chunk: list) -> list:
+    """Run one chunk of points inside a worker process."""
+    return [worker_fn(point) for point in chunk]
 
 
 def _worker_context():
@@ -238,8 +231,9 @@ class ProcessPoolScheduler:
     :func:`_preload_datasets` loaded; spawned otherwise (the serve
     daemon's request threads, macOS, Windows). The pool shuts down
     before ``run`` returns, so no worker outlives its batch. For a
-    :class:`SweepRunner`, workers store the records they compute, and
-    forked ones start from its warmed harnesses (:meth:`SweepRunner._warm`).
+    :class:`SweepRunner`, the parent stores each chunk's records as it
+    collects the chunk, and forked workers start from the runner's
+    warmed harnesses (:meth:`SweepRunner._warm`).
 
     Interrupts: a Ctrl-C used to leave workers running to
     completion — ``pool.map`` consumed results inside a ``with`` block
@@ -249,7 +243,8 @@ class ProcessPoolScheduler:
     gave up). ``run`` now submits cancellable per-chunk futures and on
     ``KeyboardInterrupt`` cancels everything not yet started, SIGTERMs
     the worker processes, and tears the pool down without waiting; the
-    interrupt propagates so the CLI can exit 130.
+    interrupt propagates so the CLI can exit 130. Only the records of
+    chunks collected before the interrupt are stored.
 
     ``worker_fn`` is a test seam: it must be a picklable module-level
     callable taking one point (a spawned worker re-imports it; a forked
@@ -271,8 +266,8 @@ class ProcessPoolScheduler:
     def _run(self, points: list, keys=None, cache=None,
              harnesses=None) -> list[PointResult]:
         """:meth:`run`, storing each ok record in ``cache`` under its
-        ``keys`` entry; workers start from ``harnesses``, given only
-        when the pool will fork."""
+        ``keys`` entry as its chunk is collected; workers start from
+        ``harnesses``, given only when the pool will fork."""
         if not points:
             return []
         if self.jobs == 1 or len(points) == 1:
@@ -292,12 +287,17 @@ class ProcessPoolScheduler:
         futures = []
         try:
             futures = [pool.submit(_run_chunk, self.worker_fn,
-                                   points[i:i + chunksize],
-                                   keys and keys[i:i + chunksize], cache)
+                                   points[i:i + chunksize])
                        for i in range(0, len(points), chunksize)]
             results: list[PointResult] = []
             for future in futures:
-                results.extend(future.result())
+                chunk = future.result()
+                if cache is not None:
+                    for key, result in zip(keys[len(results):], chunk):
+                        if result.ok:
+                            cache.put_metrics(key, result.point.payload(),
+                                              result.metrics)
+                results.extend(chunk)
         except KeyboardInterrupt:
             for future in futures:
                 future.cancel()

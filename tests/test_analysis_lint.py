@@ -8,6 +8,8 @@ check that the real tree is clean (the CI gate).
 import ast
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.lint import (
     SourceFile,
     lint_repo,
@@ -125,6 +127,49 @@ def load(path):
         assert not list(rule_atomic_writes(src("eval/report.py", """
 def save(path, text):
     open(path, "w").write(text)
+""")))
+
+    @pytest.mark.parametrize("opener", [
+        'open(path, "ab")',
+        'open(path, mode="a")',
+        "os.open(path, os.O_WRONLY | os.O_APPEND)",
+        "os.open(path, os.O_RDWR | os.O_CREAT, 0o644)",
+        "os.open(path, flags)",
+    ])
+    def test_flags_stray_appends_and_raw_opens(self, opener):
+        findings = list(rule_atomic_writes(src("sweep/cache.py", f"""
+import os
+def log(path, line, flags):
+    fd = {opener}
+    os.write(fd, line)
+""")))
+        assert rules_of(findings) == ["atomic-writes"]
+
+    def test_allows_an_append_in_the_named_appender_only(self):
+        body = """
+import os
+def {name}(path, line):
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+    os.write(fd, line)
+"""
+        assert not list(rule_atomic_writes(src(
+            "sweep/cache.py", body.format(name="_append_record"))))
+        assert rules_of(rule_atomic_writes(src(
+            "sweep/cache.py", body.format(name="_append")))) == [
+            "atomic-writes"]
+        assert rules_of(rule_atomic_writes(src(
+            "persist.py", body.format(name="_append_record")))) == [
+            "atomic-writes"]
+        assert rules_of(rule_atomic_writes(src("sweep/cache.py", """
+def _append_record(path, text):
+    open(path, "w").write(text)
+"""))) == ["atomic-writes"]
+
+    def test_read_only_raw_opens_are_fine(self):
+        assert not list(rule_atomic_writes(src("sweep/cache.py", """
+import os
+def peek(path):
+    return os.read(os.open(path, os.O_RDONLY), 1)
 """)))
 
 

@@ -6,14 +6,16 @@ the machine-checked version of "each pass actually catches the bug
 class it claims to".
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.passes.validation import validate_program
-from repro.analysis.verify import (
-    VerificationError,
-    verify_enabled,
-    verify_program,
-)
+from repro.analysis.verify import VerificationError, verify_program
 from repro.compiler.ir import (
     UNITS,
     AcquireOp,
@@ -23,7 +25,7 @@ from repro.compiler.ir import (
     ReleaseOp,
     ShardAggregateOp,
 )
-from repro.compiler.lowering import compile_workload, recost
+from repro.compiler.lowering import compile_workload, recost, verify_enabled
 from repro.compiler.program import Program
 from repro.config.overrides import apply_overrides
 from repro.graph.generators import erdos_renyi
@@ -295,6 +297,26 @@ class TestDriver:
         assert verify_enabled()
         monkeypatch.delenv("REPRO_VERIFY")
         assert not verify_enabled()
+
+    def test_a_compile_with_the_hook_off_imports_no_analysis(self,
+                                                            tmp_path):
+        """The compile reads ``REPRO_VERIFY`` before importing the
+        verifier: with it unset, no ``repro.analysis`` module loads."""
+        env = {name: value for name, value in os.environ.items()
+               if name != "REPRO_VERIFY"}
+        env.update(REPRO_PROGRAM_CACHE="off", REPRO_DATASET_CACHE="off",
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        code = ("import sys\n"
+                "from repro.config.workload import WorkloadSpec\n"
+                "from repro.eval.harness import Harness\n"
+                "Harness().gnnerator_program("
+                "WorkloadSpec(dataset='tiny', network='gcn'))\n"
+                "print(sorted(name for name in sys.modules\n"
+                "             if name.startswith('repro.analysis')))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             cwd=tmp_path, capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_compile_hook_fires(self, graph, gcn, monkeypatch):
         """REPRO_VERIFY makes compile_workload itself verify."""

@@ -273,6 +273,20 @@ class TestCommands:
         assert "Table II" in out
         assert "CORA" in out and "GNNerator" in out
 
+    def test_configs_counts_the_sweep_records(self, tmp_path, capsys,
+                                              monkeypatch):
+        """The result-cache row counts this code version's records,
+        read through the cache, not files."""
+        from repro.sweep import smoke_plan
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "smoke", "--cache-dir", ".sweep-cache"]) == 0
+        capsys.readouterr()
+        assert main(["configs"]) == 0
+        (row,) = [line.split() for line in capsys.readouterr().out
+                  .splitlines() if line.startswith("sweep result cache")]
+        assert row[row.index(".sweep-cache") + 1] == str(len(smoke_plan()))
+
     def test_run_prints_result(self, capsys):
         assert main(["run", "cora", "gcn"]) == 0
         out = capsys.readouterr().out

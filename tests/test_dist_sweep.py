@@ -332,7 +332,7 @@ class TestChaosCampaign:
         report = run_chaos(str(tmp_path), lease_ttl_s=1.5,
                            stall_timeout_s=120.0)
         assert report.ok, report.render()
-        assert report.restart_misses == 0
+        assert report.restart_misses == report.damaged == [1, 1, 0]
         parsed = parse_prometheus(report.metrics_text)
         assert series_value(
             parsed, "repro_fleet_lease_expiries_total") >= 1
@@ -352,4 +352,4 @@ class TestChaosCampaign:
         out = capsys.readouterr().out
         assert "chaos: OK" in out
         assert "expiries: 1" in out
-        assert "restart recomputed: 0" in out
+        assert "restarts recomputed: 1, 1, 0 point(s), damaged 1, 1, 0" in out

@@ -4,13 +4,15 @@ runner, and the ``sweep`` CLI subcommand."""
 import dataclasses
 import json
 import os
+import socket
 import sys
 import threading
+import zlib
 from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import pytest
 
-import repro.persist
 import repro.sweep.runner as runner_module
 from repro.cli import main
 from repro.compiler.store import PROGRAM_CACHE_ENV
@@ -46,6 +48,7 @@ from repro.sweep import (
     table1_plan,
     table5_plan,
 )
+from repro.sweep.cache import SCHEMA_VERSION
 from repro.sweep.dist import FileQueueScheduler
 from repro.sweep.plan import METRIC_DSE
 from repro.sweep.runner import ProcessPoolScheduler, _worker_context
@@ -60,6 +63,28 @@ _START_PROBE = "imported"
 
 def _report_start_probe(point):
     return _START_PROBE
+
+
+def _segments(root) -> list:
+    """Every result-cache segment under ``root``, sorted."""
+    return sorted(Path(root).rglob("*.log"))
+
+
+def _line_keys(root) -> list:
+    """The key of every line of every segment under ``root``."""
+    return [line.split(b" ", 1)[0].decode()
+            for path in _segments(root)
+            for line in path.read_bytes().splitlines()]
+
+
+def _frame(key: str, body: bytes) -> bytes:
+    """One segment line as the cache appends it."""
+    return b"%s %08x %s\n" % (key.encode(), zlib.crc32(body), body)
+
+
+def _ok_body(seconds: float = 1.0) -> bytes:
+    return json.dumps({"schema": SCHEMA_VERSION, "status": "ok",
+                       "metrics": {"seconds": seconds}}).encode()
 
 
 @contextmanager
@@ -157,13 +182,14 @@ class TestResultCache:
         cache = ResultCache(tmp_path, code_version="v1")
         key = cache.key_for(point_for(CORA_GCN).payload())
         assert cache.get(key) is None
-        cache.put(key, {"schema": 1, "status": "ok",
+        cache.put(key, {"schema": SCHEMA_VERSION, "status": "ok",
                         "metrics": {"seconds": 1.5}})
         record = cache.get(key)
         assert record["metrics"]["seconds"] == 1.5
         assert cache.stats == {"hits": 1, "misses": 1}
         other = cache.key_for(point_for(CORA_GCN.with_block(32)).payload())
-        cache.put(other, {"schema": 1, "status": "ok", "metrics": {}})
+        cache.put(other, {"schema": SCHEMA_VERSION, "status": "ok",
+                          "metrics": {}})
         assert len(cache) == 2
 
     def test_get_and_put_are_spans(self, tmp_path):
@@ -193,13 +219,20 @@ class TestResultCache:
         assert cache_key(a, "v1") != cache_key(b, "v1")
 
     def test_corrupt_entry_is_dropped(self, tmp_path):
+        """A line whose CRC fails is a miss and leaves the index: the
+        recomputed record is appended, and a fresh reader takes it."""
         cache = ResultCache(tmp_path, code_version="v1")
         key = cache.key_for(point_for(CORA_GCN).payload())
-        cache.put(key, {"schema": 1, "status": "ok", "metrics": {}})
-        path = cache._path(key)
-        path.write_text("{not json")
-        assert cache.get(key) is None
-        assert not path.exists()
+        cache.put_metrics(key, {}, {"seconds": 1.0})
+        (segment,) = _segments(tmp_path)
+        segment.write_bytes(segment.read_bytes().replace(b"1.0", b"1.5"))
+        reader = ResultCache(tmp_path, code_version="v1")
+        assert reader.get(key) is None
+        reader.put_metrics(key, {}, {"seconds": 1.0})
+        assert _line_keys(tmp_path) == [key, key]
+        assert reader.cached_metrics(key) == {"seconds": 1.0}
+        assert ResultCache(tmp_path, code_version="v1").cached_metrics(
+            key) == {"seconds": 1.0}
 
     def test_code_version_hash_is_stable(self):
         assert code_version_hash() == code_version_hash()
@@ -231,26 +264,32 @@ class TestResultCache:
 
     def test_get_tolerates_concurrent_removal(self, tmp_path,
                                               monkeypatch):
-        """Two workers racing on a corrupt entry: the loser's
-        ``os.remove`` fails because the winner already dropped the file
-        — that must read as a miss, never an exception."""
+        """A segment removed between the directory scan and its read (a
+        concurrent ``rm -rf`` of the cache) reads as a miss, never an
+        exception; this process's next append starts a new segment."""
+        import builtins
+
         import repro.sweep.cache as cache_module
 
         cache = ResultCache(tmp_path, code_version="v1")
         key = cache.key_for(point_for(CORA_GCN).payload())
-        cache.put(key, {"schema": 1, "status": "ok", "metrics": {}})
-        path = cache._path(key)
-        path.write_text('{"schema": 1, "status"')  # truncated write
+        cache.put_metrics(key, {}, {"seconds": 1.0})
+        (segment,) = _segments(tmp_path)
 
-        real_remove = os.remove
+        def racing_open(path, *args, **kwargs):
+            os.remove(path)  # the sibling wins the race...
+            return builtins.open(path, *args, **kwargs)  # ...ours fails
 
-        def racing_remove(target):
-            real_remove(target)  # the sibling worker wins the race...
-            real_remove(target)  # ...and ours raises FileNotFoundError
-
-        monkeypatch.setattr(cache_module.os, "remove", racing_remove)
-        assert cache.get(key) is None
-        assert not path.exists()
+        monkeypatch.setattr(cache_module, "open", racing_open,
+                            raising=False)
+        reader = ResultCache(tmp_path, code_version="v1")
+        assert reader.get(key) is None
+        assert not segment.exists()
+        monkeypatch.undo()
+        reader.put_metrics(key, {}, {"seconds": 1.0})
+        assert _segments(tmp_path) == [segment]
+        assert ResultCache(tmp_path, code_version="v1").cached_metrics(
+            key) == {"seconds": 1.0}
 
     def test_put_failure_leaves_no_partial_file(self, tmp_path,
                                                 monkeypatch):
@@ -261,10 +300,114 @@ class TestResultCache:
             pass
 
         with pytest.raises(TypeError):
-            cache.put(key, {"schema": 1, "bad": Unserialisable()})
+            cache.put(key, {"schema": SCHEMA_VERSION,
+                            "bad": Unserialisable()})
         leftovers = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert leftovers == []
         assert cache.get(key) is None
+
+    def test_a_torn_tail_is_read_once_completed(self, tmp_path):
+        """A segment whose last line is still being written: the line
+        reads as a miss until its writer finishes it."""
+        cache = ResultCache(tmp_path, code_version="v1")
+        key = cache.key_for(point_for(CORA_GCN).payload())
+        line = _frame(key, _ok_body())
+        segment = tmp_path / "v1" / "elsewhere-1.log"
+        segment.parent.mkdir()
+        segment.write_bytes(line[:-20])
+        assert cache.get(key) is None
+        with open(segment, "ab") as handle:
+            handle.write(line[-20:])
+        assert cache.cached_metrics(key) == {"seconds": 1.0}
+        assert len(cache) == 1
+
+    def test_a_reused_pid_ends_a_torn_segment_first(self, tmp_path):
+        """A segment named for this pid that ends torn (an earlier
+        process with the same pid died mid-line): the first append ends
+        that line, so the torn record is a miss and the new one reads."""
+        cache = ResultCache(tmp_path, code_version="v1")
+        torn = cache.key_for(point_for(CORA_GCN).payload())
+        key = cache.key_for(point_for(CORA_GCN, "hygcn").payload())
+        segment = (tmp_path / "v1"
+                   / f"{socket.gethostname()}-{os.getpid()}.log")
+        segment.parent.mkdir()
+        segment.write_bytes(_frame(torn, _ok_body())[:-20])
+        cache.put_metrics(key, {}, {"seconds": 2.0})
+        assert segment.read_bytes().count(b"\n") == 2
+        fresh = ResultCache(tmp_path, code_version="v1")
+        assert fresh.get(torn) is None
+        assert fresh.cached_metrics(key) == {"seconds": 2.0}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_appends_to_its_own_segment(self, tmp_path):
+        cache = ResultCache(tmp_path, code_version="v1")
+        parent = cache.key_for(point_for(CORA_GCN).payload())
+        child = cache.key_for(point_for(CORA_GCN, "hygcn").payload())
+        cache.put_metrics(parent, {}, {"seconds": 1.0})
+        (mine,) = _segments(tmp_path)
+        before = mine.read_bytes()
+        pid = os.fork()
+        if pid == 0:  # the child: leave without running pytest's exit
+            status = 1
+            try:
+                cache.put_metrics(child, {}, {"seconds": 2.0})
+                status = 0
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert mine.read_bytes() == before
+        assert [path.name for path in _segments(tmp_path)
+                if path != mine] == [f"{socket.gethostname()}-{pid}.log"]
+        assert cache.cached_metrics(child) == {"seconds": 2.0}
+
+    def test_a_segment_written_again_is_read_from_its_start(self,
+                                                            tmp_path):
+        """A segment deleted and written again, shorter than what a
+        reader had read of it, is read again from its start."""
+        writer = ResultCache(tmp_path, code_version="v1")
+        keys = [writer.key_for(point_for(CORA_GCN.with_block(block))
+                               .payload()) for block in (8, 16, 32)]
+        for key in keys[:2]:
+            writer.put_metrics(key, {}, {"seconds": 1.0})
+        reader = ResultCache(tmp_path, code_version="v1")
+        assert len(reader) == 2
+        (segment,) = _segments(tmp_path)
+        segment.unlink()
+        writer.put_metrics(keys[2], {}, {"seconds": 2.0})
+        assert _line_keys(tmp_path) == keys[2:]
+        assert reader.cached_metrics(keys[2]) == {"seconds": 2.0}
+
+    def test_a_cache_does_not_read_back_its_own_appends(self, tmp_path,
+                                                        monkeypatch):
+        """Lines this cache appended are indexed as written: its next
+        misses open no segment to read them back."""
+        import repro.sweep.cache as cache_module
+
+        cache = ResultCache(tmp_path, code_version="v1")
+        one = cache.key_for(point_for(CORA_GCN).payload())
+        two = cache.key_for(point_for(CORA_GCN, "hygcn").payload())
+        cache.put_metrics(one, {}, {"seconds": 1.0})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a segment was read back")
+
+        monkeypatch.setattr(cache_module, "open", refuse, raising=False)
+        assert cache.get(two) is None
+        cache.put_metrics(two, {}, {"seconds": 2.0})
+        assert cache.cached_metrics(one) == {"seconds": 1.0}
+
+    def test_two_caches_in_one_process_share_a_segment(self, tmp_path):
+        first = ResultCache(tmp_path, code_version="v1")
+        second = ResultCache(tmp_path, code_version="v1")
+        one = first.key_for(point_for(CORA_GCN).payload())
+        two = first.key_for(point_for(CORA_GCN, "hygcn").payload())
+        first.put_metrics(one, {}, {"seconds": 1.0})
+        second.put_metrics(two, {}, {"seconds": 2.0})
+        assert first.cached_metrics(two) == {"seconds": 2.0}
+        assert second.cached_metrics(one) == {"seconds": 1.0}
+        assert len(_segments(tmp_path)) == 1
+        assert _line_keys(tmp_path) == [one, two]
 
 
 class TestDatasetCache:
@@ -384,16 +527,19 @@ class TestScheduling:
 
     def test_truncated_cache_entries_recompute_under_jobs_4(self,
                                                             tmp_path):
-        """Half-written records (e.g. a worker killed mid-write before
-        atomic puts) must read as misses for every one of 4 workers and
-        be healed by the rerun's puts."""
+        """A segment holding a truncated record for every point, its
+        CRC that of the whole record, and ending in a torn line: every
+        point misses, the pool's parent appends each recomputed record,
+        and a fresh reader takes those over the damaged lines."""
         plan = smoke_plan()
         seed_cache = ResultCache(tmp_path, code_version="v1")
-        for point in plan:
-            key = seed_cache.key_for(point.payload())
-            path = seed_cache._path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text('{"schema": 1, "metr')  # truncated record
+        whole = _ok_body()
+        damaged = b"".join(
+            b"%s %08x %s\n" % (seed_cache.key_for(point.payload()).encode(),
+                               zlib.crc32(whole), whole[:20])
+            for point in plan)
+        (tmp_path / "v1").mkdir()
+        (tmp_path / "v1" / "elsewhere-1.log").write_bytes(damaged[:-30])
         result = SweepRunner(
             jobs=4, cache=ResultCache(tmp_path, code_version="v1")
         ).run(plan)
@@ -552,15 +698,13 @@ class TestWarmPool:
 
     def test_spawned_workers_start_cold(self, tmp_path, monkeypatch):
         """With another thread alive the pool spawns: no warm-up runs,
-        no harness is pickled, and results equal jobs=1's. The spawned
-        workers store the records, not the parent."""
+        no harness is pickled, and results equal jobs=1's. The parent
+        stores the records, in its one segment."""
         def refuse(self, protocol):
             raise AssertionError("a harness was pickled")
 
         monkeypatch.setattr(Harness, "__reduce_ex__", refuse)
         monkeypatch.setenv(PROGRAM_CACHE_ENV, str(tmp_path / "ps"))
-        log = tmp_path / "publishes.log"
-        TestWorkerRecords.log_publishes(monkeypatch, log)
         plan = SweepPlan("spawned", _dse_points("tiny", [(), (
             ("graph.num_gpes", 16),)]))
         runner = SweepRunner(jobs=2, cache=ResultCache(tmp_path / "r"))
@@ -569,7 +713,8 @@ class TestWarmPool:
         assert runner._harnesses == {}
         assert _metrics(result) == _metrics(self.serial(plan))
         assert len(ResultCache(tmp_path / "r")) == len(plan)
-        assert not log.exists()  # spawned workers run unpatched
+        assert [path.name for path in _segments(tmp_path / "r")] == [
+            f"{socket.gethostname()}-{os.getpid()}.log"]
 
     def test_points_without_overrides_are_not_warmed(self, tmp_path,
                                                      monkeypatch):
@@ -600,87 +745,76 @@ class TestWarmPool:
 
 
 class TestWorkerRecords:
-    """Each record is written once, by whoever computed it; the
-    parent's put of a record already present is a stat."""
+    """Each record is appended once, by the process that stores it: the
+    inline runner, the pool's parent as it collects each chunk, or the
+    fleet worker that computed it (the coordinator's put finds it)."""
 
     PLAN = SweepPlan("records", _dse_points("tiny", [
         (), (("graph.num_gpes", 16),), (("dense.rows", 32),)]))
 
-    @staticmethod
-    def records(root) -> dict:
-        return {str(path.relative_to(root)): path.read_bytes()
-                for path in sorted(root.rglob("*.json"))}
-
-    @staticmethod
-    def log_publishes(monkeypatch, log):
-        """Log every ``persist.publish`` of a ``.json`` record, with
-        the publishing pid (forked workers inherit the patch)."""
-        real = repro.persist.publish
-
-        def logged(path, write, **kwargs):
-            if str(path).endswith(".json"):
-                with open(log, "a") as handle:
-                    handle.write(f"{os.getpid()} {path}\n")
-            return real(path, write, **kwargs)
-
-        monkeypatch.setattr(repro.persist, "publish", logged)
-
-    def test_every_scheduler_leaves_the_same_records(self, tmp_path,
-                                                     monkeypatch):
-        log = tmp_path / "publishes.log"
-        self.log_publishes(monkeypatch, log)
+    def test_every_scheduler_leaves_the_same_records(self, tmp_path):
         SweepRunner(jobs=1, cache=ResultCache(tmp_path / "serial")
                     ).run(self.PLAN)
-        log.unlink()
         SweepRunner(jobs=2, cache=ResultCache(tmp_path / "pool")
                     ).run(self.PLAN)
-        pool = [line.split() for line in log.read_text().splitlines()]
-        log.unlink()
         fleet = FileQueueScheduler(jobs=2, cache_dir=str(tmp_path / "fleet"),
                                    poll_s=0.01)
         SweepRunner(cache=ResultCache(tmp_path / "fleet"),
                     scheduler=fleet).run(self.PLAN)
-        queued = [line.split() for line in log.read_text().splitlines()
-                  if str(tmp_path / "fleet") in line]
-        expected = self.records(tmp_path / "serial")
+        expected = ResultCache(tmp_path / "serial").records()
         assert len(expected) == len(self.PLAN)
-        for name in ("pool", "fleet"):
-            assert self.records(tmp_path / name) == expected, name
-        assert str(os.getpid()) not in {pid for pid, _ in pool}
-        # Spawned pool workers do not inherit the logging patch.
-        forked = _worker_context().get_start_method() == "fork"
-        for published in (pool, queued) if forked else (queued,):
-            paths = [path for _, path in published]
-            assert len(paths) == len(set(paths)) == len(self.PLAN)
+        for name in ("serial", "pool", "fleet"):
+            assert ResultCache(tmp_path / name).records() == expected, name
+            assert sorted(_line_keys(tmp_path / name)) == sorted(
+                expected), name
+        mine = f"{socket.gethostname()}-{os.getpid()}.log"
+        assert [path.name for path in _segments(tmp_path / "pool")] == [
+            mine]
+        assert mine not in {path.name
+                            for path in _segments(tmp_path / "fleet")}
 
     def test_a_present_entry_is_not_rewritten(self, tmp_path):
-        """A put of a present entry stats it and writes nothing: the
-        inode and bytes stay, and the record is not even encoded."""
+        """A put of a key already in the log appends nothing, from this
+        cache or a fresh one: the segment's bytes stay, and the record
+        is not even encoded."""
         cache = ResultCache(tmp_path, code_version="v1")
         key = cache.key_for(point_for(CORA_GCN).payload())
-        assert cache.put(key, {"schema": 1, "status": "ok", "metrics": {}})
-        path = cache._path(key)
-        before = (path.stat().st_ino, path.read_bytes())
+        assert cache.put(key, {"schema": SCHEMA_VERSION, "status": "ok",
+                               "metrics": {}})
+        (segment,) = _segments(tmp_path)
+        before = segment.read_bytes()
 
         class Unserialisable:
             pass
 
-        assert cache.put(key, {"schema": 1, "bad": Unserialisable()})
-        assert (path.stat().st_ino, path.read_bytes()) == before
+        for writer in (cache, ResultCache(tmp_path, code_version="v1")):
+            assert writer.put(key, {"bad": Unserialisable()})
+        assert segment.read_bytes() == before
 
     def test_a_dropped_entry_is_written_again(self, tmp_path):
-        cache = ResultCache(tmp_path, code_version="v1")
-        key = cache.key_for(point_for(CORA_GCN).payload())
-        cache.put_metrics(key, {}, {"seconds": 1.0})
-        path = cache._path(key)
-        for damage in ("{not json", '{"schema": 2, "status": "ok"}',
-                       '{"schema": 1, "status": "error", "metrics": {}}',
-                       '{"schema": 1, "status": "ok"}'):
-            path.write_text(damage)
-            assert cache.cached_metrics(key) is None
-            assert not path.exists()
+        """A line that fails its CRC, or holds no successful point's
+        record of this schema, is a miss: the recomputed record is
+        appended, and a fresh reader takes it over the bad line."""
+        key = ResultCache(tmp_path, code_version="v1").key_for(
+            point_for(CORA_GCN).payload())
+        records = ({"schema": SCHEMA_VERSION - 1, "status": "ok",
+                    "metrics": {}},
+                   {"schema": SCHEMA_VERSION, "status": "error",
+                    "metrics": {}},
+                   {"schema": SCHEMA_VERSION, "status": "ok"})
+        damages = ([_frame(key, b"{not json"),
+                    _frame(key, _ok_body()).replace(b"1.0", b"1.5")]
+                   + [_frame(key, json.dumps(r).encode()) for r in records])
+        for index, damage in enumerate(damages):
+            root = tmp_path / str(index)
+            (root / "v1").mkdir(parents=True)
+            (root / "v1" / "elsewhere-1.log").write_bytes(damage)
+            cache = ResultCache(root, code_version="v1")
+            assert cache.cached_metrics(key) is None, damage
             cache.put_metrics(key, {}, {"seconds": 1.0})
             assert cache.cached_metrics(key) == {"seconds": 1.0}
+            assert ResultCache(root, code_version="v1").cached_metrics(
+                key) == {"seconds": 1.0}, damage
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Hammer tests for the memos the serve daemon shares across request
 threads: the Harness compiled-program memo, the per-harness dataset
-cache, the per-graph shard-grid memo and the stores' read counts.
+cache, the per-graph shard-grid memo, the stores' read counts and the
+result cache's log.
 
 The invariants under concurrency:
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -280,3 +282,41 @@ class TestStoreCountsHammer:
         finally:
             sys.setswitchinterval(interval)
         assert cache.stats == {"hits": 0, "misses": 24000}
+
+
+class TestResultLogHammer:
+    def test_concurrent_puts_and_gets_tear_no_line(self, tmp_path):
+        """Eight threads putting and getting 40 keys each on one result
+        cache, half of them shared, switching threads every microsecond:
+        every get after its put hits, every appended line is whole, and
+        a fresh reader finds each record once."""
+        from repro.sweep.cache import ResultCache
+
+        cache = ResultCache(tmp_path, code_version="v1")
+        keys = [cache.key_for({"point": index}) for index in range(180)]
+
+        def work(thread: int) -> None:
+            mine = keys[:20] + keys[20 + 20 * thread:40 + 20 * thread]
+            for index, key in enumerate(mine):
+                cache.put_metrics(key, {}, {"value": keys.index(key)})
+                assert cache.cached_metrics(key) == {
+                    "value": keys.index(key)}, (thread, index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _hammer(work, n=8)
+        finally:
+            sys.setswitchinterval(interval)
+        (segment,) = tmp_path.rglob("*.log")
+        data = segment.read_bytes()
+        assert data.endswith(b"\n")
+        lines = data.splitlines()
+        assert len(lines) >= len(keys)
+        for line in lines:
+            key, crc, body = line.split(b" ", 2)
+            assert crc == b"%08x" % zlib.crc32(body) and key.decode() in keys
+        records = ResultCache(tmp_path, code_version="v1").records()
+        assert {key: record["metrics"]["value"]
+                for key, record in records.items()} == {
+            key: index for index, key in enumerate(keys)}
